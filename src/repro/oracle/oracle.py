@@ -37,7 +37,6 @@ from repro.mbf.dense import (
     aggregate,
     aggregate_batched,
     dense_iteration,
-    dense_iteration_batched,
     dense_iteration_batched_ex,
     run_batched_fixpoint,
 )
@@ -159,7 +158,10 @@ class HOracle:
     ) -> BatchedFlatStates:
         """One ``A_H`` iteration for all ``k`` samples at once.
 
-        Each level's ``d``-chain runs through the batched dense kernels;
+        Each level's ``d``-chain runs through the batched dense kernels,
+        starting from full emission and then propagating only the entries
+        the previous step inserted (the semi-naive delta of
+        :func:`~repro.mbf.dense.dense_iteration_batched_ex`);
         with ``inner_early_exit`` samples whose chain reached its fixpoint
         are masked out of the remaining inner iterations individually (the
         lossless per-sample analogue of the serial early exit).  Per-sample
@@ -190,8 +192,8 @@ class HOracle:
                 # converged chains freeze on the post-step state; chains
                 # that never converge keep their state after ``d`` steps.
                 y, _ = run_batched_fixpoint(
-                    lambda s, sp, led: dense_iteration_batched_ex(
-                        self.graph, s, sp, weight_scale=scale, ledgers=led
+                    lambda s, sp, led, fr: dense_iteration_batched_ex(
+                        self.graph, s, sp, weight_scale=scale, ledgers=led, fresh=fr
                     ),
                     y,
                     spec,
@@ -200,13 +202,15 @@ class HOracle:
                     freeze_next=True,
                 )
             else:
+                fresh = None
                 for _ in range(self.d):
-                    y = dense_iteration_batched(
+                    y, _, fresh = dense_iteration_batched_ex(
                         self.graph,
                         y,
                         spec,
                         weight_scale=scale,
                         ledgers=level_children,
+                        fresh=fresh,
                     )
             y = y.restrict(self.masks[lam])
             for child, t in zip(level_children, y.sample_totals()):
@@ -317,9 +321,10 @@ class HOracle:
         if cap < 1:
             raise ValueError("max_iterations must be >= 1")
         return run_batched_fixpoint(
-            lambda s, sp, led: (
+            lambda s, sp, led, _fresh: (
                 self.h_iteration_batched(s, sp, ledgers=led),
                 None,  # no free flags here; the loop compares states
+                None,  # and no delta: each H-iteration restarts its chains
             ),
             states,
             spec,

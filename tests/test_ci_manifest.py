@@ -6,10 +6,13 @@ name); these tests keep the manifest honest against the benchmark sources
 so a renamed test or file fails here, not silently in CI.
 ``benchmarks/merge_trend.py`` (the final CI job) folds the uploaded
 ``bench-*.json`` artifacts into one ``bench-trend.json`` + summary table.
+``.github/requirements-ci.txt`` must install every third-party module the
+tier-1 tests import, or a clean CI install fails at collection.
 """
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +21,7 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 MANIFEST = REPO / "benchmarks" / "ci_smoke.json"
+REQUIREMENTS = REPO / ".github" / "requirements-ci.txt"
 
 sys.path.insert(0, str(REPO / "benchmarks"))
 import merge_trend  # noqa: E402
@@ -138,3 +142,35 @@ class TestMergeTrend:
         (tmp_path / "bench-broken.json").write_text("{not json")
         trend = merge_trend.merge_files(sorted(tmp_path.glob("bench-*.json")))
         assert [s["file"] for s in trend["sources"]] == ["bench-ok.json"]
+
+
+def _requirement_names(lines):
+    """Distribution names of pip requirement lines (comments skipped)."""
+    names = set()
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if line:
+            names.add(re.split(r"[<>=!~;\[ ]", line, maxsplit=1)[0].lower())
+    return names
+
+
+class TestCIRequirements:
+    def test_every_third_party_test_import_is_installed(self):
+        local = {"repro", "tools", "tests", "merge_trend", "check_trend"}
+        imported = set()
+        for path in (REPO / "tests").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported.update(a.name.split(".")[0] for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+        third_party = imported - set(sys.stdlib_module_names) - local
+        missing = third_party - _requirement_names(REQUIREMENTS.read_text().splitlines())
+        assert not missing, f"imported by tests but not installed by CI: {missing}"
+
+    def test_requirements_match_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]
+        declared = project["dependencies"] + project["optional-dependencies"]["dev"]
+        ci = _requirement_names(REQUIREMENTS.read_text().splitlines())
+        assert ci == _requirement_names(declared)

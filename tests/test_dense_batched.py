@@ -5,12 +5,15 @@ for every sample, the batched drivers must reproduce the serial engine's
 LE lists, iteration counts, and cost-ledger charges exactly — the batch is
 an implementation detail, not a semantic change.  These tests pin that
 contract at every layer (kernels, ``run_dense_batched``,
-``HOracle.run_batch``) including k=1 and non-power-of-two k.
+``HOracle.run_batch``) including k=1 and non-power-of-two k.  The LE
+kernel's semi-naive delta must match full emission at every step, and its
+flat segmented search must match a per-segment ``np.searchsorted``.
 """
 
 import numpy as np
 import pytest
 
+from repro.graph import Graph
 from repro.graph import generators as gen
 from repro.hopsets import hub_hopset, rounded_hopset
 from repro.mbf.dense import (
@@ -19,14 +22,19 @@ from repro.mbf.dense import (
     FlatStates,
     LEFilter,
     MinFilter,
+    _padded_segment_keys,
+    _segment_keys,
     aggregate,
     aggregate_batched,
     dense_iteration,
     dense_iteration_batched,
+    dense_iteration_batched_ex,
     propagate,
     propagate_batched,
+    run_batched_fixpoint,
     run_dense,
     run_dense_batched,
+    segmented_searchsorted,
 )
 from repro.oracle import HOracle
 from repro.pram import CostLedger
@@ -325,3 +333,228 @@ class TestOracleRunBatchParity:
         assert iters.tolist() == [it, it]
         for s in range(2):
             assert batched.sample_states(s).equals(expect)
+
+
+def _disconnected_graph():
+    """Two weighted components plus an isolated vertex."""
+    return Graph.from_edge_list(
+        8,
+        [(0, 1, 1.5), (1, 2, 0.5), (2, 0, 3.0), (3, 4, 2.0), (4, 5, 1.0), (5, 6, 0.25)],
+    )
+
+
+def _reference(g, rank, steps, scale=1.0):
+    """LE lists after ``steps`` full-emission iterations of the generic
+    one-global-sort path (``LEFilter`` never takes the incremental kernel),
+    plus the step at which they stopped changing (``None`` if not yet)."""
+    states = FlatStates.from_sources(g.n)
+    settled = None
+    for i in range(steps):
+        nxt = dense_iteration(g, states, LEFilter(rank), weight_scale=scale)
+        if settled is None and nxt.equals(states):
+            settled = i
+        states = nxt
+    return states, settled
+
+
+def _ledger_totals(ledgers):
+    return [(led.work, led.depth) for led in ledgers]
+
+
+def _delta_vs_full(g, states, spec, fresh, scale):
+    """One step with the delta and one with full emission, on the same input.
+
+    Asserts that states, ``changed`` flags, inserted masks and per-sample
+    ledger charges agree, and returns the delta step.
+    """
+    full_ledgers = [CostLedger() for _ in range(states.k)]
+    delta_ledgers = [CostLedger() for _ in range(states.k)]
+    full = dense_iteration_batched_ex(
+        g, states, spec, weight_scale=scale, ledgers=full_ledgers
+    )
+    delta = dense_iteration_batched_ex(
+        g, states, spec, weight_scale=scale, ledgers=delta_ledgers, fresh=fresh
+    )
+    assert delta[0].equals(full[0])
+    assert np.array_equal(delta[1], full[1])
+    assert np.array_equal(delta[2], full[2])
+    assert _ledger_totals(delta_ledgers) == _ledger_totals(full_ledgers)
+    return delta
+
+
+class TestSemiNaiveDelta:
+    """Propagating only the entries the last step inserted is exact."""
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("scale", [1.0, 1.5625])
+    def test_every_step_matches_full_emission(self, small_graphs, k, scale):
+        for g in small_graphs + [_disconnected_graph()]:
+            ranks = _ranks(k, g.n, 40)
+            spec = BatchedLEFilter(ranks)
+            states = BatchedFlatStates.from_sources(k, g.n)
+            fresh = None
+            for _ in range(g.n + 1):
+                states, changed, fresh = _delta_vs_full(g, states, spec, fresh, scale)
+                if not changed.any():
+                    break
+            else:
+                pytest.fail("no fixpoint within n + 1 steps")
+            for s, r in enumerate(ranks):
+                expect, _ = _reference(g, r, g.n + 1, scale)
+                assert states.sample_states(s).equals(expect)
+
+    def test_inserted_marks_exactly_the_new_entries(self):
+        g = gen.random_graph(16, 30, rng=41)
+        k = 3
+        spec = BatchedLEFilter(_ranks(k, g.n, 42))
+        states = BatchedFlatStates.from_sources(k, g.n)
+        fresh = None
+        for _ in range(3):
+            nxt, changed, fresh = dense_iteration_batched_ex(g, states, spec, fresh=fresh)
+            seg = np.repeat(np.arange(k * g.n), states.counts())
+            before = set(zip(seg.tolist(), states.ids.tolist(), states.dists.tolist()))
+            seg = np.repeat(np.arange(k * g.n), nxt.counts())
+            after = zip(seg.tolist(), nxt.ids.tolist(), nxt.dists.tolist())
+            assert fresh.tolist() == [e not in before for e in after]
+            per_sample = np.add.reduceat(fresh, nxt.offsets[:-1:g.n]) > 0
+            assert changed.tolist() == per_sample.tolist()
+            states = nxt
+
+    def test_compaction_slices_the_mask(self):
+        """Samples converge at different steps.  After each compaction
+        the surviving samples must keep their own deltas: a stale or
+        mis-sliced mask drops candidates that the full emission keeps, so
+        the per-step comparison (or the final check) fails."""
+        g = gen.path_graph(24, wmin=0.5, wmax=2.0, rng=43)
+        k, scale = 6, 1.25
+        ranks = _ranks(k, g.n, 44)
+        batch_sizes = []
+        progress_after_compaction = []
+
+        def step(states, spec, ledgers, fresh):
+            out = _delta_vs_full(g, states, spec, fresh, scale)
+            if batch_sizes and states.k < batch_sizes[0]:
+                progress_after_compaction.append(bool(out[1].any()))
+            batch_sizes.append(states.k)
+            return out
+
+        x0 = BatchedFlatStates.from_sources(k, g.n)
+        final, iters = run_batched_fixpoint(
+            step, x0, BatchedLEFilter(ranks), None, g.n + 1
+        )
+        # Three or more distinct convergence steps: the batch shrank at
+        # least twice, and the shrunken batches kept inserting entries.
+        assert len(set(iters.tolist())) >= 3
+        assert len(set(batch_sizes)) >= 3
+        assert any(progress_after_compaction)
+        for s, r in enumerate(ranks):
+            expect, settled = _reference(g, r, g.n + 1, scale)
+            assert final.sample_states(s).equals(expect)
+            assert int(iters[s]) == settled
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 9])
+    def test_fixed_h_threads_the_delta(self, h):
+        g = _disconnected_graph()
+        ranks = _ranks(3, g.n, 45)
+        batched, _ = run_dense_batched(g, BatchedLEFilter(ranks), 3, h=h)
+        for s, r in enumerate(ranks):
+            assert batched.sample_states(s).equals(_reference(g, r, h)[0])
+
+    def test_generic_path_reports_no_delta(self):
+        g = gen.grid(3, 3, rng=46)
+        b = BatchedFlatStates.from_sources(2, g.n)
+        _, changed, inserted = dense_iteration_batched_ex(
+            g, b, MinFilter(), fresh=np.ones(b.total, dtype=bool)
+        )
+        assert inserted is None and changed.all()
+
+    def test_fresh_shape_validated(self):
+        g = gen.cycle(5, rng=47)
+        b = BatchedFlatStates.from_sources(2, g.n)
+        spec = BatchedLEFilter(_ranks(2, g.n, 48))
+        with pytest.raises(ValueError, match="entry mask"):
+            dense_iteration_batched_ex(g, b, spec, fresh=np.ones(3, dtype=bool))
+
+
+def _csr_cases():
+    """``(offsets, values)`` with empty and length-1 segments, tied values
+    and infinities; each segment sorted ascending."""
+    inf = np.inf
+    cases = [
+        ([0], []),
+        ([0, 0, 0], []),
+        ([0, 1], [2.0]),
+        ([0, 0, 3, 3, 4, 8, 8], [1.0, 1.0, 2.0, 5.0, -inf, 0.5, 0.5, inf]),
+        ([0, 2, 3, 5], [inf, inf, 0.0, 1.0, 1.0]),
+    ]
+    rng = np.random.default_rng(50)
+    lengths = rng.integers(0, 6, size=40)
+    values = [np.sort(rng.integers(0, 4, size=c).astype(float)) for c in lengths]
+    cases.append((np.concatenate([[0], np.cumsum(lengths)]), np.concatenate(values)))
+    return [(np.asarray(o, dtype=np.int64), np.asarray(v, dtype=np.float64)) for o, v in cases]
+
+
+#: Query values: below, on and between the stored values, and both infinities.
+_QUERIES = np.array([-np.inf, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, np.inf])
+
+
+def _segment(offsets, values, j):
+    return values[offsets[j] : offsets[j + 1]]
+
+
+class TestSegmentedSearch:
+    """Both flat segmented searches equal a per-segment np.searchsorted."""
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_segmented_searchsorted(self, side):
+        for offsets, values in _csr_cases():
+            s = offsets.size - 1
+            queries = np.tile(_QUERIES, (s, 1))
+            got = segmented_searchsorted(offsets, values, queries, side=side)
+            assert got.shape == (s, _QUERIES.size)
+            for j in range(s):
+                expect = np.searchsorted(_segment(offsets, values, j), queries[j], side=side)
+                assert np.array_equal(got[j], expect), (offsets, j)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_padded_keys_per_candidate_stream(self, side):
+        """The LE prune's form: an arbitrary ``(segment, q)`` query stream
+        (``q > -inf``) against sentinel-headed keys."""
+        rng = np.random.default_rng(51)
+        for offsets, values in _csr_cases():
+            s = offsets.size - 1
+            keys, slots = _padded_segment_keys(offsets, values)
+            assert keys.size == values.size + s
+            owner = np.repeat(np.arange(s), np.diff(offsets))
+            assert np.array_equal(keys[slots].real, owner)
+            assert np.array_equal(keys[slots].imag, values)
+            heads = offsets[:-1] + np.arange(s)
+            assert np.array_equal(keys[heads].imag, np.full(s, -np.inf))
+            tgt = rng.integers(0, s, size=200) if s else np.zeros(0, dtype=np.int64)
+            q = rng.choice(_QUERIES[1:], size=tgt.size)
+            pos = np.searchsorted(keys, _segment_keys(tgt, q), side=side)
+            got = pos - (offsets[tgt] + tgt + 1)
+            expect = [
+                np.searchsorted(_segment(offsets, values, t), x, side=side)
+                for t, x in zip(tgt, q)
+            ]
+            assert got.tolist() == [int(e) for e in expect]
+            if side == "right":
+                # The key just before is the last value <= q, else the sentinel.
+                before = keys[pos - 1].imag
+                has_pred = got > 0
+                pred_slot = (pos - tgt - 2)[has_pred]
+                assert np.array_equal(before[has_pred], values[pred_slot])
+                assert np.all(before[~has_pred] == -np.inf)
+
+    def test_empty_csr(self):
+        offsets = np.zeros(1, dtype=np.int64)
+        empty = np.zeros(0)
+        got = segmented_searchsorted(offsets, empty, np.zeros((0, 3)))
+        assert got.shape == (0, 3)
+        keys, slots = _padded_segment_keys(offsets, empty)
+        assert keys.size == 0 and slots.size == 0
+
+    def test_query_shape_validated(self):
+        with pytest.raises(ValueError, match="num_segments"):
+            segmented_searchsorted(np.array([0, 1]), np.array([1.0]), np.zeros((2, 1)))
