@@ -3,47 +3,47 @@
 The paper's efficiency argument (Lemma 2.3, Theorem 7.9) amortizes
 aggregation across all nodes with one global parallel sort; the batched
 engine (:mod:`repro.mbf.dense`) extends the same idea across ensemble
-*samples*: ``Pipeline.sample_ensemble(k, mode="batched")`` fuses the ``k``
-LE-list fixpoint computations into one multi-sample pass (composite
+*samples*: ``Pipeline.sample_ensemble(k)`` fuses the ``k`` LE-list
+fixpoint computations into one multi-sample pass (composite
 ``(sample, target)`` segments, incremental dominated-entry pruning,
 per-sample fixpoint masking) instead of paying ``k`` separate
-propagate/lexsort sweeps over the same graph.
+propagate/prune sweeps over the same graph.
 
-Measured: wall-clock seconds and ensemble throughput (trees/second) of
-``mode="serial"`` vs ``mode="batched"`` on the ``"dense"`` direct backend
-across ``n`` and ``k``, plus the oracle-backed path at one size, plus the
-**lists-vs-trees stage split** (``test_e13_tree_stage_split``): with the
-LE-list stage batched since PR 2, the Lemma 7.2 tree construction was the
-last per-sample Python loop — the split times the batched LE-list pass,
-the serial ``build_frt_tree`` loop, and the fused
+Measured: wall-clock seconds, ensemble throughput (trees/second) and
+tracemalloc peak of one batch (the default ``ExecutionConfig()``) against
+``ExecutionConfig(shard_size=1)``, which runs the same engine one sample
+at a time in-process (the memory-lean shape), on the ``"dense"`` direct
+backend across ``n`` and ``k``, plus the oracle-backed path at one size,
+plus the **lists-vs-trees stage split** (``test_e13_tree_stage_split``):
+the split times the batched LE-list pass, the per-sample
+``build_frt_tree`` loop, and the fused
 :func:`~repro.frt.forest.build_frt_forest` pass, and asserts the forest
-build beats the serial per-sample loop ≥ 3x at ``n=1024, k=16``.
+build beats the per-sample loop ≥ 3x at ``n=1024, k=16``.  Peaks come
+from a separate untimed run, so tracing never inflates the timings.
 
 **Sharded execution:** ``test_e13_sharded_ensemble`` times the
 process-pool sharding of the batched engine (``ExecutionConfig(
-mode="batched", workers=2)``) against the in-process batched run,
-asserts bit-identical stacked forests always, and a ≥ 1.35x speedup floor
-at ``n=1024, k=16`` when the machine has ≥ 2 usable cores.  Two workers
-cannot reach 2x here: the in-process run takes ~0.44 s, and its
-per-iteration fixed costs make a ``k=8`` shard take 0.57 of a ``k=16``
-batch rather than half, a ~1.75x ceiling before pool overhead.  Ten runs
-on a 2-core VM read 1.42-1.68x (median 1.57x), hence the 1.35x floor.
+workers=2)``) against the in-process batch, asserts bit-identical
+stacked forests always, and a ≥ 1.35x speedup floor at ``n=1024, k=16``
+when the machine has ≥ 2 usable cores.  Two workers cannot reach 2x
+here: the in-process run takes ~0.44 s, and its per-iteration fixed
+costs make a ``k=8`` shard take 0.57 of a ``k=16`` batch rather than
+half, a ~1.75x ceiling before pool overhead.  Ten runs on a 2-core VM
+read 1.42-1.68x (median 1.57x), hence the 1.35x floor.
 
-**Baseline note (problem-centric engine API PR):** the serial loop now
-routes every LE-list fixpoint through the *same* incremental prune/merge
-kernel as the batch (``run_dense`` is the ``k = 1`` view of the batched
-engine), which made the serial baseline ~2.4x faster than the generic
-full-sort path this benchmark originally compared against.  What remains
-measured here is pure cross-sample *fusion*: one global pass vs ``k``
-incremental passes.  Fusion wins at small ``n·k`` (fewer Python/NumPy
+**Floors.**  Both shapes run the same incremental kernel, so what is
+measured is pure cross-sample *fusion*: one global pass vs ``k`` passes
+of one sample.  Fusion wins at small ``n·k`` (fewer Python/NumPy
 dispatches) and gives some back to cache pressure at large ``n·k``, so
-the assertions are parity (bit-identical outputs, always) plus a
-no-bad-regression floor on throughput, with the measured speedup recorded
-for the perf trajectory.
+the assertions are parity (bit-identical outputs, always) plus
+no-bad-regression floors on the one-batch/one-at-a-time time ratio,
+with the measured ratios and peaks recorded for the perf trajectory.
+The floors were re-derived from ten runs on a 2-core VM (see each test).
 """
 
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,21 +61,52 @@ from repro.frt import build_frt_forest, build_frt_tree
 from repro.frt.lelists import compute_le_lists_batch
 
 
-def _time_ensemble(g, cfg, k, seed, mode):
+#: The default: all k samples in one fused batch.
+ONE_BATCH = ExecutionConfig()
+#: The same engine one sample at a time, in-process.
+ONE_AT_A_TIME = ExecutionConfig(shard_size=1)
+
+
+def _time_ensemble(g, cfg, k, seed, execution):
     pipe = Pipeline(g, cfg)
     t0 = time.perf_counter()
-    res = pipe.sample_ensemble(k=k, seed=seed, mode=mode)
+    res = pipe.sample_ensemble(k=k, seed=seed, execution=execution)
     return time.perf_counter() - t0, res
 
 
-def _assert_identical(serial, batched):
-    for a, b in zip(serial, batched):
-        # reprolint: disable=float-distance-eq (serial-vs-batched
-        # bit-identity is the property under test here)
+def _peak_mib(g, cfg, k, seed, execution):
+    """tracemalloc peak (MiB) of one ensemble call, in a separate run."""
+    pipe = Pipeline(g, cfg)
+    tracemalloc.start()
+    try:
+        pipe.sample_ensemble(k=k, seed=seed, execution=execution)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
+
+
+def _assert_identical(a_res, b_res):
+    for a, b in zip(a_res, b_res):
+        # reprolint: disable=float-distance-eq (bit-identity across
+        # execution shapes is the property under test here)
         assert np.array_equal(a.rank, b.rank) and a.beta == b.beta
         assert a.iterations == b.iterations
         assert a.le_lists.equals(b.le_lists)
         assert np.array_equal(a.tree.level_ids, b.tree.level_ids)
+
+
+def _fusion_info(g, cfg, k, seed, one_s, batch_s):
+    """extra_info of a one-at-a-time vs one-batch comparison."""
+    return dict(
+        one_at_a_time_seconds=one_s,
+        batch_seconds=batch_s,
+        one_at_a_time_trees_per_s=k / one_s,
+        batch_trees_per_s=k / batch_s,
+        speedup=one_s / batch_s,
+        one_at_a_time_peak_mib=_peak_mib(g, cfg, k, seed, ONE_AT_A_TIME),
+        batch_peak_mib=_peak_mib(g, cfg, k, seed, ONE_BATCH),
+    )
 
 
 @pytest.mark.parametrize(
@@ -84,36 +115,26 @@ def _assert_identical(serial, batched):
         (128, 4, None),  # CI smoke size
         (256, 16, None),
         (1024, 8, None),
-        (1024, 16, 0.65),  # fusion must stay within ~1.5x of the serial loop
+        (1024, 16, 0.65),  # fusion must stay within ~1.5x of one-at-a-time
     ],
     ids=lambda v: str(v),
 )
 def test_e13_dense_ensemble_throughput(benchmark, n, k, assert_speedup):
     g = gen.random_graph(n, 3 * n, rng=20)
     cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
-    serial_s, serial_res = _time_ensemble(g, cfg, k, 0, "serial")
+    one_s, one_res = _time_ensemble(g, cfg, k, 0, ONE_AT_A_TIME)
 
     def run_batched():
-        return _time_ensemble(g, cfg, k, 0, "batched")
+        return _time_ensemble(g, cfg, k, 0, ONE_BATCH)
 
-    (batched_s, batched_res) = benchmark.pedantic(run_batched, rounds=1, iterations=1)
-    _assert_identical(serial_res, batched_res)
-    speedup = serial_s / batched_s
-    benchmark.extra_info.update(
-        n=n,
-        m=g.m,
-        k=k,
-        backend="dense",
-        serial_seconds=serial_s,
-        batched_seconds=batched_s,
-        serial_trees_per_s=k / serial_s,
-        batched_trees_per_s=k / batched_s,
-        speedup=speedup,
-    )
+    (batch_s, batch_res) = benchmark.pedantic(run_batched, rounds=1, iterations=1)
+    _assert_identical(one_res, batch_res)
+    info = _fusion_info(g, cfg, k, 0, one_s, batch_s)
+    benchmark.extra_info.update(n=n, m=g.m, k=k, backend="dense", **info)
     if assert_speedup is not None:
-        assert speedup >= assert_speedup, (
-            f"batched ensemble only {speedup:.2f}x the (incremental-kernel) "
-            f"serial loop at n={n}, k={k} (floor {assert_speedup}x)"
+        assert info["speedup"] >= assert_speedup, (
+            f"batched ensemble only {info['speedup']:.2f}x the one-at-a-time "
+            f"run at n={n}, k={k} (floor {assert_speedup}x)"
         )
 
 
@@ -121,7 +142,7 @@ def test_e13_dense_ensemble_throughput(benchmark, n, k, assert_speedup):
     "n,k,assert_speedup",
     [
         (128, 4, None),  # CI smoke size (keeps the JSON artifact's fields)
-        (1024, 16, 3.0),  # the forest must beat the serial tree loop >= 3x
+        (1024, 16, 3.0),  # the forest must beat the per-sample tree loop >= 3x
     ],
     ids=lambda v: str(v),
 )
@@ -129,8 +150,8 @@ def test_e13_tree_stage_split(benchmark, n, k, assert_speedup):
     """Lists-vs-trees stage split of the batched ensemble pipeline.
 
     Times the two stages separately: the fused multi-sample LE-list pass,
-    then tree construction both ways — the serial per-sample
-    ``build_frt_tree`` loop (the pre-forest hot-path tail) and the fused
+    then tree construction both ways — the per-sample ``build_frt_tree``
+    loop (the independent reference construction) and the fused
     ``build_frt_forest`` pass.  Parity of all per-sample structure arrays
     is asserted alongside the speedup floor.
     """
@@ -183,7 +204,7 @@ def test_e13_tree_stage_split(benchmark, n, k, assert_speedup):
     )
     if assert_speedup is not None:
         assert speedup >= assert_speedup, (
-            f"forest build only {speedup:.2f}x the serial per-sample tree "
+            f"forest build only {speedup:.2f}x the per-sample tree "
             f"loop at n={n}, k={k} (floor {assert_speedup}x)"
         )
 
@@ -197,12 +218,12 @@ def test_e13_tree_stage_split(benchmark, n, k, assert_speedup):
     ids=lambda v: str(v),
 )
 def test_e13_sharded_ensemble(benchmark, n, k, workers, assert_speedup):
-    """Sharded (process-pool) vs in-process batched ensemble.
+    """Sharded (process-pool) vs in-process one-batch ensemble.
 
     The sample axis is embarrassingly parallel: per-sample child
     generators are spawned before any fan-out and the concat primitives
-    re-stack the per-shard results into the single-process layout, so the
-    sharded run must be *bit-identical* to the in-process batched run —
+    re-stack the per-shard results into the one-shard layout, so the
+    sharded run must be *bit-identical* to the in-process batch —
     asserted always, on every array of the stacked forest.  The speedup
     floor is a real-parallelism claim, so it only applies when the
     machine actually has >= 2 usable cores (on a single-core CI runner
@@ -211,13 +232,13 @@ def test_e13_sharded_ensemble(benchmark, n, k, workers, assert_speedup):
     """
     g = gen.random_graph(n, 3 * n, rng=23)
     cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
-    inproc_s, inproc_res = _time_ensemble(g, cfg, k, 3, "batched")
+    inproc_s, inproc_res = _time_ensemble(g, cfg, k, 3, ONE_BATCH)
 
     def run_sharded():
         pipe = Pipeline(g, cfg)
         t0 = time.perf_counter()
         res = pipe.sample_ensemble(
-            k=k, seed=3, execution=ExecutionConfig(mode="batched", workers=workers)
+            k=k, seed=3, execution=ExecutionConfig(workers=workers)
         )
         return time.perf_counter() - t0, res
 
@@ -247,7 +268,7 @@ def test_e13_sharded_ensemble(benchmark, n, k, workers, assert_speedup):
     )
     if assert_speedup is not None and cpus >= workers:
         assert speedup >= assert_speedup, (
-            f"sharded ensemble only {speedup:.2f}x the in-process batched "
+            f"sharded ensemble only {speedup:.2f}x the in-process batch "
             f"run at n={n}, k={k}, workers={workers} "
             f"(floor {assert_speedup}x, {cpus} cores)"
         )
@@ -256,35 +277,30 @@ def test_e13_sharded_ensemble(benchmark, n, k, workers, assert_speedup):
 def test_e13_oracle_ensemble(benchmark):
     """The oracle-backed path batches too (no speedup floor asserted —
     its inner chains are short and level-striped, so the batch win is
-    smaller); parity and a sanity bound are checked.  Kept small: the
-    serial oracle ensemble is minutes-scale already at ``n = 256``."""
+    smaller); parity and a sanity bound are checked.  Kept small: one
+    sample at a time the oracle ensemble is slow already at ``n = 256``."""
     n, k = 64, 8
     g = gen.random_graph(n, 3 * n, rng=21)
     cfg = PipelineConfig(hopset=HopsetConfig(eps=0.25, d0=6))
-    serial_s, serial_res = _time_ensemble(g, cfg, k, 1, "serial")
-    (batched_s, batched_res) = benchmark.pedantic(
-        lambda: _time_ensemble(g, cfg, k, 1, "batched"), rounds=1, iterations=1
+    one_s, one_res = _time_ensemble(g, cfg, k, 1, ONE_AT_A_TIME)
+    (batch_s, batch_res) = benchmark.pedantic(
+        lambda: _time_ensemble(g, cfg, k, 1, ONE_BATCH), rounds=1, iterations=1
     )
-    _assert_identical(serial_res, batched_res)
-    benchmark.extra_info.update(
-        n=n,
-        k=k,
-        method="oracle",
-        serial_seconds=serial_s,
-        batched_seconds=batched_s,
-        speedup=serial_s / batched_s,
-    )
+    _assert_identical(one_res, batch_res)
+    info = _fusion_info(g, cfg, k, 1, one_s, batch_s)
+    benchmark.extra_info.update(n=n, k=k, method="oracle", **info)
     # The batch must at least not regress the oracle path badly.
-    assert batched_s <= 2.0 * serial_s
+    assert batch_s <= 2.0 * one_s
 
 
 def test_e13_scaling_in_k(benchmark):
-    """Batched-vs-serial ratio across k at fixed n (recorded for the perf
-    trajectory).  Both modes now run the same incremental kernel — the
-    dominated-entry prune is the main lever and already pays off at
+    """One-batch vs one-at-a-time ratio across k at fixed n (recorded for
+    the perf trajectory).  Both shapes run the same incremental kernel —
+    the dominated-entry prune is the main lever and already pays off at
     ``k = 1`` — so fusion is roughly cost-neutral, trending slightly below
-    1x at large fused batches (cache pressure).  The shape assertion is a
-    uniform no-bad-regression floor."""
+    1x at large fused batches (cache pressure), while the one-at-a-time
+    peak stays flat in ``k``.  The shape assertion is a uniform
+    no-bad-regression floor."""
     n = 512
     g = gen.random_graph(n, 3 * n, rng=22)
     cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
@@ -292,15 +308,16 @@ def test_e13_scaling_in_k(benchmark):
 
     def sweep():
         for k in (4, 16, 32):
-            serial_s, a = _time_ensemble(g, cfg, k, 2, "serial")
-            batched_s, b = _time_ensemble(g, cfg, k, 2, "batched")
+            one_s, a = _time_ensemble(g, cfg, k, 2, ONE_AT_A_TIME)
+            batch_s, b = _time_ensemble(g, cfg, k, 2, ONE_BATCH)
             _assert_identical(a, b)
-            rows.append(
-                {"k": k, "serial_s": serial_s, "batched_s": batched_s,
-                 "speedup": serial_s / batched_s}
-            )
+            rows.append({"k": k, "one_at_a_time_s": one_s, "batch_s": batch_s,
+                         "speedup": one_s / batch_s})
         return rows
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
+    for row in rows:
+        row["one_at_a_time_peak_mib"] = _peak_mib(g, cfg, row["k"], 2, ONE_AT_A_TIME)
+        row["batch_peak_mib"] = _peak_mib(g, cfg, row["k"], 2, ONE_BATCH)
     benchmark.extra_info.update(n=n, rows=rows)
     assert all(r["speedup"] >= 0.65 for r in rows), rows

@@ -48,7 +48,7 @@ def _forest(n, r, seed):
     pipe = Pipeline(
         g, PipelineConfig(embedding=EmbeddingConfig(method="direct")), rng=seed
     )
-    res = pipe.sample_ensemble(r, seed=seed, mode="batched")
+    res = pipe.sample_ensemble(r, seed=seed)
     return g, res.forest
 
 

@@ -39,7 +39,7 @@ def _forest(n, r, seed):
     pipe = Pipeline(
         g, PipelineConfig(embedding=EmbeddingConfig(method="direct")), rng=seed
     )
-    return pipe.sample_ensemble(r, seed=seed, mode="batched").forest
+    return pipe.sample_ensemble(r, seed=seed).forest
 
 
 def _request_stream(n, requests, pairs_per_request, seed, hot_fraction=0.5):

@@ -47,7 +47,7 @@ def main() -> None:
         # whatever the build machine has — serving is unaffected.
         t0 = time.perf_counter()
         meta = pipe.save_artifacts(
-            path, k, seed=1, execution=ExecutionConfig(mode="batched", workers=2)
+            path, k, seed=1, execution=ExecutionConfig(workers=2)
         )
         build_s = time.perf_counter() - t0
         print(f"offline build: n={n}, k={k} ensemble "

@@ -6,9 +6,9 @@ is the canonical way to drive it:
 
 - :class:`~repro.api.pipeline.Pipeline` — lazily builds and caches the
   expensive stage artifacts (hop set, oracle) and exposes ``sample()``,
-  ``sample_ensemble(k)`` (amortized batch sampling with per-sample child
-  RNGs, optional process-pool parallelism, and a fused
-  ``mode="batched"`` multi-sample engine), ``solve_app()`` (the Section
+  ``sample_ensemble(k)`` (all ``k`` samples in one fused batched pass, with
+  per-sample child RNGs and optional process-pool sharding of the sample
+  axis), ``solve_app()`` (the Section
   9-10 applications through the forest-backed batch path),
   ``distance_oracle()`` and ``embed_metric()``;
 - :mod:`~repro.api.configs` — frozen, validated stage configs
@@ -48,7 +48,6 @@ from importlib import import_module
 
 from repro.api.configs import (
     EMBEDDING_METHODS,
-    ENSEMBLE_MODES,
     HOPSET_KINDS,
     EmbeddingConfig,
     ExecutionConfig,
@@ -58,18 +57,13 @@ from repro.api.configs import (
 )
 from repro.api.pipeline import Pipeline
 from repro.api.registry import (
-    MBFBackend,
     MBFEngine,
-    available_backends,
     available_engines,
     engines_for,
-    get_backend,
     get_engine,
-    register_backend,
     register_engine,
     resolve_engine,
     solve,
-    unregister_backend,
     unregister_engine,
 )
 from repro.api.result import DistanceOracle, PipelineResult, SolveResult
@@ -105,7 +99,6 @@ __all__ = [
     "ExecutionConfig",
     "HOPSET_KINDS",
     "EMBEDDING_METHODS",
-    "ENSEMBLE_MODES",
     "PipelineResult",
     "DistanceOracle",
     "SolveResult",
@@ -121,12 +114,6 @@ __all__ = [
     "engines_for",
     "resolve_engine",
     "solve",
-    # deprecated LE-list backend shim
-    "MBFBackend",
-    "register_backend",
-    "unregister_backend",
-    "get_backend",
-    "available_backends",
     # re-exported building blocks
     "Graph",
     "generators",

@@ -20,12 +20,10 @@ __all__ = [
     "PipelineConfig",
     "HOPSET_KINDS",
     "EMBEDDING_METHODS",
-    "ENSEMBLE_MODES",
 ]
 
 HOPSET_KINDS = ("hub", "identity", "exact-closure")
 EMBEDDING_METHODS = ("oracle", "direct")
-ENSEMBLE_MODES = ("serial", "batched")
 
 
 class _ConfigBase:
@@ -133,22 +131,14 @@ class EmbeddingConfig(_ConfigBase):
         ``"direct"`` — LE lists on ``G`` itself (``SPD(G)`` iterations, the
         Khan-et-al. regime).
     backend:
-        Registry key of the MBF engine used for the ``"direct"`` LE-list
-        computation (see :mod:`repro.api.registry`); existence is checked
-        lazily at first use so third-party backends can register late.
-    ensemble_mode:
-        Default mode for :meth:`~repro.api.pipeline.Pipeline.sample_ensemble`:
-        ``"serial"`` — one LE-list computation per sample (optionally over a
-        process pool); ``"batched"`` — all ``k`` samples in one fused
-        multi-sample pass (bit-identical results; wins on per-call overhead
-        for small ``n · k``, peak memory scales with ``k`` — both modes run
-        the same incremental kernel, see ``benchmarks/bench_e13``).  A
-        ``mode=`` argument to ``sample_ensemble`` overrides this per call.
+        Registry key of the MBF engine whose LE-list driver runs the
+        ``"direct"`` computation (see :mod:`repro.api.registry`); existence
+        is checked lazily at first use so third-party engines can register
+        late.
     """
 
     method: str = "oracle"
     backend: str = "dense"
-    ensemble_mode: str = "serial"
 
     def __post_init__(self):
         if self.method not in EMBEDDING_METHODS:
@@ -157,41 +147,38 @@ class EmbeddingConfig(_ConfigBase):
             )
         if not isinstance(self.backend, str) or not self.backend:
             raise ValueError("embedding backend must be a non-empty registry key")
-        if self.ensemble_mode not in ENSEMBLE_MODES:
-            raise ValueError(
-                f"ensemble_mode must be one of {ENSEMBLE_MODES}, got {self.ensemble_mode!r}"
-            )
 
 
 @dataclass(frozen=True)
 class ExecutionConfig(_ConfigBase):
     """*How* to run the ensemble — never *what* it computes.
 
-    Execution knobs are deliberately separated from the stage configs:
-    every combination of ``mode`` / ``workers`` / ``shard_size`` produces
-    bit-identical results (per-sample child generators are spawned before
-    any fan-out, and the sharded concat re-stacks the per-shard arrays to
-    the exact single-process layout), so this config is *excluded* from
-    the provenance fingerprint stamped on results and artifacts.
+    Every ensemble runs the fused batched engine over contiguous shards of
+    the sample axis.  Execution knobs are deliberately separated from the
+    stage configs: every combination of ``workers`` / ``shard_size``
+    produces bit-identical results (per-sample child generators are
+    spawned before any fan-out, and the shard concat re-stacks the
+    per-shard arrays to the exact one-shard layout), so this config is
+    *excluded* from the provenance fingerprint stamped on results and
+    artifacts.
 
     Parameters
     ----------
     mode:
-        ``"serial"`` — one LE-list computation per sample; ``"batched"``
-        — all samples fused into one vectorized multi-sample pass.
-        ``None`` (default) inherits ``EmbeddingConfig.ensemble_mode``.
+        Accepted spelling only: ``None`` (default) or ``"batched"``, which
+        is what every ensemble runs.  ``"serial"`` is rejected; its memory
+        profile is ``shard_size=1``.
     workers:
-        Process-pool width.  ``1`` (default) runs in-process.  ``> 1``
-        fans out: in ``"serial"`` mode one sample per task (the PR-1
-        pool), in ``"batched"`` mode the sample axis is *sharded* — each
-        worker runs the fused engine on its contiguous slice of samples
-        and the parent concatenates the stacked results.
+        Process-pool width.  ``1`` (default) runs the shards in-process,
+        one after the other; ``> 1`` maps them over a pool and the parent
+        concatenates the stacked results.
     shard_size:
-        Maximum samples per batched shard.  ``None`` (default) balances
-        ``k`` evenly across ``workers`` (``ceil(k / workers)``).  Smaller
-        shards trade per-task overhead for scheduling granularity; the
-        results are bit-identical either way.  Only meaningful for
-        ``mode="batched"`` with ``workers > 1``.
+        Maximum samples per shard.  ``None`` (default) balances ``k``
+        evenly across ``workers`` (``ceil(k / workers)``), so one worker
+        runs one shard.  Peak memory scales with the shard, not with
+        ``k``: ``shard_size=1`` samples one tree at a time.  Smaller shards
+        trade per-call overhead for memory and scheduling granularity; the
+        results are bit-identical either way.
     """
 
     mode: str | None = None
@@ -199,39 +186,25 @@ class ExecutionConfig(_ConfigBase):
     shard_size: int | None = None
 
     def __post_init__(self):
-        if self.mode is not None and self.mode not in ENSEMBLE_MODES:
+        if self.mode == "serial":
             raise ValueError(
-                f"execution mode must be one of {ENSEMBLE_MODES} or None "
-                f"(inherit ensemble_mode), got {self.mode!r}"
+                "execution mode 'serial' is gone: every ensemble runs the batched "
+                "engine; use ExecutionConfig(shard_size=1) to sample one tree at a time"
             )
+        if self.mode not in (None, "batched"):
+            raise ValueError(f"execution mode must be None or 'batched', got {self.mode!r}")
         if not isinstance(self.workers, int) or isinstance(self.workers, bool):
             raise TypeError(f"workers must be an int, got {type(self.workers)!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if isinstance(self.shard_size, bool):
+            raise TypeError(f"shard_size must be an int or None, got {type(self.shard_size)!r}")
         if self.shard_size is not None and (
             not isinstance(self.shard_size, int) or self.shard_size < 1
         ):
             raise ValueError(
                 f"shard_size must be a positive int or None, got {self.shard_size!r}"
             )
-
-    def with_overrides(
-        self, *, mode: str | None = None, workers: int | None = None
-    ) -> "ExecutionConfig":
-        """This config with the legacy per-call kwargs folded in.
-
-        The deprecated ``sample_ensemble(mode=..., workers=...)`` spelling
-        maps onto a fresh (validated) config; ``None`` keeps the field.
-        Legacy ``workers`` accepted ``0``/negatives as "serial", so values
-        below ``1`` clamp to ``1``.
-        """
-        if mode is None and workers is None:
-            return self
-        return ExecutionConfig(
-            mode=self.mode if mode is None else mode,
-            workers=self.workers if workers is None else max(1, int(workers)),
-            shard_size=self.shard_size,
-        )
 
 
 @dataclass(frozen=True)
@@ -243,8 +216,8 @@ class PipelineConfig(_ConfigBase):
     hopset, oracle, embedding:
         Per-stage configs (defaults reproduce the paper's main pipeline).
     execution:
-        How ensembles run (:class:`ExecutionConfig`: mode / workers /
-        shard granularity).  Excluded from the provenance fingerprint —
+        How ensembles run (:class:`ExecutionConfig`: pool width and shard
+        granularity).  Excluded from the provenance fingerprint —
         execution never changes results.
     seed:
         Base seed for all pipeline randomness (construction *and*

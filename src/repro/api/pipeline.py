@@ -16,7 +16,10 @@ Randomness: the pipeline threads a single :class:`numpy.random.Generator`
 same order as the legacy free functions, so ``Pipeline(G, cfg, rng=s).sample()``
 is bit-identical to ``sample_frt_tree_via_oracle(G, ..., rng=s)``.  Batch
 sampling spawns one child generator per sample, so results do not depend on
-scheduling (serial vs process pool).
+scheduling (shard size, process pool).
+
+One sampling path: ``sample()`` is the ``k = 1`` view of the fused batched
+engine that ``sample_ensemble(k)`` runs over shards of the sample axis.
 """
 
 from __future__ import annotations
@@ -27,23 +30,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api.configs import ENSEMBLE_MODES, ExecutionConfig, PipelineConfig
-from repro.api.registry import get_backend, invoke_solve, resolve_engine
+from repro.api.configs import ExecutionConfig, PipelineConfig
+from repro.api.registry import MBFEngine, get_engine, invoke_solve, resolve_engine
 from repro.api.result import DistanceOracle, PipelineResult, SolveResult
 from repro.frt.embedding import EmbeddingResult, _draw_randomness
 from repro.frt.forest import FRTForest, build_frt_forest
-from repro.frt.lelists import (
-    compute_le_lists_batch_via_oracle,
-    compute_le_lists_via_oracle,
-)
-from repro.frt.tree import build_frt_tree
+from repro.frt.lelists import compute_le_lists_batch_via_oracle
 from repro.graph.core import Graph
 from repro.hopsets.base import HopSetResult
 from repro.hopsets.exact_closure import exact_closure_hopset
 from repro.hopsets.identity import identity_hopset
 from repro.hopsets.rounded import rounded_hopset
 from repro.hopsets.skeleton import hub_hopset
-from repro.mbf.dense import BatchedFlatStates
+from repro.mbf.dense import FlatStates
 from repro.metric.approx_metric import MetricResult, metric_from_oracle
 from repro.oracle.oracle import HOracle
 from repro.pram.cost import NULL_LEDGER, CostLedger
@@ -176,55 +175,28 @@ class Pipeline:
     ) -> EmbeddingResult:
         """Sample one FRT tree with the configured method.
 
-        ``rng`` defaults to the pipeline's own generator; explicit ``rank``
-        / ``beta`` values are used verbatim and do *not* consume random
-        state.  The first ``"oracle"``-method call builds (and caches) the
-        hop set and oracle.
+        The ``k = 1`` view of the batched engine behind
+        :meth:`sample_ensemble`.  ``rng`` defaults to the pipeline's own
+        generator; explicit ``rank`` / ``beta`` values are used verbatim
+        and do *not* consume random state.  ``ledger`` receives the
+        sample's model costs.  The first ``"oracle"``-method call builds
+        (and caches) the hop set and oracle.
         """
         g = self._rng if rng is None else as_rng(rng)
-        method = self.config.embedding.method
-        # Both branches start the clock only after their artifact/backend
-        # resolution, so ``timings["samples"]`` measures exactly the
-        # sampling work.
-        if method == "oracle":
-            oracle = self.oracle()
-            t0 = time.perf_counter()
-            r, b = _draw_randomness(self.G.n, g, rank=rank, beta=beta)
-            lists, iters = compute_le_lists_via_oracle(oracle, r, ledger=ledger)
-            extra_meta = {
-                "hop_d": oracle.d,
-                "Lambda": oracle.Lambda,
-                "penalty_base": oracle.penalty_base,
-                "eps": self.config.hopset.eps,
-            }
-        else:
-            backend = get_backend(self.config.embedding.backend)
-            t0 = time.perf_counter()
-            r, b = _draw_randomness(self.G.n, g, rank=rank, beta=beta)
-            lists, iters = backend.le_lists(self.G, r, ledger=ledger)
-            extra_meta = {"backend": backend.name}
-        wmin, _ = self.G.weight_bounds()
-        tree = build_frt_tree(lists, r, b, wmin)
-        self.stats["samples"] += 1
-        self.timings["samples"] = self.timings.get("samples", 0.0) + (
-            time.perf_counter() - t0
-        )
-        return EmbeddingResult(
-            tree=tree,
-            rank=r,
-            beta=b,
-            le_lists=lists,
-            iterations=iters,
-            meta={"pipeline": method, **extra_meta},
-        )
+        # Resolve first, so artifact builds draw from the stream before the
+        # sample does and stay outside ``timings["samples"]``.
+        self._resolve_sampler()
+        t0 = time.perf_counter()
+        core = self._sample_batch_core([g], rank=rank, beta=beta, ledgers=[ledger])
+        (emb,) = self._embeddings(core)
+        self._record_samples(1, t0)
+        return emb
 
     def sample_ensemble(
         self,
         k: int,
         *,
         seed: int | None = None,
-        workers: int | None = None,
-        mode: str | None = None,
         execution: ExecutionConfig | None = None,
     ) -> PipelineResult:
         """Sample ``k`` independent trees, amortizing one artifact build.
@@ -232,8 +204,9 @@ class Pipeline:
         The hop set / oracle are built (at most) once and shared by all
         ``k`` samples; each sample draws from its own spawned child
         generator (spawned *before* any fan-out), so the batch is
-        bit-reproducible under a fixed ``seed`` regardless of execution
-        mode, worker count, or shard boundaries.
+        bit-reproducible under a fixed ``seed`` regardless of worker count
+        or shard boundaries.  The result always carries the stacked
+        :class:`~repro.frt.forest.FRTForest`.
 
         Parameters
         ----------
@@ -244,21 +217,17 @@ class Pipeline:
             deterministic.  ``None`` continues the pipeline's own stream.
         execution:
             Per-call :class:`~repro.api.configs.ExecutionConfig` override;
-            ``None`` uses ``config.execution``.  ``mode="serial"`` with
-            ``workers > 1`` fans one sample per pool task; ``"batched"``
-            with ``workers > 1`` *shards* the sample axis — each worker
-            runs the fused engine on a contiguous slice and the shards are
-            concatenated (:meth:`~repro.mbf.dense.BatchedFlatStates.concat`
-            / :meth:`~repro.frt.forest.FRTForest.concat`) into the exact
-            single-process layout.  Third-party backends are shipped to
-            the workers by value, so their drivers must be picklable (a
-            module-level function, not a lambda) under spawn/forkserver
-            start methods.
-        workers, mode:
-            Deprecated loose spelling of the execution knobs; when given
-            they override the corresponding ``execution`` fields
-            (bit-identical mapping, ``workers=None``/``0``/``1`` = 1).
-            Prefer ``execution=ExecutionConfig(...)``.
+            ``None`` uses ``config.execution``.  The sample axis is cut
+            into contiguous shards of at most ``shard_size`` samples; each
+            shard runs the fused engine, in-process one after the other
+            (``workers=1``) or over a process pool (``workers > 1``), and
+            the shards are concatenated
+            (:meth:`~repro.frt.forest.FRTForest.concat`) into the exact
+            one-shard layout.  ``shard_size`` bounds peak memory:
+            ``shard_size=1`` samples one tree at a time.  Third-party
+            engines are shipped to the workers by value, so their drivers
+            must be picklable (a module-level function, not a lambda)
+            under spawn/forkserver start methods.
         """
         if k < 1:
             raise ValueError("ensemble size k must be >= 1")
@@ -267,17 +236,6 @@ class Pipeline:
             raise TypeError(
                 f"execution must be an ExecutionConfig, got {type(exec_cfg)!r}"
             )
-        if mode is not None and mode not in ENSEMBLE_MODES:
-            raise ValueError(
-                f"mode must be one of {ENSEMBLE_MODES}, got {mode!r}"
-            )
-        exec_cfg = exec_cfg.with_overrides(mode=mode, workers=workers)
-        mode = (
-            exec_cfg.mode
-            if exec_cfg.mode is not None
-            else self.config.embedding.ensemble_mode
-        )
-        workers = exec_cfg.workers
         t_total = time.perf_counter()
         timings_before = dict(self.timings)
         if seed is not None:
@@ -296,51 +254,16 @@ class Pipeline:
             children = spawn_rngs(sample_ss, k)
         else:
             children = spawn_rngs(self._rng, k)
-        # Build shared artifacts up front so every sample (and worker) reuses
-        # the same hop set / oracle instead of racing to build its own.
-        if self.config.embedding.method == "oracle":
-            self.oracle()
-        pairs: list[tuple[EmbeddingResult, CostLedger]] = []
-        forest: FRTForest | None = None
-        if mode == "batched":
-            shards = _shard_bounds(k, workers, exec_cfg.shard_size)
-            if len(shards) > 1:
-                pairs, forest = self._sample_batch_sharded(
-                    children, workers, shards
-                )
-            else:
-                pairs, forest = self._sample_batch(children)
-        elif workers <= 1:
-            for child in children:
-                ledger = CostLedger()
-                emb = self.sample(rng=child, ledger=ledger)
-                pairs.append((emb, ledger))
-        else:
-            # Ship the configured backend by value: under spawn/forkserver
-            # start methods the workers re-import the registry fresh, which
-            # only holds the built-ins.
-            backend = (
-                get_backend(self.config.embedding.backend)
-                if self.config.embedding.method == "direct"
-                else None
-            )
-            t0 = time.perf_counter()
-            # Shared artifacts travel once per worker via the initializer;
-            # per-task payloads carry only the child generator.
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_ensemble_worker,
-                initargs=(self.G, self.config, self._hopset, self._oracle, backend),
-            ) as pool:
-                pairs = list(pool.map(_ensemble_worker, children))
-            self.stats["samples"] += k
-            self.timings["samples"] = self.timings.get("samples", 0.0) + (
-                time.perf_counter() - t0
-            )
-        embeddings = [emb for emb, _ in pairs]
-        ledgers = [led for _, led in pairs]
+        # Build shared artifacts up front so every shard (and worker) reuses
+        # the same hop set / oracle instead of racing to build its own, and
+        # fail fast in the parent on an engine without an LE-list driver.
+        self._resolve_sampler()
+        t0 = time.perf_counter()
+        core = self._sample_shards(children, exec_cfg)
+        embeddings = self._embeddings(core)
+        self._record_samples(k, t0)
         merged = CostLedger()
-        merged.join(*ledgers, label="ensemble")
+        merged.join(*core.ledgers, label="ensemble")
         # Per-batch stage timings: the delta over this call, not the
         # pipeline's lifetime accumulation.
         timings = {
@@ -352,59 +275,56 @@ class Pipeline:
         return PipelineResult(
             embeddings=embeddings,
             ledger=merged,
-            ledgers=ledgers,
+            ledgers=core.ledgers,
             timings=timings,
-            meta=self._provenance(
-                k=k,
-                seed=seed,
-                workers=workers,
-                mode=mode,
-                execution=exec_cfg.to_dict(),
-            ),
-            forest=forest,
+            meta=self._provenance(k=k, seed=seed, execution=exec_cfg.to_dict()),
+            forest=core.forest,
         )
 
-    def _resolve_batch_backend(self):
-        """The batched engine inputs: ``(oracle, backend)`` (one is None).
+    def _resolve_sampler(self) -> tuple[HOracle | None, MBFEngine | None]:
+        """The LE-list inputs of the batched engine: ``(oracle, engine)``.
 
-        Shared by the in-process and sharded batched paths so both fail
-        fast — in the parent process — on a backend without a batched
-        LE-list driver.
+        One of the two is ``None``: the ``"oracle"`` method builds (and
+        caches) the oracle, the ``"direct"`` method looks up the configured
+        engine, which must ship an LE-list driver.
         """
         if self.config.embedding.method == "oracle":
-            return self.oracle(), None  # cached; built by the caller already
-        backend = get_backend(self.config.embedding.backend)
-        if backend.le_lists_batch is None:
+            return self.oracle(), None
+        engine = get_engine(self.config.embedding.backend)
+        if engine.le_lists_batch is None:
             raise ValueError(
-                f"backend {backend.name!r} has no batched LE-list driver; "
-                "use mode='serial' or a batch-capable backend "
-                "(e.g. 'dense', 'dense-batched')"
+                f"engine {engine.name!r} has no LE-list driver; "
+                "use an engine that ships le_lists_batch (e.g. 'dense')"
             )
-        return None, backend
+        return None, engine
 
     def _sample_batch_core(
-        self, children: list[np.random.Generator]
+        self,
+        children: list[np.random.Generator],
+        *,
+        rank: np.ndarray | None = None,
+        beta: float | None = None,
+        ledgers: list[CostLedger] | None = None,
     ) -> "_BatchCore":
         """The fused engine pass: draws → batched LE lists → forest.
 
-        Draws each sample's ``(rank, beta)`` from its own child generator
-        (the same per-child order as the serial loop, so the randomness is
-        bit-identical), stacks the ranks into a ``(k, n)`` matrix, runs the
-        batched engine once, and constructs all ``k`` trees in one
-        vectorized :func:`~repro.frt.forest.build_frt_forest` pass — the
-        per-sample :class:`~repro.frt.tree.FRTTree` views are bit-identical
-        to serial ``build_frt_tree`` calls.  Returns the raw stacked
-        arrays (picklable — this is the payload the sharded path ships
-        back from its workers); ``elapsed`` excludes artifact/backend
-        resolution, matching the serial path's timing convention.
+        Draws each sample's ``(rank, beta)`` from its own child generator,
+        stacks the ranks into a ``(k, n)`` matrix, runs the batched engine
+        once, and constructs all ``k`` trees in one vectorized
+        :func:`~repro.frt.forest.build_frt_forest` pass.  Explicit
+        ``rank`` / ``beta`` (the ``k = 1`` view in :meth:`sample`) are
+        used verbatim without drawing; ``ledgers`` defaults to one fresh
+        ledger per sample.  The stacked LE lists are split into per-sample
+        states before returning, so a shard holds one copy of its lists
+        and the shard concat copies none.  Returns picklable arrays — this
+        is the payload a pool worker ships back.
         """
-        k = len(children)
         method = self.config.embedding.method
-        oracle, backend = self._resolve_batch_backend()
-        t0 = time.perf_counter()
-        draws = [_draw_randomness(self.G.n, g) for g in children]
+        oracle, engine = self._resolve_sampler()
+        draws = [_draw_randomness(self.G.n, g, rank=rank, beta=beta) for g in children]
         ranks = np.stack([r for r, _ in draws])
-        ledgers = [CostLedger() for _ in range(k)]
+        if ledgers is None:
+            ledgers = [CostLedger() for _ in children]
         if method == "oracle":
             lists, iters = compute_le_lists_batch_via_oracle(
                 oracle, ranks, ledgers=ledgers
@@ -416,103 +336,76 @@ class Pipeline:
                 "eps": self.config.hopset.eps,
             }
         else:
-            lists, iters = backend.le_lists_batch(self.G, ranks, ledgers=ledgers)
-            extra_meta = {"backend": backend.name}
+            lists, iters = engine.le_lists_batch(self.G, ranks, ledgers=ledgers)
+            extra_meta = {"backend": engine.name}
         wmin, _ = self.G.weight_bounds()
         betas = np.array([b for _, b in draws])
         forest = build_frt_forest(lists, ranks, betas, wmin)
         return _BatchCore(
-            lists=lists,
+            le_lists=lists.to_states(),
             iterations=np.asarray(iters, dtype=np.int64),
             ledgers=ledgers,
             ranks=ranks,
             betas=betas,
             extra_meta=extra_meta,
             forest=forest,
-            elapsed=time.perf_counter() - t0,
         )
 
-    def _pairs_from_core(
-        self, core: "_BatchCore"
-    ) -> list[tuple[EmbeddingResult, CostLedger]]:
-        """Per-sample ``(embedding, ledger)`` views of one batched core."""
+    def _sample_shards(
+        self, children: list[np.random.Generator], execution: ExecutionConfig
+    ) -> "_BatchCore":
+        """Shards → cores → concat: the batched pass over the sample axis.
+
+        Each shard runs :meth:`_sample_batch_core` on a contiguous slice of
+        the (already spawned) child generators, so shard boundaries cannot
+        change any sample's RNG stream.  ``workers=1`` maps the shards
+        in-process, so the engine's transient memory follows one shard;
+        ``workers > 1`` maps them over a process pool.  The shard results
+        are concatenated back into the exact one-shard layout
+        (:meth:`FRTForest.concat` re-pads ragged per-shard depths to the
+        global ``k_max`` and rebases node offsets); a single shard is
+        returned as is.
+        """
+        k = len(children)
+        shards = [
+            children[lo:hi]
+            for lo, hi in _shard_bounds(k, execution.workers, execution.shard_size)
+        ]
+        if execution.workers > 1 and len(shards) > 1:
+            # Ship the resolved engine by value: under spawn/forkserver
+            # start methods the workers re-import the registry fresh, which
+            # only holds the built-ins.
+            _, engine = self._resolve_sampler()
+            with ProcessPoolExecutor(
+                max_workers=min(execution.workers, len(shards)),
+                initializer=_init_ensemble_worker,
+                initargs=(self.G, self.config, self._hopset, self._oracle, engine),
+            ) as pool:
+                cores = list(pool.map(_ensemble_shard_worker, shards))
+        else:
+            cores = [self._sample_batch_core(shard) for shard in shards]
+        return cores[0] if len(cores) == 1 else _BatchCore.concat(cores)
+
+    def _embeddings(self, core: "_BatchCore") -> list[EmbeddingResult]:
+        """Per-sample :class:`EmbeddingResult` views of one batched core."""
         method = self.config.embedding.method
-        pairs: list[tuple[EmbeddingResult, CostLedger]] = []
-        for s, ledger in enumerate(core.ledgers):
-            emb = EmbeddingResult(
+        return [
+            EmbeddingResult(
                 tree=core.forest.tree(s),
                 rank=core.ranks[s],
                 beta=float(core.betas[s]),
-                le_lists=core.lists.sample_states(s),
+                le_lists=core.le_lists[s],
                 iterations=int(core.iterations[s]),
                 meta={"pipeline": method, **core.extra_meta},
             )
-            pairs.append((emb, ledger))
-        return pairs
+            for s in range(core.forest.size)
+        ]
 
-    def _sample_batch(
-        self, children: list[np.random.Generator]
-    ) -> tuple[list[tuple[EmbeddingResult, CostLedger]], FRTForest]:
-        """One fused multi-sample pass for the whole ensemble, in-process."""
-        core = self._sample_batch_core(children)
-        t0 = time.perf_counter()
-        pairs = self._pairs_from_core(core)
-        self.stats["samples"] += len(children)
-        self.timings["samples"] = self.timings.get("samples", 0.0) + (
-            core.elapsed + time.perf_counter() - t0
-        )
-        return pairs, core.forest
-
-    def _sample_batch_sharded(
-        self,
-        children: list[np.random.Generator],
-        workers: int,
-        shards: list[tuple[int, int]],
-    ) -> tuple[list[tuple[EmbeddingResult, CostLedger]], FRTForest]:
-        """The batched pass, sharded over a process pool on the sample axis.
-
-        Each worker runs :meth:`_sample_batch_core` on a contiguous slice
-        of the (already spawned) child generators, so shard boundaries
-        cannot change any sample's RNG stream; the per-shard stacked
-        results are concatenated back into the exact single-process layout
-        (:meth:`BatchedFlatStates.concat` re-stacks the CSR arrays,
-        :meth:`FRTForest.concat` re-pads ragged per-shard depths to the
-        global ``k_max`` and rebases node offsets) — bit-identical to the
-        in-process batched run, pinned by ``tests/test_api_pipeline.py``.
-        """
-        # Fail fast in the parent on a batch-incapable backend, and ship
-        # the resolved backend by value: under spawn/forkserver start
-        # methods the workers re-import the registry fresh, which only
-        # holds the built-ins.
-        _, backend = self._resolve_batch_backend()
-        t0 = time.perf_counter()
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(shards)),
-            initializer=_init_ensemble_worker,
-            initargs=(self.G, self.config, self._hopset, self._oracle, backend),
-        ) as pool:
-            cores = list(
-                pool.map(
-                    _ensemble_shard_worker,
-                    [children[lo:hi] for lo, hi in shards],
-                )
-            )
-        core = _BatchCore(
-            lists=BatchedFlatStates.concat([c.lists for c in cores]),
-            iterations=np.concatenate([c.iterations for c in cores]),
-            ledgers=[led for c in cores for led in c.ledgers],
-            ranks=np.concatenate([c.ranks for c in cores]),
-            betas=np.concatenate([c.betas for c in cores]),
-            extra_meta=cores[0].extra_meta,
-            forest=FRTForest.concat([c.forest for c in cores]),
-            elapsed=0.0,  # the pool wall-time below covers the whole pass
-        )
-        pairs = self._pairs_from_core(core)
-        self.stats["samples"] += len(children)
+    def _record_samples(self, k: int, t0: float) -> None:
+        self.stats["samples"] += k
         self.timings["samples"] = self.timings.get("samples", 0.0) + (
             time.perf_counter() - t0
         )
-        return pairs, core.forest
 
     # -- problem solving ------------------------------------------------------
 
@@ -570,8 +463,8 @@ class Pipeline:
 
         The application-level counterpart of :meth:`solve`: one call per
         problem instance, routed through the forest-backed batch path
-        (``sample_ensemble(mode="batched")`` + the vectorized DP/routing
-        kernels of :mod:`repro.apps.batched`), with wall-clock recorded in
+        (``sample_ensemble`` + the vectorized DP/routing kernels of
+        :mod:`repro.apps.batched`), with wall-clock recorded in
         ``timings["apps"]`` and the call count in ``stats["apps"]``.
 
         >>> res = pipe.solve_app("kmedian", k=4, trees=8)
@@ -650,24 +543,20 @@ class Pipeline:
         k: int,
         *,
         seed: int | None = None,
-        workers: int | None = None,
         execution: ExecutionConfig | None = None,
     ) -> dict:
         """Offline build step: sample a ``k``-ensemble and persist it.
 
         One call produces the artifact file the online side preloads
-        (``repro.serve.load_server`` or :meth:`from_artifacts`): samples a
-        batched ensemble (``mode="batched"`` — the stacked forest *is* the
-        storage format), stamps the provenance fingerprint, and writes a
-        ``"result"`` artifact via :func:`repro.io.save_result`.
-        ``workers > 1`` (or an ``execution`` config) shards the build
-        across a process pool — the persisted arrays are bit-identical
-        either way.  Returns the written artifact meta.
+        (``repro.serve.load_server`` or :meth:`from_artifacts`): samples an
+        ensemble (the stacked forest *is* the storage format), stamps the
+        provenance fingerprint, and writes a ``"result"`` artifact via
+        :func:`repro.io.save_result`.  An ``execution`` config with
+        ``workers > 1`` shards the build across a process pool — the
+        persisted arrays are bit-identical either way.  Returns the
+        written artifact meta.
         """
-        result = self.sample_ensemble(
-            k, seed=seed, workers=workers, mode="batched", execution=execution
-        )
-        return result.save(path)
+        return self.sample_ensemble(k, seed=seed, execution=execution).save(path)
 
     @staticmethod
     def from_artifacts(
@@ -696,10 +585,9 @@ class Pipeline:
         from repro.io.artifacts import content_fingerprint
 
         # The stable content identity: configs + seeds only.  Run-specific
-        # noise (stats, timings) and execution knobs that provably do not
-        # change the result (the whole ExecutionConfig plus the legacy
-        # mode/workers kwargs) are excluded, so equal-content runs share
-        # cache keys and artifact filenames.
+        # noise (stats, timings) and the ExecutionConfig, which provably
+        # does not change the result, are excluded, so equal-content runs
+        # share cache keys and artifact filenames.
         content_config = self.config.to_dict()
         content_config.pop("execution", None)
         fingerprint = content_fingerprint(
@@ -748,16 +636,12 @@ class Pipeline:
 def _shard_bounds(
     k: int, workers: int, shard_size: int | None
 ) -> list[tuple[int, int]]:
-    """Contiguous ``[lo, hi)`` sample slices for the sharded batched path.
+    """Contiguous ``[lo, hi)`` sample slices of the batched pass.
 
-    ``workers <= 1`` is a single shard (run in-process — a pool of one
-    would only add overhead for bit-identical results).  Otherwise shards
-    hold ``shard_size`` samples each (default: ``ceil(k / workers)``, one
-    shard per worker), the last one whatever remains; ``workers > k``
-    degenerates to ``k`` singleton shards.
+    Shards hold ``shard_size`` samples each (default: ``ceil(k / workers)``,
+    one shard per worker, so ``workers=1`` is a single shard), the last one
+    whatever remains; ``workers > k`` degenerates to ``k`` singleton shards.
     """
-    if workers <= 1:
-        return [(0, k)]
     size = shard_size if shard_size is not None else -(-k // workers)
     return [(lo, min(lo + size, k)) for lo in range(0, k, size)]
 
@@ -766,44 +650,48 @@ def _shard_bounds(
 class _BatchCore:
     """Raw stacked outputs of one batched-engine pass (one shard's payload).
 
-    Everything here is picklable — this is exactly what a sharded worker
+    Everything here is picklable — this is exactly what a pool worker
     ships back to the parent, and what the parent concatenates
     (sample-axis order preserved) before the per-sample
     :class:`~repro.frt.embedding.EmbeddingResult` views are assembled.
     """
 
-    lists: BatchedFlatStates
+    le_lists: list[FlatStates]
     iterations: np.ndarray  # (k,) int64
     ledgers: list[CostLedger]
     ranks: np.ndarray  # (k, n) int64
     betas: np.ndarray  # (k,) float64
     extra_meta: dict
     forest: FRTForest
-    elapsed: float
+
+    @staticmethod
+    def concat(cores: list["_BatchCore"]) -> "_BatchCore":
+        """Stack shard cores along the sample axis, in order."""
+        return _BatchCore(
+            le_lists=[lists for c in cores for lists in c.le_lists],
+            iterations=np.concatenate([c.iterations for c in cores]),
+            ledgers=[led for c in cores for led in c.ledgers],
+            ranks=np.concatenate([c.ranks for c in cores]),
+            betas=np.concatenate([c.betas for c in cores]),
+            extra_meta=cores[0].extra_meta,
+            forest=FRTForest.concat([c.forest for c in cores]),
+        )
 
 
 _WORKER_PIPELINE: Pipeline | None = None
 
 
-def _init_ensemble_worker(graph, config, hopset, oracle, backend) -> None:
+def _init_ensemble_worker(graph, config, hopset, oracle, engine) -> None:
     """Pool initializer: rebuild the shared pipeline once per worker."""
-    from repro.api.registry import register_backend
+    from repro.api.registry import register_engine
 
     global _WORKER_PIPELINE
-    if backend is not None:
+    if engine is not None:
         # The worker's registry may hold only the built-ins (spawn /
         # forkserver) or a stale entry under the same name — the shipped
-        # backend is authoritative.
-        register_backend(backend, overwrite=True)
+        # engine is authoritative.
+        register_engine(engine, overwrite=True)
     _WORKER_PIPELINE = Pipeline(graph, config, hopset=hopset, oracle=oracle)
-
-
-def _ensemble_worker(child_rng) -> tuple[EmbeddingResult, CostLedger]:
-    """Process-pool body: sample one tree from the per-worker pipeline."""
-    assert _WORKER_PIPELINE is not None, "pool initializer did not run"
-    ledger = CostLedger()
-    emb = _WORKER_PIPELINE.sample(rng=child_rng, ledger=ledger)
-    return emb, ledger
 
 
 def _ensemble_shard_worker(children: list[np.random.Generator]) -> _BatchCore:

@@ -8,28 +8,22 @@ instantiated by a semimodule + congruence filter — is mirrored in code by
 - ``families``: the state families its :attr:`MBFEngine.solve` driver
   handles with the uniform contract
   ``solve(G, problem, *, h=None, ledger=...) -> (decoded, iterations)``;
-- LE-list drivers (``le_lists`` / ``le_lists_batch``), the FRT pipeline's
-  workhorse query (Definition 7.3) and its fused multi-sample variant.
+- an LE-list driver (``le_lists_batch``), the FRT pipeline's workhorse
+  query (Definition 7.3) for ``k`` random orders at once (one order is
+  the ``k = 1`` case).
 
 The built-ins:
 
 =================  =========================================  =====================
-engine             solve families                             LE drivers
+engine             solve families                             LE-list driver
 =================  =========================================  =====================
-``dense``          min-plus, max-min, boolean, distance-map   serial + batched
-``dense-batched``  (same, shared implementation)              batched-routed serial
-``reference``      all families (incl. all-paths)             serial
+``dense``          min-plus, max-min, boolean, distance-map   fused batched pass
+``reference``      all families (incl. all-paths)             one zoo solve per order
 =================  =========================================  =====================
 
 Select explicitly (:func:`get_engine`) or by capability (:func:`solve`
 with ``engine="auto"`` prefers the dense path and falls back to the
 reference engine for families without a dense form).
-
-**Deprecated shim:** :class:`MBFBackend` is the PR-1 era LE-list-only
-record.  It is kept as a thin view over the engine records —
-:func:`register_backend` / :func:`get_backend` / :func:`available_backends`
-keep working bit-identically — but new code should register
-:class:`MBFEngine` instances instead.
 
 >>> from repro.api import solve, problems
 >>> dists, iters = solve(G, problems.sssp(G.n, source=0))   # engine="auto"
@@ -38,13 +32,13 @@ keep working bit-identically — but new code should register
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.graph.core import Graph
-from repro.mbf.dense import BatchedFlatStates, FlatStates
+from repro.mbf.dense import BatchedFlatStates
 from repro.mbf.problem import (
     DENSE_FAMILIES,
     FAMILIES,
@@ -64,11 +58,6 @@ __all__ = [
     "resolve_engine",
     "solve",
     "invoke_solve",
-    "MBFBackend",
-    "register_backend",
-    "unregister_backend",
-    "get_backend",
-    "available_backends",
 ]
 
 
@@ -86,7 +75,7 @@ class MBFEngine:
         (``h=None`` = iterate to the fixpoint).  When the caller supplies a
         fixpoint cap, an additional ``max_iterations`` keyword is forwarded
         — drivers should declare it (or accept ``**kwargs``).  ``None`` for
-        engines that only ship LE-list drivers.
+        engines that only ship an LE-list driver.
     families:
         State families (:data:`repro.mbf.problem.FAMILIES`) ``solve``
         accepts.  Must be non-empty iff ``solve`` is given.
@@ -94,13 +83,12 @@ class MBFEngine:
         Whether ``solve`` needs ``problem.dense_form`` (true for the
         vectorized built-ins); ``engine="auto"`` selection skips such
         engines for problems without one.
-    le_lists:
-        LE-list driver:
-        ``le_lists(G, rank, h=None, ledger=...) -> (FlatStates, iterations)``.
     le_lists_batch:
-        Fused multi-sample LE-list driver:
+        LE-list driver:
         ``le_lists_batch(G, ranks, h=None, ledgers=...) ->
-        (BatchedFlatStates, iterations)`` with ``ranks`` of shape ``(k, n)``.
+        (BatchedFlatStates, iterations)`` with ``ranks`` of shape ``(k, n)``
+        and one iteration count per sample.  The pipeline's direct method
+        samples through it, one tree or an ensemble alike.
     description, module:
         Human-readable summary and implementing module path.
     """
@@ -109,7 +97,6 @@ class MBFEngine:
     solve: Callable[..., tuple[Any, int]] | None = None
     families: tuple[str, ...] = ()
     requires_dense_form: bool = False
-    le_lists: Callable[..., tuple[FlatStates, int]] | None = None
     le_lists_batch: Callable[..., tuple[BatchedFlatStates, np.ndarray]] | None = None
     description: str = ""
     module: str = ""
@@ -124,20 +111,13 @@ class MBFEngine:
             raise ValueError(
                 f"unknown state families {sorted(unknown)}; known: {FAMILIES}"
             )
-        for fn, label in (
-            (self.solve, "solve"),
-            (self.le_lists, "le_lists"),
-            (self.le_lists_batch, "le_lists_batch"),
-        ):
+        for fn, label in ((self.solve, "solve"), (self.le_lists_batch, "le_lists_batch")):
             if fn is not None and not callable(fn):
                 raise TypeError(f"engine {label} must be callable (or None)")
-        if self.le_lists_batch is not None and self.le_lists is None:
+        if self.solve is None and self.le_lists_batch is None:
             raise ValueError(
-                "a batched LE-list driver requires a serial le_lists driver too "
-                "(the backend surface and Pipeline.sample key on it)"
+                "an engine needs at least one capability (solve or le_lists_batch)"
             )
-        if self.solve is None and self.le_lists is None:
-            raise ValueError("an engine needs at least one capability (solve or le_lists)")
 
     def supports(self, problem: MBFProblem) -> bool:
         """Whether :attr:`solve` can run ``problem``."""
@@ -147,15 +127,9 @@ class MBFEngine:
 
 
 _ENGINES: dict[str, MBFEngine] = {}
-#: Identity-stable deprecated MBFBackend views, keyed by engine name.
-_BACKEND_VIEWS: dict[str, "MBFBackend"] = {}
-#: Names whose LE view was stripped by :func:`unregister_backend` — only
-#: these solve-only slots are free for a no-overwrite re-registration
-#: (a natively registered solve-only engine is not up for grabs).
-_LE_FREED: set[str] = set()
 #: ``engine="auto"`` tries these first, in order, before other registrations
-#: (every vectorized built-in outranks the pure-Python reference engine).
-_AUTO_PREFERENCE = ("dense", "dense-batched", "reference")
+#: (the vectorized built-in outranks the pure-Python reference engine).
+_AUTO_PREFERENCE = ("dense", "reference")
 
 
 def register_engine(engine: MBFEngine, *, overwrite: bool = False) -> MBFEngine:
@@ -171,8 +145,6 @@ def register_engine(engine: MBFEngine, *, overwrite: bool = False) -> MBFEngine:
             f"engine {engine.name!r} is already registered; pass overwrite=True to replace"
         )
     _ENGINES[engine.name] = engine
-    _BACKEND_VIEWS.pop(engine.name, None)
-    _LE_FREED.discard(engine.name)
     return engine
 
 
@@ -181,8 +153,6 @@ def unregister_engine(name: str) -> None:
     if name not in _ENGINES:
         raise KeyError(f"unknown MBF engine {name!r}; available: {available_engines()}")
     del _ENGINES[name]
-    _BACKEND_VIEWS.pop(name, None)
-    _LE_FREED.discard(name)
 
 
 def get_engine(name: str) -> MBFEngine:
@@ -307,167 +277,7 @@ def invoke_solve(
     return eng.solve(G, problem, h=h, ledger=ledger, **kwargs)
 
 
-# -- deprecated MBFBackend shim ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class MBFBackend:
-    """**Deprecated** LE-list-only engine record (PR-1 API).
-
-    Kept as a thin view over :class:`MBFEngine`: registering one wraps it
-    into an engine with LE-list capability only, and :func:`get_backend`
-    projects engine records back onto this shape.  New code should use
-    :class:`MBFEngine` / :func:`register_engine`; this shim exists so
-    existing call sites (``Pipeline``, benchmarks, third-party
-    registrations) keep working unchanged.
-    """
-
-    name: str
-    le_lists: Callable[..., tuple[FlatStates, int]]
-    le_lists_batch: Callable[..., tuple[BatchedFlatStates, np.ndarray]] | None = None
-    description: str = ""
-    module: str = ""
-
-    def __post_init__(self):
-        if not self.name or not isinstance(self.name, str):
-            raise ValueError("backend name must be a non-empty string")
-        if not callable(self.le_lists):
-            raise TypeError("backend le_lists must be callable")
-        if self.le_lists_batch is not None and not callable(self.le_lists_batch):
-            raise TypeError("backend le_lists_batch must be callable (or None)")
-
-
-def _project_view(engine: MBFEngine) -> MBFBackend:
-    """The one projection of an engine record onto the backend shape."""
-    return MBFBackend(
-        name=engine.name,
-        le_lists=engine.le_lists,
-        le_lists_batch=engine.le_lists_batch,
-        description=engine.description,
-        module=engine.module,
-    )
-
-
-def register_backend(backend: MBFBackend, *, overwrite: bool = False) -> MBFBackend:
-    """Register a (deprecated) LE-list backend; returns it for chaining.
-
-    The backend is stored as an :class:`MBFEngine`; for fresh names the
-    original object stays the identity-stable :func:`get_backend` view.
-    The shim only speaks LE lists, so overwriting an engine that also has
-    a ``solve`` driver (e.g. wrapping a built-in's ``le_lists`` with
-    instrumentation) replaces the LE drivers but *keeps* the solve
-    capability and provenance fields — a legacy round-trip must not
-    silently degrade ``solve(engine=...)`` paths.  In that merge case
-    :func:`get_backend` serves a fresh projection of the merged record
-    (which may differ from the object registered), not the original.
-    """
-    if not isinstance(backend, MBFBackend):
-        raise TypeError(f"expected an MBFBackend, got {type(backend)!r}")
-    prev = _ENGINES.get(backend.name)
-    # The shim owns only the LE view, and only slots *it* freed: a solve-only
-    # engine left by unregister_backend accepts a fresh registration, but a
-    # natively registered engine (with or without LE drivers) still needs
-    # overwrite=True — silently grafting onto another plugin's record would
-    # be exactly the provenance corruption the flag exists to prevent.
-    freed_slot = (
-        prev is not None and prev.le_lists is None and backend.name in _LE_FREED
-    )
-    if prev is not None and not freed_slot and not overwrite:
-        raise ValueError(
-            f"backend {backend.name!r} is already registered; pass overwrite=True to replace"
-        )
-    if prev is None:
-        engine = MBFEngine(
-            name=backend.name,
-            le_lists=backend.le_lists,
-            le_lists_batch=backend.le_lists_batch,
-            description=backend.description,
-            module=backend.module,
-        )
-    else:  # merge case:
-        # Keep the engine's solve capability and its provenance fields —
-        # a legacy round-trip must not silently degrade the record — but
-        # take BOTH LE drivers verbatim from the backend: inheriting the
-        # old batched driver next to a new serial one would silently break
-        # the serial/batched bit-identical guarantee, where a backend
-        # without a batched driver fails loudly in mode="batched".
-        # ``replace`` keeps this future-proof against new MBFEngine fields.
-        engine = replace(
-            prev,
-            le_lists=backend.le_lists,
-            le_lists_batch=backend.le_lists_batch,
-            description=backend.description or prev.description,
-            module=backend.module or prev.module,
-        )
-    register_engine(engine, overwrite=prev is not None)
-    # The cached view must project the merged record; it is the registered
-    # object itself whenever no merge changed anything the shim exposes.
-    if (
-        backend.le_lists_batch is engine.le_lists_batch
-        and backend.description == engine.description
-        and backend.module == engine.module
-    ):
-        view = backend
-    else:
-        view = _project_view(engine)
-    _BACKEND_VIEWS[backend.name] = view
-    return backend
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a backend (mainly for tests and plugin teardown).
-
-    Engines that also carry a ``solve`` driver only lose their LE-list
-    view (``get_backend`` stops resolving, ``solve(engine=...)`` keeps
-    working); LE-only engines are removed entirely.
-    """
-    engine = _ENGINES.get(name)
-    if engine is None or engine.le_lists is None:
-        raise KeyError(f"unknown MBF backend {name!r}; available: {available_backends()}")
-    if engine.solve is None:
-        unregister_engine(name)
-        return
-    register_engine(replace(engine, le_lists=None, le_lists_batch=None), overwrite=True)
-    _LE_FREED.add(name)
-
-
-def get_backend(name: str) -> MBFBackend:
-    """Look up a backend view by name; unknown keys raise with the known set.
-
-    Returns the registered :class:`MBFBackend` for shim registrations, or
-    an (identity-stable, cached) projection of the engine record for
-    engines registered natively.
-    """
-    engine = _ENGINES.get(name)
-    if engine is None or engine.le_lists is None:
-        raise KeyError(
-            f"unknown MBF backend {name!r}; available: {available_backends()}"
-        )
-    view = _BACKEND_VIEWS.get(name)
-    if view is None:
-        view = _project_view(engine)
-        _BACKEND_VIEWS[name] = view
-    return view
-
-
-def available_backends() -> tuple[str, ...]:
-    """Sorted names of all engines with an LE-list driver."""
-    return tuple(sorted(n for n, e in _ENGINES.items() if e.le_lists is not None))
-
-
 # -- built-in engines ---------------------------------------------------------
-
-
-def _dense_le_lists(
-    G: Graph,
-    rank: np.ndarray,
-    *,
-    h: int | None = None,
-    ledger: CostLedger = NULL_LEDGER,
-) -> tuple[FlatStates, int]:
-    from repro.frt.lelists import compute_le_lists
-
-    return compute_le_lists(G, rank, h=h, ledger=ledger)
 
 
 def _dense_le_lists_batch(
@@ -482,48 +292,31 @@ def _dense_le_lists_batch(
     return compute_le_lists_batch(G, ranks, h=h, ledgers=ledgers)
 
 
-def _dense_batched_le_lists(
+def _reference_le_lists_batch(
     G: Graph,
-    rank: np.ndarray,
+    ranks: np.ndarray,
     *,
     h: int | None = None,
-    ledger: CostLedger = NULL_LEDGER,
-) -> tuple[FlatStates, int]:
-    """Single-sample driver routed through the batched engine (``k=1``).
-
-    Exists so the batched kernels can be exercised/benchmarked through the
-    ordinary backend interface; bit-identical to the ``"dense"`` driver.
-    """
-    from repro.frt.lelists import compute_le_lists_batch
-
-    lists, iters = compute_le_lists_batch(
-        G,
-        np.asarray(rank, dtype=np.int64)[None, :],
-        h=h,
-        ledgers=None if ledger is NULL_LEDGER else [ledger],
-    )
-    return lists.sample_states(0), int(iters[0])
-
-
-def _reference_le_lists(
-    G: Graph,
-    rank: np.ndarray,
-    *,
-    h: int | None = None,
-    ledger: CostLedger = NULL_LEDGER,
-) -> tuple[FlatStates, int]:
-    """LE lists through the reference engine — literally the zoo problem.
+    ledgers: Sequence[CostLedger] | None = None,
+) -> tuple[BatchedFlatStates, np.ndarray]:
+    """LE lists through the reference engine — literally the zoo problem,
+    solved once per row of ``ranks`` and stacked.
 
     ``zoo.le_lists`` decodes to the canonical LE order (ascending
     ``(dist, rank)``, as the dense engine emits) — downstream consumers
     (FRT tree construction) rely on it.  The reference engine predates the
-    cost ledger; ``ledger`` is accepted for interface uniformity but no
+    cost ledger; ``ledgers`` is accepted for interface uniformity but no
     costs are charged.
     """
     from repro.mbf import zoo
 
-    # zoo.le_lists validates rank (shape + permutation) itself.
-    return solve_reference(G, zoo.le_lists(G.n, rank), h=h, ledger=ledger)
+    ranks = np.asarray(ranks, dtype=np.int64)
+    if ranks.ndim != 2 or ranks.shape[0] < 1:
+        raise ValueError(f"ranks must have shape (k, {G.n}) with k >= 1")
+    # zoo.le_lists validates each row (shape + permutation) itself.
+    solved = [solve_reference(G, zoo.le_lists(G.n, rank), h=h) for rank in ranks]
+    lists = BatchedFlatStates.from_states([states for states, _ in solved])
+    return lists, np.array([iters for _, iters in solved], dtype=np.int64)
 
 
 register_engine(
@@ -532,21 +325,8 @@ register_engine(
         solve=solve_dense,
         families=DENSE_FAMILIES,
         requires_dense_form=True,
-        le_lists=_dense_le_lists,
         le_lists_batch=_dense_le_lists_batch,
         description="vectorized flat-array + scalar engine (production path)",
-        module="repro.mbf.dense",
-    )
-)
-register_engine(
-    MBFEngine(
-        name="dense-batched",
-        solve=solve_dense,
-        families=DENSE_FAMILIES,
-        requires_dense_form=True,
-        le_lists=_dense_batched_le_lists,
-        le_lists_batch=_dense_le_lists_batch,
-        description="batched flat-array engine (multi-sample ensemble path)",
         module="repro.mbf.dense",
     )
 )
@@ -555,7 +335,7 @@ register_engine(
         name="reference",
         solve=solve_reference,
         families=FAMILIES,
-        le_lists=_reference_le_lists,
+        le_lists_batch=_reference_le_lists_batch,
         description="object-based reference engine (any semiring/semimodule)",
         module="repro.mbf.engine",
     )

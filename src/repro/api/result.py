@@ -80,8 +80,9 @@ class PipelineResult:
         one artifact set).
     forest:
         The stacked :class:`~repro.frt.forest.FRTForest` view of the same
-        trees when the batch was sampled with ``mode="batched"`` (else
-        ``None``); :meth:`ensemble` hands it to the
+        trees; every :meth:`~repro.api.pipeline.Pipeline.sample_ensemble`
+        result carries one (``None`` only for results built by hand).
+        :meth:`ensemble` hands it to the
         :class:`~repro.frt.ensemble.FRTEnsemble` so distance queries run
         vectorized across all trees.
     """
@@ -120,7 +121,7 @@ class PipelineResult:
     def ensemble(self) -> FRTEnsemble:
         """View the batch as an :class:`~repro.frt.ensemble.FRTEnsemble`
         (per-pair min/median distances, best-tree selection), forest-backed
-        when the batch was sampled with ``mode="batched"``."""
+        whenever :attr:`forest` is set."""
         return FRTEnsemble(list(self.embeddings), forest=self.forest)
 
     @property
@@ -136,8 +137,8 @@ class PipelineResult:
         Delegates to :func:`repro.io.save_result` (schema-versioned,
         provenance-stamped, round-trips bit-identically through
         ``Pipeline.from_artifacts`` / :func:`repro.io.load_result`).
-        Requires ``mode="batched"`` sampling — the stacked forest is the
-        storage format.  Returns the written artifact meta.
+        Requires :attr:`forest` — the stacked forest is the storage
+        format.  Returns the written artifact meta.
         """
         from repro.io.artifacts import save_result
 

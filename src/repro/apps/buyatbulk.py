@@ -168,7 +168,7 @@ def buy_at_bulk(
     (``trees``/``pipeline`` must be left at their defaults — the
     combination is rejected rather than silently ignored).
     Otherwise ``trees`` FRT trees are sampled as one batched ensemble
-    (``Pipeline.sample_ensemble(mode="batched")``), every sample's routing
+    (``Pipeline.sample_ensemble``), every sample's routing
     cost is scored in one vectorized
     :func:`~repro.apps.batched.route_demands_on_forest` pass, and the best
     tree (minimum surrogate cost — the paper's repetition trick) is mapped
@@ -212,9 +212,8 @@ def buy_at_bulk(
             )
         elif pipeline.G is not G:
             raise ValueError("pipeline must embed the same graph as the demands")
-        result = pipeline.sample_ensemble(trees, mode="batched")
+        result = pipeline.sample_ensemble(trees)
         forest = result.forest
-        assert forest is not None
         flows = route_demands_on_forest(forest, demands)
         tree_costs = forest_tree_costs(forest, flows, cables)
         best = int(np.argmin(tree_costs))
@@ -229,7 +228,6 @@ def buy_at_bulk(
             "trees": trees,
             "best_sample": best,
             "tree_costs": [float(c) for c in tree_costs],
-            "mode": "batched",
         }
 
     # -- map back to G -------------------------------------------------------

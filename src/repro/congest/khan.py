@@ -30,7 +30,8 @@ def khan_le_lists(
 ) -> tuple[FlatStates, int, RoundLedger]:
     """Run Khan et al.; returns ``(le_lists, iterations, round_ledger)``.
 
-    The returned lists equal :func:`repro.frt.lelists.compute_le_lists`
+    The returned lists equal
+    :func:`repro.frt.lelists.compute_le_lists_batch` with ``rank[None, :]``
     exactly; the ledger reports the simulated Congest rounds
     (``Σ_i max_v |x_v^{(i)}|``, the per-iteration transmission time).
     """

@@ -12,8 +12,9 @@ Pipeline (Sections 7.1-7.4):
 
 Entry points:
 
-- :func:`~repro.frt.lelists.compute_le_lists` /
-  :func:`~repro.frt.lelists.compute_le_lists_via_oracle`
+- :func:`~repro.frt.lelists.compute_le_lists_batch` /
+  :func:`~repro.frt.lelists.compute_le_lists_batch_via_oracle` (``k``
+  random orders in one pass)
 - :class:`~repro.frt.tree.FRTTree` and
   :func:`~repro.frt.tree.build_frt_tree`
 - :class:`~repro.frt.forest.FRTForest` and
@@ -25,7 +26,11 @@ Entry points:
 - :func:`~repro.frt.paths.tree_edge_to_graph_path`
 """
 
-from repro.frt.lelists import compute_le_lists, compute_le_lists_via_oracle, le_lists_as_arrays
+from repro.frt.lelists import (
+    compute_le_lists_batch,
+    compute_le_lists_batch_via_oracle,
+    le_lists_as_arrays,
+)
 from repro.frt.tree import FRTTree, build_frt_tree
 from repro.frt.forest import FRTForest, build_frt_forest
 from repro.frt.embedding import (
@@ -35,12 +40,12 @@ from repro.frt.embedding import (
 )
 from repro.frt.stretch import StretchReport, evaluate_stretch
 from repro.frt.paths import tree_edge_to_graph_path, reconstruct_graph_path
-from repro.frt.ensemble import FRTEnsemble, sample_ensemble
+from repro.frt.ensemble import FRTEnsemble
 from repro.frt.decomposition import HierarchicalDecomposition, decomposition_of
 
 __all__ = [
-    "compute_le_lists",
-    "compute_le_lists_via_oracle",
+    "compute_le_lists_batch",
+    "compute_le_lists_batch_via_oracle",
     "le_lists_as_arrays",
     "FRTTree",
     "build_frt_tree",
@@ -54,7 +59,6 @@ __all__ = [
     "tree_edge_to_graph_path",
     "reconstruct_graph_path",
     "FRTEnsemble",
-    "sample_ensemble",
     "HierarchicalDecomposition",
     "decomposition_of",
 ]

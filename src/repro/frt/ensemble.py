@@ -13,8 +13,9 @@ packages that usage:
   user-supplied objective (the "repeat and take the best" pattern used by
   the k-median and buy-at-bulk pipelines).
 
-When the ensemble was built by the batched pipeline, an
-:class:`~repro.frt.forest.FRTForest` backs the distance queries: one
+Ensembles come from :meth:`repro.api.Pipeline.sample_ensemble` (via
+``PipelineResult.ensemble()``), which always attaches an
+:class:`~repro.frt.forest.FRTForest`: distance queries then run as one
 stacked ``(size, n, k_max+1)`` level-id pass instead of a Python loop over
 per-tree objects.  Results are bit-identical either way (the forest's
 structure arrays *are* the trees').
@@ -27,15 +28,13 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.frt.embedding import EmbeddingResult, sample_frt_tree
+from repro.frt.embedding import EmbeddingResult
 from repro.frt.tree import FRTTree
-from repro.graph.core import Graph
-from repro.util.rng import as_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.frt.forest import FRTForest
 
-__all__ = ["FRTEnsemble", "sample_ensemble"]
+__all__ = ["FRTEnsemble"]
 
 
 @dataclass
@@ -123,24 +122,3 @@ class FRTEnsemble:
                 best = (emb, val)
         assert best is not None
         return best
-
-
-def sample_ensemble(
-    G: Graph,
-    size: int,
-    *,
-    rng=None,
-    sampler: Callable[..., EmbeddingResult] | None = None,
-) -> FRTEnsemble:
-    """Sample ``size`` independent FRT trees of ``G``.
-
-    ``sampler`` defaults to the direct pipeline
-    (:func:`~repro.frt.embedding.sample_frt_tree`); pass a closure around
-    :func:`~repro.frt.embedding.sample_frt_tree_via_oracle` with a shared
-    oracle to amortize the hop-set/H construction.
-    """
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    g = as_rng(rng)
-    fn = sampler if sampler is not None else (lambda rng: sample_frt_tree(G, rng=rng))
-    return FRTEnsemble([fn(rng=g) for _ in range(size)])

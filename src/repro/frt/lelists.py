@@ -7,20 +7,17 @@ algorithm over the distance-map semimodule with the
 :class:`~repro.mbf.dense.LEFilter` projection; Lemma 7.6 bounds every
 (intermediate) list length by ``O(log n)`` w.h.p.
 
-Two drivers:
+Two drivers, each computing the LE lists of ``k`` independent random
+orders in one vectorized pass (one order is the ``k = 1`` case):
 
-- :func:`compute_le_lists` — iterate on ``G`` itself until fixpoint
+- :func:`compute_le_lists_batch` — iterate on ``G`` itself until fixpoint
   (``SPD(G)`` iterations; Khan et al. [26]),
-- :func:`compute_le_lists_via_oracle` — iterate on the simulated graph
-  ``H`` through the :class:`~repro.oracle.HOracle` (``O(log² n)``
+- :func:`compute_le_lists_batch_via_oracle` — iterate on the simulated
+  graph ``H`` through the :class:`~repro.oracle.HOracle` (``O(log² n)``
   iterations w.h.p.; the paper's Theorem 7.9 engine).
 
-Each has a batched counterpart (:func:`compute_le_lists_batch`,
-:func:`compute_le_lists_batch_via_oracle`) that computes the LE lists of
-``k`` independent random orders in one vectorized pass — the ensemble hot
-path behind ``Pipeline.sample_ensemble(mode="batched")``.  Per-sample
-results (lists, iteration counts, optional ledger charges) are
-bit-identical to ``k`` serial calls.
+Each sample's lists, iteration count and optional ledger charges do not
+depend on the rest of the batch.
 """
 
 from __future__ import annotations
@@ -34,55 +31,17 @@ from repro.mbf.dense import (
     BatchedFlatStates,
     BatchedLEFilter,
     FlatStates,
-    LEFilter,
-    check_rank as _check_rank,
-    run_dense,
     run_dense_batched,
 )
 from repro.oracle.oracle import HOracle
-from repro.pram.cost import NULL_LEDGER, CostLedger
+from repro.pram.cost import CostLedger
 
 __all__ = [
-    "compute_le_lists",
     "compute_le_lists_batch",
-    "compute_le_lists_via_oracle",
     "compute_le_lists_batch_via_oracle",
     "le_lists_as_arrays",
     "max_list_length",
 ]
-
-
-def compute_le_lists(
-    G: Graph,
-    rank: np.ndarray,
-    *,
-    h: int | None = None,
-    ledger: CostLedger = NULL_LEDGER,
-) -> tuple[FlatStates, int]:
-    """LE lists of ``G`` w.r.t. the order ``rank`` (fixpoint iteration).
-
-    Returns ``(lists, iterations)``; with ``h=None`` iterates until the
-    fixpoint, which is reached after ``SPD(G)`` iterations.
-    """
-    rank = _check_rank(G.n, rank)
-    return run_dense(G, LEFilter(rank), h=h, ledger=ledger)
-
-
-def compute_le_lists_via_oracle(
-    oracle: HOracle,
-    rank: np.ndarray,
-    *,
-    h: int | None = None,
-    ledger: CostLedger = NULL_LEDGER,
-) -> tuple[FlatStates, int]:
-    """LE lists of the simulated graph ``H`` via the Section-5 oracle.
-
-    The returned lists are exactly the LE lists of ``H`` (Lemma 5.1 /
-    Theorem 5.2); the fixpoint arrives within ``SPD(H) + 1 ∈ O(log² n)``
-    ``H``-iterations w.h.p. (Theorem 4.5).
-    """
-    rank = _check_rank(oracle.n, rank)
-    return oracle.run(LEFilter(rank), h=h, ledger=ledger)
 
 
 def compute_le_lists_batch(
@@ -97,8 +56,9 @@ def compute_le_lists_batch(
 
     ``ranks`` is a ``(k, n)`` matrix of permutations; ``ledgers``, when
     given, holds one :class:`~repro.pram.cost.CostLedger` per sample.
-    Returns ``(lists, iterations)`` with per-sample iteration counts;
-    sample ``s`` is bit-identical to ``compute_le_lists(G, ranks[s])``.
+    Returns ``(lists, iterations)`` with per-sample iteration counts; with
+    ``h=None`` each sample iterates until its fixpoint, which is reached
+    after ``SPD(G)`` iterations.
     """
     ranks = _check_ranks(G.n, ranks)
     return run_dense_batched(
@@ -121,8 +81,9 @@ def compute_le_lists_batch_via_oracle(
 ) -> tuple[BatchedFlatStates, np.ndarray]:
     """LE lists of the simulated graph ``H`` for ``k`` orders in one pass.
 
-    The batched analogue of :func:`compute_le_lists_via_oracle`; sample
-    ``s`` is bit-identical to the serial call with ``ranks[s]``.
+    The returned lists are exactly the LE lists of ``H`` (Lemma 5.1 /
+    Theorem 5.2); each sample's fixpoint arrives within
+    ``SPD(H) + 1 ∈ O(log² n)`` ``H``-iterations w.h.p. (Theorem 4.5).
     """
     ranks = _check_ranks(oracle.n, ranks)
     return oracle.run_batch(

@@ -432,9 +432,10 @@ def save_result(
     iteration counts, ledger totals, stage timings, and the full
     provenance ``meta`` — enough that :func:`load_result` reconstructs a
     ``PipelineResult`` whose embeddings, forest views, and ensemble query
-    outputs are bit-identical.  Requires a ``mode="batched"`` result (the
-    forest *is* the storage format); serial-mode results raise with a
-    pointer at ``sample_ensemble(mode="batched")``.
+    outputs are bit-identical.  Requires a result that carries a forest
+    (the forest *is* the storage format): every
+    :meth:`~repro.api.pipeline.Pipeline.sample_ensemble` result does, and a
+    hand-built result without one raises.
 
     ``provenance`` defaults to ``result.meta``; pass an override to stamp
     extra context without mutating the result.  Per-phase ledger traces
@@ -443,8 +444,8 @@ def save_result(
     forest = getattr(result, "forest", None)
     if forest is None:
         raise ValueError(
-            "save_result needs a batched ensemble (result.forest is None); "
-            "sample with Pipeline.sample_ensemble(mode='batched')"
+            "save_result needs a result with a forest (result.forest is None); "
+            "Pipeline.sample_ensemble always attaches one"
         )
     embeddings = list(result.embeddings)
     ranks = np.stack([np.asarray(e.rank, dtype=np.int64) for e in embeddings])

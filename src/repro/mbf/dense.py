@@ -679,6 +679,21 @@ def _as_ledgers(ledger: CostLedger) -> list[CostLedger] | None:
     return None if ledger is NULL_LEDGER else [ledger]
 
 
+def _as_batch_filter(spec: FilterSpec) -> FilterSpec:
+    """The ``k = 1`` batch form of a serial filter.
+
+    An exact :class:`LEFilter` becomes ``BatchedLEFilter(rank[None, :])``
+    and takes the incremental LE path: bit-identical lists, iteration
+    counts and ledger charges.  The check is on the exact type, so an
+    ``LEFilter`` subclass that overrides ``sort_keys``/``keep_mask`` keeps
+    them on the generic path; every other filter is sample-oblivious and
+    passes through unchanged.
+    """
+    if type(spec) is LEFilter:
+        return BatchedLEFilter(spec.rank[None, :])
+    return spec
+
+
 def propagate(
     states: FlatStates,  # shape: csr(n) frozen
     src: np.ndarray,  # shape: (E,) int64 frozen
@@ -786,16 +801,9 @@ def run_dense(
     (LE filters additionally take the batched incremental prune/merge
     path), so there is exactly one kernel stack to maintain.
     """
-    if type(spec) is LEFilter:
-        # Route the serial LE path through the batched incremental kernel
-        # (k = 1): bit-identical lists, iteration counts, and ledger
-        # charges (pinned by the dense-batched parity tests), ~2x faster.
-        # Exact-type check: an LEFilter subclass with overridden behavior
-        # must keep its own sort_keys/keep_mask and take the generic path.
-        spec = BatchedLEFilter(spec.rank[None, :])
     states, iters = run_dense_batched(
         G,
-        spec,
+        _as_batch_filter(spec),
         1,
         sources=sources,
         h=h,

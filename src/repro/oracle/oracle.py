@@ -34,9 +34,10 @@ from repro.mbf.dense import (
     BatchedFlatStates,
     FilterSpec,
     FlatStates,
-    aggregate,
+    _as_batch,
+    _as_batch_filter,
+    _as_ledgers,
     aggregate_batched,
-    dense_iteration,
     dense_iteration_batched_ex,
     run_batched_fixpoint,
 )
@@ -94,7 +95,7 @@ class HOracle:
         self.penalty_base = base
         self.masks = level_masks(levels, Lambda)
         self.inner_early_exit = bool(inner_early_exit)
-        # Per-H-iteration statistics for the cost experiments.
+        # Inner iterations run, one entry per sample per H-iteration.
         self.inner_iterations_used: list[int] = []
 
     @property
@@ -110,44 +111,16 @@ class HOracle:
         *,
         ledger: CostLedger = NULL_LEDGER,
     ) -> FlatStates:
-        """One iteration of ``A_H`` with filtering (Equation 5.9)."""
-        parts_tgt: list[np.ndarray] = []
-        parts_ids: list[np.ndarray] = []
-        parts_dists: list[np.ndarray] = []
-        inner_used = 0
-        children: list[CostLedger] = []
-        for lam in range(self.Lambda + 1):
-            child = ledger.fork()
-            scale = self.penalty_base ** (self.Lambda - lam)
-            y = states.restrict(self.masks[lam])
-            child.parallel_for(states.total, 1, 1, label=f"P_{lam}")
-            for f in range(self.d):
-                nxt = dense_iteration(
-                    self.graph, y, spec, weight_scale=scale, ledger=child
-                )
-                inner_used += 1
-                if self.inner_early_exit and nxt.equals(y):
-                    y = nxt
-                    break
-                y = nxt
-            y = y.restrict(self.masks[lam])
-            child.parallel_for(y.total, 1, 1, label=f"P_{lam}'")
-            owner = np.repeat(np.arange(self.n, dtype=np.int64), y.counts())
-            parts_tgt.append(owner)
-            parts_ids.append(y.ids)
-            parts_dists.append(y.dists)
-            children.append(child)
-        # The Λ+1 chains run in parallel in the paper's model.
-        ledger.join(*children, label="levels")
-        self.inner_iterations_used.append(inner_used)
-        return aggregate(
-            self.n,
-            np.concatenate(parts_tgt),
-            np.concatenate(parts_ids),
-            np.concatenate(parts_dists),
-            spec,
-            ledger=ledger,
+        """One iteration of ``A_H`` with filtering (Equation 5.9).
+
+        The ``k = 1`` view of :meth:`h_iteration_batched`; an exact
+        :class:`~repro.mbf.dense.LEFilter` runs as its one-row
+        :class:`~repro.mbf.dense.BatchedLEFilter`.
+        """
+        batch = self.h_iteration_batched(
+            _as_batch(states), _as_batch_filter(spec), ledgers=_as_ledgers(ledger)
         )
+        return batch.as_flat()
 
     def h_iteration_batched(
         self,
@@ -163,11 +136,11 @@ class HOracle:
         the previous step inserted (the semi-naive delta of
         :func:`~repro.mbf.dense.dense_iteration_batched_ex`);
         with ``inner_early_exit`` samples whose chain reached its fixpoint
-        are masked out of the remaining inner iterations individually (the
-        lossless per-sample analogue of the serial early exit).  Per-sample
-        ledgers receive charges identical to ``k`` serial
-        :meth:`h_iteration` calls; the batch does not update
-        :attr:`inner_iterations_used` (a per-serial-run statistic).
+        are masked out of the remaining inner iterations individually, so
+        no sample's result or ledger depends on the others in the batch.
+        Appends one :attr:`inner_iterations_used` entry per sample: the
+        inner iterations its ``Λ+1`` chains ran, ``(Λ+1)·d`` without
+        early exit.
         """
         k, n = states.k, states.n
         ledger_list = (
@@ -179,6 +152,7 @@ class HOracle:
         parts_ids: list[np.ndarray] = []
         parts_dists: list[np.ndarray] = []
         children: list[list[CostLedger]] = [[] for _ in range(k)]
+        inner_used = np.zeros(k, dtype=np.int64)
         for lam in range(self.Lambda + 1):
             level_children = [led.fork() for led in ledger_list]
             for s in range(k):
@@ -188,10 +162,10 @@ class HOracle:
             for child, t in zip(level_children, states.sample_totals()):
                 child.parallel_for(int(t), 1, 1, label=f"P_{lam}")
             if self.inner_early_exit:
-                # Per-sample analogue of the serial ``y = nxt; break``:
-                # converged chains freeze on the post-step state; chains
-                # that never converge keep their state after ``d`` steps.
-                y, _ = run_batched_fixpoint(
+                # A chain that converges on step i stops there, keeping its
+                # post-step state after i + 1 iterations; chains that never
+                # converge keep their state after ``d`` steps.
+                y, steps = run_batched_fixpoint(
                     lambda s, sp, led, fr: dense_iteration_batched_ex(
                         self.graph, s, sp, weight_scale=scale, ledgers=led, fresh=fr
                     ),
@@ -201,6 +175,7 @@ class HOracle:
                     self.d,
                     freeze_next=True,
                 )
+                inner_used += np.minimum(steps + 1, self.d)
             else:
                 fresh = None
                 for _ in range(self.d):
@@ -212,6 +187,7 @@ class HOracle:
                         ledgers=level_children,
                         fresh=fresh,
                     )
+                inner_used += self.d
             y = y.restrict(self.masks[lam])
             for child, t in zip(level_children, y.sample_totals()):
                 child.parallel_for(int(t), 1, 1, label=f"P_{lam}'")
@@ -221,6 +197,7 @@ class HOracle:
             parts_dists.append(y.dists)
         for led, ch in zip(ledger_list, children):
             led.join(*ch, label="levels")
+        self.inner_iterations_used.extend(int(x) for x in inner_used)
         return aggregate_batched(
             k,
             n,
@@ -249,30 +226,18 @@ class HOracle:
         iterations, i.e. ``O(log² n)`` w.h.p. (Theorem 4.5) — performing at
         most ``max_iterations`` H-iterations (default ``n + 1``), the same
         cap semantics as :func:`repro.mbf.engine.run_to_fixpoint`.  Returns
-        ``(states, iterations)``.
+        ``(states, iterations)``.  The ``k = 1`` view of :meth:`run_batch`.
         """
-        states = x0 if x0 is not None else FlatStates.from_sources(self.n, sources)
-        states = aggregate(
-            self.n,
-            np.repeat(np.arange(self.n, dtype=np.int64), states.counts()),
-            states.ids,
-            states.dists,
-            spec,
-            ledger=ledger,
+        states, iters = self.run_batch(
+            _as_batch_filter(spec),
+            1,
+            sources=sources,
+            x0=None if x0 is None else _as_batch(x0),
+            h=h,
+            max_iterations=max_iterations,
+            ledgers=_as_ledgers(ledger),
         )
-        if h is not None:
-            for _ in range(h):
-                states = self.h_iteration(states, spec, ledger=ledger)
-            return states, h
-        cap = (self.n + 1) if max_iterations is None else max_iterations
-        if cap < 1:
-            raise ValueError("max_iterations must be >= 1")
-        for i in range(cap):
-            nxt = self.h_iteration(states, spec, ledger=ledger)
-            if nxt.equals(states):
-                return states, i
-            states = nxt
-        raise RuntimeError(f"H-iteration did not reach a fixpoint within {cap} steps")
+        return states.as_flat(), int(iters[0])
 
     def run_batch(
         self,
@@ -289,9 +254,9 @@ class HOracle:
 
         Fixpoints are detected per sample and converged samples are masked
         out of subsequent H-iterations, so each sample's result, iteration
-        count, and (optional per-sample) ledger charges are bit-identical
-        to a serial :meth:`run` with the same filter.  Returns
-        ``(states, iterations)`` with one count per sample.
+        count, and (optional per-sample) ledger charges do not depend on
+        the rest of the batch.  Returns ``(states, iterations)`` with one
+        count per sample.
         """
         n = self.n
         ledger_list = list(ledgers) if ledgers is not None else None

@@ -130,32 +130,39 @@ class TestRoundTrip:
 
 
 class TestEnsembleMode:
-    def test_default_serial(self):
-        assert EmbeddingConfig().ensemble_mode == "serial"
+    """Every ensemble runs the batched engine; the mode survives only as an
+    accepted spelling on ExecutionConfig."""
 
     def test_batched_accepted(self):
-        assert EmbeddingConfig(ensemble_mode="batched").ensemble_mode == "batched"
+        assert ExecutionConfig(mode="batched").mode == "batched"
+
+    def test_serial_points_at_shard_size(self):
+        with pytest.raises(ValueError, match="shard_size=1"):
+            ExecutionConfig(mode="serial")
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="ensemble_mode"):
-            EmbeddingConfig(ensemble_mode="parallel")
+        with pytest.raises(ValueError, match="execution mode"):
+            ExecutionConfig(mode="parallel")
 
     def test_round_trips(self):
-        cfg = EmbeddingConfig(method="direct", ensemble_mode="batched")
+        """The embedding stage config says what to compute, not how: it
+        holds no execution mode."""
+        cfg = EmbeddingConfig(method="direct")
+        assert cfg.to_dict() == {"method": "direct", "backend": "dense"}
         assert EmbeddingConfig.from_dict(cfg.to_dict()) == cfg
 
 
 class TestExecutionConfig:
     def test_defaults(self):
         cfg = ExecutionConfig()
-        assert cfg.mode is None  # inherit EmbeddingConfig.ensemble_mode
+        assert cfg.mode is None
         assert cfg.workers == 1
         assert cfg.shard_size is None
 
     def test_mode_checked(self):
         with pytest.raises(ValueError, match="execution mode"):
             ExecutionConfig(mode="parallel")
-        ExecutionConfig(mode="serial")
+        ExecutionConfig(mode=None)
         ExecutionConfig(mode="batched")
 
     def test_workers_checked(self):
@@ -175,6 +182,13 @@ class TestExecutionConfig:
             ExecutionConfig(shard_size="big")
         assert ExecutionConfig(shard_size=3).shard_size == 3
 
+    def test_shard_size_rejects_bools(self):
+        """shard_size=True is not a shard of one, as workers=True is not a
+        pool of one."""
+        for flag in (True, False):
+            with pytest.raises(TypeError, match="shard_size"):
+                ExecutionConfig(shard_size=flag)
+
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             ExecutionConfig().workers = 2
@@ -184,17 +198,6 @@ class TestExecutionConfig:
         d = cfg.to_dict()
         assert d == {"mode": "batched", "workers": 4, "shard_size": 2}
         assert ExecutionConfig.from_dict(d) == cfg
-
-    def test_with_overrides(self):
-        cfg = ExecutionConfig(mode="batched", workers=4, shard_size=2)
-        assert cfg.with_overrides() is cfg  # no-op keeps the instance
-        assert cfg.with_overrides(mode="serial").mode == "serial"
-        assert cfg.with_overrides(workers=8).workers == 8
-        # shard_size always survives a legacy-kwarg override
-        assert cfg.with_overrides(mode="serial", workers=8).shard_size == 2
-        # legacy workers <= 0 historically meant "in-process"
-        assert cfg.with_overrides(workers=0).workers == 1
-        assert cfg.with_overrides(workers=-3).workers == 1
 
     def test_pipeline_nesting(self):
         cfg = PipelineConfig(execution=ExecutionConfig(workers=2))

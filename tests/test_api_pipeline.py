@@ -7,24 +7,28 @@ from repro.api import (
     EmbeddingConfig,
     ExecutionConfig,
     HopsetConfig,
+    MBFEngine,
     OracleConfig,
     Pipeline,
     PipelineConfig,
     PipelineResult,
     generators as gen,
+    register_engine,
+    unregister_engine,
 )
 from repro.frt.embedding import (
     _draw_randomness,
     sample_frt_tree,
     sample_frt_tree_via_oracle,
 )
-from repro.frt.lelists import compute_le_lists_via_oracle
+from repro.frt.lelists import compute_le_lists_batch_via_oracle
 from repro.frt.tree import build_frt_tree
 from repro.graph.core import Graph
 from repro.graph.shortest_paths import dijkstra_distances
 from repro.hopsets import hub_hopset, rounded_hopset
 from repro.oracle import HOracle
 from repro.pram import CostLedger
+from repro.util.rng import spawn_rngs, split_seed
 
 
 def _assert_same_embedding(a, b):
@@ -48,9 +52,9 @@ class TestLegacyParity:
         hopset = rounded_hopset(base, g, eps)
         oracle = HOracle(hopset, rng=rng)
         r, b = _draw_randomness(g.n, rng)
-        lists, iters = compute_le_lists_via_oracle(oracle, r)
+        lists, iters = compute_le_lists_batch_via_oracle(oracle, r[None, :])
         wmin, _ = g.weight_bounds()
-        legacy_tree = build_frt_tree(lists, r, b, wmin)
+        legacy_tree = build_frt_tree(lists.sample_states(0), r, b, wmin)
 
         pipe = Pipeline(
             g, PipelineConfig(hopset=HopsetConfig(eps=eps, d0=d0)), rng=seed
@@ -58,7 +62,7 @@ class TestLegacyParity:
         res = pipe.sample()
         assert np.array_equal(res.rank, r)
         assert res.beta == b
-        assert res.iterations == iters
+        assert res.iterations == iters[0]
         assert np.array_equal(res.tree.distance_matrix(), legacy_tree.distance_matrix())
 
     def test_wrapper_delegates_to_pipeline(self):
@@ -157,7 +161,9 @@ class TestEnsemble:
         g = gen.cycle(12, rng=7)
         cfg = PipelineConfig(hopset=HopsetConfig(eps=0.25, d0=3))
         serial = Pipeline(g, cfg).sample_ensemble(k=3, seed=3)
-        parallel = Pipeline(g, cfg).sample_ensemble(k=3, seed=3, workers=2)
+        parallel = Pipeline(g, cfg).sample_ensemble(
+            k=3, seed=3, execution=ExecutionConfig(workers=2)
+        )
         for a, b in zip(serial, parallel):
             _assert_same_embedding(a, b)
         assert parallel.ledger.work == serial.ledger.work
@@ -211,7 +217,9 @@ class TestEnsemble:
         assert "samples" in res.timings
         assert "hopset" not in res.timings and "oracle" not in res.timings
         assert res.timings["samples"] <= res.timings["total"] + 1e-9
-        par = Pipeline(g, PipelineConfig(seed=4)).sample_ensemble(k=2, workers=2)
+        par = Pipeline(g, PipelineConfig(seed=4)).sample_ensemble(
+            k=2, execution=ExecutionConfig(workers=2)
+        )
         assert "samples" in par.timings  # pool wall-time recorded too
 
     def test_empty_result_rejected(self):
@@ -348,124 +356,170 @@ class TestValidationAndBackends:
         Pipeline(g, PipelineConfig(seed=5)).sample(ledger=ledger)
         assert ledger.work > 0 and ledger.depth > 0
 
+    @pytest.mark.parametrize(
+        "method, pinned",
+        [
+            ("oracle", ((7905597, 632, 4), (5242979, 576, 4))),
+            ("direct", ((41690, 105, 8), (44122, 114, 9))),
+        ],
+    )
+    def test_sample_ledgers_pinned(self, method, pinned):
+        """Model costs and iteration counts of two consecutive samples,
+        recorded when sample() still ran its own serial path; the k = 1
+        view of the batched engine must charge exactly the same."""
+        g = gen.grid(5, 6, wmin=1.0, wmax=2.0, rng=6)
+        pipe = Pipeline(g, PipelineConfig(embedding=EmbeddingConfig(method=method), seed=11))
+        for work, depth, iters in pinned:
+            ledger = CostLedger()
+            emb = pipe.sample(ledger=ledger)
+            assert (ledger.work, ledger.depth, emb.iterations) == (work, depth, iters)
+
+
+def _samples_on_children(pipe, children):
+    """One ``Pipeline.sample()`` per child generator, with its own ledger."""
+    ledgers = [CostLedger() for _ in children]
+    embeddings = [pipe.sample(rng=c, ledger=led) for c, led in zip(children, ledgers)]
+    return embeddings, ledgers
+
+
+def _seeded_children(seed, k):
+    """The child generators ``sample_ensemble(k, seed=seed)`` samples from."""
+    return spawn_rngs(split_seed(seed, 2)[1], k)
+
 
 class TestBatchedEnsemble:
-    """mode="batched" fuses the k LE-list computations into one
-    multi-sample pass; the contract is bit-identical output vs the serial
-    loop — same trees, same per-sample LE lists, same iteration counts,
-    same per-sample ledger charges."""
+    """An ensemble of k is the batched engine on k stacked samples, and
+    sample() is its k = 1 view: the ensemble equals k sample() calls on
+    the same child generators — same trees, same per-sample LE lists, same
+    iteration counts, same per-sample ledger charges."""
+
+    def _assert_matches_samples(self, res, pipe, children):
+        embeddings, ledgers = _samples_on_children(pipe, children)
+        for a, b in zip(embeddings, res):
+            _assert_same_embedding(a, b)
+        assert [led.snapshot() for led in ledgers] == [led.snapshot() for led in res.ledgers]
 
     @pytest.mark.parametrize("k", [1, 3, 8])
     def test_oracle_path_parity(self, k):
         g = gen.cycle(24, wmin=1, wmax=2, rng=5)
         cfg = PipelineConfig(hopset=HopsetConfig(eps=0.25, d0=4))
-        serial = Pipeline(g, cfg).sample_ensemble(k=k, seed=0, mode="serial")
-        batched = Pipeline(g, cfg).sample_ensemble(k=k, seed=0, mode="batched")
-        for a, b in zip(serial, batched):
-            _assert_same_embedding(a, b)
+        pipe = Pipeline(g, cfg)
+        res = pipe.sample_ensemble(k=k, seed=0)
+        self._assert_matches_samples(res, pipe, _seeded_children(0, k))
 
     @pytest.mark.parametrize("k", [1, 5])
     def test_direct_dense_path_parity(self, k):
         g = gen.random_graph(30, 70, rng=6)
         cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
-        serial = Pipeline(g, cfg).sample_ensemble(k=k, seed=1, mode="serial")
-        batched = Pipeline(g, cfg).sample_ensemble(k=k, seed=1, mode="batched")
-        for a, b in zip(serial, batched):
-            _assert_same_embedding(a, b)
+        pipe = Pipeline(g, cfg)
+        res = pipe.sample_ensemble(k=k, seed=1)
+        self._assert_matches_samples(res, pipe, _seeded_children(1, k))
 
     def test_ledger_work_totals_match_serial(self):
+        """The merged ledger joins the k sample() ledgers as parallel
+        branches."""
         g = gen.cycle(20, rng=7)
         for cfg in (
             PipelineConfig(hopset=HopsetConfig(eps=0.25, d0=4)),
             PipelineConfig(embedding=EmbeddingConfig(method="direct")),
         ):
-            serial = Pipeline(g, cfg).sample_ensemble(k=3, seed=2, mode="serial")
-            batched = Pipeline(g, cfg).sample_ensemble(k=3, seed=2, mode="batched")
-            assert [led.work for led in batched.ledgers] == [
-                led.work for led in serial.ledgers
-            ]
-            assert [led.depth for led in batched.ledgers] == [
-                led.depth for led in serial.ledgers
-            ]
-            assert batched.ledger.work == serial.ledger.work
-            assert batched.ledger.depth == serial.ledger.depth
+            pipe = Pipeline(g, cfg)
+            res = pipe.sample_ensemble(k=3, seed=2)
+            _, ledgers = _samples_on_children(pipe, _seeded_children(2, 3))
+            assert [led.work for led in res.ledgers] == [led.work for led in ledgers]
+            assert [led.depth for led in res.ledgers] == [led.depth for led in ledgers]
+            assert res.ledger.work == sum(led.work for led in ledgers)
+            assert res.ledger.depth == max(led.depth for led in ledgers)
 
     def test_trees_identical_not_just_metrically(self):
         """Beyond the distance matrix: the structure arrays coincide."""
         g = gen.grid(4, 5, rng=8)
-        cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
-        serial = Pipeline(g, cfg).sample_ensemble(k=3, seed=3, mode="serial")
-        batched = Pipeline(g, cfg).sample_ensemble(k=3, seed=3, mode="batched")
-        for a, b in zip(serial, batched):
+        pipe = Pipeline(g, PipelineConfig(embedding=EmbeddingConfig(method="direct")))
+        res = pipe.sample_ensemble(k=3, seed=3)
+        embeddings, _ = _samples_on_children(pipe, _seeded_children(3, 3))
+        for a, b in zip(embeddings, res):
             assert np.array_equal(a.tree.level_ids, b.tree.level_ids)
             assert np.array_equal(a.tree.parent, b.tree.parent)
             assert np.array_equal(a.tree.node_leading, b.tree.node_leading)
             assert np.array_equal(a.tree.edge_weights, b.tree.edge_weights)
 
     def test_seed_none_continues_pipeline_stream(self):
+        """Unseeded, the children come from the pipeline's own stream."""
         g = gen.cycle(12, rng=9)
         cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"), seed=11)
-        a = Pipeline(g, cfg).sample_ensemble(k=2, mode="serial")
-        b = Pipeline(g, cfg).sample_ensemble(k=2, mode="batched")
-        for x, y in zip(a, b):
-            _assert_same_embedding(x, y)
+        res = Pipeline(g, cfg).sample_ensemble(k=2)
+        self._assert_matches_samples(res, Pipeline(g, cfg), spawn_rngs(11, 2))
 
     def test_mode_defaults_to_config(self):
+        """config.execution (here the accepted mode="batched" spelling) is
+        what an ensemble runs when no per-call execution is given."""
         g = gen.cycle(12, rng=9)
         cfg = PipelineConfig(
-            embedding=EmbeddingConfig(method="direct", ensemble_mode="batched")
+            embedding=EmbeddingConfig(method="direct"),
+            execution=ExecutionConfig(mode="batched"),
         )
         res = Pipeline(g, cfg).sample_ensemble(k=2, seed=4)
-        assert res.meta["mode"] == "batched"
+        assert res.meta["execution"]["mode"] == "batched"
         assert res.meta["stats"]["samples"] == 2
-
-    def test_dense_batched_backend_end_to_end(self):
-        g = gen.cycle(14, rng=10)
-        cfg = PipelineConfig(
-            embedding=EmbeddingConfig(method="direct", backend="dense-batched")
-        )
-        batched = Pipeline(g, cfg).sample_ensemble(k=3, seed=5, mode="batched")
-        dense_cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
-        serial = Pipeline(g, dense_cfg).sample_ensemble(k=3, seed=5, mode="serial")
-        for a, b in zip(serial, batched):
-            _assert_same_embedding(a, b)
+        assert res.forest is not None and res.forest.size == 2
 
     def test_batched_amortizes_one_build(self):
         g = gen.cycle(16, rng=11)
         pipe = Pipeline(g, PipelineConfig(hopset=HopsetConfig(eps=0.25, d0=4)))
-        res = pipe.sample_ensemble(k=4, seed=6, mode="batched")
+        res = pipe.sample_ensemble(k=4, seed=6)
         assert res.meta["stats"]["hopset_builds"] == 1
         assert res.meta["stats"]["oracle_builds"] == 1
         assert res.meta["stats"]["samples"] == 4
         assert res.timings["samples"] <= res.timings["total"] + 1e-9
+        assert res.forest is not None and res.forest.size == 4
 
     def test_unknown_mode_rejected(self):
+        """Execution knobs live only on ExecutionConfig: an unknown mode
+        fails there, and the loose per-call kwargs are gone."""
         g = gen.cycle(8, rng=12)
         with pytest.raises(ValueError, match="mode"):
-            Pipeline(g, PipelineConfig(seed=0)).sample_ensemble(k=2, mode="turbo")
+            ExecutionConfig(mode="turbo")
+        with pytest.raises(TypeError):
+            Pipeline(g, PipelineConfig(seed=0)).sample_ensemble(k=2, mode="batched")
+        with pytest.raises(TypeError):
+            Pipeline(g, PipelineConfig(seed=0)).sample_ensemble(k=2, workers=2)
 
     def test_workers_no_longer_rejected_with_batched(self):
         """Regression (sharded-ensemble PR): batched mode used to reject
         workers > 1; it now shards the sample axis instead of raising."""
         g = gen.cycle(8, rng=12)
         res = Pipeline(g, PipelineConfig(seed=0)).sample_ensemble(
-            k=2, mode="batched", workers=2
+            k=2, execution=ExecutionConfig(mode="batched", workers=2)
         )
         assert res.size == 2 and res.forest is not None
 
     def test_backend_without_batch_driver_rejected(self):
-        g = gen.cycle(8, rng=12)
-        cfg = PipelineConfig(
-            embedding=EmbeddingConfig(method="direct", backend="reference")
+        """A solve-only engine cannot sample: sample() and ensembles alike
+        fail with a capability message."""
+
+        def solve_only(G, problem, *, h=None, ledger=None, **kw):
+            return None, 0
+
+        register_engine(
+            MBFEngine(name="test-solve-only", solve=solve_only, families=("min-plus",))
         )
-        with pytest.raises(ValueError, match="batched LE-list driver"):
-            Pipeline(g, cfg, rng=0).sample_ensemble(k=2, mode="batched")
+        try:
+            g = gen.cycle(8, rng=12)
+            cfg = PipelineConfig(
+                embedding=EmbeddingConfig(method="direct", backend="test-solve-only")
+            )
+            with pytest.raises(ValueError, match="no LE-list driver"):
+                Pipeline(g, cfg, rng=0).sample_ensemble(k=2)
+            with pytest.raises(ValueError, match="no LE-list driver"):
+                Pipeline(g, cfg, rng=0).sample()
+        finally:
+            unregister_engine("test-solve-only")
 
     def test_batch_seed_does_not_shift_pipeline_stream(self):
         g = gen.cycle(16, rng=5)
         cfg = PipelineConfig(hopset=HopsetConfig(eps=0.25, d0=4))
         p1 = Pipeline(g, cfg, rng=0)
-        p1.sample_ensemble(k=2, seed=5, mode="batched")
+        p1.sample_ensemble(k=2, seed=5)
         after_batch = p1.sample()
         p2 = Pipeline(g, cfg, rng=0, hopset=p1.hopset(), oracle=p1.oracle())
         _assert_same_embedding(after_batch, p2.sample())
@@ -506,71 +560,89 @@ def _assert_same_result(a, b):
 
 
 class TestShardedBatchedEnsemble:
-    """workers > 1 in batched mode shards the sample axis across a process
-    pool; the contract is *bit-identical* output vs the in-process batched
-    run — all stacked forest arrays, per-tree views, per-sample LE lists,
-    and ledgers — for every shard geometry."""
+    """The sample axis is cut into shards — run in-process one after the
+    other, or over a process pool with workers > 1; the contract is
+    *bit-identical* output vs the one-shard run — all stacked forest
+    arrays, per-tree views, per-sample LE lists, and ledgers — for every
+    shard geometry."""
 
     def _cfg(self, **kw):
         return PipelineConfig(embedding=EmbeddingConfig(method="direct"), **kw)
 
     def test_even_split_matches_in_process(self):
         g = gen.random_graph(30, 70, rng=13)
-        one = Pipeline(g, self._cfg()).sample_ensemble(k=4, seed=7, mode="batched")
+        one = Pipeline(g, self._cfg()).sample_ensemble(k=4, seed=7)
         two = Pipeline(g, self._cfg()).sample_ensemble(
-            k=4, seed=7, mode="batched", workers=2
+            k=4, seed=7, execution=ExecutionConfig(workers=2)
         )
         _assert_same_result(one, two)
 
     def test_k_not_divisible_by_workers(self):
         g = gen.random_graph(24, 60, rng=14)
-        one = Pipeline(g, self._cfg()).sample_ensemble(k=7, seed=8, mode="batched")
+        one = Pipeline(g, self._cfg()).sample_ensemble(k=7, seed=8)
         two = Pipeline(g, self._cfg()).sample_ensemble(
-            k=7, seed=8, mode="batched", workers=3
+            k=7, seed=8, execution=ExecutionConfig(workers=3)
         )
         _assert_same_result(one, two)
 
     def test_workers_exceed_k(self):
         g = gen.cycle(16, rng=15)
-        one = Pipeline(g, self._cfg()).sample_ensemble(k=3, seed=9, mode="batched")
+        one = Pipeline(g, self._cfg()).sample_ensemble(k=3, seed=9)
         two = Pipeline(g, self._cfg()).sample_ensemble(
-            k=3, seed=9, mode="batched", workers=8
+            k=3, seed=9, execution=ExecutionConfig(workers=8)
         )
         _assert_same_result(one, two)
 
     def test_workers_one_is_in_process(self):
         """workers=1 must not spin up a pool — and must equal the plain
-        batched run bit for bit (same code path)."""
+        run bit for bit (same code path)."""
         g = gen.cycle(12, rng=16)
-        one = Pipeline(g, self._cfg()).sample_ensemble(k=3, seed=10, mode="batched")
+        one = Pipeline(g, self._cfg()).sample_ensemble(k=3, seed=10)
         two = Pipeline(g, self._cfg()).sample_ensemble(
-            k=3, seed=10, mode="batched", workers=1
+            k=3, seed=10, execution=ExecutionConfig(mode="batched", workers=1)
         )
         _assert_same_result(one, two)
 
     def test_explicit_shard_size(self):
         """shard_size=1 degenerates to one sample per task; still identical."""
         g = gen.random_graph(20, 50, rng=17)
-        one = Pipeline(g, self._cfg()).sample_ensemble(k=5, seed=11, mode="batched")
+        one = Pipeline(g, self._cfg()).sample_ensemble(k=5, seed=11)
         two = Pipeline(g, self._cfg()).sample_ensemble(
             k=5,
             seed=11,
-            execution=ExecutionConfig(mode="batched", workers=2, shard_size=1),
+            execution=ExecutionConfig(workers=2, shard_size=1),
         )
         _assert_same_result(one, two)
+
+    @pytest.mark.parametrize("method", ["oracle", "direct"])
+    @pytest.mark.parametrize("shard_size", [1, 2])
+    def test_in_process_shards_match_one_batch(self, method, shard_size):
+        """shard_size applies in-process too: k samples one shard after the
+        other (the serial memory profile at shard_size=1) equal one batch."""
+        g = gen.cycle(18, wmin=1, wmax=3, rng=22)
+        cfg = PipelineConfig(
+            hopset=HopsetConfig(eps=0.25, d0=4), embedding=EmbeddingConfig(method=method)
+        )
+        one = Pipeline(g, cfg).sample_ensemble(k=5, seed=23)
+        pipe = Pipeline(g, cfg)
+        shards = pipe.sample_ensemble(
+            k=5, seed=23, execution=ExecutionConfig(shard_size=shard_size)
+        )
+        _assert_same_result(one, shards)
+        assert pipe.stats["samples"] == 5
 
     def test_ragged_shard_depths(self):
         """Shards whose local k_max differ re-pad to the global k_max.
 
         A wide weight range spreads per-sample root distances, so with
         singleton shards each worker's forest has its own depth; the
-        concat must still reproduce the single-process padding."""
+        concat must still reproduce the one-shard padding."""
         g = gen.random_graph(24, 60, wmin=1.0, wmax=64.0, rng=18)
-        one = Pipeline(g, self._cfg()).sample_ensemble(k=6, seed=12, mode="batched")
+        one = Pipeline(g, self._cfg()).sample_ensemble(k=6, seed=12)
         two = Pipeline(g, self._cfg()).sample_ensemble(
             k=6,
             seed=12,
-            execution=ExecutionConfig(mode="batched", workers=3, shard_size=1),
+            execution=ExecutionConfig(workers=3, shard_size=1),
         )
         assert len(set(one.forest.depths.tolist())) > 1  # genuinely ragged
         _assert_same_result(one, two)
@@ -578,101 +650,82 @@ class TestShardedBatchedEnsemble:
     def test_oracle_method_shards_too(self):
         g = gen.cycle(20, wmin=1, wmax=2, rng=19)
         cfg = PipelineConfig(hopset=HopsetConfig(eps=0.25, d0=4))
-        one = Pipeline(g, cfg).sample_ensemble(k=4, seed=13, mode="batched")
+        one = Pipeline(g, cfg).sample_ensemble(k=4, seed=13)
         two = Pipeline(g, cfg).sample_ensemble(
-            k=4, seed=13, mode="batched", workers=2
+            k=4, seed=13, execution=ExecutionConfig(workers=2)
         )
         _assert_same_result(one, two)
 
     def test_single_vertex_graph(self):
         g = Graph(1, np.empty((0, 2), dtype=np.int64), [])
-        one = Pipeline(g, self._cfg()).sample_ensemble(k=3, seed=14, mode="batched")
+        one = Pipeline(g, self._cfg()).sample_ensemble(k=3, seed=14)
         two = Pipeline(g, self._cfg()).sample_ensemble(
-            k=3, seed=14, mode="batched", workers=2
+            k=3, seed=14, execution=ExecutionConfig(workers=2)
         )
         _assert_same_result(one, two)
-
-    def test_sharded_serial_mode_untouched(self):
-        """The legacy serial pool path still answers mode='serial'."""
-        g = gen.cycle(12, rng=7)
-        cfg = PipelineConfig(hopset=HopsetConfig(eps=0.25, d0=3))
-        serial = Pipeline(g, cfg).sample_ensemble(k=3, seed=3)
-        pooled = Pipeline(g, cfg).sample_ensemble(
-            k=3, seed=3, execution=ExecutionConfig(mode="serial", workers=2)
-        )
-        for a, b in zip(serial, pooled):
-            _assert_same_embedding(a, b)
-        assert pooled.forest is None
 
     def test_stats_and_meta(self):
         g = gen.cycle(12, rng=16)
         pipe = Pipeline(g, self._cfg())
-        res = pipe.sample_ensemble(k=4, seed=15, mode="batched", workers=2)
+        res = pipe.sample_ensemble(k=4, seed=15, execution=ExecutionConfig(workers=2))
         assert pipe.stats["samples"] == 4
-        assert res.meta["mode"] == "batched" and res.meta["workers"] == 2
         assert res.meta["execution"] == {
-            "mode": "batched",
+            "mode": None,
             "workers": 2,
             "shard_size": None,
         }
+        # meta["execution"] is the one record of how the batch ran
+        assert "mode" not in res.meta and "workers" not in res.meta
         assert res.timings["samples"] <= res.timings["total"] + 1e-9
 
     def test_fingerprint_excludes_execution(self):
-        """The provenance fingerprint is an execution-independent content
-        identity: serial, batched, and sharded runs of the same configs +
-        seeds all share it — and so does a config carrying a non-default
-        ExecutionConfig."""
+        """One config sampled under every execution shape — per call or
+        through config.execution — yields one fingerprint and equal
+        forests: the fingerprint is an execution-independent content
+        identity."""
         g = gen.random_graph(20, 50, rng=18)
         base = self._cfg(seed=0)
-        sharded_cfg = PipelineConfig(
-            embedding=EmbeddingConfig(method="direct"),
-            execution=ExecutionConfig(mode="batched", workers=2),
-            seed=0,
-        )
-        prints = {
-            Pipeline(g, base).sample_ensemble(k=2, seed=1, mode="serial").fingerprint,
-            Pipeline(g, base).sample_ensemble(k=2, seed=1, mode="batched").fingerprint,
-            Pipeline(g, base)
-            .sample_ensemble(k=2, seed=1, mode="batched", workers=2)
-            .fingerprint,
-            Pipeline(g, sharded_cfg).sample_ensemble(k=2, seed=1).fingerprint,
-        }
+        ref = Pipeline(g, base).sample_ensemble(k=3, seed=1)
+        prints = {ref.fingerprint}
+        for workers in (1, 2):
+            for shard_size in (None, 1):
+                for mode in (None, "batched"):
+                    execution = ExecutionConfig(
+                        mode=mode, workers=workers, shard_size=shard_size
+                    )
+                    per_call = Pipeline(g, base).sample_ensemble(
+                        k=3, seed=1, execution=execution
+                    )
+                    configured = Pipeline(
+                        g, self._cfg(seed=0, execution=execution)
+                    ).sample_ensemble(k=3, seed=1)
+                    for res in (per_call, configured):
+                        prints.add(res.fingerprint)
+                        _assert_same_forest(ref.forest, res.forest)
         assert len(prints) == 1
 
     def test_execution_config_from_pipeline_config(self):
-        """config.execution drives sample_ensemble when no kwargs given."""
+        """config.execution drives sample_ensemble when no override given."""
         g = gen.random_graph(20, 50, rng=19)
         cfg = PipelineConfig(
             embedding=EmbeddingConfig(method="direct"),
             execution=ExecutionConfig(mode="batched", workers=2),
         )
         res = Pipeline(g, cfg).sample_ensemble(k=4, seed=16)
-        baseline = Pipeline(g, self._cfg()).sample_ensemble(
-            k=4, seed=16, mode="batched"
-        )
+        baseline = Pipeline(g, self._cfg()).sample_ensemble(k=4, seed=16)
         _assert_same_result(baseline, res)
-        assert res.meta["mode"] == "batched" and res.meta["workers"] == 2
-
-    def test_legacy_kwargs_override_execution_config(self):
-        """The deprecated loose kwargs win over the config — bit-identically
-        mapped onto ExecutionConfig fields."""
-        g = gen.cycle(12, rng=20)
-        cfg = PipelineConfig(
-            embedding=EmbeddingConfig(method="direct"),
-            execution=ExecutionConfig(mode="batched", workers=4),
-        )
-        res = Pipeline(g, cfg).sample_ensemble(k=2, seed=17, mode="serial", workers=0)
-        assert res.meta["mode"] == "serial" and res.meta["workers"] == 1
-        assert res.forest is None
+        assert res.meta["execution"]["workers"] == 2
 
     def test_save_artifacts_with_workers(self, tmp_path):
-        """Regression: save_artifacts(..., workers=2) used to raise through
-        the batched-mode guard; it must now shard the offline build and
+        """Regression: a pooled save_artifacts build used to raise through
+        the batched-mode guard; it must shard the offline build and
         persist arrays bit-identical to the in-process build."""
         g = gen.random_graph(24, 60, rng=21)
         p1, p2 = tmp_path / "one.rpz", tmp_path / "two.rpz"
         Pipeline(g, self._cfg(seed=0)).save_artifacts(p1, 4, seed=3)
-        meta = Pipeline(g, self._cfg(seed=0)).save_artifacts(p2, 4, seed=3, workers=2)
+        meta = Pipeline(g, self._cfg(seed=0)).save_artifacts(
+            p2, 4, seed=3, execution=ExecutionConfig(workers=2)
+        )
         one = Pipeline.from_artifacts(p1)
         two = Pipeline.from_artifacts(p2)
         _assert_same_forest(one.forest, two.forest)

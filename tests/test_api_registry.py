@@ -1,112 +1,120 @@
 """The string-keyed, capability-based MBF engine registry of repro.api."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.api import (
-    MBFBackend,
+    EmbeddingConfig,
     MBFEngine,
     MBFProblem,
-    available_backends,
+    Pipeline,
+    PipelineConfig,
     available_engines,
     engines_for,
     generators as gen,
-    get_backend,
     get_engine,
     problems,
-    register_backend,
     register_engine,
     resolve_engine,
     solve,
-    unregister_backend,
     unregister_engine,
 )
-from repro.mbf.dense import FlatStates
+from repro.mbf.dense import BatchedFlatStates
+
+
+def _le_only(G, ranks, **kw):
+    return None, np.zeros(len(ranks), dtype=np.int64)
 
 
 class TestLookup:
     def test_builtins_registered(self):
-        names = available_backends()
+        names = available_engines()
         assert "dense" in names
         assert "reference" in names
         assert names == tuple(sorted(names))
 
-    def test_get_backend(self):
-        b = get_backend("dense")
-        assert b.name == "dense"
-        assert b.module == "repro.mbf.dense"
-        assert callable(b.le_lists)
-
     def test_unknown_key_raises_with_available_set(self):
         with pytest.raises(KeyError, match="dense"):
-            get_backend("nope")
+            get_engine("nope")
 
     def test_unregister_unknown_raises(self):
         with pytest.raises(KeyError):
-            unregister_backend("nope")
+            unregister_engine("nope")
 
 
 class TestRegistration:
     def test_register_and_unregister(self):
-        backend = MBFBackend(name="test-third-party", le_lists=lambda G, r, **kw: (None, 0))
+        engine = MBFEngine(name="test-third-party", le_lists_batch=_le_only)
         try:
-            register_backend(backend)
-            assert get_backend("test-third-party") is backend
-            assert "test-third-party" in available_backends()
+            register_engine(engine)
+            assert get_engine("test-third-party") is engine
+            assert "test-third-party" in available_engines()
         finally:
-            unregister_backend("test-third-party")
-        assert "test-third-party" not in available_backends()
+            unregister_engine("test-third-party")
+        assert "test-third-party" not in available_engines()
 
     def test_duplicate_requires_overwrite(self):
-        backend = MBFBackend(name="test-dup", le_lists=lambda G, r, **kw: (None, 0))
+        engine = MBFEngine(name="test-dup", le_lists_batch=_le_only)
         try:
-            register_backend(backend)
+            register_engine(engine)
             with pytest.raises(ValueError, match="already registered"):
-                register_backend(backend)
-            replacement = MBFBackend(name="test-dup", le_lists=lambda G, r, **kw: (None, 1))
-            register_backend(replacement, overwrite=True)
-            assert get_backend("test-dup") is replacement
+                register_engine(engine)
+            replacement = MBFEngine(name="test-dup", le_lists_batch=lambda G, r, **kw: None)
+            register_engine(replacement, overwrite=True)
+            assert get_engine("test-dup") is replacement
         finally:
-            unregister_backend("test-dup")
+            unregister_engine("test-dup")
 
     def test_backend_validation(self):
+        """An LE-list-only engine (what EmbeddingConfig.backend names) is
+        validated like any other."""
         with pytest.raises(ValueError):
-            MBFBackend(name="", le_lists=lambda G, r: (None, 0))
+            MBFEngine(name="", le_lists_batch=_le_only)
         with pytest.raises(TypeError):
-            MBFBackend(name="x", le_lists="not-callable")
+            MBFEngine(name="x", le_lists_batch="not-callable")
         with pytest.raises(TypeError):
-            register_backend("dense")
+            register_engine("dense")
 
 
 class TestBackendEquivalence:
+    """The two built-in LE-list drivers agree sample by sample."""
+
     def test_dense_and_reference_agree(self):
         g = gen.random_graph(14, 30, rng=0)
-        rank = np.random.default_rng(1).permutation(g.n)
-        dense, it_d = get_backend("dense").le_lists(g, rank)
-        ref, it_r = get_backend("reference").le_lists(g, rank)
-        assert isinstance(ref, FlatStates)
-        assert dense.to_dicts() == pytest.approx(ref.to_dicts())
-        assert it_d == it_r
+        rng = np.random.default_rng(1)
+        ranks = np.stack([rng.permutation(g.n) for _ in range(2)])
+        dense, it_d = get_engine("dense").le_lists_batch(g, ranks)
+        ref, it_r = get_engine("reference").le_lists_batch(g, ranks)
+        assert isinstance(ref, BatchedFlatStates)
+        for s in range(2):
+            assert dense.sample_states(s).to_dicts() == pytest.approx(
+                ref.sample_states(s).to_dicts()
+            )
+        assert np.array_equal(it_d, it_r)
 
     def test_fixed_iteration_count(self):
         g = gen.cycle(10, rng=2)
-        rank = np.random.default_rng(3).permutation(g.n)
-        dense, it_d = get_backend("dense").le_lists(g, rank, h=2)
-        ref, it_r = get_backend("reference").le_lists(g, rank, h=2)
-        assert it_d == it_r == 2
-        assert dense.to_dicts() == pytest.approx(ref.to_dicts())
+        ranks = np.random.default_rng(3).permutation(g.n)[None, :]
+        dense, it_d = get_engine("dense").le_lists_batch(g, ranks, h=2)
+        ref, it_r = get_engine("reference").le_lists_batch(g, ranks, h=2)
+        assert it_d.tolist() == it_r.tolist() == [2]
+        assert dense.sample_states(0).to_dicts() == pytest.approx(
+            ref.sample_states(0).to_dicts()
+        )
 
     def test_rank_validated(self):
         g = gen.cycle(6, rng=4)
-        bad = np.zeros(6, dtype=np.int64)
-        for name in ("dense", "reference"):
-            with pytest.raises(ValueError):
-                get_backend(name).le_lists(g, bad)
+        for bad in (np.zeros((1, 6), dtype=np.int64), np.arange(6)):
+            for name in ("dense", "reference"):
+                with pytest.raises(ValueError):
+                    get_engine(name).le_lists_batch(g, bad)
 
 
 class TestEngineRegistry:
     def test_builtin_engines_and_capabilities(self):
-        assert set(available_engines()) >= {"dense", "dense-batched", "reference"}
+        assert set(available_engines()) >= {"dense", "reference"}
         dense = get_engine("dense")
         ref = get_engine("reference")
         assert "distance-map" in dense.families and "min-plus" in dense.families
@@ -123,12 +131,9 @@ class TestEngineRegistry:
         with pytest.raises(ValueError, match="families"):
             MBFEngine(name="x", solve=lambda *a, **k: None)  # solve without families
         with pytest.raises(ValueError, match="families"):
-            MBFEngine(name="x", families=("min-plus",), le_lists=lambda *a, **k: None)
+            MBFEngine(name="x", families=("min-plus",), le_lists_batch=_le_only)
         with pytest.raises(ValueError, match="capability"):
             MBFEngine(name="x")
-        with pytest.raises(ValueError, match="serial le_lists"):
-            # batch-only engines are unreachable from every driver surface
-            MBFEngine(name="x", le_lists_batch=lambda *a, **k: None)
         with pytest.raises(ValueError, match="unknown state families"):
             # typo'd family names must fail loudly, not register unselectably
             MBFEngine(name="x", solve=lambda *a, **k: None, families=("min_plus",))
@@ -156,10 +161,7 @@ class TestEngineRegistry:
             assert out == "custom" and calls == ["k-SDP(k=1, s=0)"]
             # ...but auto still prefers the built-in preference order.
             assert resolve_engine(problems.k_sdp(4, 1, sink=0)).name == "reference"
-            # Engines without LE drivers are not backends.
-            assert "test-custom" not in available_backends()
-            with pytest.raises(KeyError, match="unknown MBF backend"):
-                get_backend("test-custom")
+            assert eng.le_lists_batch is None  # solve-only: cannot sample trees
         finally:
             unregister_engine("test-custom")
         assert "test-custom" not in available_engines()
@@ -167,8 +169,9 @@ class TestEngineRegistry:
             unregister_engine("test-custom")
 
     def test_solve_only_engine_name_not_free_for_backends(self):
-        """A natively registered solve-only engine is another plugin's
-        slot: register_backend must not silently graft onto it."""
+        """A registered solve-only engine is another plugin's slot: an
+        LE-list engine under the same name needs overwrite=True, so
+        nothing grafts onto it silently."""
         register_engine(
             MBFEngine(
                 name="test-solve-only",
@@ -179,27 +182,34 @@ class TestEngineRegistry:
         )
         try:
             with pytest.raises(ValueError, match="already registered"):
-                register_backend(
-                    MBFBackend(name="test-solve-only", le_lists=lambda *a, **k: (None, 0))
-                )
+                register_engine(MBFEngine(name="test-solve-only", le_lists_batch=_le_only))
             assert get_engine("test-solve-only").description == "plugin A engine"
         finally:
             unregister_engine("test-solve-only")
 
-    def test_backend_overwrite_takes_both_le_drivers_verbatim(self):
-        """Overwriting takes the backend's LE drivers exactly as given —
-        inheriting the old batched driver next to a new serial one would
-        silently pair two different engines in serial vs batched mode;
-        a missing batched driver must instead fail loudly there."""
-        orig = get_backend("dense")
+    def test_backend_overwrite_keeps_solve_capability(self):
+        """Overwriting a built-in with an instrumented LE-list driver (the
+        record copied with one field replaced) keeps its solve capability
+        and provenance, and the pipeline samples through the new driver."""
+        orig = get_engine("dense")
+        calls = []
+
+        def wrapped(G, ranks, **kw):
+            calls.append(len(ranks))
+            return orig.le_lists_batch(G, ranks, **kw)
+
+        g = gen.path_graph(5)
         try:
-            register_backend(MBFBackend(name="dense", le_lists=orig.le_lists), overwrite=True)
-            assert get_engine("dense").le_lists_batch is None
-            assert get_backend("dense").le_lists_batch is None
+            register_engine(dataclasses.replace(orig, le_lists_batch=wrapped), overwrite=True)
+            cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"), seed=0)
+            Pipeline(g, cfg).sample_ensemble(k=2)
+            assert calls == [2]  # the instrumented driver is live...
+            out, _ = solve(g, problems.sssp(5, 0), engine="dense")
+            assert np.array_equal(out, [0.0, 1.0, 2.0, 3.0, 4.0])  # ...solve intact
+            assert get_engine("dense").module == "repro.mbf.dense"
         finally:
-            register_backend(orig, overwrite=True)
-        assert get_backend("dense") is orig
-        assert get_engine("dense").le_lists_batch is orig.le_lists_batch
+            register_engine(orig, overwrite=True)
+        assert get_engine("dense") is orig
 
     def test_minimal_solve_signature_cap_error(self):
         """A driver with the minimal documented signature works without a
@@ -232,108 +242,21 @@ class TestEngineRegistry:
         with pytest.raises(ValueError, match="dense form"):
             resolve_engine(stripped, "dense")
 
-    def test_backend_overwrite_keeps_solve_capability(self):
-        """A legacy register_backend(..., overwrite=True) round-trip on a
-        built-in name swaps the LE drivers but must not strip the engine's
-        solve capability."""
-        orig = get_backend("dense")
-        calls = []
-
-        def wrapped(G, rank, **kw):
-            calls.append(1)
-            return orig.le_lists(G, rank, **kw)
-
-        g = gen.path_graph(5)
-        try:
-            register_backend(
-                MBFBackend(name="dense", le_lists=wrapped), overwrite=True
-            )
-            lists, _ = get_backend("dense").le_lists(g, np.arange(5))
-            assert calls  # the instrumented driver is live...
-            out, _ = solve(g, problems.sssp(5, 0), engine="dense")
-            assert np.array_equal(out, [0.0, 1.0, 2.0, 3.0, 4.0])  # ...solve intact
-            # the engine's provenance fields survive a blank-field backend
-            assert get_engine("dense").module == "repro.mbf.dense"
-            assert get_engine("dense").description
-        finally:
-            register_backend(orig, overwrite=True)
-        assert get_backend("dense").le_lists is orig.le_lists
-        assert get_engine("dense").solve is not None
-
-    def test_unregister_backend_keeps_solve_engine(self):
-        """unregister_backend removes the LE view; a solve driver on the
-        same record survives (LE-only engines are removed entirely)."""
-
-        def my_solve(G, problem, *, h=None, ledger=None, **kw):
-            return "x", 0
-
-        register_engine(
-            MBFEngine(
-                name="test-both",
-                solve=my_solve,
-                families=("all-paths",),
-                le_lists=lambda G, r, **kw: (None, 0),
-            )
-        )
-        try:
-            assert "test-both" in available_backends()
-            unregister_backend("test-both")
-            assert "test-both" not in available_backends()
-            assert "test-both" in available_engines()  # solve survives
-            with pytest.raises(KeyError, match="unknown MBF backend"):
-                get_backend("test-both")
-            assert get_engine("test-both").solve is my_solve
-            # The freed name accepts a fresh backend registration (no
-            # overwrite needed — the legacy unregister/register round-trip)
-            # and the solve capability merges back in.
-            fresh = MBFBackend(name="test-both", le_lists=lambda G, r, **kw: (None, 1))
-            register_backend(fresh)
-            assert get_backend("test-both") is fresh
-            assert get_engine("test-both").solve is my_solve
-        finally:
-            unregister_engine("test-both")
-
-    def test_backend_shim_projects_engine_record(self):
-        """get_backend is a deprecated, identity-stable view over engines."""
-        dense = get_engine("dense")
-        view = get_backend("dense")
-        assert view.le_lists is dense.le_lists
-        assert view.le_lists_batch is dense.le_lists_batch
-        assert view.description == dense.description
-        assert get_backend("dense") is view  # cached: stable identity
-
 
 class TestBatchedDrivers:
-    def test_dense_batched_registered(self):
-        b = get_backend("dense-batched")
-        assert b.module == "repro.mbf.dense"
-        assert callable(b.le_lists) and callable(b.le_lists_batch)
-        assert get_backend("dense").le_lists_batch is b.le_lists_batch
-
-    def test_reference_has_no_batch_driver(self):
-        assert get_backend("reference").le_lists_batch is None
-
     def test_le_lists_batch_validated(self):
         with pytest.raises(TypeError, match="le_lists_batch"):
-            MBFBackend(name="x", le_lists=lambda *a, **k: None, le_lists_batch=42)
-
-    def test_dense_batched_single_sample_parity(self):
-        """dense-batched's scalar driver routes through the batched engine
-        with k=1 and matches the dense driver bit for bit."""
-        g = gen.random_graph(20, 45, rng=30)
-        rank = np.random.default_rng(31).permutation(g.n)
-        a, it_a = get_backend("dense").le_lists(g, rank)
-        b, it_b = get_backend("dense-batched").le_lists(g, rank)
-        assert it_a == it_b
-        assert a.equals(b)
+            MBFEngine(name="x", le_lists_batch=42)
 
     def test_batch_driver_matches_scalar_driver(self):
+        """Sample s of a batch equals the k = 1 call on ranks[s]."""
         g = gen.random_graph(16, 35, rng=32)
         rng = np.random.default_rng(33)
         ranks = np.stack([rng.permutation(g.n) for _ in range(3)])
-        batch = get_backend("dense").le_lists_batch
-        lists, iters = batch(g, ranks)
-        for s in range(3):
-            expect, it = get_backend("dense").le_lists(g, ranks[s])
-            assert lists.sample_states(s).equals(expect)
-            assert int(iters[s]) == it
+        for name in ("dense", "reference"):
+            batch = get_engine(name).le_lists_batch
+            lists, iters = batch(g, ranks)
+            for s in range(3):
+                expect, it = batch(g, ranks[s : s + 1])
+                assert lists.sample_states(s).equals(expect.sample_states(0))
+                assert iters[s] == it[0]

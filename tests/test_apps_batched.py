@@ -46,7 +46,7 @@ def _direct_forest(g, size, seed):
     pipe = Pipeline(
         g, PipelineConfig(embedding=EmbeddingConfig(method="direct")), rng=seed
     )
-    res = pipe.sample_ensemble(size, seed=seed, mode="batched")
+    res = pipe.sample_ensemble(size, seed=seed)
     assert res.forest is not None
     return res.forest
 
@@ -239,7 +239,6 @@ class TestBuyAtBulkEnsemble:
         demands = _random_demands(g.n, 10, 41)
         res = buy_at_bulk(g, demands, CABLES, rng=42, trees=5)
         assert res.meta["trees"] == 5
-        assert res.meta["mode"] == "batched"
         assert len(res.meta["tree_costs"]) == 5
         assert res.meta["best_sample"] == int(np.argmin(res.meta["tree_costs"]))
         assert res.tree_cost == min(res.meta["tree_costs"])
@@ -316,7 +315,6 @@ class TestKMedianBatchedPath:
         g = gen.random_graph(40, 100, rng=60)
         res = kmedian(g, 4, trees=5, rng=61)
         assert isinstance(res, KMedianResult)
-        assert res.meta["mode"] == "batched"
         assert res.meta["trees"] == 5
         assert res.facilities.size <= 4
 

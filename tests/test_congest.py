@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.congest import RoundLedger, khan_le_lists, skeleton_frt
-from repro.frt import compute_le_lists
+from repro.frt import compute_le_lists_batch
 from repro.graph import generators as gen
 from repro.graph.shortest_paths import dijkstra_distances, shortest_path_diameter
 
@@ -43,7 +43,7 @@ class TestKhan:
         for g in small_graphs:
             rank = np.random.default_rng(0).permutation(g.n)
             lists, iters, _ = khan_le_lists(g, rank)
-            want, _ = compute_le_lists(g, rank)
+            want = compute_le_lists_batch(g, rank[None, :])[0].sample_states(0)
             assert lists.equals(want)
 
     def test_iterations_at_most_spd_plus_one(self):

@@ -38,6 +38,7 @@ from repro.mbf.dense import (
 )
 from repro.oracle import HOracle
 from repro.pram import CostLedger
+from repro.simulated import SimulatedGraph
 
 
 def _ranks(k, n, seed):
@@ -278,57 +279,65 @@ class TestRunDenseBatchedParity:
             run_dense_batched(g, BatchedLEFilter(_ranks(2, g.n, 19)), 3)
 
 
+def _integer_weights(g, seed):
+    w = np.random.default_rng(seed).integers(1, 5, g.m).astype(np.float64)
+    return Graph(g.n, g.edges, w, validate=False)
+
+
 class TestOracleRunBatchParity:
+    """Each sample of ``run_batch`` equals ``run_dense`` on the materialized
+    ``H`` (Lemma 5.1).  Integer weights and the dyadic penalty base 1.5
+    (eps = 0.5) make every path weight exact, so states compare bitwise."""
+
     def _oracle(self, g, seed, **kwargs):
         rng = np.random.default_rng(seed)
-        hop = rounded_hopset(hub_hopset(g, 4, rng=rng), g, 0.25)
-        return HOracle(hop, rng=rng, **kwargs)
+        g = _integer_weights(g, seed)
+        hop = rounded_hopset(hub_hopset(g, 4, rng=rng), g, 0.5)
+        oracle = HOracle(hop, rng=rng, **kwargs)
+        return oracle, SimulatedGraph.build(hop, levels=oracle.levels).to_graph()
+
+    def _assert_matches_h(self, oracle, GH, ranks, **kw):
+        batched, iters = oracle.run_batch(BatchedLEFilter(ranks), len(ranks), **kw)
+        _assert_batch_matches_serial(
+            batched, iters, [run_dense(GH, LEFilter(r), **kw) for r in ranks]
+        )
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_le_lists_bit_identical(self, k):
         g = gen.cycle(20, wmin=1, wmax=2, rng=20)
-        oracle = self._oracle(g, 21)
-        ranks = _ranks(k, g.n, 22)
-        serial = [oracle.run(LEFilter(r)) for r in ranks]
-        batched, iters = oracle.run_batch(BatchedLEFilter(ranks), k)
-        _assert_batch_matches_serial(batched, iters, serial)
+        oracle, GH = self._oracle(g, 21)
+        self._assert_matches_h(oracle, GH, _ranks(k, g.n, 22))
 
     def test_ledgers_bit_identical(self):
+        """A sample's ledger does not depend on the rest of the batch: it
+        equals the k = 1 run (``HOracle.run``) of that sample alone."""
         g = gen.random_graph(18, 40, rng=23)
-        oracle = self._oracle(g, 24)
+        oracle, _ = self._oracle(g, 24)
         ranks = _ranks(3, g.n, 25)
-        serial_ledgers = [CostLedger() for _ in range(3)]
+        single_ledgers = [CostLedger() for _ in range(3)]
         batch_ledgers = [CostLedger() for _ in range(3)]
-        for r, led in zip(ranks, serial_ledgers):
+        for r, led in zip(ranks, single_ledgers):
             oracle.run(LEFilter(r), ledger=led)
         oracle.run_batch(BatchedLEFilter(ranks), 3, ledgers=batch_ledgers)
-        for s, (a, b) in enumerate(zip(serial_ledgers, batch_ledgers)):
+        for s, (a, b) in enumerate(zip(single_ledgers, batch_ledgers)):
             assert (a.work, a.depth) == (b.work, b.depth), f"sample {s}"
 
     def test_without_inner_early_exit(self):
-        """The literal (Λ+1)·d inner cost path batches identically too."""
+        """The literal (Λ+1)·d inner cost path computes H exactly too."""
         g = gen.cycle(14, rng=26)
-        oracle = self._oracle(g, 27, inner_early_exit=False)
-        ranks = _ranks(3, g.n, 28)
-        serial = [oracle.run(LEFilter(r)) for r in ranks]
-        batched, iters = oracle.run_batch(BatchedLEFilter(ranks), 3)
-        _assert_batch_matches_serial(batched, iters, serial)
+        oracle, GH = self._oracle(g, 27, inner_early_exit=False)
+        self._assert_matches_h(oracle, GH, _ranks(3, g.n, 28))
 
     def test_fixed_h_mode(self):
         g = gen.cycle(12, rng=29)
-        oracle = self._oracle(g, 30)
-        ranks = _ranks(2, g.n, 31)
-        batched, iters = oracle.run_batch(BatchedLEFilter(ranks), 2, h=2)
-        assert iters.tolist() == [2, 2]
-        for s, r in enumerate(ranks):
-            expect, _ = oracle.run(LEFilter(r), h=2)
-            assert batched.sample_states(s).equals(expect)
+        oracle, GH = self._oracle(g, 30)
+        self._assert_matches_h(oracle, GH, _ranks(2, g.n, 31), h=2)
 
     def test_minfilter_apsp_batch(self):
         """run_batch with a sample-oblivious filter: batched APSP on H."""
         g = gen.cycle(10, rng=32)
-        oracle = self._oracle(g, 33)
-        expect, it = oracle.run(MinFilter())
+        oracle, GH = self._oracle(g, 33)
+        expect, it = run_dense(GH, MinFilter())
         batched, iters = oracle.run_batch(MinFilter(), 2)
         assert iters.tolist() == [it, it]
         for s in range(2):

@@ -3,28 +3,32 @@
 import numpy as np
 import pytest
 
+from repro.api import EmbeddingConfig, Pipeline, PipelineConfig
 from repro.frt import (
     decomposition_of,
     FRTEnsemble,
-    sample_ensemble,
     sample_frt_tree,
     sample_frt_tree_via_oracle,
 )
 from repro.graph import generators as gen
 from repro.graph.shortest_paths import dijkstra_distances
+from repro.util.rng import spawn_rngs
+
+DIRECT = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
 
 
 class TestEnsembleBasics:
     def test_sample_size(self):
         g = gen.cycle(16, rng=0)
-        ens = sample_ensemble(g, 5, rng=1)
+        ens = Pipeline(g, DIRECT).sample_ensemble(5, seed=1).ensemble()
         assert ens.size == 5
         assert ens.n == 16
+        assert ens.forest is not None
 
     def test_size_validation(self):
         g = gen.cycle(8, rng=0)
         with pytest.raises(ValueError):
-            sample_ensemble(g, 0)
+            Pipeline(g, DIRECT).sample_ensemble(0)
         with pytest.raises(ValueError):
             FRTEnsemble([])
 
@@ -35,15 +39,12 @@ class TestEnsembleBasics:
             FRTEnsemble([a, b])
 
     def test_custom_sampler(self):
+        """An ensemble of trees from the caller's own sampling loop; without
+        a forest, queries take the per-tree loop."""
         g = gen.cycle(16, rng=2)
-        calls = []
-
-        def sampler(rng):
-            calls.append(1)
-            return sample_frt_tree(g, rng=rng)
-
-        ens = sample_ensemble(g, 3, rng=3, sampler=sampler)
-        assert len(calls) == 3 and ens.size == 3
+        ens = FRTEnsemble([sample_frt_tree(g, rng=r) for r in spawn_rngs(3, 3)])
+        assert ens.size == 3 and ens.forest is None
+        assert ens.distances([0], [8]).shape == (3, 1)
 
     def test_oracle_sampler_integration(self):
         from repro.hopsets import hub_hopset
@@ -51,19 +52,17 @@ class TestEnsembleBasics:
 
         g = gen.cycle(20, rng=4)
         oracle = HOracle(hub_hopset(g, d0=3, rng=5), rng=6)
-        ens = sample_ensemble(
-            g,
-            3,
-            rng=7,
-            sampler=lambda rng: sample_frt_tree_via_oracle(g, oracle=oracle, rng=rng),
-        )
+        ens = Pipeline(g, PipelineConfig(), oracle=oracle).sample_ensemble(3, seed=7).ensemble()
         assert ens.size == 3
+        # the same oracle serves the single-tree wrapper too
+        emb = sample_frt_tree_via_oracle(g, oracle=oracle, rng=7)
+        assert FRTEnsemble([emb, *ens.embeddings]).size == 4
 
 
 class TestEnsembleDistances:
     def setup_method(self):
         self.g = gen.grid(5, 5, rng=10)
-        self.ens = sample_ensemble(self.g, 8, rng=11)
+        self.ens = Pipeline(self.g, DIRECT).sample_ensemble(8, seed=11).ensemble()
         self.D = dijkstra_distances(self.g)
 
     def test_distances_shape(self):
@@ -97,13 +96,8 @@ class TestEnsembleDistances:
 
 class TestForestBackedEnsemble:
     def setup_method(self):
-        from repro.api import EmbeddingConfig, Pipeline, PipelineConfig
-
         self.g = gen.random_graph(40, 110, rng=30)
-        cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
-        self.res = Pipeline(self.g, cfg).sample_ensemble(
-            k=6, seed=3, mode="batched"
-        )
+        self.res = Pipeline(self.g, DIRECT).sample_ensemble(k=6, seed=3)
 
     def test_forest_and_loop_queries_identical(self):
         ens = self.res.ensemble()
@@ -127,12 +121,7 @@ class TestForestBackedEnsemble:
     def test_shape_compatible_wrong_forest_rejected(self):
         # Same graph, same k, different seed: (size, n) match but the
         # trees differ — the per-sample invariants must catch it.
-        from repro.api import EmbeddingConfig, Pipeline, PipelineConfig
-
-        cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
-        other = Pipeline(self.g, cfg).sample_ensemble(
-            k=6, seed=99, mode="batched"
-        )
+        other = Pipeline(self.g, DIRECT).sample_ensemble(k=6, seed=99)
         with pytest.raises(ValueError):
             FRTEnsemble(list(self.res.embeddings), forest=other.forest)
 

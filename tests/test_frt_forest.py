@@ -10,8 +10,14 @@ exactly.
 import numpy as np
 import pytest
 
-from repro.api import EmbeddingConfig, HopsetConfig, Pipeline, PipelineConfig
-from repro.frt import FRTForest, build_frt_forest, build_frt_tree
+from repro.api import (
+    EmbeddingConfig,
+    ExecutionConfig,
+    HopsetConfig,
+    Pipeline,
+    PipelineConfig,
+)
+from repro.frt import FRTEnsemble, FRTForest, build_frt_forest, build_frt_tree
 from repro.frt.lelists import (
     compute_le_lists_batch,
     compute_le_lists_batch_via_oracle,
@@ -21,6 +27,7 @@ from repro.graph.core import Graph
 from repro.hopsets import hub_hopset
 from repro.mbf.dense import BatchedFlatStates
 from repro.oracle import HOracle
+from repro.util.rng import spawn_rngs, split_seed
 
 TREE_ARRAYS = (
     "radii",
@@ -373,36 +380,44 @@ class TestPipelineForest:
     def test_batched_result_carries_forest(self):
         g = gen.random_graph(48, 130, rng=30)
         cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
-        res = Pipeline(g, cfg).sample_ensemble(k=6, seed=0, mode="batched")
+        res = Pipeline(g, cfg).sample_ensemble(k=6, seed=0)
         assert isinstance(res.forest, FRTForest)
         assert res.forest.size == 6
         ens = res.ensemble()
         assert ens.forest is res.forest
 
-    def test_serial_result_has_no_forest(self):
+    def test_one_tree_at_a_time_still_carries_forest(self):
+        """shard_size=1 samples one tree at a time in-process and still
+        returns the stacked forest."""
         g = gen.random_graph(32, 90, rng=31)
         cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
-        res = Pipeline(g, cfg).sample_ensemble(k=3, seed=0, mode="serial")
-        assert res.forest is None
-        assert res.ensemble().forest is None
+        res = Pipeline(g, cfg).sample_ensemble(
+            k=3, seed=0, execution=ExecutionConfig(shard_size=1)
+        )
+        assert isinstance(res.forest, FRTForest) and res.forest.size == 3
+        assert res.ensemble().forest is res.forest
 
     def test_batched_trees_match_serial_mode(self):
+        """The ensemble's forest views equal trees sampled one by one with
+        ``Pipeline.sample()`` on the same child generators."""
         g = gen.random_graph(48, 130, rng=32)
         cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
-        a = Pipeline(g, cfg).sample_ensemble(k=5, seed=7, mode="serial")
-        b = Pipeline(g, cfg).sample_ensemble(k=5, seed=7, mode="batched")
+        pipe = Pipeline(g, cfg)
+        b = pipe.sample_ensemble(k=5, seed=7)
+        a = [pipe.sample(rng=c) for c in spawn_rngs(split_seed(7, 2)[1], 5)]
         for ea, eb in zip(a, b):
             _assert_tree_identical(eb.tree, ea.tree)
         iu, ju = np.triu_indices(g.n, k=1)
         assert np.array_equal(
-            a.ensemble().distances(iu, ju), b.ensemble().distances(iu, ju)
+            FRTEnsemble(a).distances(iu, ju), b.ensemble().distances(iu, ju)
         )
 
     def test_oracle_pipeline_forest(self):
         g = gen.random_graph(32, 90, rng=33)
         cfg = PipelineConfig(hopset=HopsetConfig(eps=0.25, d0=4))
-        a = Pipeline(g, cfg).sample_ensemble(k=3, seed=1, mode="serial")
-        b = Pipeline(g, cfg).sample_ensemble(k=3, seed=1, mode="batched")
+        pipe = Pipeline(g, cfg)
+        b = pipe.sample_ensemble(k=3, seed=1)
+        a = [pipe.sample(rng=c) for c in spawn_rngs(split_seed(1, 2)[1], 3)]
         assert isinstance(b.forest, FRTForest)
         for ea, eb in zip(a, b):
             _assert_tree_identical(eb.tree, ea.tree)

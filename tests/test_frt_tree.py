@@ -5,7 +5,7 @@ import pytest
 
 from repro.frt import (
     build_frt_tree,
-    compute_le_lists,
+    compute_le_lists_batch,
     le_lists_as_arrays,
     sample_frt_tree,
 )
@@ -14,12 +14,18 @@ from repro.graph import generators as gen
 from repro.graph.shortest_paths import dijkstra_distances, shortest_path_diameter
 
 
+def le_lists_of(g, rank):
+    """LE lists of one order: the k = 1 view of the batched driver."""
+    lists, iters = compute_le_lists_batch(g, np.asarray(rank)[None, :])
+    return lists.sample_states(0), int(iters[0])
+
+
 class TestLEListSemantics:
     def test_definition_brute_force(self, small_graphs):
         """LE list == brute-force domination filter on exact distances."""
         for g in small_graphs:
             rank = np.random.default_rng(1).permutation(g.n)
-            lists, _ = compute_le_lists(g, rank)
+            lists, _ = le_lists_of(g, rank)
             D = dijkstra_distances(g)
             for v in range(g.n):
                 want = {}
@@ -36,15 +42,15 @@ class TestLEListSemantics:
     def test_fixpoint_iterations_at_most_spd(self, small_graphs):
         for g in small_graphs:
             rank = np.random.default_rng(2).permutation(g.n)
-            _, iters = compute_le_lists(g, rank)
+            _, iters = le_lists_of(g, rank)
             assert iters <= shortest_path_diameter(g)
 
     def test_rank_validation(self):
         g = gen.cycle(6)
         with pytest.raises(ValueError):
-            compute_le_lists(g, np.zeros(6, dtype=np.int64))
+            le_lists_of(g, np.zeros(6, dtype=np.int64))
         with pytest.raises(ValueError):
-            compute_le_lists(g, np.arange(5))
+            le_lists_of(g, np.arange(5))
 
     def test_length_logarithmic(self):
         # Lemma 7.6: |LE list| ∈ O(log n) w.h.p.
@@ -52,7 +58,7 @@ class TestLEListSemantics:
         lengths = []
         for seed in range(5):
             rank = np.random.default_rng(seed).permutation(g.n)
-            lists, _ = compute_le_lists(g, rank)
+            lists, _ = le_lists_of(g, rank)
             lengths.append(max_list_length(lists))
         assert max(lengths) <= 4 * np.log2(g.n)
 
@@ -63,7 +69,7 @@ class TestLEListSemantics:
         reps = 20
         for seed in range(reps):
             rank = np.random.default_rng(seed).permutation(g.n)
-            lists, _ = compute_le_lists(g, rank)
+            lists, _ = le_lists_of(g, rank)
             tot += lists.counts().mean()
         avg = tot / reps
         assert 0.3 * np.log(g.n) <= avg <= 3 * np.log(g.n)
@@ -71,7 +77,7 @@ class TestLEListSemantics:
     def test_as_arrays(self):
         g = gen.cycle(8, rng=0)
         rank = np.random.default_rng(0).permutation(8)
-        lists, _ = compute_le_lists(g, rank)
+        lists, _ = le_lists_of(g, rank)
         arrays = le_lists_as_arrays(lists)
         assert len(arrays) == 8
         ids, dists = arrays[3]
@@ -81,7 +87,7 @@ class TestLEListSemantics:
 class TestTreeConstruction:
     def _tree(self, g, seed=0, beta=1.5):
         rank = np.random.default_rng(seed).permutation(g.n)
-        lists, _ = compute_le_lists(g, rank)
+        lists, _ = le_lists_of(g, rank)
         wmin, _ = g.weight_bounds()
         return build_frt_tree(lists, rank, beta, wmin), rank
 
@@ -184,7 +190,7 @@ class TestTreeConstruction:
     def test_beta_validation(self):
         g = gen.cycle(6, rng=0)
         rank = np.random.default_rng(0).permutation(6)
-        lists, _ = compute_le_lists(g, rank)
+        lists, _ = le_lists_of(g, rank)
         with pytest.raises(ValueError):
             build_frt_tree(lists, rank, 2.5, 1.0)
         with pytest.raises(ValueError):
@@ -193,7 +199,7 @@ class TestTreeConstruction:
     def test_wmin_must_lower_bound_distances(self):
         g = gen.cycle(6, wmin=1, wmax=1, rng=0)
         rank = np.random.default_rng(0).permutation(6)
-        lists, _ = compute_le_lists(g, rank)
+        lists, _ = le_lists_of(g, rank)
         with pytest.raises(ValueError):
             build_frt_tree(lists, rank, 1.0, 10.0)  # r_0 swallows neighbors
 

@@ -11,9 +11,9 @@ import pytest
 from repro.apps.buyatbulk import CableType, Demand, buy_at_bulk
 from repro.apps.kmedian import kmedian, kmedian_cost
 from repro.congest import skeleton_frt
+from repro.api import EmbeddingConfig, Pipeline, PipelineConfig
 from repro.frt import (
     decomposition_of,
-    sample_ensemble,
     sample_frt_tree,
     sample_frt_tree_via_oracle,
 )
@@ -93,7 +93,8 @@ def test_ensemble_drives_buyatbulk():
     g = gen.grid(5, 5, rng=40)
     demands = [Demand(0, 24, 7.0), Demand(4, 20, 3.0), Demand(2, 22, 5.0)]
     cables = [CableType(1.0, 1.0), CableType(10.0, 3.0)]
-    ens = sample_ensemble(g, 4, rng=41)
+    cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
+    ens = Pipeline(g, cfg).sample_ensemble(4, seed=41).ensemble()
     results = [
         buy_at_bulk(g, demands, cables, embedding=emb) for emb in ens.embeddings
     ]
@@ -120,14 +121,19 @@ def test_identity_hopset_oracle_degenerates_to_direct():
     metric, so its LE lists equal the direct graph LE lists."""
     g = gen.grid(4, 5, rng=60)
     rank = np.random.default_rng(61).permutation(g.n)
-    from repro.frt.lelists import compute_le_lists, compute_le_lists_via_oracle
+    from repro.frt.lelists import (
+        compute_le_lists_batch,
+        compute_le_lists_batch_via_oracle,
+    )
 
     hop = identity_hopset(g)
     oracle = HOracle(hop, rng=62)
-    direct, _ = compute_le_lists(g, rank)
-    via, iters = compute_le_lists_via_oracle(oracle, rank)
-    assert via.to_dicts() == pytest.approx(direct.to_dicts())
-    assert iters == 1  # H is a metric: single iteration
+    direct, _ = compute_le_lists_batch(g, rank[None, :])
+    via, iters = compute_le_lists_batch_via_oracle(oracle, rank[None, :])
+    assert via.sample_states(0).to_dicts() == pytest.approx(
+        direct.sample_states(0).to_dicts()
+    )
+    assert iters.tolist() == [1]  # H is a metric: single iteration
 
 
 def test_ledger_composition_across_pipeline():

@@ -15,7 +15,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from repro.api import EmbeddingConfig, Pipeline, PipelineConfig
+from repro.api import CostLedger, EmbeddingConfig, Pipeline, PipelineConfig, PipelineResult
 from repro.graph import generators as gen
 from repro.graph.core import Graph
 from repro.io import (
@@ -52,9 +52,7 @@ def _pipeline(n=40, *, seed=11, graph_rng=3, wmax=8.0):
 
 
 def _result(n=40, k=5, *, seed=11, batch_seed=7, wmax=8.0):
-    return _pipeline(n, seed=seed, wmax=wmax).sample_ensemble(
-        k, seed=batch_seed, mode="batched"
-    )
+    return _pipeline(n, seed=seed, wmax=wmax).sample_ensemble(k, seed=batch_seed)
 
 
 def _assert_forest_identical(got, want):
@@ -119,7 +117,7 @@ def test_forest_round_trip_single_vertex(tmp_path):
     """n=1: the smallest legal forest (one leaf per sample) round-trips."""
     g = Graph(1, np.empty((0, 2), dtype=np.int64), np.empty(0))
     pipe = Pipeline(g, PipelineConfig(embedding=EmbeddingConfig(method="direct"), seed=0))
-    forest = pipe.sample_ensemble(3, seed=1, mode="batched").forest
+    forest = pipe.sample_ensemble(3, seed=1).forest
     path = tmp_path / "one.rpz"
     save_forest(path, forest)
     loaded = load_forest(path, mmap=True)
@@ -226,11 +224,13 @@ def test_from_artifacts_round_trip_is_read_only(tmp_path, monkeypatch):
 
 
 def test_result_save_requires_batched_mode(tmp_path):
+    """The stacked forest is the storage format: every ensemble carries
+    one, and a hand-built result without it cannot be saved."""
     pipe = _pipeline(24)
-    serial = pipe.sample_ensemble(2, seed=3, mode="serial")
-    assert serial.forest is None
-    with pytest.raises(ValueError, match="batched"):
-        serial.save(tmp_path / "nope.rpz")
+    hand_built = PipelineResult(embeddings=[pipe.sample()], ledger=CostLedger())
+    assert hand_built.forest is None
+    with pytest.raises(ValueError, match="forest"):
+        hand_built.save(tmp_path / "nope.rpz")
 
 
 def test_facade_save_and_from_artifacts(tmp_path):
@@ -242,7 +242,7 @@ def test_facade_save_and_from_artifacts(tmp_path):
     loaded = Pipeline.from_artifacts(path, mmap=True)
     assert loaded.size == 4
     assert loaded.fingerprint == meta["fingerprint"]
-    reference = _pipeline(32).sample_ensemble(4, seed=9, mode="batched")
+    reference = _pipeline(32).sample_ensemble(4, seed=9)
     us, vs = _query_pairs(32, seed=1)
     assert np.array_equal(
         reference.forest.distances(us, vs), loaded.forest.distances(us, vs)

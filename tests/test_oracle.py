@@ -98,6 +98,42 @@ class TestOracleMatchesMaterializedH:
         assert sum(o_fast.inner_iterations_used) < sum(o_slow.inner_iterations_used)
 
 
+class TestPinnedCosts:
+    """Model costs, iteration counts and inner-iteration statistics of
+    ``HOracle.run`` on one fixed instance, recorded when ``run`` still had
+    its own serial loop; the ``k = 1`` view of ``run_batch`` must reproduce
+    them exactly.  ``(Λ+1)·d = 45`` inner iterations per H-iteration
+    without early exit."""
+
+    PINNED = {
+        ("le", True): (2730864, 624, 4, [45, 37, 34, 34, 33]),
+        ("le", False): (3401924, 639, 4, [45] * 5),
+        ("min", True): (22076377, 876, 5, [45, 42, 39, 38, 36, 33]),
+        ("min", False): (26516377, 889, 5, [45] * 6),
+        ("topk", True): (10063, 70, 1, [8, 7]),
+        ("topk", False): (50863, 198, 1, [45, 45]),
+    }
+
+    @pytest.mark.parametrize("early", [True, False])
+    @pytest.mark.parametrize("filt", ["le", "min", "topk"])
+    def test_run_matches_pinned(self, filt, early):
+        g, hop, _, ref = make_instance()
+        n = g.n
+        oracle = HOracle(hop, levels=ref.levels, inner_early_exit=early)
+        mask = np.zeros(n, dtype=bool)
+        mask[::3] = True
+        spec, x0 = {
+            "le": (LEFilter(np.random.default_rng(n + 1).permutation(n)), None),
+            "min": (MinFilter(), None),
+            "topk": (TopKFilter(2, 10.0, mask), FlatStates.from_sources(n, range(0, n, 3))),
+        }[filt]
+        ledger = CostLedger()
+        _, iters = oracle.run(spec, x0=x0, ledger=ledger)
+        work, depth, want_iters, inner = self.PINNED[(filt, early)]
+        assert (ledger.work, ledger.depth, iters) == (work, depth, want_iters)
+        assert oracle.inner_iterations_used == inner
+
+
 class TestOracleSemantics:
     def test_exact_hopset_fixpoint_in_one_iteration(self):
         # eps = 0 ⇒ H is the exact metric ⇒ SPD(H) = 1.

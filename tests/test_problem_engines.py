@@ -210,14 +210,12 @@ class TestPipelineSolve:
         assert ledger.work > 0
 
     def test_le_lists_problem_matches_backend_driver(self):
-        from repro.api import get_backend
-
         g = gen.random_graph(14, 30, rng=52)
         rank = np.random.default_rng(53).permutation(g.n)
         via_problem, it_p = solve(g, problems.le_lists(g.n, rank))
-        via_backend, it_b = get_backend("dense").le_lists(g, rank)
-        assert via_problem.equals(via_backend)
-        assert it_p == it_b
+        via_backend, it_b = get_engine("dense").le_lists_batch(g, rank[None, :])
+        assert via_problem.equals(via_backend.sample_states(0))
+        assert it_p == it_b[0]
 
     def test_families_are_declared(self):
         insts = _instances(8, np.random.default_rng(1))
