@@ -17,9 +17,11 @@ Measured (cost-ledger units, see repro.pram):
 import numpy as np
 import pytest
 
-from repro.frt import sample_frt_tree, sample_frt_tree_via_oracle
+from repro.api import EmbeddingConfig, HopsetConfig, Pipeline, PipelineConfig
 from repro.graph import generators as gen
 from repro.pram import CostLedger
+
+DIRECT = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
 
 
 @pytest.mark.parametrize("mult", [2, 4, 8])
@@ -29,7 +31,7 @@ def test_e4_work_scales_with_m(benchmark, mult):
 
     def run():
         ledger = CostLedger()
-        sample_frt_tree(g, rng=41, ledger=ledger)
+        Pipeline(g, DIRECT, rng=41).sample(ledger=ledger)
         return ledger
 
     ledger = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -49,7 +51,7 @@ def test_e4_work_slope_near_linear(benchmark):
         for mult in (2, 8):
             g = gen.random_graph(n, mult * n, rng=42)
             ledger = CostLedger()
-            sample_frt_tree(g, rng=43, ledger=ledger)
+            Pipeline(g, DIRECT, rng=43).sample(ledger=ledger)
             works.append(ledger.work)
             ms.append(g.m)
         return np.log(works[1] / works[0]) / np.log(ms[1] / ms[0])
@@ -67,8 +69,10 @@ def test_e4_depth_direct_vs_oracle(benchmark, n):
 
     def run():
         ld, lo = CostLedger(), CostLedger()
-        direct = sample_frt_tree(g, rng=45, ledger=ld)
-        orc = sample_frt_tree_via_oracle(g, eps=eps, rng=46, ledger=lo)
+        direct = Pipeline(g, DIRECT, rng=45).sample(ledger=ld)
+        orc = Pipeline(g, PipelineConfig(hopset=HopsetConfig(eps=eps)), rng=46).sample(
+            ledger=lo
+        )
         return ld, lo, direct.iterations, orc.iterations
 
     ld, lo, it_d, it_o = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -96,7 +100,7 @@ def test_e4_work_vs_matrix_squaring(benchmark):
     def run():
         l_sq, l_le = CostLedger(), CostLedger()
         _, squarings = distance_matrix_by_squaring(g, ledger=l_sq)
-        sample_frt_tree(g, rng=50, ledger=l_le)
+        Pipeline(g, DIRECT, rng=50).sample(ledger=l_le)
         return l_sq, l_le, squarings
 
     l_sq, l_le, squarings = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -122,7 +126,7 @@ def test_e4_oracle_work_below_metric_baseline(benchmark):
 
     def run():
         ledger = CostLedger()
-        res = sample_frt_tree(g, rng=48, ledger=ledger)
+        res = Pipeline(g, DIRECT, rng=48).sample(ledger=ledger)
         return ledger, res
 
     ledger, res = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -59,7 +59,7 @@ def main() -> None:
         f"{result.meta['stats']['oracle_builds']} (amortized), "
         f"ledger work={result.ledger.work}, depth={result.ledger.depth}"
     )
-    d_min = result.ensemble().distance_upper_bounds([0], [n // 2])[0]
+    d_min = result.forest.distance_upper_bounds([0], [n // 2])[0]
     print(f"  min over trees of dist_T(0, {n // 2}) = {d_min:.2f}")
     print(f"  dist_G(0, {n // 2}) = {g.weights[:n // 2].sum():.2f} (via ring)")
 

@@ -21,9 +21,10 @@ is the canonical way to drive it:
   :class:`MBFProblem` values (``problems.sssp(n, source)``, widest paths,
   source detection, connectivity, LE lists, ...), every family runnable on
   any capable engine via :func:`solve` or :meth:`Pipeline.solve`;
-- :mod:`~repro.api.result` — :class:`PipelineResult` (trees + cost ledgers
-  + stage timings + provenance), :class:`SolveResult`, and
-  :class:`DistanceOracle`.
+- :mod:`~repro.api.result` — :class:`PipelineResult` (the one ensemble
+  value: stacked forest, LE lists and ranks + cost ledgers + stage
+  timings + provenance, with per-sample :class:`EmbeddingResult` views),
+  :class:`SolveResult`, and :class:`DistanceOracle`.
 
 Convenience re-exports make the facade self-sufficient for scripts and
 benchmarks: graph construction/generators, ground-truth distances, stretch
@@ -37,7 +38,8 @@ Quickstart::
     g = generators.cycle(64, rng=7)
     pipe = Pipeline(g, PipelineConfig(seed=0))
     result = pipe.sample_ensemble(k=8)       # one hopset/oracle build
-    best, cost = result.ensemble().best_tree_for(my_objective)
+    best, cost = result.best_tree_for(my_objective)
+    d_min = result.forest.distance_upper_bounds([0], [32])
     dist = pipe.distance_oracle().query(0, 32)
 
 See ``API.md`` at the repository root for the full guide and the
@@ -75,7 +77,6 @@ from repro.mbf.problem import FAMILIES, MBFProblem
 # Convenience re-exports: enough surface that examples and benchmarks can
 # drive the whole pipeline importing only from repro.api.
 from repro.frt.embedding import EmbeddingResult
-from repro.frt.ensemble import FRTEnsemble
 from repro.frt.forest import FRTForest, build_frt_forest
 from repro.frt.lelists import max_list_length
 from repro.frt.stretch import StretchReport, evaluate_stretch
@@ -126,7 +127,6 @@ __all__ = [
     "all_pairs",
     "sample_distinct",
     "EmbeddingResult",
-    "FRTEnsemble",
     "FRTForest",
     "build_frt_forest",
     "StretchReport",

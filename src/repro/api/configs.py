@@ -79,6 +79,11 @@ class HopsetConfig(_ConfigBase):
     def __post_init__(self):
         if self.kind not in HOPSET_KINDS:
             raise ValueError(f"hopset kind must be one of {HOPSET_KINDS}, got {self.kind!r}")
+        for name in ("d0", "eps", "c"):
+            # A bool would build the same hop set as 1 / 1.0 under a
+            # different fingerprint.
+            if isinstance(getattr(self, name), bool):
+                raise TypeError(f"hopset {name} must be a number, got a bool")
         if self.d0 is not None and self.d0 < 1:
             raise ValueError("hopset d0 must be >= 1 (or None for the default)")
         if self.d0 is not None and self.kind != "hub":
@@ -240,6 +245,8 @@ class PipelineConfig(_ConfigBase):
             raise TypeError("embedding must be an EmbeddingConfig")
         if not isinstance(self.execution, ExecutionConfig):
             raise TypeError("execution must be an ExecutionConfig")
+        if isinstance(self.seed, bool):
+            raise TypeError("seed must be an int or None, got a bool")
         if self.seed is not None and (not isinstance(self.seed, int) or self.seed < 0):
             raise ValueError("seed must be a non-negative int or None")
 

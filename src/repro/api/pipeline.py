@@ -12,21 +12,23 @@ amortizes them across samples:
 >>> dist = pipe.distance_oracle().query(0, 5)   # ditto
 
 Randomness: the pipeline threads a single :class:`numpy.random.Generator`
-(from ``rng`` or ``config.seed``) through construction and sampling in the
-same order as the legacy free functions, so ``Pipeline(G, cfg, rng=s).sample()``
-is bit-identical to ``sample_frt_tree_via_oracle(G, ..., rng=s)``.  Batch
-sampling spawns one child generator per sample, so results do not depend on
-scheduling (shard size, process pool).
+(from ``rng`` or ``config.seed``) through construction and sampling, so a
+fixed ``rng`` reproduces every artifact and sample.  Batch sampling spawns
+one child generator per sample, so results do not depend on scheduling
+(shard size, process pool).
 
-One sampling path: ``sample()`` is the ``k = 1`` view of the fused batched
-engine that ``sample_ensemble(k)`` runs over shards of the sample axis.
+One sampling path and one ensemble value: ``sample_ensemble(k)`` runs the
+fused batched engine over shards of the sample axis, each shard yields a
+stacked :class:`~repro.api.result.PipelineResult`, and the shards
+concatenate into one; ``sample()`` is element 0 of a one-sample result.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from repro.hopsets.exact_closure import exact_closure_hopset
 from repro.hopsets.identity import identity_hopset
 from repro.hopsets.rounded import rounded_hopset
 from repro.hopsets.skeleton import hub_hopset
-from repro.mbf.dense import FlatStates
+from repro.mbf.dense import BatchedFlatStates
 from repro.metric.approx_metric import MetricResult, metric_from_oracle
 from repro.oracle.oracle import HOracle
 from repro.pram.cost import NULL_LEDGER, CostLedger
@@ -176,21 +178,21 @@ class Pipeline:
         """Sample one FRT tree with the configured method.
 
         The ``k = 1`` view of the batched engine behind
-        :meth:`sample_ensemble`.  ``rng`` defaults to the pipeline's own
-        generator; explicit ``rank`` / ``beta`` values are used verbatim
-        and do *not* consume random state.  ``ledger`` receives the
-        sample's model costs.  The first ``"oracle"``-method call builds
-        (and caches) the hop set and oracle.
+        :meth:`sample_ensemble`: element 0 of a one-sample
+        :class:`~repro.api.result.PipelineResult`.  ``rng`` defaults to
+        the pipeline's own generator; explicit ``rank`` / ``beta`` values
+        are used verbatim and do *not* consume random state.  ``ledger``
+        receives the sample's model costs.  The first ``"oracle"``-method
+        call builds (and caches) the hop set and oracle.
         """
         g = self._rng if rng is None else as_rng(rng)
         # Resolve first, so artifact builds draw from the stream before the
         # sample does and stay outside ``timings["samples"]``.
         self._resolve_sampler()
         t0 = time.perf_counter()
-        core = self._sample_batch_core([g], rank=rank, beta=beta, ledgers=[ledger])
-        (emb,) = self._embeddings(core)
+        part = self._sample_batch_core([g], rank=rank, beta=beta, ledgers=[ledger])
         self._record_samples(1, t0)
-        return emb
+        return part.embeddings[0]
 
     def sample_ensemble(
         self,
@@ -205,14 +207,19 @@ class Pipeline:
         ``k`` samples; each sample draws from its own spawned child
         generator (spawned *before* any fan-out), so the batch is
         bit-reproducible under a fixed ``seed`` regardless of worker count
-        or shard boundaries.  The result always carries the stacked
-        :class:`~repro.frt.forest.FRTForest`.
+        or shard boundaries.  The result is the stacked ensemble value: one
+        :class:`~repro.frt.forest.FRTForest`, one batch of LE lists and a
+        ``(k, n)`` rank matrix.
 
         Parameters
         ----------
+        k:
+            Ensemble size, an int ``>= 1`` (NumPy integers are accepted;
+            ``bool`` is rejected).
         seed:
-            Batch seed.  When given, it determines construction randomness
-            too (if the artifacts are not yet built), so a fresh
+            Batch seed, an int or NumPy integer (not ``bool``).  When
+            given, it determines construction randomness too (if the
+            artifacts are not yet built), so a fresh
             ``Pipeline(G, cfg).sample_ensemble(k, seed=s)`` is fully
             deterministic.  ``None`` continues the pipeline's own stream.
         execution:
@@ -222,15 +229,19 @@ class Pipeline:
             shard runs the fused engine, in-process one after the other
             (``workers=1``) or over a process pool (``workers > 1``), and
             the shards are concatenated
-            (:meth:`~repro.frt.forest.FRTForest.concat`) into the exact
+            (:meth:`~repro.mbf.dense.BatchedFlatStates.concat`,
+            :meth:`~repro.frt.forest.FRTForest.concat`) into the exact
             one-shard layout.  ``shard_size`` bounds peak memory:
             ``shard_size=1`` samples one tree at a time.  Third-party
             engines are shipped to the workers by value, so their drivers
             must be picklable (a module-level function, not a lambda)
             under spawn/forkserver start methods.
         """
+        k = _as_int("k", k)
         if k < 1:
             raise ValueError("ensemble size k must be >= 1")
+        if seed is not None:
+            seed = _as_int("seed", seed)
         exec_cfg = execution if execution is not None else self.config.execution
         if not isinstance(exec_cfg, ExecutionConfig):
             raise TypeError(
@@ -259,11 +270,8 @@ class Pipeline:
         # fail fast in the parent on an engine without an LE-list driver.
         self._resolve_sampler()
         t0 = time.perf_counter()
-        core = self._sample_shards(children, exec_cfg)
-        embeddings = self._embeddings(core)
+        result = self._sample_shards(children, exec_cfg)
         self._record_samples(k, t0)
-        merged = CostLedger()
-        merged.join(*core.ledgers, label="ensemble")
         # Per-batch stage timings: the delta over this call, not the
         # pipeline's lifetime accumulation.
         timings = {
@@ -272,13 +280,10 @@ class Pipeline:
             if spent - timings_before.get(stage, 0.0) > 0.0
         }
         timings["total"] = time.perf_counter() - t_total
-        return PipelineResult(
-            embeddings=embeddings,
-            ledger=merged,
-            ledgers=core.ledgers,
+        return dataclasses.replace(
+            result,
             timings=timings,
             meta=self._provenance(k=k, seed=seed, execution=exec_cfg.to_dict()),
-            forest=core.forest,
         )
 
     def _resolve_sampler(self) -> tuple[HOracle | None, MBFEngine | None]:
@@ -305,7 +310,7 @@ class Pipeline:
         rank: np.ndarray | None = None,
         beta: float | None = None,
         ledgers: list[CostLedger] | None = None,
-    ) -> "_BatchCore":
+    ) -> PipelineResult:
         """The fused engine pass: draws → batched LE lists → forest.
 
         Draws each sample's ``(rank, beta)`` from its own child generator,
@@ -314,10 +319,8 @@ class Pipeline:
         :func:`~repro.frt.forest.build_frt_forest` pass.  Explicit
         ``rank`` / ``beta`` (the ``k = 1`` view in :meth:`sample`) are
         used verbatim without drawing; ``ledgers`` defaults to one fresh
-        ledger per sample.  The stacked LE lists are split into per-sample
-        states before returning, so a shard holds one copy of its lists
-        and the shard concat copies none.  Returns picklable arrays — this
-        is the payload a pool worker ships back.
+        ledger per sample.  Returns the stacked result without timings or
+        provenance — picklable, and the payload a pool worker ships back.
         """
         method = self.config.embedding.method
         oracle, engine = self._resolve_sampler()
@@ -340,21 +343,19 @@ class Pipeline:
             extra_meta = {"backend": engine.name}
         wmin, _ = self.G.weight_bounds()
         betas = np.array([b for _, b in draws])
-        forest = build_frt_forest(lists, ranks, betas, wmin)
-        return _BatchCore(
-            le_lists=lists.to_states(),
-            iterations=np.asarray(iters, dtype=np.int64),
-            ledgers=ledgers,
+        return PipelineResult(
+            forest=build_frt_forest(lists, ranks, betas, wmin),
+            le_lists=lists,
             ranks=ranks,
-            betas=betas,
-            extra_meta=extra_meta,
-            forest=forest,
+            iterations=iters,
+            ledgers=ledgers,
+            embedding_meta={"pipeline": method, **extra_meta},
         )
 
     def _sample_shards(
         self, children: list[np.random.Generator], execution: ExecutionConfig
-    ) -> "_BatchCore":
-        """Shards → cores → concat: the batched pass over the sample axis.
+    ) -> PipelineResult:
+        """Shards → stacked results → concat: the pass over the sample axis.
 
         Each shard runs :meth:`_sample_batch_core` on a contiguous slice of
         the (already spawned) child generators, so shard boundaries cannot
@@ -362,7 +363,8 @@ class Pipeline:
         in-process, so the engine's transient memory follows one shard;
         ``workers > 1`` maps them over a process pool.  The shard results
         are concatenated back into the exact one-shard layout
-        (:meth:`FRTForest.concat` re-pads ragged per-shard depths to the
+        (:meth:`BatchedFlatStates.concat` rebases list offsets,
+        :meth:`FRTForest.concat` re-pads ragged per-shard depths to the
         global ``k_max`` and rebases node offsets); a single shard is
         returned as is.
         """
@@ -381,25 +383,28 @@ class Pipeline:
                 initializer=_init_ensemble_worker,
                 initargs=(self.G, self.config, self._hopset, self._oracle, engine),
             ) as pool:
-                cores = list(pool.map(_ensemble_shard_worker, shards))
+                parts = list(pool.map(_ensemble_shard_worker, shards))
         else:
-            cores = [self._sample_batch_core(shard) for shard in shards]
-        return cores[0] if len(cores) == 1 else _BatchCore.concat(cores)
-
-    def _embeddings(self, core: "_BatchCore") -> list[EmbeddingResult]:
-        """Per-sample :class:`EmbeddingResult` views of one batched core."""
-        method = self.config.embedding.method
-        return [
-            EmbeddingResult(
-                tree=core.forest.tree(s),
-                rank=core.ranks[s],
-                beta=float(core.betas[s]),
-                le_lists=core.le_lists[s],
-                iterations=int(core.iterations[s]),
-                meta={"pipeline": method, **core.extra_meta},
-            )
-            for s in range(core.forest.size)
-        ]
+            parts = [self._sample_batch_core(shard) for shard in shards]
+        if len(parts) == 1:
+            return parts[0]
+        lists = BatchedFlatStates.concat([p.le_lists for p in parts])
+        forests = [p.forest for p in parts]
+        ranks = [p.ranks for p in parts]
+        iterations = [i for p in parts for i in p.iterations]
+        ledgers = [led for p in parts for led in p.ledgers]
+        embedding_meta = parts[0].embedding_meta
+        # Drop the shard lists before anything else allocates, so the
+        # one-tree-at-a-time memory profile holds one copy of the lists.
+        del parts
+        return PipelineResult(
+            forest=FRTForest.concat(forests),
+            le_lists=lists,
+            ranks=np.concatenate(ranks),
+            iterations=iterations,
+            ledgers=ledgers,
+            embedding_meta=embedding_meta,
+        )
 
     def _record_samples(self, k: int, t0: float) -> None:
         self.stats["samples"] += k
@@ -565,10 +570,10 @@ class Pipeline:
         """Rehydrate a persisted ensemble — no graph, no rebuild.
 
         The loaded :class:`~repro.api.result.PipelineResult` carries the
-        forest, per-sample embeddings (zero-copy views into it), ledger
-        totals, timings, and the stamped provenance; queries are
-        bit-identical to the result that was saved.  ``mmap=True`` maps
-        the stacked arrays read-only from the file.
+        stacked forest, LE lists and ranks, ledger totals, timings, and
+        the stamped provenance; queries are bit-identical to the result
+        that was saved.  ``mmap=True`` maps the stacked arrays read-only
+        from the file.
         """
         from repro.io.artifacts import load_result
 
@@ -633,6 +638,14 @@ class Pipeline:
         )
 
 
+def _as_int(name: str, value) -> int:
+    """``operator.index(value)``, rejecting ``bool``: one fingerprint per
+    integer value, and a bad value fails before any work runs."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got a bool")
+    return operator.index(value)
+
+
 def _shard_bounds(
     k: int, workers: int, shard_size: int | None
 ) -> list[tuple[int, int]]:
@@ -644,38 +657,6 @@ def _shard_bounds(
     """
     size = shard_size if shard_size is not None else -(-k // workers)
     return [(lo, min(lo + size, k)) for lo in range(0, k, size)]
-
-
-@dataclass
-class _BatchCore:
-    """Raw stacked outputs of one batched-engine pass (one shard's payload).
-
-    Everything here is picklable — this is exactly what a pool worker
-    ships back to the parent, and what the parent concatenates
-    (sample-axis order preserved) before the per-sample
-    :class:`~repro.frt.embedding.EmbeddingResult` views are assembled.
-    """
-
-    le_lists: list[FlatStates]
-    iterations: np.ndarray  # (k,) int64
-    ledgers: list[CostLedger]
-    ranks: np.ndarray  # (k, n) int64
-    betas: np.ndarray  # (k,) float64
-    extra_meta: dict
-    forest: FRTForest
-
-    @staticmethod
-    def concat(cores: list["_BatchCore"]) -> "_BatchCore":
-        """Stack shard cores along the sample axis, in order."""
-        return _BatchCore(
-            le_lists=[lists for c in cores for lists in c.le_lists],
-            iterations=np.concatenate([c.iterations for c in cores]),
-            ledgers=[led for c in cores for led in c.ledgers],
-            ranks=np.concatenate([c.ranks for c in cores]),
-            betas=np.concatenate([c.betas for c in cores]),
-            extra_meta=cores[0].extra_meta,
-            forest=FRTForest.concat([c.forest for c in cores]),
-        )
 
 
 _WORKER_PIPELINE: Pipeline | None = None
@@ -694,7 +675,7 @@ def _init_ensemble_worker(graph, config, hopset, oracle, engine) -> None:
     _WORKER_PIPELINE = Pipeline(graph, config, hopset=hopset, oracle=oracle)
 
 
-def _ensemble_shard_worker(children: list[np.random.Generator]) -> _BatchCore:
+def _ensemble_shard_worker(children: list[np.random.Generator]) -> PipelineResult:
     """Process-pool body: one batched-engine pass over a shard of samples.
 
     The shard's child generators were spawned by the parent before the

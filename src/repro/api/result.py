@@ -1,9 +1,11 @@
 """Result types returned by the :mod:`repro.api` facade.
 
-:class:`PipelineResult` is the unified carrier for batch (ensemble)
-sampling: the sampled trees, per-sample and merged work/depth ledgers,
-wall-clock stage timings, and full provenance ``meta`` (config dict, seeds,
-backend, hop-set and oracle diagnostics, build counters).
+:class:`PipelineResult` is the one ensemble value: the stacked forest,
+LE lists and ranks of a batch of samples, per-sample and merged
+work/depth ledgers, wall-clock stage timings, and full provenance
+``meta`` (config dict, seeds, backend, hop-set and oracle diagnostics,
+build counters).  Its per-sample
+:class:`~repro.frt.embedding.EmbeddingResult` views are built on demand.
 
 :class:`DistanceOracle` wraps a computed :class:`~repro.metric.MetricResult`
 as a constant-time query object — the Theorem 6.1 interface.
@@ -15,14 +17,16 @@ answer: the decoded value plus iteration count and engine provenance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from functools import cached_property
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from repro.frt.embedding import EmbeddingResult
-from repro.frt.ensemble import FRTEnsemble
+from repro.frt.ensemble import sample_views
 from repro.frt.forest import FRTForest
 from repro.frt.tree import FRTTree
+from repro.mbf.dense import BatchedFlatStates
 from repro.metric.approx_metric import MetricResult
 from repro.pram.cost import CostLedger
 
@@ -56,18 +60,31 @@ class SolveResult:
 
 @dataclass
 class PipelineResult:
-    """Everything produced by one batch sampling call.
+    """One batch of FRT samples, stored as the stacked arrays the engine made.
+
+    The ensemble value of the repetition trick: every consumer — shard
+    concat, artifact save/load, serving, the applications — works with
+    this one shape.  Sample ``s`` is row ``s`` of every stacked field.
 
     Attributes
     ----------
-    embeddings:
-        The ``k`` sampled :class:`~repro.frt.embedding.EmbeddingResult`\\ s,
-        in sample order (deterministic under a fixed seed).
+    forest:
+        The stacked :class:`~repro.frt.forest.FRTForest` of all ``k``
+        trees; distance queries run on it (``result.forest.distances``).
+    le_lists:
+        All samples' LE lists as one
+        :class:`~repro.mbf.dense.BatchedFlatStates`.
+    ranks:
+        ``(k, n)`` int64 matrix of the random orders (row ``s`` is sample
+        ``s``'s; the betas live in ``forest.betas``).
+    iterations:
+        Per-sample (outer) MBF-iteration counts until the LE fixpoint.
+    ledgers:
+        Per-sample model-cost ledgers.
     ledger:
         Merged cost ledger: samples are independent, so their ledgers join
-        as parallel branches (sum of work, max of depth).
-    ledgers:
-        The per-sample ledgers the merge was built from.
+        as parallel branches (sum of work, max of depth).  Defaults to that
+        join of :attr:`ledgers`.
     timings:
         Wall-clock seconds per pipeline stage spent *during this batch*
         (``hopset``/``oracle`` appear only when the batch built them,
@@ -78,51 +95,77 @@ class PipelineResult:
         hop-set and oracle diagnostics, and the pipeline's *lifetime*
         build counters (``hopset_builds <= 1`` verifies the batch reused
         one artifact set).
-    forest:
-        The stacked :class:`~repro.frt.forest.FRTForest` view of the same
-        trees; every :meth:`~repro.api.pipeline.Pipeline.sample_ensemble`
-        result carries one (``None`` only for results built by hand).
-        :meth:`ensemble` hands it to the
-        :class:`~repro.frt.ensemble.FRTEnsemble` so distance queries run
-        vectorized across all trees.
+    embedding_meta:
+        The per-sample provenance every :attr:`embeddings` view carries
+        (sampling method and oracle/backend parameters).
     """
 
-    embeddings: list[EmbeddingResult]
-    ledger: CostLedger
-    ledgers: list[CostLedger] = field(default_factory=list)
+    forest: FRTForest
+    le_lists: BatchedFlatStates
+    ranks: np.ndarray  # (k, n) int64
+    iterations: list[int]
+    ledgers: list[CostLedger]
+    ledger: CostLedger | None = None
     timings: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-    forest: FRTForest | None = None
+    embedding_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.embeddings:
-            raise ValueError("PipelineResult needs at least one embedding")
+        k, n = self.forest.size, self.forest.n
+        if (
+            (self.le_lists.k, self.le_lists.n) != (k, n)
+            or np.shape(self.ranks) != (k, n)
+            or len(self.iterations) != k
+        ):
+            raise ValueError(
+                f"LE lists ({self.le_lists.k} samples over n={self.le_lists.n}), "
+                f"ranks {np.shape(self.ranks)} and {len(self.iterations)} "
+                f"iteration counts do not match the forest ({k} samples over n={n})"
+            )
+        self.iterations = [int(i) for i in self.iterations]
+        if self.ledger is None:
+            self.ledger = CostLedger()
+            self.ledger.join(*self.ledgers, label="ensemble")
 
     def __len__(self) -> int:
-        return len(self.embeddings)
+        return self.forest.size
 
     def __iter__(self) -> Iterator[EmbeddingResult]:
         return iter(self.embeddings)
 
     @property
     def size(self) -> int:
-        return len(self.embeddings)
+        return self.forest.size
+
+    @cached_property
+    def embeddings(self) -> list[EmbeddingResult]:
+        """The ``k = 1`` :class:`~repro.frt.embedding.EmbeddingResult` view
+        of every sample, in sample order; built once, on first access."""
+        return sample_views(
+            self.forest, self.le_lists, self.ranks, self.iterations, self.embedding_meta
+        )
 
     @property
     def trees(self) -> list[FRTTree]:
         """The sampled trees (conveniences for downstream consumers)."""
         return [e.tree for e in self.embeddings]
 
-    @property
-    def iterations(self) -> list[int]:
-        """Per-sample (outer) MBF-iteration counts until the LE fixpoint."""
-        return [e.iterations for e in self.embeddings]
+    def best_tree_for(
+        self, objective: Callable[[FRTTree], float]
+    ) -> tuple[EmbeddingResult, float]:
+        """Return the ``(embedding, value)`` minimizing ``objective``.
 
-    def ensemble(self) -> FRTEnsemble:
-        """View the batch as an :class:`~repro.frt.ensemble.FRTEnsemble`
-        (per-pair min/median distances, best-tree selection), forest-backed
-        whenever :attr:`forest` is set."""
-        return FRTEnsemble(list(self.embeddings), forest=self.forest)
+        This is the log(1/eps)-repetitions pattern: for a linear objective,
+        the best of ``k`` trees is an ``O(log n)``-approximation with
+        probability ``1 - 2^{-Ω(k)}``.
+        """
+        best: tuple[EmbeddingResult, float] | None = None
+        for emb in self.embeddings:
+            val = float(objective(emb.tree))
+            if best is None or val < best[1]:
+                best = (emb, val)
+        assert best is not None
+        return best
 
     @property
     def fingerprint(self) -> str | None:
@@ -137,8 +180,7 @@ class PipelineResult:
         Delegates to :func:`repro.io.save_result` (schema-versioned,
         provenance-stamped, round-trips bit-identically through
         ``Pipeline.from_artifacts`` / :func:`repro.io.load_result`).
-        Requires :attr:`forest` — the stacked forest is the storage
-        format.  Returns the written artifact meta.
+        Returns the written artifact meta.
         """
         from repro.io.artifacts import save_result
 

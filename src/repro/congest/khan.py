@@ -6,9 +6,10 @@ received ones; the fixpoint arrives after ``SPD(G) + 1`` iterations.  With
 Lemma 7.6's ``O(log n)`` list bound, the total is ``O(SPD(G)·log n)``
 rounds w.h.p.
 
-The computation itself reuses the dense engine (it computes *identical*
-lists); the Congest cost is charged per iteration as the maximum list
-length — the time for the slowest node to transmit its list.
+The computation itself reuses the dense engine's incremental LE kernel
+(the ``k = 1`` view of the batched ensemble kernel, so it computes
+*identical* lists); the Congest cost is charged per iteration as the
+maximum list length — the time for the slowest node to transmit its list.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from repro.congest.model import RoundLedger
 from repro.graph.core import Graph
-from repro.mbf.dense import FlatStates, LEFilter, aggregate, check_rank, dense_iteration
+from repro.mbf.dense import BatchedLEFilter, FlatStates, aggregate, check_rank, dense_iteration
 
 __all__ = ["khan_le_lists"]
 
@@ -37,7 +38,7 @@ def khan_le_lists(
     """
     rank = check_rank(G.n, rank)
     ledger = ledger if ledger is not None else RoundLedger()
-    spec = LEFilter(rank)
+    spec = BatchedLEFilter(rank[None, :])
     states = FlatStates.from_sources(G.n)
     states = aggregate(
         G.n,

@@ -30,17 +30,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.congest.model import RoundLedger
-from repro.frt.tree import FRTTree, build_frt_tree
+from repro.frt.forest import build_frt_forest
+from repro.frt.tree import FRTTree
 from repro.graph.core import Graph
 from repro.graph.shortest_paths import hop_diameter, hop_limited_distances
 from repro.hopsets.rounded import rounded_hopset
 from repro.hopsets.skeleton import hub_hopset
-from repro.mbf.dense import FlatStates, LEFilter, aggregate, dense_iteration
+from repro.mbf.dense import (
+    BatchedFlatStates,
+    BatchedLEFilter,
+    FlatStates,
+    aggregate,
+    dense_iteration,
+)
 from repro.oracle.oracle import HOracle
 from repro.util.pairs import all_pairs, sample_distinct
 from repro.util.rng import as_rng
 
-__all__ = ["SkeletonFRTResult", "skeleton_frt"]
+__all__ = ["SkeletonFRTResult", "jump_started_tree", "skeleton_frt"]
 
 
 @dataclass
@@ -53,10 +60,6 @@ class SkeletonFRTResult:
     le_lists: FlatStates
     ledger: RoundLedger
     meta: dict = field(default_factory=dict)
-
-
-def _flat_from_dict_list(n: int, dicts: list[dict]) -> FlatStates:
-    return FlatStates.from_dicts(dicts) if len(dicts) == n else _fail()
 
 
 def skeleton_frt(
@@ -108,7 +111,7 @@ def skeleton_frt(
     hop = rounded_hopset(base, GS, eps) if eps > 0 else base
     oracle = HOracle(hop, rng=g)
     rank_s = g.permutation(target).astype(np.int64)
-    spec_s = LEFilter(rank_s)
+    spec_s = BatchedLEFilter(rank_s[None, :])
     states = FlatStates.from_sources(target)
     states = aggregate(
         target,
@@ -144,44 +147,16 @@ def skeleton_frt(
         dicts[int(s)] = entry
     xbar = FlatStates.from_dicts(dicts)
 
-    # -- step 4: exactly ell iterations on G with alpha-scaled weights ------
+    # -- steps 4-5: exactly ell iterations on G with alpha-scaled weights ----
     # Equation (8.20): r^V A_{G,α}^ℓ x̄(0).  Running to a fixpoint would
     # chase exact α-scaled distances for Θ(SPD) rounds; the paper's point
     # is that ℓ iterations already produce valid LE lists of the virtual
     # graph H (w.h.p. every ℓ-hop window of a shortest path hits a
     # skeleton vertex).
     alpha = oracle.penalty_base ** (oracle.Lambda + 1)
-    spec = LEFilter(rank)
-    cur = aggregate(
-        n,
-        np.repeat(np.arange(n, dtype=np.int64), xbar.counts()),
-        xbar.ids,
-        xbar.dists,
-        spec,
+    tree, b, cur, extra_iterations = jump_started_tree(
+        G, xbar, rank, alpha, ell, ledger, rng=g, beta=beta
     )
-    local_iterations = 0
-    for _ in range(int(ell)):
-        ledger.local_exchange(int(cur.counts().max()), label="local-le-iteration")
-        cur = dense_iteration(G, cur, spec, weight_scale=alpha)
-        local_iterations += 1
-    # Guard for unlucky small-scale sampling: the tree needs a common root
-    # (the global min-rank vertex) in every list; top up if necessary.
-    extra_iterations = 0
-    root_vertex = int(np.flatnonzero(rank == 0)[0])
-    while extra_iterations <= n:
-        last = cur.offsets[1:] - 1
-        if np.all(cur.counts() > 0) and np.all(cur.ids[last] == root_vertex):
-            break
-        ledger.local_exchange(int(cur.counts().max()), label="local-le-topup")
-        cur = dense_iteration(G, cur, spec, weight_scale=alpha)
-        extra_iterations += 1
-    else:  # pragma: no cover
-        raise RuntimeError("local LE phase failed to reach a common root")
-
-    # -- step 5: tree -------------------------------------------------------
-    b = float(g.uniform(1.0, 2.0)) if beta is None else float(beta)
-    wmin, _ = G.weight_bounds()
-    tree = build_frt_tree(cur, rank, b, wmin)
     return SkeletonFRTResult(
         tree=tree,
         rank=rank,
@@ -193,7 +168,7 @@ def skeleton_frt(
             "ell": int(ell),
             "hop_diameter": D,
             "hs_iterations": hs_iterations,
-            "local_iterations": local_iterations,
+            "local_iterations": int(ell),
             "extra_iterations": extra_iterations,
             "local_iterations_within_ell": extra_iterations == 0,
             "alpha": float(alpha),
@@ -202,5 +177,48 @@ def skeleton_frt(
     )
 
 
-def _fail():  # pragma: no cover - defensive
-    raise AssertionError("inconsistent state")
+def jump_started_tree(
+    G: Graph,
+    xbar: FlatStates,
+    rank: np.ndarray,
+    alpha: float,
+    ell: int,
+    ledger: RoundLedger,
+    *,
+    rng=None,
+    beta: float | None = None,
+) -> tuple[FRTTree, float, FlatStates, int]:
+    """The local phase of Sections 8.2 and 8.3, then the FRT tree.
+
+    Runs exactly ``ell`` LE iterations on ``G`` with weights scaled by
+    ``alpha``, from the jump-started state vector ``xbar`` (Equations
+    8.9/8.10 and 8.20), charging ``max_v |x_v|`` rounds each.  A guard for
+    unlucky small-scale sampling tops up while some list misses the
+    common root (the global min-rank vertex).  Draws ``beta`` unless
+    given and builds the tree.  Returns ``(tree, beta, lists,
+    extra_iterations)``.
+    """
+    n = G.n
+    spec = BatchedLEFilter(rank[None, :])
+    own = np.repeat(np.arange(n, dtype=np.int64), xbar.counts())
+    cur = aggregate(n, own, xbar.ids, xbar.dists, spec)
+    for _ in range(int(ell)):
+        ledger.local_exchange(int(cur.counts().max()), label="local-le-iteration")
+        cur = dense_iteration(G, cur, spec, weight_scale=alpha)
+    extra_iterations = 0
+    root_vertex = int(np.flatnonzero(rank == 0)[0])
+    while extra_iterations <= n:
+        last = cur.offsets[1:] - 1
+        if np.all(cur.counts() > 0) and np.all(cur.ids[last] == root_vertex):
+            break
+        ledger.local_exchange(int(cur.counts().max()), label="local-le-topup")
+        cur = dense_iteration(G, cur, spec, weight_scale=alpha)
+        extra_iterations += 1
+    else:  # pragma: no cover
+        raise RuntimeError("local LE phase failed to reach a common root")
+    b = float(as_rng(rng).uniform(1.0, 2.0)) if beta is None else float(beta)
+    wmin, _ = G.weight_bounds()
+    forest = build_frt_forest(
+        BatchedFlatStates.from_states([cur]), rank[None, :], np.array([b]), wmin
+    )
+    return forest.tree(0), b, cur, extra_iterations

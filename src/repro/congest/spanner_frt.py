@@ -27,14 +27,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.congest.model import RoundLedger
-from repro.frt.tree import FRTTree, build_frt_tree
+from repro.congest.skeleton import jump_started_tree
+from repro.frt.tree import FRTTree
 from repro.graph.core import Graph
 from repro.graph.shortest_paths import (
     dijkstra_distances,
     hop_diameter,
     hop_limited_distances,
 )
-from repro.mbf.dense import FlatStates, LEFilter, aggregate, dense_iteration
+from repro.mbf.dense import FlatStates
 from repro.metric.spanner import baswana_sen_spanner
 from repro.util.pairs import all_pairs, sample_distinct
 from repro.util.rng import as_rng
@@ -130,37 +131,10 @@ def spanner_frt(
     others = np.setdiff1d(np.arange(n, dtype=np.int64), skeleton)
     rank[others] = target + g.permutation(others.size)
 
-    xbar = FlatStates.from_dicts(dicts)
-    spec = LEFilter(rank)
-    cur = aggregate(
-        n,
-        np.repeat(np.arange(n, dtype=np.int64), xbar.counts()),
-        xbar.ids,
-        xbar.dists,
-        spec,
-    )
-
     # -- step 4: exactly ell iterations on G with (2k-1)-scaled weights -------
-    local_iterations = 0
-    for _ in range(int(ell)):
-        ledger.local_exchange(int(cur.counts().max()), label="local-le-iteration")
-        cur = dense_iteration(G, cur, spec, weight_scale=alpha)
-        local_iterations += 1
-    extra_iterations = 0
-    root_vertex = int(np.flatnonzero(rank == 0)[0])
-    while extra_iterations <= n:
-        last = cur.offsets[1:] - 1
-        if np.all(cur.counts() > 0) and np.all(cur.ids[last] == root_vertex):
-            break
-        ledger.local_exchange(int(cur.counts().max()), label="local-le-topup")
-        cur = dense_iteration(G, cur, spec, weight_scale=alpha)
-        extra_iterations += 1
-    else:  # pragma: no cover
-        raise RuntimeError("local LE phase failed to reach a common root")
-
-    b = float(g.uniform(1.0, 2.0)) if beta is None else float(beta)
-    wmin, _ = G.weight_bounds()
-    tree = build_frt_tree(cur, rank, b, wmin)
+    tree, b, cur, extra_iterations = jump_started_tree(
+        G, FlatStates.from_dicts(dicts), rank, alpha, ell, ledger, rng=g, beta=beta
+    )
     return SpannerFRTResult(
         tree=tree,
         rank=rank,
@@ -174,7 +148,7 @@ def spanner_frt(
             "spanner_edges": spanner.m,
             "alpha": alpha,
             "hop_diameter": D,
-            "local_iterations": local_iterations,
+            "local_iterations": int(ell),
             "extra_iterations": extra_iterations,
         },
     )

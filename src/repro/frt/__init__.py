@@ -19,9 +19,10 @@ Entry points:
   :func:`~repro.frt.tree.build_frt_tree`
 - :class:`~repro.frt.forest.FRTForest` and
   :func:`~repro.frt.forest.build_frt_forest` (all ensemble trees in one
-  vectorized pass)
-- :func:`~repro.frt.embedding.sample_frt_tree` (direct) and
-  :func:`~repro.frt.embedding.sample_frt_tree_via_oracle` (main result)
+  vectorized pass; ensemble distance queries)
+- :class:`~repro.frt.embedding.EmbeddingResult` (one sample; sampling
+  itself runs through :class:`repro.api.Pipeline`, ``sample()`` /
+  ``sample_ensemble(k)``)
 - :func:`~repro.frt.stretch.evaluate_stretch`
 - :func:`~repro.frt.paths.tree_edge_to_graph_path`
 """
@@ -33,14 +34,9 @@ from repro.frt.lelists import (
 )
 from repro.frt.tree import FRTTree, build_frt_tree
 from repro.frt.forest import FRTForest, build_frt_forest
-from repro.frt.embedding import (
-    EmbeddingResult,
-    sample_frt_tree,
-    sample_frt_tree_via_oracle,
-)
+from repro.frt.embedding import EmbeddingResult
 from repro.frt.stretch import StretchReport, evaluate_stretch
 from repro.frt.paths import tree_edge_to_graph_path, reconstruct_graph_path
-from repro.frt.ensemble import FRTEnsemble
 from repro.frt.decomposition import HierarchicalDecomposition, decomposition_of
 
 __all__ = [
@@ -52,13 +48,10 @@ __all__ = [
     "FRTForest",
     "build_frt_forest",
     "EmbeddingResult",
-    "sample_frt_tree",
-    "sample_frt_tree_via_oracle",
     "StretchReport",
     "evaluate_stretch",
     "tree_edge_to_graph_path",
     "reconstruct_graph_path",
-    "FRTEnsemble",
     "HierarchicalDecomposition",
     "decomposition_of",
 ]

@@ -1,20 +1,20 @@
-"""Top-level FRT embedding samplers (Theorem 7.9 / Corollary 7.10).
+"""One sampled FRT embedding (Theorem 7.9 / Corollary 7.10) and its randomness.
 
-Two samplers share the randomness conventions of Section 7.1 (uniform
-``β ∈ [1, 2)``, uniformly random vertex order):
+Every sample follows the randomness conventions of Section 7.1: a uniform
+``β ∈ [1, 2)`` and a uniformly random vertex order.  Sampling itself runs
+through :class:`repro.api.Pipeline`, with two methods:
 
-- :func:`sample_frt_tree`: LE lists directly on ``G`` — ``SPD(G)``
-  iterations; exact FRT distribution w.r.t. ``dist(·,·,G)``.
-- :func:`sample_frt_tree_via_oracle`: the paper's main pipeline —
-  hop set → simulated graph ``H`` → oracle → LE lists — polylog many
-  iterations; FRT distribution w.r.t. ``dist(·,·,H)``, which
-  ``(1+eps)^{O(log n)}``-approximates ``dist(·,·,G)`` (Theorem 4.5), so the
-  expected stretch w.r.t. ``G`` remains ``O(log n)``.
+- ``"direct"``: LE lists directly on ``G`` — ``SPD(G)`` iterations; exact
+  FRT distribution w.r.t. ``dist(·,·,G)``;
+- ``"oracle"``: the paper's main pipeline — hop set → simulated graph
+  ``H`` → oracle → LE lists — polylog many iterations; FRT distribution
+  w.r.t. ``dist(·,·,H)``, which ``(1+eps)^{O(log n)}``-approximates
+  ``dist(·,·,G)`` (Theorem 4.5), so the expected stretch w.r.t. ``G``
+  remains ``O(log n)``.
 
-Both are thin wrappers over the canonical implementation in
-:class:`repro.api.Pipeline` (same randomness conventions, bit-identical
-output); prefer the pipeline facade for new code — it caches and amortizes
-the hop-set/oracle construction and supports batch ensemble sampling.
+:class:`EmbeddingResult` is the ``k = 1`` view of a sampled ensemble
+(``Pipeline.sample()`` returns one; ``PipelineResult.embeddings`` holds
+one per sample).
 """
 
 from __future__ import annotations
@@ -24,14 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.frt.tree import FRTTree
-from repro.graph.core import Graph
-from repro.hopsets.base import HopSetResult
 from repro.mbf.dense import FlatStates
-from repro.oracle.oracle import HOracle
-from repro.pram.cost import NULL_LEDGER, CostLedger
 from repro.util.rng import as_rng
 
-__all__ = ["EmbeddingResult", "sample_frt_tree", "sample_frt_tree_via_oracle"]
+__all__ = ["EmbeddingResult"]
 
 
 @dataclass
@@ -74,64 +70,3 @@ def _draw_randomness(
         r = np.asarray(rank, dtype=np.int64)
     b = float(g.uniform(1.0, 2.0)) if beta is None else float(beta)
     return r, b
-
-
-def sample_frt_tree(
-    G: Graph,
-    *,
-    rng=None,
-    rank: np.ndarray | None = None,
-    beta: float | None = None,
-    ledger: CostLedger = NULL_LEDGER,
-) -> EmbeddingResult:
-    """Sample an FRT tree of ``G`` via direct LE-list iteration.
-
-    Expected stretch ``O(log n)`` w.r.t. ``dist(·,·,G)`` [19]; uses
-    ``SPD(G)`` MBF iterations (the Khan-et-al. regime — efficient only for
-    small SPD).
-    """
-    from repro.api.configs import EmbeddingConfig, PipelineConfig
-    from repro.api.pipeline import Pipeline
-
-    pipe = Pipeline(
-        G, PipelineConfig(embedding=EmbeddingConfig(method="direct")), rng=as_rng(rng)
-    )
-    return pipe.sample(rank=rank, beta=beta, ledger=ledger)
-
-
-def sample_frt_tree_via_oracle(
-    G: Graph,
-    *,
-    eps: float = 0.25,
-    d0: int | None = None,
-    hopset: HopSetResult | None = None,
-    oracle: HOracle | None = None,
-    rng=None,
-    rank: np.ndarray | None = None,
-    beta: float | None = None,
-    ledger: CostLedger = NULL_LEDGER,
-) -> EmbeddingResult:
-    """Sample an FRT-style tree via the full Section 4-7 pipeline.
-
-    Steps: (1) hub hop set on ``G`` (exact, then rounded to granularity
-    ``eps`` — the stand-in for Cohen's construction, see DESIGN.md §2);
-    (2) simulated graph ``H`` with geometric levels (never materialized);
-    (3) LE lists of ``H`` through the oracle; (4) FRT tree from the lists.
-
-    The embedding dominates ``dist_G`` and has expected stretch
-    ``O((1+eps)^{Λ+1} log n)`` w.r.t. ``G``.  Pre-built ``hopset`` /
-    ``oracle`` objects may be supplied to amortize construction across
-    samples (levels are part of ``H``'s definition, not of the FRT
-    randomness, so reuse is sound); for repeated sampling prefer
-    :meth:`repro.api.Pipeline.sample_ensemble`, which amortizes
-    automatically.
-    """
-    from repro.api.configs import EmbeddingConfig, HopsetConfig, PipelineConfig
-    from repro.api.pipeline import Pipeline
-
-    config = PipelineConfig(
-        hopset=HopsetConfig(eps=eps, d0=d0),
-        embedding=EmbeddingConfig(method="oracle"),
-    )
-    pipe = Pipeline(G, config, rng=as_rng(rng), hopset=hopset, oracle=oracle)
-    return pipe.sample(rank=rank, beta=beta, ledger=ledger)

@@ -308,6 +308,12 @@ def save_forest(
     """
     if not isinstance(forest, FRTForest):
         raise TypeError(f"expected an FRTForest, got {type(forest)!r}")
+    header, arrays = _forest_payload(forest)
+    return _write_artifact(path, "forest", header, arrays, provenance)
+
+
+def _forest_payload(forest: FRTForest) -> tuple[dict, dict]:
+    """The ``forest`` header and ``forest/*`` array members of an artifact."""
     header = {
         "forest": {
             "n": int(forest.n),
@@ -316,8 +322,7 @@ def save_forest(
             "scale": float(forest.scale),
         }
     }
-    arrays = {f"forest/{name}": getattr(forest, name) for name, _ in _FOREST_FIELDS}
-    return _write_artifact(path, "forest", header, arrays, provenance)
+    return header, {f"forest/{name}": getattr(forest, name) for name, _ in _FOREST_FIELDS}
 
 
 def _forest_from_arrays(path, meta: dict, arrays: dict) -> FRTForest:
@@ -425,63 +430,38 @@ def save_result(
     *,
     provenance: dict | None = None,  # shape: scalar
 ) -> dict:  # shape: -> scalar
-    """Persist a batched :class:`~repro.api.result.PipelineResult` ensemble.
+    """Persist a :class:`~repro.api.result.PipelineResult` ensemble.
 
-    Stores the stacked forest, the per-sample ``(rank, beta)`` draws, LE
-    lists (as one :class:`~repro.mbf.dense.BatchedFlatStates` CSR block),
-    iteration counts, ledger totals, stage timings, and the full
-    provenance ``meta`` — enough that :func:`load_result` reconstructs a
-    ``PipelineResult`` whose embeddings, forest views, and ensemble query
-    outputs are bit-identical.  Requires a result that carries a forest
-    (the forest *is* the storage format): every
-    :meth:`~repro.api.pipeline.Pipeline.sample_ensemble` result does, and a
-    hand-built result without one raises.
+    Writes the result's stacked arrays as they are: the forest, the
+    ``(k, n)`` ranks, the LE lists (one
+    :class:`~repro.mbf.dense.BatchedFlatStates` CSR block), iteration
+    counts, ledger totals, stage timings, and the full provenance ``meta``
+    — enough that :func:`load_result` reconstructs a ``PipelineResult``
+    whose arrays, per-sample views, and ensemble query outputs are
+    bit-identical.
 
     ``provenance`` defaults to ``result.meta``; pass an override to stamp
     extra context without mutating the result.  Per-phase ledger traces
     are not preserved — only the work/depth totals round-trip.
     """
-    forest = getattr(result, "forest", None)
-    if forest is None:
-        raise ValueError(
-            "save_result needs a result with a forest (result.forest is None); "
-            "Pipeline.sample_ensemble always attaches one"
-        )
-    embeddings = list(result.embeddings)
-    ranks = np.stack([np.asarray(e.rank, dtype=np.int64) for e in embeddings])
-    iterations = np.array([int(e.iterations) for e in embeddings], dtype=np.int64)
-    lists = BatchedFlatStates.from_states([e.le_lists for e in embeddings])
-    if lists.k != forest.size or lists.n != forest.n:
-        raise ValueError(
-            f"embeddings' LE lists ({lists.k} samples over n={lists.n}) do "
-            f"not match the forest ({forest.size} samples over n={forest.n})"
-        )
-    meta_prov = dict(provenance if provenance is not None else result.meta)
-    header = {
-        "forest": {
-            "n": int(forest.n),
-            "size": int(forest.size),
-            "k_max": int(forest.k_max),
-            "scale": float(forest.scale),
-        },
-        "result": {
-            "size": len(embeddings),
-            "timings": dict(result.timings),
-            "ledger": {"work": int(result.ledger.work), "depth": int(result.ledger.depth)},
-            "ledgers": [
-                {"work": int(led.work), "depth": int(led.depth)}
-                for led in result.ledgers
-            ],
-            "embedding_meta": [dict(e.meta) for e in embeddings],
-        },
+    size, lists = result.size, result.le_lists
+    header, arrays = _forest_payload(result.forest)
+    header["result"] = {
+        "size": size,
+        "timings": dict(result.timings),
+        "ledger": {"work": int(result.ledger.work), "depth": int(result.ledger.depth)},
+        "ledgers": [
+            {"work": int(led.work), "depth": int(led.depth)} for led in result.ledgers
+        ],
+        "embedding_meta": [dict(result.embedding_meta) for _ in range(size)],
     }
-    arrays = {f"forest/{name}": getattr(forest, name) for name, _ in _FOREST_FIELDS}
-    arrays["result/ranks"] = ranks
-    arrays["result/iterations"] = iterations
+    arrays["result/ranks"] = np.asarray(result.ranks, dtype=np.int64)
+    arrays["result/iterations"] = np.asarray(result.iterations, dtype=np.int64)
     arrays["lelists/offsets"] = np.asarray(lists.offsets, dtype=np.int64)
     arrays["lelists/ids"] = np.asarray(lists.ids, dtype=np.int64)
     arrays["lelists/dists"] = np.asarray(lists.dists, dtype=np.float64)
-    return _write_artifact(path, "result", header, arrays, meta_prov)
+    prov = provenance if provenance is not None else result.meta
+    return _write_artifact(path, "result", header, arrays, prov)
 
 
 def load_result(
@@ -491,18 +471,16 @@ def load_result(
 ):  # shape: -> object view
     """Rebuild a :class:`~repro.api.result.PipelineResult` from an artifact.
 
-    The inverse of :func:`save_result`: embeddings are reassembled as
-    zero-copy views into the loaded forest (``forest.tree(s)``), LE lists
-    as per-sample :class:`~repro.mbf.dense.FlatStates`, and the ledgers as
-    work/depth totals.  ``mmap=True`` maps the forest and LE-list CSR
-    arrays read-only from the file; the per-sample LE-list extraction
-    copies its slices (they are small), the forest arrays stay mapped.
-    In-memory loads freeze the same arrays after validation, so both
-    modes reject in-place writes identically.
+    The inverse of :func:`save_result`: the forest, ranks and LE-list CSR
+    arrays become the result's stacked fields as loaded, and the ledgers
+    work/depth totals.  No per-sample copies are made: ``mmap=True`` maps
+    every stacked array read-only from the file, and the per-sample
+    :attr:`~repro.api.result.PipelineResult.embeddings` views are built
+    only when first accessed.  In-memory loads freeze the same arrays
+    after validation, so both modes reject in-place writes identically.
     """
     # Local imports: repro.api imports this module's savers via the facade.
     from repro.api.result import PipelineResult
-    from repro.frt.embedding import EmbeddingResult
     from repro.pram.cost import CostLedger
 
     zf, meta = _open_artifact(path)
@@ -546,17 +524,8 @@ def load_result(
     emb_meta = head.get("embedding_meta") or [{} for _ in range(size)]
     if len(emb_meta) != size:
         raise ArtifactError(f"{path}: embedding_meta length != {size} samples")
-    embeddings = [
-        EmbeddingResult(
-            tree=forest.tree(s),
-            rank=np.asarray(ranks[s]),
-            beta=float(forest.betas[s]),
-            le_lists=lists.sample_states(s),
-            iterations=int(iterations[s]),
-            meta=dict(emb_meta[s]),
-        )
-        for s in range(size)
-    ]
+    if any(m != emb_meta[0] for m in emb_meta):
+        raise ArtifactError(f"{path}: embedding_meta differs between samples")
     led = head.get("ledger", {})
     merged = CostLedger(work=int(led.get("work", 0)), depth=int(led.get("depth", 0)))
     ledgers = [
@@ -564,12 +533,15 @@ def load_result(
         for d in head.get("ledgers", [])
     ]
     return PipelineResult(
-        embeddings=embeddings,
-        ledger=merged,
+        forest=forest,
+        le_lists=lists,
+        ranks=ranks,
+        iterations=iterations,
         ledgers=ledgers,
+        ledger=merged,
         timings=dict(head.get("timings", {})),
         meta=dict(meta.get("provenance", {})),
-        forest=forest,
+        embedding_meta=dict(emb_meta[0]),
     )
 
 

@@ -358,7 +358,7 @@ class BatchedFlatStates:
         return cls(
             sum(b.k for b in batches),
             n,
-            offsets.astype(np.int64),
+            offsets.astype(np.int64, copy=False),
             np.concatenate([b.ids for b in batches]),
             np.concatenate([b.dists for b in batches]),
         )
@@ -407,10 +407,6 @@ class BatchedFlatStates:
             self.ids[lo:hi].copy(),
             self.dists[lo:hi].copy(),
         )
-
-    def to_states(self) -> list[FlatStates]:
-        """All samples as standalone :class:`FlatStates` (copies)."""
-        return [self.sample_states(s) for s in range(self.k)]
 
     def take(self, sample_idx: np.ndarray) -> "BatchedFlatStates":
         """Sub-batch of the given samples, in the given order."""

@@ -127,10 +127,9 @@ class FlatForm:
 class MBFProblem:
     """An MBF-like algorithm with initialization, decoder, and state family.
 
-    The first three fields are the reference-engine triple (and keep the
-    historical ``ZooInstance`` layout); ``family`` declares the state
-    family (capability key for engine selection) and ``dense_form`` the
-    optional vectorized representation.
+    The first three fields are the reference-engine triple; ``family``
+    declares the state family (capability key for engine selection) and
+    ``dense_form`` the optional vectorized representation.
     """
 
     algo: MBFAlgorithm

@@ -59,7 +59,6 @@ from repro.mbf.problem import FlatForm, MBFProblem, ScalarForm
 INF = math.inf
 
 __all__ = [
-    "ZooInstance",
     "sssp",
     "source_detection",
     "k_ssp",
@@ -74,10 +73,6 @@ __all__ = [
     "connectivity",
     "le_lists",
 ]
-
-#: Historical name of the problem record (pre-dating the engine registry).
-ZooInstance = MBFProblem
-
 
 # ---------------------------------------------------------------------------
 # Parameter validation helpers

@@ -37,6 +37,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             HopsetConfig(c=0.0)
 
+    @pytest.mark.parametrize("name", ["d0", "eps", "c"])
+    def test_hopset_numbers_reject_bools(self, name):
+        """Regression: d0=True / eps=True built the same hop set as 1 / 1.0
+        under a different fingerprint."""
+        with pytest.raises(TypeError, match=name):
+            HopsetConfig(**{name: True})
+
     def test_d0_rejected_for_non_hub_kinds(self):
         """Regression: d0 used to be forwarded to identity_hopset as an
         explicit hop bound, silently truncating distances when d0 < SPD."""
@@ -75,6 +82,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             PipelineConfig(seed=1.5)
         assert PipelineConfig(seed=0).seed == 0
+
+    def test_pipeline_seed_rejects_bools(self):
+        """Regression: seed=True sampled the seed=1 forest under another
+        fingerprint."""
+        for seed in (True, False):
+            with pytest.raises(TypeError, match="seed"):
+                PipelineConfig(seed=seed)
 
     def test_configs_are_frozen(self):
         cfg = PipelineConfig()

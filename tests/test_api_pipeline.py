@@ -16,11 +16,7 @@ from repro.api import (
     register_engine,
     unregister_engine,
 )
-from repro.frt.embedding import (
-    _draw_randomness,
-    sample_frt_tree,
-    sample_frt_tree_via_oracle,
-)
+from repro.frt.embedding import _draw_randomness
 from repro.frt.lelists import compute_le_lists_batch_via_oracle
 from repro.frt.tree import build_frt_tree
 from repro.graph.core import Graph
@@ -64,22 +60,13 @@ class TestLegacyParity:
         assert res.beta == b
         assert res.iterations == iters[0]
         assert np.array_equal(res.tree.distance_matrix(), legacy_tree.distance_matrix())
+        assert res.meta["pipeline"] == "oracle"
 
-    def test_wrapper_delegates_to_pipeline(self):
-        g = gen.grid(4, 4, rng=1)
-        a = sample_frt_tree_via_oracle(g, eps=0.25, d0=3, rng=5)
-        pipe = Pipeline(g, PipelineConfig(hopset=HopsetConfig(eps=0.25, d0=3)), rng=5)
-        b = pipe.sample()
-        _assert_same_embedding(a, b)
-        assert a.meta["pipeline"] == b.meta["pipeline"] == "oracle"
-
-    def test_direct_wrapper_parity(self):
+    def test_direct_sample_reproducible_and_labelled(self):
         g = gen.cycle(12, rng=2)
-        a = sample_frt_tree(g, rng=9)
-        pipe = Pipeline(
-            g, PipelineConfig(embedding=EmbeddingConfig(method="direct")), rng=9
-        )
-        b = pipe.sample()
+        cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
+        a = Pipeline(g, cfg, rng=9).sample()
+        b = Pipeline(g, cfg, rng=9).sample()
         _assert_same_embedding(a, b)
         assert b.meta["pipeline"] == "direct"
         assert b.meta["backend"] == "dense"
@@ -197,8 +184,8 @@ class TestEnsemble:
         cfg = PipelineConfig(hopset=HopsetConfig(eps=0.5, d0=3), seed=4)
         res = Pipeline(g, cfg).sample_ensemble(k=2)
         assert isinstance(res, PipelineResult)
-        assert res.size == len(res.trees) == len(res.iterations) == 2
-        assert res.ensemble().size == 2
+        assert res.size == len(res) == len(res.trees) == len(res.iterations) == 2
+        assert res.forest.size == res.le_lists.k == 2
         assert res.timings["total"] > 0
         # meta round-trips back into an identical config
         assert PipelineConfig.from_dict(res.meta["config"]) == cfg
@@ -223,8 +210,82 @@ class TestEnsemble:
         assert "samples" in par.timings  # pool wall-time recorded too
 
     def test_empty_result_rejected(self):
+        res = Pipeline(gen.cycle(8, rng=8), PipelineConfig(seed=0)).sample_ensemble(k=1)
         with pytest.raises(ValueError):
-            PipelineResult(embeddings=[], ledger=CostLedger())
+            PipelineResult(
+                forest=res.forest,
+                le_lists=res.le_lists,
+                ranks=res.ranks[:0],
+                iterations=[],
+                ledgers=[],
+            )
+
+
+class TestEnsembleValue:
+    """PipelineResult is the stacked ensemble; embeddings are its views."""
+
+    def test_embeddings_are_lazy_views_of_the_stacked_arrays(self):
+        g = gen.random_graph(24, 60, rng=5)
+        cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
+        res = Pipeline(g, cfg).sample_ensemble(k=3, seed=1)
+        assert "embeddings" not in vars(res)  # nothing built yet
+        views = res.embeddings
+        assert res.embeddings is views  # built once
+        for s, emb in enumerate(views):
+            assert np.array_equal(emb.tree.level_ids, res.forest.tree(s).level_ids)
+            assert emb.beta == res.forest.betas[s]
+            assert np.array_equal(emb.rank, res.ranks[s])
+            assert emb.le_lists.equals(res.le_lists.sample_states(s))
+            assert emb.iterations == res.iterations[s]
+            assert emb.meta == res.embedding_meta == {"pipeline": "direct", "backend": "dense"}
+
+    def test_ledger_defaults_to_the_join(self):
+        g = gen.cycle(12, rng=3)
+        res = Pipeline(g, PipelineConfig(seed=2)).sample_ensemble(k=2)
+        again = PipelineResult(
+            forest=res.forest,
+            le_lists=res.le_lists,
+            ranks=res.ranks,
+            iterations=res.iterations,
+            ledgers=res.ledgers,
+        )
+        assert again.ledger.snapshot() == res.ledger.snapshot()
+
+
+class TestIntegerArguments:
+    """One fingerprint per integer value; bad integers fail before work."""
+
+    def setup_method(self):
+        self.g = gen.random_graph(24, 60, rng=5)
+        self.cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
+
+    def test_bool_k_rejected_before_sampling(self):
+        pipe = Pipeline(self.g, PipelineConfig(hopset=HopsetConfig(d0=3)))
+        with pytest.raises(TypeError, match="k"):
+            pipe.sample_ensemble(True, seed=1)
+        assert pipe.stats["samples"] == 0 and pipe.stats["oracle_builds"] == 0
+
+    def test_bool_seed_rejected_before_sampling(self):
+        pipe = Pipeline(self.g, PipelineConfig(hopset=HopsetConfig(d0=3)))
+        with pytest.raises(TypeError, match="seed"):
+            pipe.sample_ensemble(2, seed=True)
+        assert pipe.stats["samples"] == 0 and pipe.stats["oracle_builds"] == 0
+
+    def test_non_integer_k_rejected(self):
+        with pytest.raises(TypeError):
+            Pipeline(self.g, self.cfg).sample_ensemble(2.0)
+
+    def test_numpy_ints_fingerprint_like_python_ints(self):
+        a = Pipeline(self.g, self.cfg).sample_ensemble(np.int64(3), seed=np.int64(1))
+        b = Pipeline(self.g, self.cfg).sample_ensemble(3, seed=1)
+        assert a.fingerprint == b.fingerprint
+        assert type(a.meta["k"]) is int and type(a.meta["seed"]) is int
+        assert np.array_equal(a.forest.level_ids, b.forest.level_ids)
+
+    def test_numpy_ints_save(self, tmp_path):
+        pipe = Pipeline(self.g, self.cfg)
+        meta = pipe.save_artifacts(tmp_path / "a.rpz", np.int64(2), seed=np.int32(4))
+        assert meta["provenance"]["k"] == 2 and meta["provenance"]["seed"] == 4
 
 
 class TestDistanceQueries:

@@ -10,9 +10,11 @@ from repro.apps.buyatbulk import (
     cable_cost,
     route_demands_on_tree,
 )
-from repro.frt import sample_frt_tree
+from repro.api import EmbeddingConfig, Pipeline, PipelineConfig
 from repro.graph import generators as gen
 from repro.util.rng import as_rng
+
+DIRECT = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
 
 CABLES = [CableType(1.0, 1.0), CableType(10.0, 4.0), CableType(100.0, 12.0)]
 
@@ -54,7 +56,7 @@ class TestCableCost:
 class TestTreeRouting:
     def test_flow_conservation_on_path(self):
         g = gen.cycle(12, rng=0)
-        emb = sample_frt_tree(g, rng=1)
+        emb = Pipeline(g, DIRECT, rng=1).sample()
         demands = [Demand(0, 6, 5.0)]
         flows = route_demands_on_tree(emb.tree, demands)
         lvl = int(emb.tree.lca_levels([0], [6])[0])
@@ -64,7 +66,7 @@ class TestTreeRouting:
 
     def test_flows_aggregate(self):
         g = gen.star(8, rng=0)
-        emb = sample_frt_tree(g, rng=2)
+        emb = Pipeline(g, DIRECT, rng=2).sample()
         demands = [Demand(1, 2, 1.0), Demand(1, 2, 2.0)]
         flows = route_demands_on_tree(emb.tree, demands)
         assert max(flows.values()) == 3.0
@@ -72,7 +74,7 @@ class TestTreeRouting:
     def test_tree_cost_matches_distances(self):
         # With a single linear cable (u=1, c=1), tree cost = Σ d_i · dist_T.
         g = gen.grid(3, 4, rng=3)
-        emb = sample_frt_tree(g, rng=4)
+        emb = Pipeline(g, DIRECT, rng=4).sample()
         demands = [Demand(0, 11, 1.0), Demand(2, 9, 1.0)]
         res = buy_at_bulk(g, demands, [CableType(1.0, 1.0)], embedding=emb)
         want = sum(emb.tree.distance(d.source, d.target) for d in demands)
@@ -149,7 +151,7 @@ class TestBuyAtBulkPipeline:
 
     def test_embedding_reuse(self):
         g = gen.grid(4, 4, rng=15)
-        emb = sample_frt_tree(g, rng=16)
+        emb = Pipeline(g, DIRECT, rng=16).sample()
         demands = self._random_demands(16, 5, 17)
         a = buy_at_bulk(g, demands, CABLES, embedding=emb)
         b = buy_at_bulk(g, demands, CABLES, embedding=emb)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.congest import RoundLedger, khan_le_lists, skeleton_frt
-from repro.frt import compute_le_lists_batch
+from repro.frt import build_frt_tree, compute_le_lists_batch
 from repro.graph import generators as gen
 from repro.graph.shortest_paths import dijkstra_distances, shortest_path_diameter
 
@@ -223,3 +223,31 @@ class TestSpannerFRT:
         g = Graph.from_edge_list(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(ValueError):
             spanner_frt(g)
+
+
+class TestCongestTreesMatchReference:
+    """The congest layer builds its trees with the batched forest kernel;
+    each must equal the serial reference ``build_frt_tree`` on the lists,
+    rank and beta the run returns."""
+
+    @staticmethod
+    def _assert_reference_tree(g, res):
+        wmin, _ = g.weight_bounds()
+        want = build_frt_tree(res.le_lists, res.rank, res.beta, wmin)
+        got = res.tree
+        assert (got.n, got.k, got.beta, got.scale) == (want.n, want.k, want.beta, want.scale)
+        for name in ("radii", "edge_weights", "cum_weights", "level_ids",
+                     "parent", "node_level", "node_leading"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_skeleton_tree(self, seed):
+        g = gen.cycle_with_hub(48)
+        self._assert_reference_tree(g, skeleton_frt(g, eps=0.0, c=0.5, rng=seed))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_spanner_tree(self, seed):
+        from repro.congest import spanner_frt
+
+        g = gen.random_graph(40, 100, rng=seed)
+        self._assert_reference_tree(g, spanner_frt(g, k=2, c=0.5, rng=seed))

@@ -69,7 +69,6 @@ class TestBatchedFlatStates:
         assert b.k == 4
         for s, st in enumerate(parts):
             assert b.sample_states(s).equals(st)
-        assert all(x.equals(y) for x, y in zip(b.to_states(), parts))
 
     def test_as_flat_view(self):
         b = BatchedFlatStates.from_sources(2, 3)

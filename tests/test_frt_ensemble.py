@@ -1,18 +1,13 @@
-"""Tests for FRT tree ensembles and hierarchical decompositions."""
+"""Tests for sampled FRT ensembles (``PipelineResult`` + ``FRTForest``)
+and hierarchical decompositions."""
 
 import numpy as np
 import pytest
 
-from repro.api import EmbeddingConfig, Pipeline, PipelineConfig
-from repro.frt import (
-    decomposition_of,
-    FRTEnsemble,
-    sample_frt_tree,
-    sample_frt_tree_via_oracle,
-)
+from repro.api import EmbeddingConfig, Pipeline, PipelineConfig, PipelineResult
+from repro.frt import FRTForest, decomposition_of
 from repro.graph import generators as gen
 from repro.graph.shortest_paths import dijkstra_distances
-from repro.util.rng import spawn_rngs
 
 DIRECT = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
 
@@ -20,31 +15,29 @@ DIRECT = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
 class TestEnsembleBasics:
     def test_sample_size(self):
         g = gen.cycle(16, rng=0)
-        ens = Pipeline(g, DIRECT).sample_ensemble(5, seed=1).ensemble()
-        assert ens.size == 5
-        assert ens.n == 16
-        assert ens.forest is not None
+        res = Pipeline(g, DIRECT).sample_ensemble(5, seed=1)
+        assert res.size == len(res) == len(res.embeddings) == 5
+        assert res.forest.size == 5 and res.forest.n == 16
+        assert res.le_lists.k == 5 and res.ranks.shape == (5, 16)
 
     def test_size_validation(self):
         g = gen.cycle(8, rng=0)
         with pytest.raises(ValueError):
             Pipeline(g, DIRECT).sample_ensemble(0)
-        with pytest.raises(ValueError):
-            FRTEnsemble([])
 
     def test_mixed_n_rejected(self):
-        a = sample_frt_tree(gen.cycle(8, rng=0), rng=1)
-        b = sample_frt_tree(gen.cycle(9, rng=0), rng=1)
+        a = Pipeline(gen.cycle(8, rng=0), DIRECT).sample_ensemble(2, seed=1)
+        b = Pipeline(gen.cycle(9, rng=0), DIRECT).sample_ensemble(2, seed=1)
         with pytest.raises(ValueError):
-            FRTEnsemble([a, b])
-
-    def test_custom_sampler(self):
-        """An ensemble of trees from the caller's own sampling loop; without
-        a forest, queries take the per-tree loop."""
-        g = gen.cycle(16, rng=2)
-        ens = FRTEnsemble([sample_frt_tree(g, rng=r) for r in spawn_rngs(3, 3)])
-        assert ens.size == 3 and ens.forest is None
-        assert ens.distances([0], [8]).shape == (3, 1)
+            FRTForest.concat([a.forest, b.forest])
+        with pytest.raises(ValueError):
+            PipelineResult(
+                forest=a.forest,
+                le_lists=b.le_lists,
+                ranks=b.ranks,
+                iterations=b.iterations,
+                ledgers=b.ledgers,
+            )
 
     def test_oracle_sampler_integration(self):
         from repro.hopsets import hub_hopset
@@ -52,44 +45,47 @@ class TestEnsembleBasics:
 
         g = gen.cycle(20, rng=4)
         oracle = HOracle(hub_hopset(g, d0=3, rng=5), rng=6)
-        ens = Pipeline(g, PipelineConfig(), oracle=oracle).sample_ensemble(3, seed=7).ensemble()
-        assert ens.size == 3
-        # the same oracle serves the single-tree wrapper too
-        emb = sample_frt_tree_via_oracle(g, oracle=oracle, rng=7)
-        assert FRTEnsemble([emb, *ens.embeddings]).size == 4
+        pipe = Pipeline(g, PipelineConfig(), oracle=oracle)
+        res = pipe.sample_ensemble(3, seed=7)
+        assert res.size == 3
+        # the same oracle serves the single-tree view too
+        emb = Pipeline(g, PipelineConfig(), oracle=oracle, rng=7).sample()
+        assert emb.tree.n == res.forest.n == 20
+        assert pipe.stats["oracle_builds"] == 0
 
 
 class TestEnsembleDistances:
     def setup_method(self):
         self.g = gen.grid(5, 5, rng=10)
-        self.ens = Pipeline(self.g, DIRECT).sample_ensemble(8, seed=11).ensemble()
+        self.res = Pipeline(self.g, DIRECT).sample_ensemble(8, seed=11)
+        self.forest = self.res.forest
         self.D = dijkstra_distances(self.g)
 
     def test_distances_shape(self):
-        d = self.ens.distances([0, 1], [24, 20])
+        d = self.forest.distances([0, 1], [24, 20])
         assert d.shape == (8, 2)
 
     def test_min_still_dominates(self):
         iu, ju = np.triu_indices(25, k=1)
-        ub = self.ens.distance_upper_bounds(iu, ju)
+        ub = self.forest.distance_upper_bounds(iu, ju)
         assert np.all(ub >= self.D[iu, ju] - 1e-9)
 
     def test_min_tightens_with_size(self):
         iu, ju = np.triu_indices(25, k=1)
-        small = FRTEnsemble(self.ens.embeddings[:2])
-        ratio_small = (small.distance_upper_bounds(iu, ju) / self.D[iu, ju]).mean()
-        ratio_full = (self.ens.distance_upper_bounds(iu, ju) / self.D[iu, ju]).mean()
+        small = self.forest.distances(iu, ju)[:2].min(axis=0)
+        ratio_small = (small / self.D[iu, ju]).mean()
+        ratio_full = (self.forest.distance_upper_bounds(iu, ju) / self.D[iu, ju]).mean()
         assert ratio_full <= ratio_small
 
     def test_median_between_min_and_max(self):
-        d = self.ens.distances([0], [24])
-        med = self.ens.median_distances([0], [24])
+        d = self.forest.distances([0], [24])
+        med = self.forest.median_distances([0], [24])
         assert d.min() <= med[0] <= d.max()
 
     def test_best_tree_for_objective(self):
         # objective: tree distance between opposite corners
-        emb, val = self.ens.best_tree_for(lambda t: t.distance(0, 24))
-        all_vals = [t.distance(0, 24) for t in self.ens.trees]
+        emb, val = self.res.best_tree_for(lambda t: t.distance(0, 24))
+        all_vals = [t.distance(0, 24) for t in self.res.trees]
         assert val == pytest.approx(min(all_vals))
         assert emb.tree.distance(0, 24) == pytest.approx(val)
 
@@ -100,36 +96,31 @@ class TestForestBackedEnsemble:
         self.res = Pipeline(self.g, DIRECT).sample_ensemble(k=6, seed=3)
 
     def test_forest_and_loop_queries_identical(self):
-        ens = self.res.ensemble()
-        assert ens.forest is not None
-        bare = FRTEnsemble(list(ens.embeddings))  # no forest: per-tree loop
+        forest = self.res.forest
         iu, ju = np.triu_indices(self.g.n, k=1)
-        assert np.array_equal(ens.distances(iu, ju), bare.distances(iu, ju))
+        loop = np.stack([t.distances(iu, ju) for t in self.res.trees])
+        assert np.array_equal(forest.distances(iu, ju), loop)
+        assert np.array_equal(forest.distance_upper_bounds(iu, ju), loop.min(axis=0))
         assert np.array_equal(
-            ens.distance_upper_bounds(iu, ju),
-            bare.distance_upper_bounds(iu, ju),
-        )
-        assert np.array_equal(
-            ens.median_distances(iu, ju), bare.median_distances(iu, ju)
+            forest.median_distances(iu, ju), np.median(loop, axis=0)
         )
 
     def test_mismatched_forest_rejected(self):
-        ens = self.res.ensemble()
-        with pytest.raises(ValueError):
-            FRTEnsemble(list(ens.embeddings[:2]), forest=ens.forest)
-
-    def test_shape_compatible_wrong_forest_rejected(self):
-        # Same graph, same k, different seed: (size, n) match but the
-        # trees differ — the per-sample invariants must catch it.
-        other = Pipeline(self.g, DIRECT).sample_ensemble(k=6, seed=99)
-        with pytest.raises(ValueError):
-            FRTEnsemble(list(self.res.embeddings), forest=other.forest)
+        two = Pipeline(self.g, DIRECT).sample_ensemble(k=2, seed=3)
+        with pytest.raises(ValueError, match="do not match the forest"):
+            PipelineResult(
+                forest=self.res.forest,
+                le_lists=two.le_lists,
+                ranks=two.ranks,
+                iterations=two.iterations,
+                ledgers=two.ledgers,
+            )
 
 
 class TestDecomposition:
     def setup_method(self):
         self.g = gen.random_graph(30, 70, rng=20)
-        self.emb = sample_frt_tree(self.g, rng=21)
+        self.emb = Pipeline(self.g, DIRECT, rng=21).sample()
         self.dec = decomposition_of(self.emb.tree)
 
     def test_levels_cover_tree(self):

@@ -17,7 +17,7 @@ from repro.api import (
     Pipeline,
     PipelineConfig,
 )
-from repro.frt import FRTEnsemble, FRTForest, build_frt_forest, build_frt_tree
+from repro.frt import FRTForest, build_frt_forest, build_frt_tree
 from repro.frt.lelists import (
     compute_le_lists_batch,
     compute_le_lists_batch_via_oracle,
@@ -383,8 +383,8 @@ class TestPipelineForest:
         res = Pipeline(g, cfg).sample_ensemble(k=6, seed=0)
         assert isinstance(res.forest, FRTForest)
         assert res.forest.size == 6
-        ens = res.ensemble()
-        assert ens.forest is res.forest
+        for s, emb in enumerate(res.embeddings):
+            _assert_tree_identical(emb.tree, res.forest.tree(s))
 
     def test_one_tree_at_a_time_still_carries_forest(self):
         """shard_size=1 samples one tree at a time in-process and still
@@ -395,7 +395,7 @@ class TestPipelineForest:
             k=3, seed=0, execution=ExecutionConfig(shard_size=1)
         )
         assert isinstance(res.forest, FRTForest) and res.forest.size == 3
-        assert res.ensemble().forest is res.forest
+        assert res.le_lists.k == 3 and res.ranks.shape == (3, g.n)
 
     def test_batched_trees_match_serial_mode(self):
         """The ensemble's forest views equal trees sampled one by one with
@@ -409,7 +409,8 @@ class TestPipelineForest:
             _assert_tree_identical(eb.tree, ea.tree)
         iu, ju = np.triu_indices(g.n, k=1)
         assert np.array_equal(
-            FRTEnsemble(a).distances(iu, ju), b.ensemble().distances(iu, ju)
+            np.stack([e.tree.distances(iu, ju) for e in a]),
+            b.forest.distances(iu, ju),
         )
 
     def test_oracle_pipeline_forest(self):

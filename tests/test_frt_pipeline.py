@@ -4,12 +4,8 @@ Section 7.5 path reconstruction."""
 import numpy as np
 import pytest
 
-from repro.frt import (
-    evaluate_stretch,
-    sample_frt_tree,
-    sample_frt_tree_via_oracle,
-    tree_edge_to_graph_path,
-)
+from repro.api import EmbeddingConfig, HopsetConfig, Pipeline, PipelineConfig
+from repro.frt import evaluate_stretch, tree_edge_to_graph_path
 from repro.frt.paths import PathOracle, reconstruct_graph_path
 from repro.graph import generators as gen
 from repro.graph.shortest_paths import dijkstra_distances, shortest_path_diameter
@@ -17,13 +13,26 @@ from repro.hopsets import hub_hopset, rounded_hopset
 from repro.oracle import HOracle
 from repro.pram import CostLedger
 
+DIRECT = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
+
+
+def _via_oracle(g, *, eps=0.25, d0=None, rng=None, hopset=None, oracle=None):
+    """A pipeline whose ``sample()`` runs the oracle method on a hub hop set."""
+    return Pipeline(
+        g,
+        PipelineConfig(hopset=HopsetConfig(eps=eps, d0=d0)),
+        rng=rng,
+        hopset=hopset,
+        oracle=oracle,
+    )
+
 
 class TestOraclePipeline:
     def test_dominates_g(self):
         g = gen.cycle(24, wmin=1, wmax=2, rng=0)
         DG = dijkstra_distances(g)
         for seed in range(3):
-            res = sample_frt_tree_via_oracle(g, eps=0.25, d0=4, rng=seed)
+            res = _via_oracle(g, eps=0.25, d0=4, rng=seed).sample()
             MT = res.tree.distance_matrix()
             assert np.all(MT >= DG - 1e-9)
 
@@ -32,7 +41,7 @@ class TestOraclePipeline:
         # fewer outer iterations than SPD(G).
         g = gen.cycle(64, rng=1)
         spd = shortest_path_diameter(g)  # 32
-        res = sample_frt_tree_via_oracle(g, eps=0.25, d0=6, rng=2)
+        res = _via_oracle(g, eps=0.25, d0=6, rng=2).sample()
         assert res.iterations < spd / 2
         assert res.iterations <= int(np.log2(g.n) ** 2)
 
@@ -46,7 +55,7 @@ class TestOraclePipeline:
         shared = np.random.default_rng(7)
         report = evaluate_stretch(
             g,
-            lambda: sample_frt_tree_via_oracle(g, oracle=oracle, rng=shared).tree,
+            lambda: _via_oracle(g, oracle=oracle, rng=shared).sample().tree,
             trees=16,
             rng=6,
         )
@@ -58,14 +67,14 @@ class TestOraclePipeline:
         g = gen.grid(5, 5, rng=7)
         hopset = rounded_hopset(hub_hopset(g, d0=4, rng=8), g, 0.25)
         oracle = HOracle(hopset, rng=9)
-        a = sample_frt_tree_via_oracle(g, oracle=oracle, rng=1)
-        b = sample_frt_tree_via_oracle(g, oracle=oracle, rng=2)
+        a = _via_oracle(g, oracle=oracle, rng=1).sample()
+        b = _via_oracle(g, oracle=oracle, rng=2).sample()
         assert a.beta != b.beta  # fresh FRT randomness
         assert a.meta["Lambda"] == b.meta["Lambda"]  # shared H
 
     def test_meta_populated(self):
         g = gen.cycle(16, rng=0)
-        res = sample_frt_tree_via_oracle(g, eps=0.5, d0=3, rng=1)
+        res = _via_oracle(g, eps=0.5, d0=3, rng=1).sample()
         assert res.meta["pipeline"] == "oracle"
         assert res.meta["hop_d"] == 7
         assert res.meta["penalty_base"] == pytest.approx(1.5)
@@ -73,12 +82,12 @@ class TestOraclePipeline:
     def test_ledger_records_costs(self):
         g = gen.cycle(16, rng=0)
         ledger = CostLedger()
-        sample_frt_tree_via_oracle(g, eps=0.25, d0=3, rng=1, ledger=ledger)
+        _via_oracle(g, eps=0.25, d0=3, rng=1).sample(ledger=ledger)
         assert ledger.work > 0 and ledger.depth > 0
 
     def test_eps_zero_uses_exact_hopset(self):
         g = gen.cycle(16, rng=0)
-        res = sample_frt_tree_via_oracle(g, eps=0.0, d0=3, rng=1)
+        res = _via_oracle(g, eps=0.0, d0=3, rng=1).sample()
         assert res.meta["penalty_base"] == 1.0
         # Exact hop set ⇒ H is the metric ⇒ fixpoint in one iteration.
         assert res.iterations == 1
@@ -96,7 +105,7 @@ class TestExplicitRandomnessConsumesNoState:
         g = gen.cycle(10, rng=0)
         rank = np.arange(10, dtype=np.int64)
         rng = np.random.default_rng(123)
-        sample_frt_tree(g, rng=rng, rank=rank, beta=1.5)
+        Pipeline(g, DIRECT, rng=rng).sample(rank=rank, beta=1.5)
         assert self._state(rng) == self._state(np.random.default_rng(123))
 
     def test_both_explicit_via_oracle_leaves_rng_untouched(self):
@@ -104,14 +113,14 @@ class TestExplicitRandomnessConsumesNoState:
         oracle = HOracle(rounded_hopset(hub_hopset(g, d0=3, rng=1), g, 0.25), rng=2)
         rank = np.arange(10, dtype=np.int64)
         rng = np.random.default_rng(123)
-        sample_frt_tree_via_oracle(g, oracle=oracle, rng=rng, rank=rank, beta=1.5)
+        _via_oracle(g, oracle=oracle, rng=rng).sample(rank=rank, beta=1.5)
         assert self._state(rng) == self._state(np.random.default_rng(123))
 
     def test_explicit_rank_draws_only_beta(self):
         g = gen.cycle(10, rng=0)
         rank = np.arange(10, dtype=np.int64)
         rng = np.random.default_rng(7)
-        res = sample_frt_tree(g, rng=rng, rank=rank)
+        res = Pipeline(g, DIRECT, rng=rng).sample(rank=rank)
         expect = np.random.default_rng(7)
         assert res.beta == float(expect.uniform(1.0, 2.0))
         assert self._state(rng) == self._state(expect)
@@ -119,7 +128,7 @@ class TestExplicitRandomnessConsumesNoState:
     def test_explicit_beta_draws_only_rank(self):
         g = gen.cycle(10, rng=0)
         rng = np.random.default_rng(7)
-        res = sample_frt_tree(g, rng=rng, beta=1.25)
+        res = Pipeline(g, DIRECT, rng=rng).sample(beta=1.25)
         expect = np.random.default_rng(7)
         perm = expect.permutation(10)
         want = np.empty(10, dtype=np.int64)
@@ -131,7 +140,7 @@ class TestExplicitRandomnessConsumesNoState:
     def test_default_draw_order_unchanged(self):
         """No overrides: permutation then beta, as before the fix."""
         g = gen.cycle(10, rng=0)
-        res = sample_frt_tree(g, rng=99)
+        res = Pipeline(g, DIRECT, rng=99).sample()
         expect = np.random.default_rng(99)
         perm = expect.permutation(10)
         want = np.empty(10, dtype=np.int64)
@@ -165,7 +174,7 @@ class TestPathReconstruction:
 
     def test_tree_edge_maps_to_bounded_path(self):
         g = gen.grid(4, 4, rng=2)
-        res = sample_frt_tree(g, rng=3)
+        res = Pipeline(g, DIRECT, rng=3).sample()
         tree = res.tree
         oracle = PathOracle(g)
         for child in range(tree.num_nodes):
@@ -181,7 +190,7 @@ class TestPathReconstruction:
 
     def test_root_edge_rejected(self):
         g = gen.cycle(8, rng=0)
-        res = sample_frt_tree(g, rng=1)
+        res = Pipeline(g, DIRECT, rng=1).sample()
         with pytest.raises(ValueError):
             tree_edge_to_graph_path(res.tree, res.tree.root, g)
 
@@ -189,7 +198,7 @@ class TestPathReconstruction:
         # Concatenating per-edge paths up the tree yields a valid G-walk
         # from any vertex's vicinity to the root's leading vertex.
         g = gen.cycle(12, rng=4)
-        res = sample_frt_tree(g, rng=5)
+        res = Pipeline(g, DIRECT, rng=5).sample()
         tree = res.tree
         oracle = PathOracle(g)
         node = tree.leaf_of(5)
@@ -208,7 +217,7 @@ class TestPipelineConstructorVariants:
 
         g = gen.cycle(16, rng=0)
         hop = hub_hopset(g, d0=3, rng=1)
-        res = sample_frt_tree_via_oracle(g, hopset=hop, rng=2)
+        res = _via_oracle(g, hopset=hop, rng=2).sample()
         D = dijkstra_distances(g)
         assert np.all(res.tree.distance_matrix() >= D - 1e-9)
 
@@ -219,7 +228,7 @@ class TestPipelineConstructorVariants:
         import pytest as _pytest
 
         with _pytest.raises(ValueError):
-            sample_frt_tree_via_oracle(g)
+            _via_oracle(g).sample()
 
     def test_empty_source_set_rejected_in_oracle_query(self):
         from repro.apps.kmedian import distance_to_set_via_oracle

@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.frt import (
-    build_frt_tree,
-    compute_le_lists_batch,
-    le_lists_as_arrays,
-    sample_frt_tree,
-)
+from repro.api import EmbeddingConfig, Pipeline, PipelineConfig
+from repro.frt import build_frt_tree, compute_le_lists_batch, le_lists_as_arrays
 from repro.frt.lelists import max_list_length
 from repro.graph import generators as gen
 from repro.graph.shortest_paths import dijkstra_distances, shortest_path_diameter
+
+DIRECT = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
 
 
 def le_lists_of(g, rank):
@@ -210,14 +208,14 @@ class TestDominanceAndStretch:
         for g in small_graphs:
             DG = dijkstra_distances(g)
             for seed in range(4):
-                res = sample_frt_tree(g, rng=seed)
+                res = Pipeline(g, DIRECT, rng=seed).sample()
                 MT = res.tree.distance_matrix()
                 assert np.all(MT >= DG - 1e-9), f"domination violated (seed={seed})"
 
     def test_distance_upper_bound_at_lca(self):
         # dist_T(u,v) <= 4 * r_{lca level} by the geometric sum.
         g = gen.grid(4, 4, rng=3)
-        res = sample_frt_tree(g, rng=1)
+        res = Pipeline(g, DIRECT, rng=1).sample()
         tree = res.tree
         iu, ju = np.triu_indices(16, k=1)
         lvl = tree.lca_levels(iu, ju)
@@ -230,7 +228,7 @@ class TestDominanceAndStretch:
         g = gen.cycle(32, rng=2)
         shared = np.random.default_rng(11)
         report = evaluate_stretch(
-            g, lambda: sample_frt_tree(g, rng=shared).tree, trees=20, rng=4
+            g, lambda: Pipeline(g, DIRECT, rng=shared).sample().tree, trees=20, rng=4
         )
         assert report.dominating
         # O(log n) with a sane constant (paper: 128 ln n-ish worst case;
@@ -244,7 +242,7 @@ class TestDominanceAndStretch:
 
         shared = np.random.default_rng(13)
         report = evaluate_stretch(
-            g, lambda: sample_frt_tree(g, rng=shared).tree, trees=20, rng=4
+            g, lambda: Pipeline(g, DIRECT, rng=shared).sample().tree, trees=20, rng=4
         )
         assert report.max_stretch_single >= report.max_expected_stretch
 
@@ -252,8 +250,8 @@ class TestDominanceAndStretch:
 class TestSampleFRTTree:
     def test_reproducible_with_seed(self):
         g = gen.random_graph(20, 45, rng=0)
-        a = sample_frt_tree(g, rng=42)
-        b = sample_frt_tree(g, rng=42)
+        a = Pipeline(g, DIRECT, rng=42).sample()
+        b = Pipeline(g, DIRECT, rng=42).sample()
         assert a.beta == b.beta
         assert np.array_equal(a.rank, b.rank)
         assert np.array_equal(a.tree.level_ids, b.tree.level_ids)
@@ -261,7 +259,7 @@ class TestSampleFRTTree:
     def test_explicit_beta_rank(self):
         g = gen.cycle(8, rng=0)
         rank = np.arange(8)
-        res = sample_frt_tree(g, rng=0, rank=rank, beta=1.25)
+        res = Pipeline(g, DIRECT, rng=0).sample(rank=rank, beta=1.25)
         assert res.beta == 1.25
         assert np.array_equal(res.rank, rank)
         assert res.tree.node_leading[res.tree.root] == 0
@@ -271,9 +269,9 @@ class TestSampleFRTTree:
 
         g = Graph.from_edge_list(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(ValueError):
-            sample_frt_tree(g)
+            Pipeline(g, DIRECT).sample()
 
     def test_iterations_recorded(self):
         g = gen.path_graph(16)
-        res = sample_frt_tree(g, rng=1)
+        res = Pipeline(g, DIRECT, rng=1).sample()
         assert 1 <= res.iterations <= 15

@@ -11,18 +11,27 @@ import pytest
 from repro.apps.buyatbulk import CableType, Demand, buy_at_bulk
 from repro.apps.kmedian import kmedian, kmedian_cost
 from repro.congest import skeleton_frt
-from repro.api import EmbeddingConfig, Pipeline, PipelineConfig
-from repro.frt import (
-    decomposition_of,
-    sample_frt_tree,
-    sample_frt_tree_via_oracle,
-)
+from repro.api import EmbeddingConfig, HopsetConfig, Pipeline, PipelineConfig
+from repro.frt import decomposition_of
 from repro.graph import generators as gen
 from repro.graph.shortest_paths import dijkstra_distances
 from repro.hopsets import hub_hopset, identity_hopset, rounded_hopset, verify_hopset
 from repro.metric import approximate_metric
 from repro.oracle import HOracle
 from repro.pram import CostLedger
+
+DIRECT = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
+
+
+def _via_oracle(g, *, eps=0.25, d0=None, rng=None, hopset=None, oracle=None):
+    """A pipeline whose ``sample()`` runs the oracle method on a hub hop set."""
+    return Pipeline(
+        g,
+        PipelineConfig(hopset=HopsetConfig(eps=eps, d0=d0)),
+        rng=rng,
+        hopset=hopset,
+        oracle=oracle,
+    )
 
 
 FAMILIES = {
@@ -40,11 +49,11 @@ def test_pipeline_matrix_dominance_and_iterations(family, pipeline):
     g = FAMILIES[family]()
     D = dijkstra_distances(g)
     if pipeline == "direct":
-        res = sample_frt_tree(g, rng=10)
+        res = Pipeline(g, DIRECT, rng=10).sample()
     elif pipeline == "oracle-exact":
-        res = sample_frt_tree_via_oracle(g, eps=0.0, d0=4, rng=11)
+        res = _via_oracle(g, eps=0.0, d0=4, rng=11).sample()
     else:
-        res = sample_frt_tree_via_oracle(g, eps=0.25, d0=4, rng=12)
+        res = _via_oracle(g, eps=0.25, d0=4, rng=12).sample()
     M = res.tree.distance_matrix()
     assert np.all(M >= D - 1e-9)
     assert res.iterations <= g.n
@@ -67,7 +76,7 @@ def test_hopset_feeds_every_consumer():
     off = ~np.eye(g.n, dtype=bool)
     assert np.all(matrix[off] >= D[off] - 1e-9)
     # tree through the same oracle
-    res = sample_frt_tree_via_oracle(g, oracle=oracle, rng=23)
+    res = _via_oracle(g, oracle=oracle, rng=23).sample()
     assert np.all(res.tree.distance_matrix() >= D - 1e-9)
     # the tree's decomposition respects the (approximate) metric radii
     dec = decomposition_of(res.tree)
@@ -94,10 +103,8 @@ def test_ensemble_drives_buyatbulk():
     demands = [Demand(0, 24, 7.0), Demand(4, 20, 3.0), Demand(2, 22, 5.0)]
     cables = [CableType(1.0, 1.0), CableType(10.0, 3.0)]
     cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
-    ens = Pipeline(g, cfg).sample_ensemble(4, seed=41).ensemble()
-    results = [
-        buy_at_bulk(g, demands, cables, embedding=emb) for emb in ens.embeddings
-    ]
+    ens = Pipeline(g, cfg).sample_ensemble(4, seed=41)
+    results = [buy_at_bulk(g, demands, cables, embedding=emb) for emb in ens]
     best = min(r.graph_cost for r in results)
     worst = max(r.graph_cost for r in results)
     assert best <= worst
@@ -140,8 +147,8 @@ def test_ledger_composition_across_pipeline():
     """Work/depth accounting composes across hop set use, oracle, tree."""
     g = gen.cycle(24, rng=70)
     lo, ld = CostLedger(), CostLedger()
-    sample_frt_tree_via_oracle(g, eps=0.2, d0=3, rng=71, ledger=lo)
-    sample_frt_tree(g, rng=72, ledger=ld)
+    _via_oracle(g, eps=0.2, d0=3, rng=71).sample(ledger=lo)
+    Pipeline(g, DIRECT, rng=72).sample(ledger=ld)
     assert lo.work > ld.work  # oracle pays (Λ+1)·d overhead per iteration
     assert lo.depth > 0 and ld.depth > 0
 

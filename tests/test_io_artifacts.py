@@ -15,7 +15,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from repro.api import CostLedger, EmbeddingConfig, Pipeline, PipelineConfig, PipelineResult
+from repro.api import EmbeddingConfig, Pipeline, PipelineConfig
 from repro.graph import generators as gen
 from repro.graph.core import Graph
 from repro.io import (
@@ -177,11 +177,15 @@ def test_in_memory_load_is_read_only_like_mmap(tmp_path):
 
 @pytest.mark.parametrize("mmap", [False, True], ids=["inmem", "mmap"])
 def test_result_round_trip(tmp_path, mmap):
-    """PipelineResult: embeddings, LE lists, ledgers, timings, meta."""
+    """PipelineResult: stacked arrays, embeddings, ledgers, timings, meta."""
     result = _result(40, 5)
     path = tmp_path / "result.rpz"
     result.save(path)
     loaded = load_result(path, mmap=mmap)
+    assert np.array_equal(loaded.ranks, result.ranks)
+    assert loaded.le_lists.equals(result.le_lists)
+    assert loaded.iterations == result.iterations
+    assert loaded.embedding_meta == result.embedding_meta
     assert len(loaded.embeddings) == len(result.embeddings)
     for e0, e1 in zip(result.embeddings, loaded.embeddings):
         assert np.array_equal(e0.rank, e1.rank)
@@ -199,9 +203,46 @@ def test_result_round_trip(tmp_path, mmap):
     ]
     us, vs = _query_pairs(40, seed=4)
     assert np.array_equal(
-        result.ensemble().median_distances(us, vs),
-        loaded.ensemble().median_distances(us, vs),
+        result.forest.median_distances(us, vs),
+        loaded.forest.median_distances(us, vs),
     )
+
+
+def test_result_mmap_load_keeps_lists_mapped(tmp_path):
+    """load_result(mmap=True) maps the stacked LE lists and ranks from the
+    file and makes no per-sample copies: the embeddings views are built
+    only on first access."""
+    result = _result(512, 12)
+    lists = result.le_lists
+    payload = lists.offsets.nbytes + lists.ids.nbytes + lists.dists.nbytes
+    assert payload > 1 << 18, "fixture too small to witness a copy"
+    path = tmp_path / "big.rpz"
+    result.save(path)
+
+    tracemalloc.start()
+    before, _ = tracemalloc.get_traced_memory()
+    loaded = load_result(path, mmap=True)
+    after, _ = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+
+    for arr in (loaded.le_lists.offsets, loaded.le_lists.ids, loaded.le_lists.dists,
+                loaded.ranks):
+        assert isinstance(arr, np.memmap)
+        assert not arr.flags.writeable
+    assert "embeddings" not in vars(loaded)
+    assert after - before < payload / 10
+    assert loaded.le_lists.equals(lists)
+    assert loaded.embeddings[3].le_lists.equals(lists.sample_states(3))
+
+
+def test_result_load_rejects_per_sample_embedding_meta(tmp_path):
+    path = tmp_path / "r.rpz"
+    _result(24, 2).save(path)
+    _rewrite_meta(
+        path, lambda m: m["result"]["embedding_meta"][1].update(pipeline="oracle")
+    )
+    with pytest.raises(ArtifactError, match="embedding_meta"):
+        load_result(path)
 
 
 def test_from_artifacts_round_trip_is_read_only(tmp_path, monkeypatch):
@@ -221,16 +262,6 @@ def test_from_artifacts_round_trip_is_read_only(tmp_path, monkeypatch):
     # Frozen storage still answers queries normally.
     us, vs = _query_pairs(24, seed=2)
     assert loaded.forest.distances(us, vs).shape == (3, us.size)
-
-
-def test_result_save_requires_batched_mode(tmp_path):
-    """The stacked forest is the storage format: every ensemble carries
-    one, and a hand-built result without it cannot be saved."""
-    pipe = _pipeline(24)
-    hand_built = PipelineResult(embeddings=[pipe.sample()], ledger=CostLedger())
-    assert hand_built.forest is None
-    with pytest.raises(ValueError, match="forest"):
-        hand_built.save(tmp_path / "nope.rpz")
 
 
 def test_facade_save_and_from_artifacts(tmp_path):

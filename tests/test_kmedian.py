@@ -13,9 +13,11 @@ from repro.apps.kmedian import (
     kmedian_random,
     successive_sampling,
 )
-from repro.frt import sample_frt_tree
+from repro.api import EmbeddingConfig, Pipeline, PipelineConfig
 from repro.graph import generators as gen
 from repro.graph.shortest_paths import dijkstra_distances
+
+DIRECT = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
 
 
 def brute_force_kmedian(G, k):
@@ -83,7 +85,7 @@ class TestSuccessiveSampling:
 class TestHSTDP:
     def _tree_and_weights(self, n=10, seed=0):
         g = gen.random_graph(n, 2 * n, rng=seed)
-        emb = sample_frt_tree(g, rng=seed + 1)
+        emb = Pipeline(g, DIRECT, rng=seed + 1).sample()
         w = np.random.default_rng(seed).uniform(0.0, 3.0, n)
         return emb.tree, w
 

@@ -56,12 +56,14 @@ class TestSquaring:
     def test_work_comparison_vs_le_pipeline(self):
         # The paper's Section 1.1 point: squaring pays Ω(n³) even on sparse
         # graphs, the MBF-like pipeline does not.
-        from repro.frt import sample_frt_tree
+        from repro.api import EmbeddingConfig, Pipeline, PipelineConfig
+
+        direct = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
 
         g = gen.random_graph(128, 3 * 128, rng=1)
         l_sq, l_le = CostLedger(), CostLedger()
         distance_matrix_by_squaring(g, ledger=l_sq)
-        sample_frt_tree(g, rng=2, ledger=l_le)
+        Pipeline(g, direct, rng=2).sample(ledger=l_le)
         assert l_le.work < l_sq.work / 4
 
 

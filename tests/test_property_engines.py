@@ -120,9 +120,11 @@ class TestFRTreeProperty:
     @given(connected_graphs(max_n=8), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=30, deadline=None)
     def test_dominance_always(self, g, seed):
-        from repro.frt import sample_frt_tree
+        from repro.api import EmbeddingConfig, Pipeline, PipelineConfig
 
-        res = sample_frt_tree(g, rng=seed)
+        direct = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
+
+        res = Pipeline(g, direct, rng=seed).sample()
         D = dijkstra_distances(g)
         M = res.tree.distance_matrix()
         assert np.all(M >= D - 1e-9)
@@ -130,9 +132,11 @@ class TestFRTreeProperty:
     @given(connected_graphs(max_n=8), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=30, deadline=None)
     def test_tree_metric_axioms(self, g, seed):
-        from repro.frt import sample_frt_tree
+        from repro.api import EmbeddingConfig, Pipeline, PipelineConfig
 
-        res = sample_frt_tree(g, rng=seed)
+        direct = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
+
+        res = Pipeline(g, direct, rng=seed).sample()
         M = res.tree.distance_matrix()
         n = g.n
         assert np.allclose(M, M.T)

@@ -299,7 +299,7 @@ def test_facade_end_to_end_offline_build_online_serve(tmp_path):
     us, vs = _pairs(32, 10, seed=14)
     assert np.array_equal(
         server.distance_upper_bounds(us, vs),
-        reference.ensemble().distance_upper_bounds(us, vs),
+        reference.forest.distance_upper_bounds(us, vs),
     )
 
 

@@ -5,11 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.frt import evaluate_stretch, sample_frt_tree
+from repro.api import EmbeddingConfig, Pipeline, PipelineConfig
+from repro.frt import evaluate_stretch
 from repro.frt.stretch import StretchReport, all_pairs, sample_pairs
 from repro.util.pairs import sample_distinct, unrank_pairs
 from repro.graph import generators as gen
 from repro.graph.core import Graph
+
+DIRECT = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
 
 
 class TestSamplePairs:
@@ -164,7 +167,7 @@ class TestEvaluateStretch:
         g = gen.grid(3, 4, rng=0)
         shared = np.random.default_rng(1)
         rep = evaluate_stretch(
-            g, lambda: sample_frt_tree(g, rng=shared).tree, trees=3, rng=2
+            g, lambda: Pipeline(g, DIRECT, rng=shared).sample().tree, trees=3, rng=2
         )
         assert isinstance(rep, StretchReport)
         assert rep.trees == 3 and rep.pairs == 66
@@ -178,7 +181,7 @@ class TestEvaluateStretch:
         g = gen.grid(3, 4, rng=0)
         shared = np.random.default_rng(1)
         rep = evaluate_stretch(
-            g, lambda: sample_frt_tree(g, rng=shared).tree, trees=2, pairs=7, rng=2
+            g, lambda: Pipeline(g, DIRECT, rng=shared).sample().tree, trees=2, pairs=7, rng=2
         )
         assert rep.pairs == 7
 
