@@ -138,14 +138,20 @@ class Graph:
         """Both orientations of every edge: ``(sources, targets, weights)``.
 
         This is the propagation structure of an MBF iteration: information at
-        ``sources[i]`` flows to ``targets[i]`` at cost ``weights[i]``.  Cached.
+        ``sources[i]`` flows to ``targets[i]`` at cost ``weights[i]``.  The
+        edges are grouped by target: ``targets`` is non-decreasing.  The
+        sort is stable, so within one target the ``u -> v`` orientations of
+        the stored edges ``(u, v)`` come first, in storage order, then the
+        ``v -> u`` ones.  Kernels that aggregate per target rely on this
+        grouping.  Cached.
         """
         if self._directed_cache is None:
             u, v, w = self.edges[:, 0], self.edges[:, 1], self.weights
             src = np.concatenate([u, v])
             dst = np.concatenate([v, u])
             wts = np.concatenate([w, w])
-            self._directed_cache = (src, dst, wts)
+            order = np.argsort(dst, kind="stable")
+            self._directed_cache = (src[order], dst[order], wts[order])
         return self._directed_cache
 
     def degrees(self) -> np.ndarray:

@@ -52,11 +52,10 @@ def grouped_inedges(G: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     Returns ``(src, dst_unique, starts, w)`` where the directed edges sorted
     by target are ``(src[i] -> ·, w[i])`` and the block of edges entering
     ``dst_unique[j]`` is ``src[starts[j] : starts[j+1]]`` (with an implicit
-    final boundary at the end).
+    final boundary at the end).  :meth:`Graph.directed_edges` is already
+    grouped by target.
     """
     s, d, w = G.directed_edges()
-    order = np.argsort(d, kind="stable")
-    s, d, w = s[order], d[order], w[order]
     dst_unique, starts = np.unique(d, return_index=True)
     return s, dst_unique, starts, w
 
@@ -178,10 +177,8 @@ def min_hop_of_shortest_path(G: Graph, source: int) -> np.ndarray:
     tight[finite_mask] = (
         np.abs(dist[src][finite_mask] + w[finite_mask] - dist[dst][finite_mask]) <= tol
     )
+    # Tight in-edges, grouped by target like the directed edges.
     ts, td = src[tight], dst[tight]
-    # Group tight in-edges by target.
-    order = np.argsort(td, kind="stable")
-    ts, td = ts[order], td[order]
     boundaries = np.flatnonzero(np.diff(td)) + 1
     groups = np.split(np.arange(td.size), boundaries)
     in_edges: dict[int, np.ndarray] = {}

@@ -37,9 +37,13 @@ composite segment id).  For LE lists the batched iteration additionally
 uses an *incremental* aggregation — propagated entries that are dominated
 by (or duplicates of) the target's current staircase can never survive the
 filter (the self-contribution puts their dominator in every merge), so
-they are pruned by one flat ``searchsorted`` over composite
-``(segment, dist)`` keys before the sort, and only the small survivor set
-is sorted and staircase-merged into the current lists.
+they are pruned before any sort.  The directed edges come grouped by
+target, so the candidates do too, and one vectorized bisection inside
+each candidate's target segment finds the last current entry no farther
+than it: that index decides the prune and, for a survivor, its merge
+position.  Only the small survivor set is sorted — one near-linear
+stable sort of already target-grouped ``(segment, dist)`` keys — and
+staircase-merged into the current lists.
 
 The iteration is also *semi-naive* (Moore's refinement of Bellman-Ford:
 relax only from labels that changed).  Each LE step reports which entries
@@ -103,7 +107,9 @@ def _segment_keys(seg: np.ndarray, values: np.ndarray) -> np.ndarray:
     tricks that could perturb float ordering.  ``seg`` broadcasts against
     ``values``.  The keys are assembled by field, not arithmetic: ``1j *
     inf`` would produce a NaN real part and break the order.  Segment ids
-    must stay below ``2**53`` (exact in float64).
+    must stay below ``2**53`` (exact in float64).  Used by
+    :func:`segmented_searchsorted` and by the LE iteration's survivor
+    sort; the LE prune searches plain distances (:func:`_last_at_most`).
     """
     keys = np.empty(np.shape(values), dtype=np.complex128)
     keys.real = seg
@@ -111,28 +117,36 @@ def _segment_keys(seg: np.ndarray, values: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _padded_segment_keys(
+def _last_at_most(
     offsets: np.ndarray,  # shape: (s+1,) int64 frozen
-    values: np.ndarray,  # shape: (total,) float64 frozen
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_segment_keys` of a CSR array, each segment headed by a sentinel.
+    counts: np.ndarray,  # shape: (s,) int64 frozen
+    dists: np.ndarray,  # shape: (total,) float64 frozen
+    seg: np.ndarray,  # shape: (m,) int64 frozen
+    q: np.ndarray,  # shape: (m,) float64 frozen
+) -> np.ndarray:  # shape: -> (m,) int64
+    """Per query, the flat index of the last ``dists`` entry ``<= q`` in its segment.
 
-    Segment ``j``'s ``(j, -inf)`` sentinel sits at ``offsets[j] + j``,
-    followed by its values.  Returns ``(keys, slots)`` with ``slots[i]``
-    the position of ``values[i]`` in ``keys``.  For a query ``q > -inf``
-    addressed to segment ``j``, ``searchsorted(keys, (j, q), side) -
-    offsets[j] - j - 1`` is ``searchsorted(segment_j, q, side)``, and
-    with ``side="right"`` the position just before it holds the last value
-    ``<= q`` — or the sentinel if there is none — so the LE iteration's
-    per-candidate prune needs no emptiness check.
+    ``dists[offsets[j] : offsets[j] + counts[j]]`` is segment ``j``,
+    sorted ascending.  Query ``i`` searches segment ``seg[i]`` for
+    ``q[i]`` and gets ``offsets[seg[i]] - 1`` if no entry is ``<= q[i]``
+    (that index belongs to an earlier segment, or wraps to ``-1``).  One
+    vectorized bisection inside each query's own segment: the answer lies
+    in ``[base, base + span)``, each step tests the midpoint and halves
+    ``span``, so ``max(counts).bit_length()`` steps over plain float64
+    values settle every query.  A settled query (``span == 1``) re-tests
+    its own ``base`` and keeps it.
     """
-    counts = np.diff(offsets)
-    num_segments = counts.size
-    slots = np.arange(values.size) + np.repeat(np.arange(1, num_segments + 1), counts)
-    padded = np.full(values.size + num_segments, -np.inf)
-    padded[slots] = values
-    seg = np.repeat(np.arange(num_segments, dtype=np.float64), counts + 1)
-    return _segment_keys(seg, padded), slots
+    base = offsets[seg] - 1
+    span = counts[seg] + 1
+    idx = np.empty_like(base)
+    at_most = np.empty(base.shape, dtype=bool)
+    for _ in range(int(counts.max()).bit_length() if counts.size else 0):
+        np.right_shift(span, 1, out=idx)
+        span -= idx
+        idx += base
+        np.less_equal(dists[idx], q, out=at_most)
+        np.copyto(base, idx, where=at_most)
+    return base
 
 
 def segmented_searchsorted(
@@ -149,7 +163,7 @@ def segmented_searchsorted(
     each segment, shape ``queries.shape`` — exactly
     ``searchsorted(values[offsets[j]:offsets[j+1]], queries[j], side)`` for
     every ``j``, but as a single flat binary search over
-    :func:`_segment_keys` (the LE iteration's prune uses the same keys).
+    :func:`_segment_keys`.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
@@ -824,7 +838,7 @@ def _virtual_edges(
     base = (np.arange(k, dtype=np.int64) * n)[:, None]
     vsrc = (base + src[None, :]).reshape(-1)
     vdst = (base + dst[None, :]).reshape(-1)
-    vw = np.broadcast_to(w, (k, w.size)).reshape(-1).copy()
+    vw = np.broadcast_to(w, (k, w.size)).reshape(-1)
     return vsrc, vdst, vw
 
 
@@ -951,8 +965,17 @@ def _le_iteration_incremental(
     dominates (``d' <= d`` and ``r' <= r``; equal rank means the identical
     vertex) can never survive the staircase — the dominator precedes it in
     ``(dist, rank)`` order and pins the running minimum below its rank.
-    Pruning those entries first and sorting only the survivors yields the
-    same survivors in the same order as the full sort, bit for bit.
+    Along a staircase ranks fall as distances rise, so the one entry to
+    test is the last one no farther than the candidate
+    (:func:`_last_at_most`); the same index places a survivor in the merge.
+
+    Survivor order: the candidates come grouped by target (the directed
+    edges are), so one stable sort by ``(target, dist)`` only merges
+    sorted runs.  The full sort would also order by rank; instead each
+    equal-``(target, dist)`` run keeps just its minimum-rank entries, the
+    only ones the staircase can keep, and copies of one vertex are
+    identical.  The merged lists therefore equal the full sort's, bit for
+    bit.
 
     Delta: ``fresh`` marks the entries of ``states`` that the previous
     iteration (same graph, filter and ``weight_scale``) inserted; ``None``
@@ -974,7 +997,7 @@ def _le_iteration_incremental(
     src, dst, w = G.directed_edges()
     if weight_scale != 1.0:
         w = w * weight_scale
-    # Rebuilt per call; measured ~2% of an iteration, and any cross-call
+    # Rebuilt per call; measured 2-5% of an iteration, and any cross-call
     # cache would need invalidation on every active-set compaction.
     vsrc, vdst, vw = _virtual_edges(k, n, src, dst, w)
     cur = states.as_flat()
@@ -986,7 +1009,7 @@ def _le_iteration_incremental(
     _charge_sample_iteration(ledgers, emitted)
     cur_own = np.repeat(np.arange(kn, dtype=np.int64), ccounts)
     cur_rank = spec.entry_ranks(cur_own, cur.ids)
-    # -- lazy emission: (source slot, dist, rank) per candidate ---------------
+    # -- lazy emission: (source slot, dist, target) per candidate -------------
     if fresh is None:
         fcounts, foffsets = ccounts, cur.offsets
     else:
@@ -1000,33 +1023,51 @@ def _le_iteration_incremental(
     if fresh is not None:
         slot = fslots[slot]
     cd = cur.dists[slot] + np.repeat(vw, ecounts)
-    cr = cur_rank[slot]
-    ckey = _segment_keys(np.repeat(vdst, ecounts), cd)
-    # -- prune against the current staircases, one flat search ---------------
-    # The last key <= a candidate's is either the farthest current entry no
-    # farther than it (the lowest rank among those: ranks fall along a
-    # staircase) or the segment's sentinel, whose rank n prunes nothing.
-    pad_keys, padded = _padded_segment_keys(cur.offsets, cur.dists)
-    pad_rank = np.full(pad_keys.size, n, dtype=np.int64)
-    pad_rank[padded] = cur_rank
-    pred = np.searchsorted(pad_keys, ckey, side="right") - 1
-    surv = np.flatnonzero(pad_rank[pred] > cr)
+    # The directed edges are grouped by target, so the candidates are too.
+    ct = np.repeat(vdst, ecounts)
+    # -- prune against the current staircases, one in-segment bisection ------
+    # The last current entry no farther than a candidate is the lowest-rank
+    # one among those (ranks fall along a staircase); if there is none,
+    # nothing dominates the candidate.  Ranks are gathered only after the
+    # search, which keeps them out of its peak memory.
+    pred = _last_at_most(cur.offsets, ccounts, cur.dists, ct, cd)
+    surv = np.flatnonzero((pred < cur.offsets[ct]) | (cur_rank[pred] > cur_rank[slot]))
     if surv.size == 0:
         return states, np.zeros(k, dtype=bool), np.zeros(cur.total, dtype=bool)
-    # -- sort the (small) survivor set by (segment, dist, rank) ---------------
-    slot, br, bkey = slot[surv], cr[surv], ckey[surv]
-    order = _stable_lexsort((br, bkey))
-    slot, br, bkey = slot[order], br[order], bkey[order]
-    bt = bkey.real.astype(np.int64)
+    # -- order the (small) survivor set by (segment, dist) --------------------
+    # Survivors keep the candidates' target grouping, so this stable sort
+    # only merges each target's sorted runs (one per in-edge).
+    bkey = _segment_keys(ct[surv], cd[surv])
+    order = np.argsort(bkey, kind="stable")
+    surv, bkey = surv[order], bkey[order]
+    # An equal-(segment, dist) run keeps only its minimum-rank entries, the
+    # only ones the staircase can keep (the full sort's rank key would put
+    # them first).  Exact copies of one vertex stay; the staircase drops
+    # the duplicate.
+    run_start = np.ones(surv.size, dtype=bool)
+    run_start[1:] = bkey[1:] != bkey[:-1]
+    slot = slot[surv]
+    br = cur_rank[slot]
+    if not run_start.all():
+        run_min = np.minimum.reduceat(br, np.flatnonzero(run_start))
+        lowest = br == run_min[np.cumsum(run_start) - 1]
+        surv, slot, br = surv[lowest], slot[lowest], br[lowest]
+    bd, bt, bpred = cd[surv], ct[surv], pred[surv]
     # -- merge into the current staircases ------------------------------------
     bcounts = np.bincount(bt, minlength=kn)
     boffsets = np.concatenate([[0], np.cumsum(bcounts)])
     within_b = np.arange(bt.size) - boffsets[bt]
-    # Survivors precede equal-dist current entries (their rank is strictly
-    # smaller — otherwise the prune would have caught them), so each goes
-    # after the current entries with a *strictly* smaller dist: a left
-    # search, counted from just past its segment's sentinel.
-    loc = np.searchsorted(pad_keys, bkey, side="left") - (cur.offsets[bt] + bt + 1)
+    # Survivors precede an equal-dist current entry (their rank is strictly
+    # smaller, or the prune would have caught them), so each goes after the
+    # current entries with a *strictly* smaller dist.  The prune's index
+    # ends the entries <= it; distances strictly increase along a
+    # staircase, so at most that last one ties.
+    blo = cur.offsets[bt]
+    # reprolint: disable=float-distance-eq (the tie decides merge order
+    # exactly as the full sort's (dist, rank) key would: bit-identity
+    # needs the exact comparison, both operands are stored float64 sums)
+    tie = (bpred >= blo) & (cur.dists[bpred] == bd)
+    loc = bpred + 1 - blo - tie
     mcounts = ccounts + bcounts
     moffsets = np.concatenate([[0], np.cumsum(mcounts)])
     mtotal = int(moffsets[-1])
@@ -1037,7 +1078,7 @@ def _le_iteration_incremental(
     is_new = np.zeros(mtotal, dtype=bool)
     is_new[bpos] = True
     cpos = np.flatnonzero(~is_new)
-    m_ids[bpos], m_dists[bpos], m_rank[bpos] = cur.ids[slot], bkey.imag, br
+    m_ids[bpos], m_dists[bpos], m_rank[bpos] = cur.ids[slot], bd, br
     m_ids[cpos], m_dists[cpos], m_rank[cpos] = cur.ids, cur.dists, cur_rank
     # -- staircase over the merged lists --------------------------------------
     # Later segments get smaller bases, so the running minimum never leaks

@@ -47,19 +47,18 @@ def _edge_groups(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Directed edges grouped by target: ``(src, w, group_starts, targets)``.
 
-    Sorting by target once lets every iteration reduce each target's
-    incoming candidates with one ``ufunc.reduceat`` instead of a scatter.
+    :meth:`Graph.directed_edges` comes grouped by target, so every
+    iteration reduces each target's incoming candidates with one
+    ``ufunc.reduceat`` instead of a scatter.
     """
     src, dst, w = G.directed_edges()
     if unit_weights:
         w = np.ones_like(w)
-    order = np.argsort(dst, kind="stable")
-    src_s, dst_s, w_s = src[order], dst[order], w[order]
-    if dst_s.size:
-        starts = np.flatnonzero(np.concatenate([[True], dst_s[1:] != dst_s[:-1]]))
+    if dst.size:
+        starts = np.flatnonzero(np.concatenate([[True], dst[1:] != dst[:-1]]))
     else:
         starts = np.zeros(0, dtype=np.int64)
-    return src_s, w_s, starts, dst_s[starts]
+    return src, w, starts, dst[starts]
 
 
 def scalar_iteration(

@@ -6,8 +6,9 @@ LE lists, iteration counts, and cost-ledger charges exactly — the batch is
 an implementation detail, not a semantic change.  These tests pin that
 contract at every layer (kernels, ``run_dense_batched``,
 ``HOracle.run_batch``) including k=1 and non-power-of-two k.  The LE
-kernel's semi-naive delta must match full emission at every step, and its
-flat segmented search must match a per-segment ``np.searchsorted``.
+kernel's semi-naive delta must match full emission at every step, its
+prune/merge must match the generic full-sort iteration, and its segmented
+searches must match a per-segment ``np.searchsorted``.
 """
 
 import numpy as np
@@ -22,8 +23,9 @@ from repro.mbf.dense import (
     FlatStates,
     LEFilter,
     MinFilter,
-    _padded_segment_keys,
-    _segment_keys,
+    _generic_iteration_batched,
+    _last_at_most,
+    _le_iteration_incremental,
     aggregate,
     aggregate_batched,
     dense_iteration,
@@ -484,6 +486,58 @@ class TestSemiNaiveDelta:
             dense_iteration_batched_ex(g, b, spec, fresh=np.ones(3, dtype=bool))
 
 
+class TestIncrementalMatchesFullSort:
+    """The LE kernel's prune, survivor sort and merge against the generic
+    iteration, which sorts every candidate by ``(target, dist, rank)``."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("scale", [1.0, 1.25**3])
+    def test_every_step_matches_generic_iteration(self, k, scale):
+        """Integer weights make equal-distance candidates of different
+        ranks common, so the tie handling is exercised on every step.  The
+        start states are partial lists (random vertices' lists emptied,
+        vertex 0's always), so some segments, segment 0 among them, are
+        empty when the steps begin."""
+        rng = np.random.default_rng(60)
+        ties = 0
+        for n, m in [(12, 24), (20, 45), (30, 80)]:
+            base = gen.random_graph(n, m, rng=rng)
+            g = Graph(n, base.edges, rng.integers(1, 4, size=base.m).astype(float))
+            spec = BatchedLEFilter(_ranks(k, n, int(rng.integers(1 << 30))))
+            states = BatchedFlatStates.from_sources(k, n)
+            for _ in range(2):
+                states = _generic_iteration_batched(g, states, spec, scale, None)
+            keep = rng.random(n) < 0.6
+            keep[0] = False
+            states = states.restrict(keep)
+            fresh = None
+            for _ in range(n + 1):
+                expect = _generic_iteration_batched(g, states, spec, scale, None)
+                nxt, changed, fresh = _le_iteration_incremental(
+                    g, states, spec, weight_scale=scale, fresh=fresh
+                )
+                assert nxt.equals(expect)
+                assert np.array_equal(changed, ~states.sample_equal(expect))
+                ties += _rank_ties(g, states, scale)
+                states = nxt
+                if not changed.any():
+                    break
+            else:
+                pytest.fail("no fixpoint within n + 1 steps")
+        assert ties > 0
+
+
+def _rank_ties(g, states, scale):
+    """Candidate pairs of one step with equal ``(target, dist)`` but
+    different vertices: the ties only the rank can order."""
+    src, dst, w = g.directed_edges()
+    tgt, ids, dists = propagate_batched(states, src, dst, w * scale)
+    order = np.lexsort((ids, dists, tgt))
+    tgt, ids, dists = tgt[order], ids[order], dists[order]
+    tied = (tgt[1:] == tgt[:-1]) & (dists[1:] == dists[:-1]) & (ids[1:] != ids[:-1])
+    return int(np.count_nonzero(tied))
+
+
 def _csr_cases():
     """``(offsets, values)`` with empty and length-1 segments, tied values
     and infinities; each segment sorted ascending."""
@@ -524,44 +578,40 @@ class TestSegmentedSearch:
                 expect = np.searchsorted(_segment(offsets, values, j), queries[j], side=side)
                 assert np.array_equal(got[j], expect), (offsets, j)
 
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_padded_keys_per_candidate_stream(self, side):
-        """The LE prune's form: an arbitrary ``(segment, q)`` query stream
-        (``q > -inf``) against sentinel-headed keys."""
+    def test_last_at_most_per_query(self):
+        """The LE prune's search: an arbitrary ``(segment, q)`` query
+        stream, bisected inside each segment.  No entry ``<= q`` gives
+        ``offsets[segment] - 1``, which is ``-1`` for an empty segment 0."""
         rng = np.random.default_rng(51)
         for offsets, values in _csr_cases():
             s = offsets.size - 1
-            keys, slots = _padded_segment_keys(offsets, values)
-            assert keys.size == values.size + s
-            owner = np.repeat(np.arange(s), np.diff(offsets))
-            assert np.array_equal(keys[slots].real, owner)
-            assert np.array_equal(keys[slots].imag, values)
-            heads = offsets[:-1] + np.arange(s)
-            assert np.array_equal(keys[heads].imag, np.full(s, -np.inf))
-            tgt = rng.integers(0, s, size=200) if s else np.zeros(0, dtype=np.int64)
-            q = rng.choice(_QUERIES[1:], size=tgt.size)
-            pos = np.searchsorted(keys, _segment_keys(tgt, q), side=side)
-            got = pos - (offsets[tgt] + tgt + 1)
+            seg = rng.integers(0, s, size=200) if s else np.zeros(0, dtype=np.int64)
+            q = rng.choice(_QUERIES, size=seg.size)
+            got = _last_at_most(offsets, np.diff(offsets), values, seg, q)
             expect = [
-                np.searchsorted(_segment(offsets, values, t), x, side=side)
-                for t, x in zip(tgt, q)
+                offsets[j] + np.searchsorted(_segment(offsets, values, j), x, side="right") - 1
+                for j, x in zip(seg, q)
             ]
-            assert got.tolist() == [int(e) for e in expect]
-            if side == "right":
-                # The key just before is the last value <= q, else the sentinel.
-                before = keys[pos - 1].imag
-                has_pred = got > 0
-                pred_slot = (pos - tgt - 2)[has_pred]
-                assert np.array_equal(before[has_pred], values[pred_slot])
-                assert np.all(before[~has_pred] == -np.inf)
+            assert got.tolist() == [int(e) for e in expect], offsets
+
+    def test_last_at_most_empty_first_segment(self):
+        """Segment 0 is empty, so "none" in segments 0 and 1 is index -1,
+        which wraps to the last value (3.0): -1 must stay the answer whether
+        that value is <= the query (5.0) or not (1.0)."""
+        offsets = np.array([0, 0, 1, 3], dtype=np.int64)
+        values = np.array([2.0, 1.0, 3.0])
+        seg = np.array([0, 1, 1, 2, 2, 2])
+        q = np.array([5.0, 1.0, 2.0, 0.5, 1.0, np.inf])
+        got = _last_at_most(offsets, np.diff(offsets), values, seg, q)
+        assert got.tolist() == [-1, -1, 0, 0, 1, 2]
 
     def test_empty_csr(self):
         offsets = np.zeros(1, dtype=np.int64)
         empty = np.zeros(0)
         got = segmented_searchsorted(offsets, empty, np.zeros((0, 3)))
         assert got.shape == (0, 3)
-        keys, slots = _padded_segment_keys(offsets, empty)
-        assert keys.size == 0 and slots.size == 0
+        none = np.zeros(0, dtype=np.int64)
+        assert _last_at_most(offsets, none, empty, none, empty).size == 0
 
     def test_query_shape_validated(self):
         with pytest.raises(ValueError, match="num_segments"):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.graph import generators
 from repro.graph.core import Graph
 from tests.conftest import triangle_graph
 
@@ -81,6 +82,23 @@ class TestAccessors:
         assert src.size == 2 * g.m
         pairs = set(zip(src.tolist(), dst.tolist()))
         assert (0, 1) in pairs and (1, 0) in pairs
+
+    def test_directed_edges_grouped_by_target(self):
+        g = generators.random_graph(30, 70, wmin=1.0, wmax=5.0, rng=5)
+        src, dst, w = g.directed_edges()
+        assert np.all(np.diff(dst) >= 0)
+        # Both orientations of every edge, each with the edge's weight.
+        u, v = g.edges[:, 0], g.edges[:, 1]
+        raw_src, raw_dst = np.concatenate([u, v]), np.concatenate([v, u])
+        raw_w = np.concatenate([g.weights, g.weights])
+        assert sorted(zip(src.tolist(), dst.tolist(), w.tolist())) == sorted(
+            zip(raw_src.tolist(), raw_dst.tolist(), raw_w.tolist())
+        )
+        # Stable: within a target, the u -> v orientations in storage
+        # order, then the v -> u ones.
+        for t in range(g.n):
+            assert src[dst == t].tolist() == raw_src[raw_dst == t].tolist()
+            assert w[dst == t].tolist() == raw_w[raw_dst == t].tolist()
 
     def test_weight_bounds(self):
         g = triangle_graph()
