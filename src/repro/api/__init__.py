@@ -57,7 +57,7 @@ from repro.api.configs import (
     OracleConfig,
     PipelineConfig,
 )
-from repro.api.pipeline import Pipeline
+from repro.api.pipeline import Pipeline, ShardWorkerError
 from repro.api.registry import (
     MBFEngine,
     available_engines,
@@ -98,6 +98,7 @@ __all__ = [
     "OracleConfig",
     "EmbeddingConfig",
     "ExecutionConfig",
+    "ShardWorkerError",
     "HOPSET_KINDS",
     "EMBEDDING_METHODS",
     "PipelineResult",

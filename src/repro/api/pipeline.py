@@ -29,6 +29,7 @@ import dataclasses
 import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -50,7 +51,26 @@ from repro.oracle.oracle import HOracle
 from repro.pram.cost import NULL_LEDGER, CostLedger
 from repro.util.rng import as_rng, spawn_rngs, split_seed
 
-__all__ = ["Pipeline"]
+__all__ = ["Pipeline", "ShardWorkerError"]
+
+
+class ShardWorkerError(RuntimeError):
+    """A pool worker died before returning its shard of an ensemble.
+
+    Raised by :meth:`Pipeline.sample_ensemble` with ``workers > 1`` when
+    the process pool breaks, e.g. because the OOM killer or ``os._exit``
+    ended a worker.  ``shard`` is the first shard, in sample order, that
+    did not complete, and ``[lo, hi)`` its sample range.  The pool's
+    :class:`~concurrent.futures.process.BrokenProcessPool` is chained as
+    ``__cause__``.
+    """
+
+    def __init__(self, shard: int, lo: int, hi: int):
+        super().__init__(
+            f"shard {shard} (samples [{lo}, {hi})) did not complete: "
+            "its pool worker died"
+        )
+        self.shard, self.lo, self.hi = shard, lo, hi
 
 
 class Pipeline:
@@ -361,18 +381,16 @@ class Pipeline:
         the (already spawned) child generators, so shard boundaries cannot
         change any sample's RNG stream.  ``workers=1`` maps the shards
         in-process, so the engine's transient memory follows one shard;
-        ``workers > 1`` maps them over a process pool.  The shard results
+        ``workers > 1`` maps them over a process pool, and a worker that
+        dies raises :class:`ShardWorkerError`.  The shard results
         are concatenated back into the exact one-shard layout
         (:meth:`BatchedFlatStates.concat` rebases list offsets,
         :meth:`FRTForest.concat` re-pads ragged per-shard depths to the
         global ``k_max`` and rebases node offsets); a single shard is
         returned as is.
         """
-        k = len(children)
-        shards = [
-            children[lo:hi]
-            for lo, hi in _shard_bounds(k, execution.workers, execution.shard_size)
-        ]
+        bounds = _shard_bounds(len(children), execution.workers, execution.shard_size)
+        shards = [children[lo:hi] for lo, hi in bounds]
         if execution.workers > 1 and len(shards) > 1:
             # Ship the resolved engine by value: under spawn/forkserver
             # start methods the workers re-import the registry fresh, which
@@ -383,7 +401,16 @@ class Pipeline:
                 initializer=_init_ensemble_worker,
                 initargs=(self.G, self.config, self._hopset, self._oracle, engine),
             ) as pool:
-                parts = list(pool.map(_ensemble_shard_worker, shards))
+                futures = [pool.submit(_ensemble_shard_worker, shard) for shard in shards]
+                parts = []
+                for i, future in enumerate(futures):
+                    try:
+                        parts.append(future.result())
+                    except BrokenProcessPool as exc:
+                        raise ShardWorkerError(i, *bounds[i]) from exc
+                # The futures hold the shard results too; ``del parts`` below
+                # must free the last reference.
+                del futures
         else:
             parts = [self._sample_batch_core(shard) for shard in shards]
         if len(parts) == 1:

@@ -43,7 +43,12 @@ each candidate's target segment finds the last current entry no farther
 than it: that index decides the prune and, for a survivor, its merge
 position.  Only the small survivor set is sorted — one near-linear
 stable sort of already target-grouped ``(segment, dist)`` keys — and
-staircase-merged into the current lists.
+staircase-merged into the current lists.  Aggregation is per target and
+the filter is a congruence, so the step runs propagate → prune → merge
+over contiguous blocks of composite targets, each holding at most
+``_LE_BLOCK_ENTRIES`` candidates plus current entries: the transient
+memory is bounded by that budget plus the state, not by the candidate
+count, and the lists are the same bit for bit.
 
 The iteration is also *semi-naive* (Moore's refinement of Bellman-Ford:
 relax only from labels that changed).  Each LE step reports which entries
@@ -73,6 +78,18 @@ from repro.mbf.engine import fixpoint_error
 from repro.pram.cost import NULL_LEDGER, CostLedger
 
 INF = math.inf
+
+# Load cap of one target block of the LE step: the block's candidates plus
+# its targets' current entries.  Every candidate-sized array of the step
+# lives for one block, so the step's transient is O(budget) + O(state)
+# instead of O(candidates).  Chosen by a peak-RSS scan over six direct
+# random_graph(4096, 12288), k=16 builds per process (2-core VM, two
+# rounds): 2^14 / 2^15 / 2^16 / 2^17 / 2^18 / 2^19 read 135-136 /
+# 133-135 / 132 / 137 / 138-141 / 153-154 MiB, unblocked 201-205 MiB,
+# at about equal build times.  Smaller blocks put their arrays near
+# glibc's mmap threshold, where freed memory is reused worse, and pay
+# more per-block dispatch; larger ones grow toward the unblocked peak.
+_LE_BLOCK_ENTRIES = 1 << 16
 
 __all__ = [
     "FlatStates",
@@ -123,6 +140,7 @@ def _last_at_most(
     dists: np.ndarray,  # shape: (total,) float64 frozen
     seg: np.ndarray,  # shape: (m,) int64 frozen
     q: np.ndarray,  # shape: (m,) float64 frozen
+    steps: int,  # shape: scalar
 ) -> np.ndarray:  # shape: -> (m,) int64
     """Per query, the flat index of the last ``dists`` entry ``<= q`` in its segment.
 
@@ -132,15 +150,16 @@ def _last_at_most(
     (that index belongs to an earlier segment, or wraps to ``-1``).  One
     vectorized bisection inside each query's own segment: the answer lies
     in ``[base, base + span)``, each step tests the midpoint and halves
-    ``span``, so ``max(counts).bit_length()`` steps over plain float64
-    values settle every query.  A settled query (``span == 1``) re-tests
-    its own ``base`` and keeps it.
+    ``span``, so ``steps >= max(counts).bit_length()`` steps over plain
+    float64 values settle every query.  A settled query (``span == 1``)
+    re-tests its own ``base`` and keeps it, so extra steps change nothing;
+    the caller computes ``steps`` once for all the searches it makes.
     """
     base = offsets[seg] - 1
     span = counts[seg] + 1
     idx = np.empty_like(base)
     at_most = np.empty(base.shape, dtype=bool)
-    for _ in range(int(counts.max()).bit_length() if counts.size else 0):
+    for _ in range(steps):
         np.right_shift(span, 1, out=idx)
         span -= idx
         idx += base
@@ -960,6 +979,21 @@ def _le_iteration_incremental(
 ) -> tuple[BatchedFlatStates, np.ndarray, np.ndarray]:
     """One batched LE iteration: semi-naive emission, prune, staircase merge.
 
+    Blocks: the call walks contiguous blocks of composite targets
+    ``s * n + v`` and runs emission, prune, survivor sort and merge on one
+    block at a time.  Aggregation is per target and the filter is a
+    congruence (Corollary 2.17), so any partition of the targets gives the
+    same lists.  A block's load — its candidates plus its targets' current
+    entries — stays at or under ``_LE_BLOCK_ENTRIES``; a target heavier
+    than that forms a block of its own.  The directed edges come grouped by
+    target and the samples' edge copies are stacked in order, so a block's
+    candidates are those of one contiguous edge slice.  Every
+    candidate-sized array lives for one block, which bounds the step's
+    transient memory by the budget plus the state instead of by the
+    candidate count; the budget's value comes from a peak-RSS scan (see
+    its comment).  A call whose whole load fits the budget runs as one
+    block, with no bounds computed and nothing concatenated.
+
     Prune: with ``include_self`` the target's current list is part of
     every merge, so a propagated entry that some current entry ``(d', r')``
     dominates (``d' <= d`` and ``r' <= r``; equal rank means the identical
@@ -985,12 +1019,13 @@ def _le_iteration_incremental(
     and the filtered list that absorbed it — the target's current list —
     holds it or a dominator of it: the prune would drop it anyway.  The
     ledgers are still charged the full Lemma 2.3 emission, computed from
-    the list lengths.
+    the list lengths, once per call.
 
     Returns ``(next_states, changed, inserted)``: ``inserted`` marks the
     entries of ``next_states`` this iteration inserted (the next call's
     ``fresh``), and ``changed[s]`` says sample ``s`` inserted any
-    (``False`` == fixpoint reached).
+    (``False`` == fixpoint reached).  A call without survivors returns
+    ``states`` itself.
     """
     k, n = states.k, states.n
     kn = k * n
@@ -1009,94 +1044,147 @@ def _le_iteration_incremental(
     _charge_sample_iteration(ledgers, emitted)
     cur_own = np.repeat(np.arange(kn, dtype=np.int64), ccounts)
     cur_rank = spec.entry_ranks(cur_own, cur.ids)
-    # -- lazy emission: (source slot, dist, target) per candidate -------------
     if fresh is None:
-        fcounts, foffsets = ccounts, cur.offsets
+        fslots, fcounts, foffsets = None, ccounts, cur.offsets
     else:
         fslots = np.flatnonzero(fresh)
         fcounts = np.bincount(cur_own[fslots], minlength=kn)
         foffsets = np.concatenate([[0], np.cumsum(fcounts)])
+    del cur_own
+    # Edge e emits the candidates [cstart[e], cstart[e + 1]).
     ecounts = fcounts[vsrc]
-    ends = np.cumsum(ecounts)
-    slot = np.repeat(foffsets[vsrc] - (ends - ecounts), ecounts)
-    slot += np.arange(slot.size)
-    if fresh is not None:
-        slot = fslots[slot]
-    cd = cur.dists[slot] + np.repeat(vw, ecounts)
-    # The directed edges are grouped by target, so the candidates are too.
-    ct = np.repeat(vdst, ecounts)
-    # -- prune against the current staircases, one in-segment bisection ------
-    # The last current entry no farther than a candidate is the lowest-rank
-    # one among those (ranks fall along a staircase); if there is none,
-    # nothing dominates the candidate.  Ranks are gathered only after the
-    # search, which keeps them out of its peak memory.
-    pred = _last_at_most(cur.offsets, ccounts, cur.dists, ct, cd)
-    surv = np.flatnonzero((pred < cur.offsets[ct]) | (cur_rank[pred] > cur_rank[slot]))
-    if surv.size == 0:
-        return states, np.zeros(k, dtype=bool), np.zeros(cur.total, dtype=bool)
-    # -- order the (small) survivor set by (segment, dist) --------------------
-    # Survivors keep the candidates' target grouping, so this stable sort
-    # only merges each target's sorted runs (one per in-edge).
-    bkey = _segment_keys(ct[surv], cd[surv])
-    order = np.argsort(bkey, kind="stable")
-    surv, bkey = surv[order], bkey[order]
-    # An equal-(segment, dist) run keeps only its minimum-rank entries, the
-    # only ones the staircase can keep (the full sort's rank key would put
-    # them first).  Exact copies of one vertex stay; the staircase drops
-    # the duplicate.
-    run_start = np.ones(surv.size, dtype=bool)
-    run_start[1:] = bkey[1:] != bkey[:-1]
-    slot = slot[surv]
-    br = cur_rank[slot]
-    if not run_start.all():
-        run_min = np.minimum.reduceat(br, np.flatnonzero(run_start))
-        lowest = br == run_min[np.cumsum(run_start) - 1]
-        surv, slot, br = surv[lowest], slot[lowest], br[lowest]
-    bd, bt, bpred = cd[surv], ct[surv], pred[surv]
-    # -- merge into the current staircases ------------------------------------
-    bcounts = np.bincount(bt, minlength=kn)
-    boffsets = np.concatenate([[0], np.cumsum(bcounts)])
-    within_b = np.arange(bt.size) - boffsets[bt]
-    # Survivors precede an equal-dist current entry (their rank is strictly
-    # smaller, or the prune would have caught them), so each goes after the
-    # current entries with a *strictly* smaller dist.  The prune's index
-    # ends the entries <= it; distances strictly increase along a
-    # staircase, so at most that last one ties.
-    blo = cur.offsets[bt]
-    # reprolint: disable=float-distance-eq (the tie decides merge order
-    # exactly as the full sort's (dist, rank) key would: bit-identity
-    # needs the exact comparison, both operands are stored float64 sums)
-    tie = (bpred >= blo) & (cur.dists[bpred] == bd)
-    loc = bpred + 1 - blo - tie
-    mcounts = ccounts + bcounts
-    moffsets = np.concatenate([[0], np.cumsum(mcounts)])
-    mtotal = int(moffsets[-1])
-    bpos = moffsets[bt] + loc + within_b
-    m_ids = np.empty(mtotal, dtype=np.int64)
-    m_dists = np.empty(mtotal, dtype=np.float64)
-    m_rank = np.empty(mtotal, dtype=np.int64)
-    is_new = np.zeros(mtotal, dtype=bool)
-    is_new[bpos] = True
-    cpos = np.flatnonzero(~is_new)
-    m_ids[bpos], m_dists[bpos], m_rank[bpos] = cur.ids[slot], bd, br
-    m_ids[cpos], m_dists[cpos], m_rank[cpos] = cur.ids, cur.dists, cur_rank
-    # -- staircase over the merged lists --------------------------------------
-    # Later segments get smaller bases, so the running minimum never leaks
-    # forward from an earlier segment (see LEFilter.keep_mask).
-    m_tgt = np.repeat(np.arange(kn, dtype=np.int64), mcounts)
-    adjusted = m_rank - m_tgt * (n + 1)
-    run_min = np.minimum.accumulate(adjusted)
-    keep = np.ones(mtotal, dtype=bool)
-    keep[1:] = adjusted[1:] < run_min[:-1]
-    kept_tgt = m_tgt[keep]
-    inserted = is_new[keep]
-    # -- per-sample fixpoint detection, for free ------------------------------
-    # Current entries are mutually non-dominating, so one only drops under
-    # a kept insertion: a sample changed iff it kept an insertion.
-    changed = np.bincount(kept_tgt[inserted] // n, minlength=k) > 0
-    noffsets = np.concatenate([[0], np.cumsum(np.bincount(kept_tgt, minlength=kn))])
-    nxt = BatchedFlatStates(k, n, noffsets, m_ids[keep], m_dists[keep])
-    return nxt, changed, inserted
+    cstart = np.concatenate([[0], np.cumsum(ecounts)])
+    steps = int(ccounts.max()).bit_length() if kn else 0
+
+    def merge_block(t_lo: int, t_hi: int, e_lo: int, e_hi: int):
+        """Targets ``[t_lo, t_hi)``, fed by edges ``[e_lo, e_hi)``: their
+        kept ids, dists, inserted flags and counts plus the samples that
+        kept an insertion, or ``None`` if no candidate survives the prune."""
+        # -- lazy emission: (source slot, dist, target) per candidate ---------
+        emits = ecounts[e_lo:e_hi]
+        slot = np.repeat(foffsets[vsrc[e_lo:e_hi]] - (cstart[e_lo:e_hi] - cstart[e_lo]), emits)
+        slot += np.arange(slot.size)
+        if fslots is not None:
+            slot = fslots[slot]
+        cd = cur.dists[slot] + np.repeat(vw[e_lo:e_hi], emits)
+        # The directed edges are grouped by target, so the candidates are too.
+        ct = np.repeat(vdst[e_lo:e_hi], emits)
+        # -- prune against the current staircases, one in-segment bisection --
+        # The last current entry no farther than a candidate is the lowest-
+        # rank one among those (ranks fall along a staircase); if there is
+        # none, nothing dominates the candidate.  Ranks are gathered only
+        # after the search, which keeps them out of its peak memory.
+        pred = _last_at_most(cur.offsets, ccounts, cur.dists, ct, cd, steps)
+        surv = np.flatnonzero((pred < cur.offsets[ct]) | (cur_rank[pred] > cur_rank[slot]))
+        if surv.size == 0:
+            return None
+        # -- order the (small) survivor set by (segment, dist) ----------------
+        # Survivors keep the candidates' target grouping, so this stable sort
+        # only merges each target's sorted runs (one per in-edge).
+        bkey = _segment_keys(ct[surv], cd[surv])
+        order = np.argsort(bkey, kind="stable")
+        surv, bkey = surv[order], bkey[order]
+        # An equal-(segment, dist) run keeps only its minimum-rank entries,
+        # the only ones the staircase can keep (the full sort's rank key
+        # would put them first).  Exact copies of one vertex stay; the
+        # staircase drops the duplicate.
+        run_start = np.ones(surv.size, dtype=bool)
+        run_start[1:] = bkey[1:] != bkey[:-1]
+        slot = slot[surv]
+        br = cur_rank[slot]
+        if not run_start.all():
+            run_min = np.minimum.reduceat(br, np.flatnonzero(run_start))
+            lowest = br == run_min[np.cumsum(run_start) - 1]
+            surv, slot, br = surv[lowest], slot[lowest], br[lowest]
+        bd, bt, bpred = cd[surv], ct[surv], pred[surv]
+        # -- merge into the block's current staircases ------------------------
+        # Survivors precede an equal-dist current entry (their rank is
+        # strictly smaller, or the prune would have caught them), so each
+        # goes after the current entries with a *strictly* smaller dist.  The
+        # prune's index ends the entries <= it; distances strictly increase
+        # along a staircase, so at most that last one ties.
+        blo = cur.offsets[bt]
+        # reprolint: disable=float-distance-eq (the tie decides merge order
+        # exactly as the full sort's (dist, rank) key would: bit-identity
+        # needs the exact comparison, both operands are stored float64 sums)
+        tie = (bpred >= blo) & (cur.dists[bpred] == bd)
+        loc = bpred + 1 - blo - tie
+        # From here on, targets and offsets are local to the block.
+        bt -= t_lo
+        bcounts = np.bincount(bt, minlength=t_hi - t_lo)
+        boffsets = np.concatenate([[0], np.cumsum(bcounts)])
+        within_b = np.arange(bt.size) - boffsets[bt]
+        mcounts = ccounts[t_lo:t_hi] + bcounts
+        moffsets = np.concatenate([[0], np.cumsum(mcounts)])
+        mtotal = int(moffsets[-1])
+        bpos = moffsets[bt] + loc + within_b
+        m_ids = np.empty(mtotal, dtype=np.int64)
+        m_dists = np.empty(mtotal, dtype=np.float64)
+        m_rank = np.empty(mtotal, dtype=np.int64)
+        is_new = np.zeros(mtotal, dtype=bool)
+        is_new[bpos] = True
+        cpos = np.flatnonzero(~is_new)
+        olo, ohi = cur.offsets[t_lo], cur.offsets[t_hi]
+        m_ids[bpos], m_dists[bpos], m_rank[bpos] = cur.ids[slot], bd, br
+        m_ids[cpos], m_dists[cpos] = cur.ids[olo:ohi], cur.dists[olo:ohi]
+        m_rank[cpos] = cur_rank[olo:ohi]
+        # -- staircase over the merged lists ----------------------------------
+        # Later segments get smaller bases, so the running minimum never
+        # leaks forward from an earlier segment (see LEFilter.keep_mask).
+        m_tgt = np.repeat(np.arange(t_hi - t_lo, dtype=np.int64), mcounts)
+        adjusted = m_rank - m_tgt * (n + 1)
+        run_min = np.minimum.accumulate(adjusted)
+        keep = np.ones(mtotal, dtype=bool)
+        keep[1:] = adjusted[1:] < run_min[:-1]
+        kept_tgt = m_tgt[keep]
+        inserted = is_new[keep]
+        # -- per-sample fixpoint detection, for free --------------------------
+        # Current entries are mutually non-dominating, so one only drops
+        # under a kept insertion: a sample changed iff it kept an insertion.
+        changed = np.bincount((kept_tgt[inserted] + t_lo) // n, minlength=k) > 0
+        kept = np.bincount(kept_tgt, minlength=t_hi - t_lo)
+        return m_ids[keep], m_dists[keep], inserted, kept, changed
+
+    if int(cstart[-1]) + cur.total <= _LE_BLOCK_ENTRIES:
+        load = None
+    else:
+        # The first edge of each target, and the load before each target.
+        tedge = np.searchsorted(vdst, np.arange(kn + 1))
+        load = cstart[tedge] + cur.offsets
+    ids, dists, inserted = [], [], []
+    kept_counts = ccounts.copy()
+    changed = np.zeros(k, dtype=bool)
+    merged = False
+    t_lo = 0
+    while t_lo < kn:
+        if load is None:
+            t_hi, e_lo, e_hi = kn, 0, vdst.size
+        else:
+            t_hi = int(np.searchsorted(load, load[t_lo] + _LE_BLOCK_ENTRIES, side="right"))
+            t_hi = max(t_hi - 1, t_lo + 1)
+            e_lo, e_hi = int(tedge[t_lo]), int(tedge[t_hi])
+        block = merge_block(t_lo, t_hi, e_lo, e_hi)
+        if block is None:
+            olo, ohi = cur.offsets[t_lo], cur.offsets[t_hi]
+            ids.append(cur.ids[olo:ohi])
+            dists.append(cur.dists[olo:ohi])
+            inserted.append(np.zeros(ohi - olo, dtype=bool))
+        else:
+            merged = True
+            block_ids, block_dists, block_new, kept_counts[t_lo:t_hi], block_changed = block
+            ids.append(block_ids)
+            dists.append(block_dists)
+            inserted.append(block_new)
+            changed |= block_changed
+        t_lo = t_hi
+    if not merged:
+        return states, changed, np.zeros(cur.total, dtype=bool)
+    if len(ids) > 1:
+        ids, dists, inserted = (np.concatenate(p) for p in (ids, dists, inserted))
+    else:
+        ids, dists, inserted = ids[0], dists[0], inserted[0]
+    noffsets = np.concatenate([[0], np.cumsum(kept_counts)])
+    return BatchedFlatStates(k, n, noffsets, ids, dists), changed, inserted
 
 
 def _check_batch_filter(spec: FilterSpec, states: BatchedFlatStates) -> bool:

@@ -1,5 +1,10 @@
 """The Pipeline facade: artifact caching, batch sampling, legacy parity."""
 
+import contextlib
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -12,6 +17,7 @@ from repro.api import (
     Pipeline,
     PipelineConfig,
     PipelineResult,
+    ShardWorkerError,
     generators as gen,
     register_engine,
     unregister_engine,
@@ -620,6 +626,32 @@ def _assert_same_result(a, b):
     _assert_same_forest(a.forest, b.forest)
 
 
+_TEST_PID = os.getpid()
+
+
+def _die_in_worker(G, ranks, **kwargs):
+    """An LE driver whose process dies mid-shard, as under the OOM killer."""
+    if os.getpid() == _TEST_PID:
+        raise AssertionError("the dying driver ran in the test process")
+    os._exit(1)
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Fail with ``TimeoutError`` instead of hanging past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestShardedBatchedEnsemble:
     """The sample axis is cut into shards — run in-process one after the
     other, or over a process pool with workers > 1; the contract is
@@ -724,6 +756,25 @@ class TestShardedBatchedEnsemble:
             k=3, seed=14, execution=ExecutionConfig(workers=2)
         )
         _assert_same_result(one, two)
+
+    def test_dead_worker_names_its_shard(self):
+        """A worker that dies surfaces as a typed error naming the first
+        shard that did not complete and its sample range, chained from
+        the pool's own error."""
+        register_engine(MBFEngine(name="test-dies", le_lists_batch=_die_in_worker))
+        try:
+            cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct", backend="test-dies"))
+            with _time_limit(60), pytest.raises(ShardWorkerError) as info:
+                Pipeline(gen.cycle(12, rng=24), cfg).sample_ensemble(
+                    k=4, seed=25, execution=ExecutionConfig(workers=2)
+                )
+        finally:
+            unregister_engine("test-dies")
+        err = info.value
+        assert isinstance(err, RuntimeError)
+        assert (err.shard, err.lo, err.hi) == (0, 0, 2)
+        assert "shard 0 (samples [0, 2))" in str(err)
+        assert isinstance(err.__cause__, BrokenProcessPool)
 
     def test_stats_and_meta(self):
         g = gen.cycle(12, rng=16)

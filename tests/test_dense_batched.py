@@ -8,12 +8,19 @@ contract at every layer (kernels, ``run_dense_batched``,
 ``HOracle.run_batch``) including k=1 and non-power-of-two k.  The LE
 kernel's semi-naive delta must match full emission at every step, its
 prune/merge must match the generic full-sort iteration, and its segmented
-searches must match a per-segment ``np.searchsorted``.
+searches must match a per-segment ``np.searchsorted``.  Cutting a step
+into target blocks must change no output and must bound its transient
+memory.
 """
+
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import repro.mbf.dense as dense
+from repro.api import EmbeddingConfig, HopsetConfig, Pipeline, PipelineConfig
 from repro.graph import Graph
 from repro.graph import generators as gen
 from repro.hopsets import hub_hopset, rounded_hopset
@@ -490,14 +497,22 @@ class TestIncrementalMatchesFullSort:
     """The LE kernel's prune, survivor sort and merge against the generic
     iteration, which sorts every candidate by ``(target, dist, rank)``."""
 
+    @pytest.mark.parametrize("budget", [None, 1, 7], ids=["default", "1", "7"])
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("scale", [1.0, 1.25**3])
-    def test_every_step_matches_generic_iteration(self, k, scale):
+    def test_every_step_matches_generic_iteration(self, monkeypatch, k, scale, budget):
         """Integer weights make equal-distance candidates of different
         ranks common, so the tie handling is exercised on every step.  The
         start states are partial lists (random vertices' lists emptied,
         vertex 0's always), so some segments, segment 0 among them, are
-        empty when the steps begin."""
+        empty when the steps begin.
+
+        Small block budgets cut every step into many target blocks: at
+        budget 1 each target with any load is a block of its own, so
+        blocks without survivors sit next to blocks with survivors; at
+        budget 7 and k = 3 some blocks straddle a sample boundary."""
+        if budget is not None:
+            monkeypatch.setattr(dense, "_LE_BLOCK_ENTRIES", budget)
         rng = np.random.default_rng(60)
         ties = 0
         for n, m in [(12, 24), (20, 45), (30, 80)]:
@@ -525,6 +540,63 @@ class TestIncrementalMatchesFullSort:
             else:
                 pytest.fail("no fixpoint within n + 1 steps")
         assert ties > 0
+
+    @pytest.mark.parametrize("method", ["direct", "oracle"])
+    def test_ensemble_independent_of_block_budget(self, monkeypatch, method):
+        """A whole ensemble, one target per block against the default
+        budget: same lists, ranks, iterations, ledgers and forest."""
+        g = gen.random_graph(40, 100, wmin=1.0, wmax=4.0, rng=61)
+        cfg = PipelineConfig(
+            hopset=HopsetConfig(eps=0.25, d0=4), embedding=EmbeddingConfig(method=method)
+        )
+        want = Pipeline(g, cfg).sample_ensemble(k=5, seed=62)
+        monkeypatch.setattr(dense, "_LE_BLOCK_ENTRIES", 1)
+        got = Pipeline(g, cfg).sample_ensemble(k=5, seed=62)
+        assert got.le_lists.equals(want.le_lists)
+        assert np.array_equal(got.ranks, want.ranks)
+        assert got.iterations == want.iterations
+        assert _ledger_totals(got.ledgers) == _ledger_totals(want.ledgers)
+        assert _ledger_totals([got.ledger]) == _ledger_totals([want.ledger])
+        for field in dataclasses.fields(want.forest):
+            x, y = getattr(got.forest, field.name), getattr(want.forest, field.name)
+            assert np.array_equal(x, y) and np.asarray(x).dtype == np.asarray(y).dtype, field.name
+
+    def test_blocks_bound_the_step_transient(self, monkeypatch):
+        """The step with the most candidates, in 1 << 10-entry blocks,
+        peaks at no more than half its one-block peak (tracemalloc), with
+        equal outputs."""
+        g = gen.random_graph(1024, 3072, rng=63)
+        k = 4
+        spec = BatchedLEFilter(_ranks(k, g.n, 64))
+        out_degree = np.bincount(g.directed_edges()[0], minlength=g.n)
+        vertex = np.tile(np.arange(g.n), k)
+        states, fresh = BatchedFlatStates.from_sources(k, g.n), None
+        steps = []
+        while True:
+            emitting = np.repeat(vertex, states.counts())
+            if fresh is not None:
+                emitting = emitting[fresh]
+            steps.append((int(out_degree[emitting].sum()), states, fresh))
+            states, changed, fresh = _le_iteration_incremental(g, states, spec, fresh=fresh)
+            if not changed.any():
+                break
+        _, states, fresh = max(steps, key=lambda step: step[0])
+
+        def traced_step(budget):
+            monkeypatch.setattr(dense, "_LE_BLOCK_ENTRIES", budget)
+            tracemalloc.start()
+            try:
+                out = _le_iteration_incremental(g, states, spec, fresh=fresh)
+                return out, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, one_peak = traced_step(1 << 40)
+        blocked, blocked_peak = traced_step(1 << 10)
+        assert blocked[0].equals(one[0])
+        assert np.array_equal(blocked[1], one[1])
+        assert np.array_equal(blocked[2], one[2])
+        assert blocked_peak <= one_peak / 2, (blocked_peak, one_peak)
 
 
 def _rank_ties(g, states, scale):
@@ -560,6 +632,11 @@ def _csr_cases():
 _QUERIES = np.array([-np.inf, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, np.inf])
 
 
+def _steps(counts):
+    """Bisection steps that settle every query of :func:`_last_at_most`."""
+    return int(counts.max(initial=0)).bit_length()
+
+
 def _segment(offsets, values, j):
     return values[offsets[j] : offsets[j + 1]]
 
@@ -587,7 +664,8 @@ class TestSegmentedSearch:
             s = offsets.size - 1
             seg = rng.integers(0, s, size=200) if s else np.zeros(0, dtype=np.int64)
             q = rng.choice(_QUERIES, size=seg.size)
-            got = _last_at_most(offsets, np.diff(offsets), values, seg, q)
+            counts = np.diff(offsets)
+            got = _last_at_most(offsets, counts, values, seg, q, _steps(counts))
             expect = [
                 offsets[j] + np.searchsorted(_segment(offsets, values, j), x, side="right") - 1
                 for j, x in zip(seg, q)
@@ -602,7 +680,8 @@ class TestSegmentedSearch:
         values = np.array([2.0, 1.0, 3.0])
         seg = np.array([0, 1, 1, 2, 2, 2])
         q = np.array([5.0, 1.0, 2.0, 0.5, 1.0, np.inf])
-        got = _last_at_most(offsets, np.diff(offsets), values, seg, q)
+        counts = np.diff(offsets)
+        got = _last_at_most(offsets, counts, values, seg, q, _steps(counts))
         assert got.tolist() == [-1, -1, 0, 0, 1, 2]
 
     def test_empty_csr(self):
@@ -611,7 +690,7 @@ class TestSegmentedSearch:
         got = segmented_searchsorted(offsets, empty, np.zeros((0, 3)))
         assert got.shape == (0, 3)
         none = np.zeros(0, dtype=np.int64)
-        assert _last_at_most(offsets, none, empty, none, empty).size == 0
+        assert _last_at_most(offsets, none, empty, none, empty, 0).size == 0
 
     def test_query_shape_validated(self):
         with pytest.raises(ValueError, match="num_segments"):
