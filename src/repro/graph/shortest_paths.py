@@ -42,8 +42,7 @@ def dijkstra_distances(G: Graph, sources=None) -> np.ndarray:
     A = G.adjacency()
     if sources is None:
         return _csgraph_dijkstra(A, directed=False)
-    sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    return _csgraph_dijkstra(A, directed=False, indices=sources)
+    return _csgraph_dijkstra(A, directed=False, indices=_as_sources(sources, G.n))
 
 
 def grouped_inedges(G: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -60,6 +59,60 @@ def grouped_inedges(G: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     return s, dst_unique, starts, w
 
 
+def _as_sources(sources, n: int) -> np.ndarray:
+    """``sources`` as an int64 id array (``None`` = every vertex).
+
+    Rejects ids outside ``[0, n)`` up front: NumPy would wrap a negative id
+    to a row counted from the end, a silently wrong answer.
+    """
+    if sources is None:
+        return np.arange(n, dtype=np.int64)
+    sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
+    bad = (sources < 0) | (sources >= n)
+    if bad.any():
+        raise ValueError(f"source id {int(sources[bad][0])} is not a vertex of [0, {n})")
+    return sources
+
+
+def _block_starts(count: int, block: int) -> range:
+    """Start offsets of the ``block``-row source blocks covering ``count`` rows."""
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
+    return range(0, count, block)
+
+
+def _unit_rows(sources: np.ndarray, n: int) -> np.ndarray:
+    """``dist^0`` from each source: 0 at the source, ``inf`` elsewhere."""
+    D = np.full((sources.size, n), np.inf)
+    D[np.arange(sources.size), sources] = 0.0
+    return D
+
+
+def _relax_to_fixpoint(D: np.ndarray, inedges, h: int) -> int:
+    """Run up to ``h`` MBF rounds on the rows of ``D`` in place.
+
+    Stops at the first round that improves no entry: a round is a function
+    of ``D`` alone, so one that changes nothing repeats unchanged forever,
+    and the stop is exact.  A block thus runs at most ``min(h, SPD + 1)``
+    rounds.  Each round gathers the target block once and writes it back
+    only if an entry improved.  Returns the number of improving rounds.
+    """
+    src, dst_unique, starts, w = inedges
+    rounds = 0
+    for _ in range(h if src.size else 0):
+        cand = np.take(D, src, axis=1)
+        cand += w[None, :]
+        best = np.minimum.reduceat(cand, starts, axis=1)
+        cur = np.take(D, dst_unique, axis=1)
+        improved = best < cur
+        if not improved.any():
+            break  # fixpoint: every further round is the identity
+        np.copyto(cur, best, where=improved)
+        D[:, dst_unique] = cur
+        rounds += 1
+    return rounds
+
+
 def hop_limited_distances(
     G: Graph,
     h: int,
@@ -70,33 +123,28 @@ def hop_limited_distances(
     """``dist^h(s, v, G)`` for each ``s`` in ``sources`` — vectorized MBF.
 
     This is the distance product ``A^h x^(0)`` over the min-plus semiring
-    (Lemma 3.1), computed as ``h`` rounds of edge relaxations.  Sources are
-    processed in blocks of ``block`` rows to bound the ``(block, 2m)``
-    scratch matrix.
+    (Lemma 3.1), computed as up to ``h`` rounds of edge relaxations.
+    Sources are processed in blocks of ``block`` rows to bound the
+    ``(block, 2m)`` scratch matrix.  Each block stops at its fixpoint: a
+    round that improves nothing leaves the rows as they were, so every
+    later round repeats it unchanged, and stopping there is bit-identical
+    to running all ``h`` rounds.  Rows reach that fixpoint after at most
+    ``SPD(G)`` improving rounds (Definition 2.11), so the cost is
+    O(min(h, SPD+1)·|sources|·m) rather than O(h·|sources|·m).
 
     Returns an ``(|sources|, n)`` array; ``dist^0`` is 0 on the diagonal and
-    ``inf`` elsewhere.
+    ``inf`` elsewhere.  Raises ``ValueError`` for ``h < 0``, ``block < 1``
+    or a source id outside ``[0, n)``.
     """
     if h < 0:
         raise ValueError("h must be non-negative")
-    n = G.n
-    if sources is None:
-        sources = np.arange(n, dtype=np.int64)
-    else:
-        sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    src, dst_unique, starts, w = grouped_inedges(G)
-    out = np.full((sources.size, n), np.inf)
-    for lo in range(0, sources.size, block):
-        hi = min(lo + block, sources.size)
-        blk = sources[lo:hi]
-        D = np.full((blk.size, n), np.inf)
-        D[np.arange(blk.size), blk] = 0.0
-        for _ in range(h):
-            if src.size:
-                cand = D[:, src] + w[None, :]
-                best = np.minimum.reduceat(cand, starts, axis=1)
-                D[:, dst_unique] = np.minimum(D[:, dst_unique], best)
-        out[lo:hi] = D
+    sources = _as_sources(sources, G.n)
+    inedges = grouped_inedges(G)
+    out = np.empty((sources.size, G.n))
+    for lo in _block_starts(sources.size, block):
+        D = _unit_rows(sources[lo : lo + block], G.n)
+        _relax_to_fixpoint(D, inedges, h)
+        out[lo : lo + block] = D
     return out
 
 
@@ -104,8 +152,9 @@ def shortest_path_diameter(G: Graph, *, max_h: int | None = None, block: int = 1
     """``SPD(G)``: iterations of all-sources MBF until a fixpoint.
 
     ``SPD(G) = max_{v,w} hop(v, w, G)`` equals the smallest ``h`` with
-    ``dist^h = dist`` (= ``dist^n``).  We iterate the relaxation and stop at
-    the first stable round, tracking the max over source blocks.
+    ``dist^h = dist`` (= ``dist^n``).  Each source block runs the same
+    relaxation loop as :func:`hop_limited_distances`, which stops at the
+    first stable round; SPD is the max over blocks of the improving rounds.
 
     Raises ``ValueError`` if ``G`` is disconnected (SPD undefined) or the
     ``max_h`` cap is exceeded.
@@ -113,29 +162,17 @@ def shortest_path_diameter(G: Graph, *, max_h: int | None = None, block: int = 1
     n = G.n
     if max_h is None:
         max_h = n
-    src, dst_unique, starts, w = grouped_inedges(G)
-    if src.size == 0:
+    if G.m == 0:
         if n == 1:
             return 0
         raise ValueError("SPD undefined for disconnected graphs")
+    inedges = grouped_inedges(G)
     spd = 0
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        blk = np.arange(lo, hi, dtype=np.int64)
-        D = np.full((blk.size, n), np.inf)
-        D[np.arange(blk.size), blk] = 0.0
-        h = 0
-        while True:
-            cand = D[:, src] + w[None, :]
-            best = np.minimum.reduceat(cand, starts, axis=1)
-            new_block = np.minimum(D[:, dst_unique], best)
-            changed = bool(np.any(new_block < D[:, dst_unique]))
-            D[:, dst_unique] = new_block
-            if not changed:
-                break
-            h += 1
-            if h > max_h:
-                raise ValueError("SPD exceeds max_h (disconnected graph?)")
+    for lo in _block_starts(n, block):
+        D = _unit_rows(np.arange(lo, min(lo + block, n), dtype=np.int64), n)
+        h = _relax_to_fixpoint(D, inedges, max_h + 1)
+        if h > max_h:
+            raise ValueError("SPD exceeds max_h (disconnected graph?)")
         if np.any(np.isinf(D)):
             raise ValueError("SPD undefined for disconnected graphs")
         spd = max(spd, h)

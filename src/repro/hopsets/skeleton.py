@@ -8,6 +8,9 @@ the skeleton graph of the paper's Section 8):
    least ``d0`` hops contains a hub within every window of ``d0``
    consecutive vertices.
 2. Compute ``d0``-hop-limited distances from all hubs (vectorized MBF).
+   The relaxation stops at its fixpoint, so it runs ``min(d0, SPD+1)``
+   rounds: on low-SPD graphs (SPD 7–8 against ``d0 = 38`` for
+   ``random_graph(256, 768)``) that is a few rounds, not ``d0``.
 3. Form the *hub graph*: hubs with edge weights ``dist^{d0}(r, r', G)``.
    W.h.p. shortest paths in the hub graph equal exact ``G``-distances
    (segment the ``G``-shortest path at consecutive hubs ≤ ``d0`` hops

@@ -46,7 +46,13 @@ def verify_hopset(
     rng=None,
     rtol: float = 1e-9,
 ) -> HopSetReport:
-    """Check ``dist(G) <= dist^d(G') <= (1+eps)·dist(G)`` on sampled sources."""
+    """Check ``dist(G) <= dist^d(G') <= (1+eps)·dist(G)`` on sampled sources.
+
+    ``sample_sources=None`` (or ``>= n``) checks every source; fewer than 1
+    is rejected, since an empty sample would pass any ``d``.
+    """
+    if sample_sources is not None and sample_sources < 1:
+        raise ValueError(f"sample_sources must be >= 1 (or None for all), got {sample_sources}")
     g = as_rng(rng)
     n = G.n
     if sample_sources is None or sample_sources >= n:

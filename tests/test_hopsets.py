@@ -42,6 +42,20 @@ class TestIdentityHopset:
             identity_hopset(gen.cycle(5), d=0)
 
 
+class TestVerifyHopset:
+    @pytest.mark.parametrize("sample_sources", [0, -1])
+    def test_empty_sample_rejected(self, sample_sources):
+        # An empty sample would report ok=True for any d.
+        g = gen.cycle(10, rng=0)
+        with pytest.raises(ValueError, match="sample_sources must be >= 1"):
+            verify_hopset(identity_hopset(g, d=1), g, sample_sources=sample_sources)
+
+    def test_one_sampled_source_is_checked(self):
+        g = gen.cycle(10, rng=0)
+        rep = verify_hopset(identity_hopset(g, d=1), g, sample_sources=1, rng=0)
+        assert rep.sources_checked == 1 and not rep.ok
+
+
 class TestExactClosure:
     def test_one_hop_exact(self, small_graphs):
         for g in small_graphs:

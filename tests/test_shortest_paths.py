@@ -7,7 +7,9 @@ import pytest
 from repro.graph import generators as gen
 from repro.graph.core import Graph
 from repro.graph.shortest_paths import (
+    _relax_to_fixpoint,
     dijkstra_distances,
+    grouped_inedges,
     hop_diameter,
     hop_limited_distances,
     min_hop_of_shortest_path,
@@ -22,6 +24,92 @@ def nx_distances(G: Graph) -> np.ndarray:
         for t, d in dd.items():
             out[s, t] = d
     return out
+
+
+def reference_hop_limited_distances(G, h, sources=None, *, block=128):
+    """The fixed ``h``-round relaxation, kept verbatim as the parity reference.
+
+    :func:`hop_limited_distances` stops at the fixpoint instead and must
+    return exactly these bits.
+    """
+    if h < 0:
+        raise ValueError("h must be non-negative")
+    n = G.n
+    if sources is None:
+        sources = np.arange(n, dtype=np.int64)
+    else:
+        sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
+    src, dst_unique, starts, w = grouped_inedges(G)
+    out = np.full((sources.size, n), np.inf)
+    for lo in range(0, sources.size, block):
+        hi = min(lo + block, sources.size)
+        blk = sources[lo:hi]
+        D = np.full((blk.size, n), np.inf)
+        D[np.arange(blk.size), blk] = 0.0
+        for _ in range(h):
+            if src.size:
+                cand = D[:, src] + w[None, :]
+                best = np.minimum.reduceat(cand, starts, axis=1)
+                D[:, dst_unique] = np.minimum(D[:, dst_unique], best)
+        out[lo:hi] = D
+    return out
+
+
+def _integer_weighted() -> Graph:
+    g = gen.random_graph(24, 50, rng=4)
+    return Graph(g.n, g.edges, np.random.default_rng(5).integers(1, 6, size=g.m))
+
+
+def _two_components() -> Graph:
+    return Graph.from_edge_list(
+        7,
+        [(0, 1, 1.5), (1, 2, 2.0), (0, 2, 4.0),
+         (3, 4, 1.0), (4, 5, 0.5), (5, 6, 3.0), (3, 6, 1.25)],
+    )
+
+
+PARITY_GRAPHS = {
+    "path": lambda: gen.path_graph(9),
+    "cycle": lambda: gen.cycle(10, wmin=0.5, wmax=2.0, rng=1),
+    "star": lambda: gen.star(8),
+    "random-float": lambda: gen.random_graph(30, 70, rng=2),
+    "random-int": _integer_weighted,
+    "single-vertex": lambda: Graph(1, np.empty((0, 2), dtype=np.int64), []),
+    "two-components": _two_components,
+}
+
+
+def _max_min_hop(G: Graph) -> int:
+    """``SPD`` over the reachable pairs (so also defined when disconnected)."""
+    return max(int(min_hop_of_shortest_path(G, s).max()) for s in range(G.n))
+
+
+class _CountingRows:
+    """Row-block stand-in that counts the relaxation's gathers and writes.
+
+    A round gathers twice (the sources of every in-edge, then the target
+    block); only an improving round writes the target block back.
+    """
+
+    def __init__(self, D: np.ndarray):
+        self.D, self.gathers, self.writes = D, 0, 0
+
+    def take(self, indices, axis=None, out=None, mode="raise"):
+        self.gathers += 1
+        return self.D.take(indices, axis=axis, out=out, mode=mode)
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        self.D[key] = value
+
+
+def _relax_all_sources(G: Graph, max_rounds: int):
+    """``(improving rounds, rounds run, writes, rows)`` of one all-source block."""
+    D = np.full((G.n, G.n), np.inf)
+    np.fill_diagonal(D, 0.0)
+    rows = _CountingRows(D)
+    improving = _relax_to_fixpoint(rows, grouped_inedges(G), max_rounds)
+    return improving, rows.gathers // 2, rows.writes, D
 
 
 class TestDijkstra:
@@ -93,6 +181,84 @@ class TestHopLimited:
         with pytest.raises(ValueError):
             hop_limited_distances(triangle_graph(), -1)
 
+    def test_unreachable_entries_stay_inf(self):
+        D = hop_limited_distances(_two_components(), 100)
+        assert np.isinf(D[:3, 3:]).all() and np.isinf(D[3:, :3]).all()
+        assert np.isfinite(D[:3, :3]).all() and np.isfinite(D[3:, 3:]).all()
+
+
+class TestFixpointParity:
+    """Stopping at the fixpoint returns the fixed-round loop's exact bits."""
+
+    @pytest.mark.parametrize("block", [1, 3, None])
+    @pytest.mark.parametrize("name", sorted(PARITY_GRAPHS))
+    def test_matches_fixed_round_reference(self, name, block):
+        g = PARITY_GRAPHS[name]()
+        spd = _max_min_hop(g)
+        kw = {} if block is None else {"block": block}
+        hs = sorted({h for h in (0, 1, spd - 1, spd, spd + 1, 5 * spd) if h >= 0})
+        for h in hs:
+            for sources in (None, np.arange(1, g.n, 2), [g.n - 1, 0, g.n - 1]):
+                got = hop_limited_distances(g, h, sources, **kw)
+                ref = reference_hop_limited_distances(g, h, sources, **kw)
+                assert np.array_equal(got, ref), (h, sources)
+
+
+class TestFixpointRounds:
+    """The loop runs ``min(h, SPD + 1)`` rounds, ``min(h, SPD)`` improving."""
+
+    @pytest.mark.parametrize(
+        "h, rounds", [(100, 9), (10, 9), (9, 9), (8, 8), (3, 3), (1, 1), (0, 0)]
+    )
+    def test_path_stops_one_round_after_spd(self, h, rounds):
+        g = gen.path_graph(9)  # SPD 8
+        improving, run, writes, D = _relax_all_sources(g, h)
+        assert run == rounds
+        assert improving == writes == min(h, 8)
+        assert np.array_equal(D, reference_hop_limited_distances(g, h))
+
+    @pytest.mark.parametrize("name", sorted(PARITY_GRAPHS))
+    def test_rounds_on_every_parity_graph(self, name):
+        g = PARITY_GRAPHS[name]()
+        spd = _max_min_hop(g)
+        for h in (0, 1, spd, spd + 1, 5 * spd):
+            improving, run, writes, _ = _relax_all_sources(g, h)
+            # A graph without edges has nothing to relax: no round runs.
+            assert run == (min(h, spd + 1) if g.m else 0), h
+            assert improving == writes == min(h, spd), h
+
+
+class TestSourceValidation:
+    """Source ids outside ``[0, n)`` and empty blocks are rejected up front."""
+
+    def test_negative_source_rejected_by_hop_limited(self):
+        with pytest.raises(ValueError, match="source id -1 "):
+            hop_limited_distances(gen.path_graph(5), 2, [-1])
+
+    def test_negative_source_rejected_by_dijkstra(self):
+        with pytest.raises(ValueError, match="source id -5 "):
+            dijkstra_distances(gen.path_graph(5), [-5])
+
+    def test_source_past_n_rejected_by_hop_limited(self):
+        with pytest.raises(ValueError, match="source id 5 "):
+            hop_limited_distances(gen.path_graph(5), 2, [5])
+
+    def test_source_past_n_rejected_by_dijkstra(self):
+        with pytest.raises(ValueError, match="source id 5 "):
+            dijkstra_distances(gen.path_graph(5), [5])
+
+    def test_first_bad_id_is_named(self):
+        with pytest.raises(ValueError, match="source id 7 "):
+            hop_limited_distances(gen.path_graph(5), 2, [0, 7, -1])
+
+    def test_zero_block_rejected(self):
+        with pytest.raises(ValueError, match="block must be >= 1"):
+            hop_limited_distances(gen.path_graph(5), 2, block=0)
+
+    def test_zero_block_rejected_by_spd(self):
+        with pytest.raises(ValueError, match="block must be >= 1"):
+            shortest_path_diameter(gen.path_graph(5), block=0)
+
 
 class TestSPD:
     def test_path(self):
@@ -116,6 +282,17 @@ class TestSPD:
         g = Graph.from_edge_list(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(ValueError):
             shortest_path_diameter(g)
+
+    def test_no_edges_raises(self):
+        g = Graph(3, np.empty((0, 2), dtype=np.int64), [])
+        with pytest.raises(ValueError, match="disconnected"):
+            shortest_path_diameter(g)
+
+    def test_max_h_cap(self):
+        g = gen.path_graph(9)
+        assert shortest_path_diameter(g, max_h=8) == 8
+        with pytest.raises(ValueError, match="max_h"):
+            shortest_path_diameter(g, max_h=7)
 
     def test_consistent_with_hop_limited(self, small_graphs):
         for g in small_graphs:
