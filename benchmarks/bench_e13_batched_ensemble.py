@@ -16,7 +16,8 @@ at a time in-process (the memory-lean shape), on the ``"dense"`` direct
 backend across ``n`` and ``k``, plus the oracle-backed path at one size,
 plus the **lists-vs-trees stage split** (``test_e13_tree_stage_split``):
 the split times the batched LE-list pass, the per-sample
-``build_frt_tree`` loop, and the fused
+``build_frt_tree`` loop (the reference construction in
+``tests/frt_reference.py``), and the fused
 :func:`~repro.frt.forest.build_frt_forest` pass, and asserts the forest
 build beats the per-sample loop ≥ 3x at ``n=1024, k=16``.  Peaks come
 from a separate untimed run, so tracing never inflates the timings.
@@ -57,8 +58,9 @@ from repro.api import (
     Pipeline,
     PipelineConfig,
 )
-from repro.frt import build_frt_forest, build_frt_tree
+from repro.frt import build_frt_forest
 from repro.frt.lelists import compute_le_lists_batch
+from tests.frt_reference import build_frt_tree
 
 
 #: The default: all k samples in one fused batch.

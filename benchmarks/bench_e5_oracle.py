@@ -17,7 +17,7 @@ import pytest
 from repro.graph import generators as gen
 from repro.graph.core import Graph
 from repro.hopsets import hub_hopset, rounded_hopset
-from repro.mbf.dense import LEFilter, MinFilter, run_dense
+from repro.mbf.dense import BatchedLEFilter, MinFilter, run_dense_batched
 from repro.oracle import HOracle
 from repro.simulated import SimulatedGraph
 from repro.simulated.levels import sample_levels
@@ -37,17 +37,17 @@ def _instance(n, seed):
 def test_e5_oracle_equals_materialized(benchmark, n):
     g, hop, levels = _instance(n, 50)
     oracle = HOracle(hop, levels=levels)
-    rank = as_rng(51).permutation(n)
+    spec = BatchedLEFilter(as_rng(51).permutation(n)[None, :])
 
     def run_oracle():
-        return oracle.run(LEFilter(rank))
+        return oracle.run_batch(spec, 1)
 
     got, iters = benchmark.pedantic(run_oracle, rounds=1, iterations=1)
     H = SimulatedGraph.build(hop, levels=levels)
-    want, _ = run_dense(H.to_graph(), LEFilter(rank))
+    want, _ = run_dense_batched(H.to_graph(), spec, 1)
     assert got.to_dicts() == want.to_dicts()
     benchmark.extra_info.update(
-        n=n, iterations=iters,
+        n=n, iterations=int(iters[0]),
         inner_per_outer=float(np.mean(oracle.inner_iterations_used)),
         inner_bound=(oracle.Lambda + 1) * oracle.d,
     )
@@ -61,22 +61,23 @@ def test_e5_materialization_baseline(benchmark, n):
 
     def run_materialized():
         H = SimulatedGraph.build(hop, levels=levels)
-        return run_dense(H.to_graph(), MinFilter())
+        return run_dense_batched(H.to_graph(), MinFilter(), 1)
 
     states, iters = benchmark.pedantic(run_materialized, rounds=1, iterations=1)
+    iters = int(iters[0])
     benchmark.extra_info.update(n=n, iterations=iters, h_edges=n * (n - 1) // 2)
     assert iters >= 1
 
 
 def test_e5_early_exit_saves_inner_iterations(benchmark):
     g, hop, levels = _instance(48, 52)
-    rank = as_rng(53).permutation(48)
+    spec = BatchedLEFilter(as_rng(53).permutation(48)[None, :])
 
     def run_both():
         fast = HOracle(hop, levels=levels, inner_early_exit=True)
         slow = HOracle(hop, levels=levels, inner_early_exit=False)
-        a, _ = fast.run(LEFilter(rank))
-        b, _ = slow.run(LEFilter(rank))
+        a, _ = fast.run_batch(spec, 1)
+        b, _ = slow.run_batch(spec, 1)
         return fast, slow, a, b
 
     fast, slow, a, b = benchmark.pedantic(run_both, rounds=1, iterations=1)

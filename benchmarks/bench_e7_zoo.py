@@ -20,7 +20,7 @@ from repro.api import solve
 from repro.graph import generators as gen
 from repro.graph.shortest_paths import dijkstra_distances, shortest_path_diameter
 from repro.mbf import zoo
-from repro.mbf.dense import FlatStates, MinFilter, TopKFilter, run_dense
+from repro.mbf.dense import BatchedFlatStates, MinFilter, TopKFilter, run_dense_batched
 from repro.pram import CostLedger
 from repro.util.rng import as_rng
 
@@ -68,7 +68,7 @@ def _make(name: str, n: int):
 
 
 def _same(a, b) -> bool:
-    if isinstance(a, FlatStates):
+    if isinstance(a, BatchedFlatStates):
         return a.equals(b)
     return np.array_equal(np.asarray(a), np.asarray(b))
 
@@ -145,8 +145,8 @@ def test_e7_filtering_cuts_work(benchmark):
 
     def run():
         la, lb = CostLedger(), CostLedger()
-        run_dense(g, MinFilter(), ledger=la)
-        run_dense(g, TopKFilter(4), ledger=lb)
+        run_dense_batched(g, MinFilter(), 1, ledgers=[la])
+        run_dense_batched(g, TopKFilter(4), 1, ledgers=[lb])
         return la, lb
 
     la, lb = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -468,7 +468,7 @@ class Pipeline:
         ``h`` runs exactly ``h`` iterations (h-hop semantics) instead of
         iterating to the fixpoint; ``max_iterations`` caps the fixpoint
         search (and only that — an explicit ``h`` takes precedence, as in
-        :func:`~repro.mbf.dense.run_dense`).  Returns a
+        :func:`~repro.mbf.dense.run_dense_batched`).  Returns a
         :class:`~repro.api.result.SolveResult`.
         """
         eng = resolve_engine(problem, engine)

@@ -38,7 +38,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.graph.core import Graph
-from repro.mbf.dense import BatchedFlatStates
+from repro.mbf.dense import BatchedFlatStates, check_rank
 from repro.mbf.problem import (
     DENSE_FAMILIES,
     FAMILIES,
@@ -233,7 +233,7 @@ def solve(
     selection, dense preferred).  ``h`` runs exactly ``h`` iterations;
     ``h=None`` iterates to the fixpoint under the ``max_iterations`` cap
     (the cap applies to fixpoint mode only — an explicit ``h`` wins, the
-    same precedence as :func:`repro.mbf.dense.run_dense`).  Returns
+    same precedence as :func:`repro.mbf.dense.run_dense_batched`).  Returns
     ``(decoded, iterations)``; decoded outputs and iteration counts are
     engine-independent (pinned by the parity suite).
     """
@@ -310,12 +310,9 @@ def _reference_le_lists_batch(
     """
     from repro.mbf import zoo
 
-    ranks = np.asarray(ranks, dtype=np.int64)
-    if ranks.ndim != 2 or ranks.shape[0] < 1:
-        raise ValueError(f"ranks must have shape (k, {G.n}) with k >= 1")
-    # zoo.le_lists validates each row (shape + permutation) itself.
+    ranks = check_rank(G.n, ranks)
     solved = [solve_reference(G, zoo.le_lists(G.n, rank), h=h) for rank in ranks]
-    lists = BatchedFlatStates.from_states([states for states, _ in solved])
+    lists = BatchedFlatStates.concat([states for states, _ in solved])
     return lists, np.array([iters for _, iters in solved], dtype=np.int64)
 
 

@@ -89,16 +89,14 @@ def distance_to_set_via_oracle(oracle, S: np.ndarray) -> np.ndarray:
     ``(1+eps)^{O(log n)}``-approximate the G-distances — exactly what the
     sampling step needs.
     """
-    from repro.mbf.dense import FlatStates, TopKFilter
+    from repro.mbf.dense import TopKFilter
 
     S = np.asarray(S, dtype=np.int64)
     if S.size == 0:
         raise ValueError("need at least one source")
     mask = np.zeros(oracle.n, dtype=bool)
     mask[S] = True
-    states, _ = oracle.run(
-        TopKFilter(1, source_mask=mask), x0=FlatStates.from_sources(oracle.n, S)
-    )
+    states, _ = oracle.run_batch(TopKFilter(1, source_mask=mask), 1, sources=S)
     out = np.full(oracle.n, INF)
     counts = states.counts()
     has = counts > 0

@@ -39,9 +39,8 @@ from repro.hopsets.skeleton import hub_hopset
 from repro.mbf.dense import (
     BatchedFlatStates,
     BatchedLEFilter,
-    FlatStates,
-    aggregate,
-    dense_iteration,
+    aggregate_batched,
+    dense_iteration_batched_ex,
 )
 from repro.oracle.oracle import HOracle
 from repro.util.pairs import all_pairs, sample_distinct
@@ -57,7 +56,7 @@ class SkeletonFRTResult:
     tree: FRTTree
     rank: np.ndarray
     beta: float
-    le_lists: FlatStates
+    le_lists: BatchedFlatStates
     ledger: RoundLedger
     meta: dict = field(default_factory=dict)
 
@@ -112,18 +111,12 @@ def skeleton_frt(
     oracle = HOracle(hop, rng=g)
     rank_s = g.permutation(target).astype(np.int64)
     spec_s = BatchedLEFilter(rank_s[None, :])
-    states = FlatStates.from_sources(target)
-    states = aggregate(
-        target,
-        np.repeat(np.arange(target, dtype=np.int64), states.counts()),
-        states.ids,
-        states.dists,
-        spec_s,
-    )
+    # One {v: 0} entry per node is already a canonical LE state.
+    states = BatchedFlatStates.from_sources(1, target)
     hs_iterations = 0
     for _ in range(target + 1):
         ledger.broadcast(states.total, D, label="skeleton-list-broadcast")
-        nxt = oracle.h_iteration(states, spec_s)
+        nxt = oracle.h_iteration_batched(states, spec_s)
         hs_iterations += 1
         if nxt.equals(states):
             states = nxt
@@ -145,7 +138,7 @@ def skeleton_frt(
         entry = {int(skeleton[j]): float(dv) for j, dv in zip(ids, dists)}
         entry[int(s)] = 0.0
         dicts[int(s)] = entry
-    xbar = FlatStates.from_dicts(dicts)
+    xbar = BatchedFlatStates.from_dicts(dicts)
 
     # -- steps 4-5: exactly ell iterations on G with alpha-scaled weights ----
     # Equation (8.20): r^V A_{G,α}^ℓ x̄(0).  Running to a fixpoint would
@@ -179,7 +172,7 @@ def skeleton_frt(
 
 def jump_started_tree(
     G: Graph,
-    xbar: FlatStates,
+    xbar: BatchedFlatStates,
     rank: np.ndarray,
     alpha: float,
     ell: int,
@@ -187,24 +180,28 @@ def jump_started_tree(
     *,
     rng=None,
     beta: float | None = None,
-) -> tuple[FRTTree, float, FlatStates, int]:
+) -> tuple[FRTTree, float, BatchedFlatStates, int]:
     """The local phase of Sections 8.2 and 8.3, then the FRT tree.
 
     Runs exactly ``ell`` LE iterations on ``G`` with weights scaled by
-    ``alpha``, from the jump-started state vector ``xbar`` (Equations
-    8.9/8.10 and 8.20), charging ``max_v |x_v|`` rounds each.  A guard for
-    unlucky small-scale sampling tops up while some list misses the
-    common root (the global min-rank vertex).  Draws ``beta`` unless
+    ``alpha``, from the jump-started ``k = 1`` state vector ``xbar``
+    (Equations 8.9/8.10 and 8.20), charging ``max_v |x_v|`` rounds each;
+    each step propagates only the entries the previous one inserted.  A
+    guard for unlucky small-scale sampling tops up while some list misses
+    the common root (the global min-rank vertex).  Draws ``beta`` unless
     given and builds the tree.  Returns ``(tree, beta, lists,
     extra_iterations)``.
     """
     n = G.n
     spec = BatchedLEFilter(rank[None, :])
     own = np.repeat(np.arange(n, dtype=np.int64), xbar.counts())
-    cur = aggregate(n, own, xbar.ids, xbar.dists, spec)
+    cur = aggregate_batched(1, n, own, xbar.ids, xbar.dists, spec)
+    fresh = None
     for _ in range(int(ell)):
         ledger.local_exchange(int(cur.counts().max()), label="local-le-iteration")
-        cur = dense_iteration(G, cur, spec, weight_scale=alpha)
+        cur, _, fresh = dense_iteration_batched_ex(
+            G, cur, spec, weight_scale=alpha, fresh=fresh
+        )
     extra_iterations = 0
     root_vertex = int(np.flatnonzero(rank == 0)[0])
     while extra_iterations <= n:
@@ -212,13 +209,13 @@ def jump_started_tree(
         if np.all(cur.counts() > 0) and np.all(cur.ids[last] == root_vertex):
             break
         ledger.local_exchange(int(cur.counts().max()), label="local-le-topup")
-        cur = dense_iteration(G, cur, spec, weight_scale=alpha)
+        cur, _, fresh = dense_iteration_batched_ex(
+            G, cur, spec, weight_scale=alpha, fresh=fresh
+        )
         extra_iterations += 1
     else:  # pragma: no cover
         raise RuntimeError("local LE phase failed to reach a common root")
     b = float(as_rng(rng).uniform(1.0, 2.0)) if beta is None else float(beta)
     wmin, _ = G.weight_bounds()
-    forest = build_frt_forest(
-        BatchedFlatStates.from_states([cur]), rank[None, :], np.array([b]), wmin
-    )
+    forest = build_frt_forest(cur, rank[None, :], np.array([b]), wmin)
     return forest.tree(0), b, cur, extra_iterations

@@ -35,7 +35,7 @@ from repro.graph.shortest_paths import (
     hop_diameter,
     hop_limited_distances,
 )
-from repro.mbf.dense import FlatStates
+from repro.mbf.dense import BatchedFlatStates
 from repro.metric.spanner import baswana_sen_spanner
 from repro.util.pairs import all_pairs, sample_distinct
 from repro.util.rng import as_rng
@@ -50,7 +50,7 @@ class SpannerFRTResult:
     tree: FRTTree
     rank: np.ndarray
     beta: float
-    le_lists: FlatStates
+    le_lists: BatchedFlatStates
     ledger: RoundLedger
     meta: dict = field(default_factory=dict)
 
@@ -133,7 +133,7 @@ def spanner_frt(
 
     # -- step 4: exactly ell iterations on G with (2k-1)-scaled weights -------
     tree, b, cur, extra_iterations = jump_started_tree(
-        G, FlatStates.from_dicts(dicts), rank, alpha, ell, ledger, rng=g, beta=beta
+        G, BatchedFlatStates.from_dicts(dicts), rank, alpha, ell, ledger, rng=g, beta=beta
     )
     return SpannerFRTResult(
         tree=tree,

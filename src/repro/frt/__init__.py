@@ -7,7 +7,7 @@ Pipeline (Sections 7.1-7.4):
    Lemma 7.5) — either directly on ``G`` (``SPD(G)`` iterations, the
    Khan-et-al. regime) or on the simulated graph ``H`` through the oracle
    (``O(log² n)`` iterations, the paper's main result);
-3. build the FRT tree from the LE lists (Lemma 7.2);
+3. build the FRT trees from the LE lists (Lemma 7.2), all samples at once;
 4. optionally map tree edges back to graph paths (Section 7.5).
 
 Entry points:
@@ -15,11 +15,10 @@ Entry points:
 - :func:`~repro.frt.lelists.compute_le_lists_batch` /
   :func:`~repro.frt.lelists.compute_le_lists_batch_via_oracle` (``k``
   random orders in one pass)
-- :class:`~repro.frt.tree.FRTTree` and
-  :func:`~repro.frt.tree.build_frt_tree`
 - :class:`~repro.frt.forest.FRTForest` and
   :func:`~repro.frt.forest.build_frt_forest` (all ensemble trees in one
-  vectorized pass; ensemble distance queries)
+  vectorized pass, one tree being ``k = 1``; ensemble distance queries)
+  and its per-sample :class:`~repro.frt.tree.FRTTree` views
 - :class:`~repro.frt.embedding.EmbeddingResult` (one sample; sampling
   itself runs through :class:`repro.api.Pipeline`, ``sample()`` /
   ``sample_ensemble(k)``)
@@ -30,9 +29,8 @@ Entry points:
 from repro.frt.lelists import (
     compute_le_lists_batch,
     compute_le_lists_batch_via_oracle,
-    le_lists_as_arrays,
 )
-from repro.frt.tree import FRTTree, build_frt_tree
+from repro.frt.tree import FRTTree
 from repro.frt.forest import FRTForest, build_frt_forest
 from repro.frt.embedding import EmbeddingResult
 from repro.frt.stretch import StretchReport, evaluate_stretch
@@ -42,9 +40,7 @@ from repro.frt.decomposition import HierarchicalDecomposition, decomposition_of
 __all__ = [
     "compute_le_lists_batch",
     "compute_le_lists_batch_via_oracle",
-    "le_lists_as_arrays",
     "FRTTree",
-    "build_frt_tree",
     "FRTForest",
     "build_frt_forest",
     "EmbeddingResult",

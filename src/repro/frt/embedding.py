@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.frt.tree import FRTTree
-from repro.mbf.dense import FlatStates
+from repro.mbf.dense import BatchedFlatStates
 from repro.util.rng import as_rng
 
 __all__ = ["EmbeddingResult"]
@@ -34,6 +34,7 @@ __all__ = ["EmbeddingResult"]
 class EmbeddingResult:
     """A sampled tree embedding plus provenance for verification.
 
+    ``le_lists`` is the sample's ``k = 1`` batch of LE lists.
     ``iterations`` counts (outer) MBF-like iterations until the LE-list
     fixpoint; for the oracle pipeline this is the ``O(log² n)`` quantity,
     for the direct pipeline it is ``SPD``-scale.
@@ -42,7 +43,7 @@ class EmbeddingResult:
     tree: FRTTree
     rank: np.ndarray
     beta: float
-    le_lists: FlatStates
+    le_lists: BatchedFlatStates
     iterations: int
     meta: dict = field(default_factory=dict)
 

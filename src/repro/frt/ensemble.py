@@ -29,7 +29,8 @@ def sample_views(
 ) -> list[EmbeddingResult]:
     """One :class:`~repro.frt.embedding.EmbeddingResult` per sample: the
     tree is a read-only view into ``forest``, the rank a row view, the LE
-    lists a copy out of the batch, ``meta`` a copy per view."""
+    lists a ``k = 1`` batch copied out of ``le_lists``, ``meta`` a copy per
+    view."""
     return [
         EmbeddingResult(
             tree=forest.tree(s),

@@ -1,10 +1,10 @@
 """Batched FRT forest construction — all ensemble trees in one NumPy pass.
 
-:func:`build_frt_tree` (the Lemma 7.2 reference implementation) walks the
-vertices of one sample in a Python loop; for an ensemble of ``k`` samples
-the batched pipeline would still pay ``k · n`` Python-level iterations
-after the LE-list stage was vectorized.  :func:`build_frt_forest` removes
-that tail: given the ensemble's LE lists as one
+Lemma 7.2 read literally walks the vertices of one sample in a Python
+loop; for an ensemble of ``k`` samples that is ``k · n`` Python-level
+iterations after the LE-list stage was vectorized.
+:func:`build_frt_forest` removes that tail (one tree is the ``k = 1``
+forest): given the ensemble's LE lists as one
 :class:`~repro.mbf.dense.BatchedFlatStates` plus per-sample ``(rank, beta)``
 draws, it constructs every tree of the ensemble with a fixed number of
 array operations per *level*:
@@ -22,14 +22,14 @@ array operations per *level*:
    fusing all samples per level through one :func:`numpy.unique` over
    composite ``(sample, parent_id, label)`` keys.  Per sample, the
    resulting ids, parents, levels, and leading vertices are *bit-identical*
-   to the serial :func:`build_frt_tree` (pinned by
-   ``tests/test_frt_forest.py``).
+   to the per-vertex reference construction in ``tests/frt_reference.py``
+   (pinned by ``tests/test_frt_forest.py``).
 
 The resulting :class:`FRTForest` answers ensemble distance queries
 (``distances`` / ``distance_upper_bounds`` / ``median_distances``) without
 touching per-tree objects, and :meth:`FRTForest.tree` materializes any
 sample as a standalone :class:`~repro.frt.tree.FRTTree` view whose
-structure arrays — node ids included — equal the serial construction.
+structure arrays — node ids included — equal the reference construction.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ class FRTForest:
       sample ``s``; for ``i > depths[s]`` the root id is replicated,
     - ``radii[s, i] = beta_s · 2^i · scale`` (``i > depths[s]``: padding),
     - ``edge_weights[s, i]`` / ``cum_weights[s, ℓ]`` — per-sample level
-      edge weights and their prefix sums (the serial convention),
+      edge weights and their prefix sums (:class:`~repro.frt.tree.FRTTree`'s
+      convention),
     - ``node_offsets`` — CSR bounds of the per-sample node arrays:
       ``parent`` / ``node_level`` / ``node_leading`` of sample ``s`` live
       at ``[node_offsets[s]:node_offsets[s+1]]``, with *sample-local* node
@@ -103,12 +104,12 @@ class FRTForest:
         """Sample ``s`` as a :class:`~repro.frt.tree.FRTTree` view.
 
         Bit-identical — all structure arrays, node ids included — to the
-        serial ``build_frt_tree(lists.sample_states(s), ranks[s],
-        betas[s], wmin)``.  The tree's arrays are zero-copy *views* into
-        the forest's stacked storage, returned **read-only** (writing
-        through one tree would silently corrupt all ``size`` samples and
-        every server cache keyed on this forest's fingerprint; a write
-        raises ``ValueError`` instead).  Storing one copy keeps an
+        per-vertex reference construction of sample ``s`` alone
+        (``tests/frt_reference.py``).  The tree's arrays are zero-copy
+        *views* into the forest's stacked storage, returned **read-only**
+        (writing through one tree would silently corrupt all ``size``
+        samples and every server cache keyed on this forest's fingerprint;
+        a write raises ``ValueError`` instead).  Storing one copy keeps an
         ensemble's memory flat even when every sample is materialized as
         a tree; ``.copy()`` an array if a sample needs mutating.
         """
@@ -310,8 +311,10 @@ def build_frt_forest(
         A positive lower bound on the minimum pairwise distance (shared by
         all samples — they embed the same graph).
 
-    Sample ``s`` of the result is bit-identical to the serial
-    ``build_frt_tree(le_lists.sample_states(s), ranks[s], betas[s], wmin)``.
+    Sample ``s`` of the result is bit-identical to the ``k = 1`` forest of
+    ``le_lists.sample_states(s)``, ``ranks[s : s + 1]`` and
+    ``betas[s : s + 1]``, and to the per-vertex reference construction
+    (``tests/frt_reference.py``).
     """
     k, n = le_lists.k, le_lists.n
     ranks = np.asarray(ranks, dtype=np.int64)
@@ -348,7 +351,7 @@ def build_frt_forest(
         raise ValueError(
             f"LE lists are not at their fixpoint (no common root in sample {bad})"
         )
-    # Per-sample depths (the serial scalar formula, verbatim — ceil/log2 on
+    # Per-sample depths (the one-sample scalar formula — ceil/log2 on
     # Python floats so ties at exact powers of two match bit for bit).
     depths = np.array(
         [
@@ -360,8 +363,8 @@ def build_frt_forest(
         dtype=np.int64,
     )
     k_max = int(depths.max())
-    # radii[s, i] = (beta_s * scale) * 2^i — the serial expression's
-    # operation order, so each prefix equals the serial radii array.
+    # radii[s, i] = (beta_s * scale) * 2^i — the one-sample expression's
+    # operation order, so each prefix equals that sample's radii array.
     radii = (betas[:, None] * scale) * np.power(2.0, np.arange(k_max + 1))
 
     # Level labels: labels[s, v, i] = id of the last list entry of (s, v)
@@ -428,8 +431,8 @@ def _assign_node_ids(
     root level ``j = depths[s]`` (ids from sorted root labels) and below
     that assigns ids by ``numpy.unique`` over composite
     ``(sample, parent_id * (n+1) + label)`` keys — sample-major, so each
-    sample's group is sorted exactly like the serial per-sample
-    ``np.unique``, and the serial id counters are reproduced bit for bit.
+    sample's group is sorted exactly like a per-sample ``np.unique``, and
+    each sample's own id counter is reproduced bit for bit.
     Levels above a sample's depth stay padding: they are filled with the
     sample's root id after the walk.
     """
@@ -449,7 +452,7 @@ def _assign_node_ids(
         (``base = n + 1 > label``, so decoding is exact); ``base = 0``
         marks root levels, where ``key = label``.  Fusing the row index
         into a sample-major composite keeps each sample's unique keys
-        contiguous *and* sorted by key — exactly the serial per-sample
+        contiguous *and* sorted by key — exactly the per-sample
         ``np.unique`` order — so ids continue each sample's own counter.
         """
         rows = len(samples)
@@ -502,8 +505,8 @@ def _assign_node_ids(
     )
 
     # Assemble per-sample node arrays: ids were handed out in creation
-    # order, so one lexsort by (sample, id) reproduces the serial
-    # root-down concatenation per sample.
+    # order, so one lexsort by (sample, id) reproduces each sample's
+    # root-down concatenation.
     node_sample, node_id, parent, node_level, node_leading = (
         np.concatenate([c[f] for c in chunks]) for f in range(5)
     )

@@ -4,7 +4,7 @@ The LE list of ``v`` w.r.t. a random vertex order is obtained from
 ``{(dist(v,w), w) : w ∈ V}`` by deleting every pair dominated by a
 smaller-ordered, no-farther vertex.  Computing all LE lists is an MBF-like
 algorithm over the distance-map semimodule with the
-:class:`~repro.mbf.dense.LEFilter` projection; Lemma 7.6 bounds every
+:class:`~repro.mbf.dense.BatchedLEFilter` projection; Lemma 7.6 bounds every
 (intermediate) list length by ``O(log n)`` w.h.p.
 
 Two drivers, each computing the LE lists of ``k`` independent random
@@ -30,7 +30,7 @@ from repro.graph.core import Graph
 from repro.mbf.dense import (
     BatchedFlatStates,
     BatchedLEFilter,
-    FlatStates,
+    check_rank,
     run_dense_batched,
 )
 from repro.oracle.oracle import HOracle
@@ -39,7 +39,6 @@ from repro.pram.cost import CostLedger
 __all__ = [
     "compute_le_lists_batch",
     "compute_le_lists_batch_via_oracle",
-    "le_lists_as_arrays",
     "max_list_length",
 ]
 
@@ -60,7 +59,7 @@ def compute_le_lists_batch(
     ``h=None`` each sample iterates until its fixpoint, which is reached
     after ``SPD(G)`` iterations.
     """
-    ranks = _check_ranks(G.n, ranks)
+    ranks = check_rank(G.n, ranks)
     return run_dense_batched(
         G,
         BatchedLEFilter(ranks),
@@ -85,7 +84,7 @@ def compute_le_lists_batch_via_oracle(
     Theorem 5.2); each sample's fixpoint arrives within
     ``SPD(H) + 1 ∈ O(log² n)`` ``H``-iterations w.h.p. (Theorem 4.5).
     """
-    ranks = _check_ranks(oracle.n, ranks)
+    ranks = check_rank(oracle.n, ranks)
     return oracle.run_batch(
         BatchedLEFilter(ranks),
         ranks.shape[0],
@@ -95,31 +94,6 @@ def compute_le_lists_batch_via_oracle(
     )
 
 
-def _check_ranks(n: int, ranks: np.ndarray) -> np.ndarray:
-    ranks = np.asarray(ranks, dtype=np.int64)
-    if ranks.ndim != 2 or ranks.shape[1] != n:
-        raise ValueError(f"ranks must have shape (k, {n})")
-    if ranks.shape[0] < 1:
-        raise ValueError("need at least one sample")
-    if not np.array_equal(
-        np.sort(ranks, axis=1), np.broadcast_to(np.arange(n), ranks.shape)
-    ):
-        raise ValueError("every row of ranks must be a permutation of 0..n-1")
-    return ranks
-
-
-def le_lists_as_arrays(
-    lists: FlatStates,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-vertex ``(ids, dists)`` arrays sorted by increasing distance.
-
-    The dense LE filter already emits entries in ``(dist, rank)`` order, so
-    this is a cheap re-slicing; provided for consumers (tree construction,
-    Congest simulation) that want plain arrays.
-    """
-    return [lists.node(v) for v in range(lists.n)]
-
-
-def max_list_length(lists: FlatStates) -> int:
-    """``max_v |LE(v)|`` — the Lemma 7.6 quantity."""
+def max_list_length(lists: BatchedFlatStates) -> int:
+    """``max_v |LE(v)|`` over every sample — the Lemma 7.6 quantity."""
     return int(lists.counts().max()) if lists.n else 0

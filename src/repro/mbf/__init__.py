@@ -20,10 +20,10 @@ decoder + declared state family) solved by capability-matched *engines*:
   semimodule / filter, object-based, the correctness oracle for every
   family (:func:`~repro.mbf.problem.solve_reference`).
 - :mod:`repro.mbf.dense` — the *flat engine*: vectorized CSR distance-map
-  states (semimodule ``D``) with the min-dedup / source-detection top-k /
-  LE-list filters, instrumented with the work/depth ledger.  This is what
-  the oracle (Section 5) and the FRT pipeline (Section 7) run on; the
-  serial kernels are the ``k = 1`` view of the batched multi-sample ones.
+  states (semimodule ``D``, one state type for ``k`` samples at once) with
+  the min-dedup / source-detection top-k / LE-list filters, instrumented
+  with the work/depth ledger.  This is what the oracle (Section 5) and the
+  FRT pipeline (Section 7) run on; a single run is the ``k = 1`` batch.
 - :mod:`repro.mbf.scalar` — the *scalar engine*: stacked ``(n, c)``
   min-plus / max-min fixpoints for the zoo's scalar families (SSSP, MSSP,
   forest fire, SSWP/MSWP/APWP, connectivity-as-hop-counting).
@@ -44,7 +44,7 @@ from repro.mbf.problem import (
     solve_reference,
 )
 from repro.mbf import filters, scalar, zoo
-from repro.mbf.dense import BatchedFlatStates, FlatStates
+from repro.mbf.dense import BatchedFlatStates
 
 __all__ = [
     "MBFAlgorithm",
@@ -61,6 +61,5 @@ __all__ = [
     "filters",
     "scalar",
     "zoo",
-    "FlatStates",
     "BatchedFlatStates",
 ]

@@ -17,24 +17,21 @@ work, ``O(log n)`` depth) so benchmarks can report paper-model work/depth.
 Supported filters (all congruence-compatible, see ``tests/test_dense.py``
 for the equivalence with the reference engine):
 
-- ``"min"`` — per (target, id) keep the minimum distance (identity filter
-  on canonical representations; used by APSP / MSSP),
-- ``("topk", k, dmax, source_mask)`` — source detection (Example 3.2),
-- ``("le", rank)`` — least-element lists (Definition 7.3).
+- :class:`MinFilter` — per (target, id) keep the minimum distance (identity
+  filter on canonical representations; used by APSP / MSSP),
+- :class:`TopKFilter` — source detection (Example 3.2),
+- :class:`BatchedLEFilter` — least-element lists (Definition 7.3).
 
-**Batched engine**: :class:`BatchedFlatStates` extends the CSR layout
-with a *sample* axis — ``k`` independent state vectors over the same
-graph stored back to back, entries keyed by the composite segment id
-``sample * n + target``.  The serial kernels (:func:`aggregate`,
-:func:`dense_iteration`, :func:`run_dense`) are thin ``k = 1`` views of
-the batched ones, so there is exactly one kernel stack — and the serial
-LE path inherits the incremental prune/merge fast path below.  The batched kernels
-(:func:`propagate_batched`, :func:`aggregate_batched`,
-:func:`dense_iteration_batched`, :func:`run_dense_batched`) advance all
-``k`` samples in one NumPy pass; :class:`BatchedLEFilter` carries one rank
-permutation per sample (a ``(k, n)`` matrix indexed per-entry through the
-composite segment id).  For LE lists the batched iteration additionally
-uses an *incremental* aggregation — propagated entries that are dominated
+**One state type**: :class:`BatchedFlatStates` holds ``k`` independent
+state vectors over the same graph, stored back to back, entries keyed by
+the composite segment id ``sample * n + target``; a single run is the
+``k = 1`` batch.  The kernels (:func:`propagate_batched`,
+:func:`aggregate_batched`, :func:`dense_iteration_batched_ex`,
+:func:`run_dense_batched`) advance all ``k`` samples in one NumPy pass;
+:class:`BatchedLEFilter` carries one rank permutation per sample (a
+``(k, n)`` matrix indexed per-entry through the composite segment id).
+For LE lists the iteration uses an *incremental* aggregation — propagated
+entries that are dominated
 by (or duplicates of) the target's current staircase can never survive the
 filter (the self-contribution puts their dominator in every merge), so
 they are pruned before any sort.  The directed edges come grouped by
@@ -59,10 +56,9 @@ re-emits candidates that ``x_v^(i)`` already holds or dominates — the prune
 would drop every one of them.  The fixpoint drivers thread this delta mask
 from step to step and slice it by sample when converged samples drop out;
 a step given no mask propagates everything, which is always exact.  The
-result is bit-identical to the serial engine (pinned by parity tests); the
-per-sample cost ledgers still charge the *model* cost of Lemma 2.3
-(propagate + sort + filter over every entry of every list), matching the
-serial driver charge for charge.
+result is bit-identical to the generic full-sort iteration (pinned by
+tests); the per-sample cost ledgers still charge the *model* cost of
+Lemma 2.3 (propagate + sort + filter over every entry of every list).
 """
 
 from __future__ import annotations
@@ -75,7 +71,7 @@ import numpy as np
 
 from repro.graph.core import Graph
 from repro.mbf.engine import fixpoint_error
-from repro.pram.cost import NULL_LEDGER, CostLedger
+from repro.pram.cost import CostLedger
 
 INF = math.inf
 
@@ -92,24 +88,18 @@ INF = math.inf
 _LE_BLOCK_ENTRIES = 1 << 16
 
 __all__ = [
-    "FlatStates",
     "BatchedFlatStates",
     "check_rank",
     "FilterSpec",
     "MinFilter",
     "TopKFilter",
-    "LEFilter",
     "BatchedLEFilter",
-    "propagate",
-    "aggregate",
-    "dense_iteration",
-    "run_dense",
     "propagate_batched",
     "aggregate_batched",
-    "dense_iteration_batched",
     "dense_iteration_batched_ex",
     "take_active_samples",
     "run_batched_fixpoint",
+    "prepare_batch_run",
     "run_dense_batched",
     "segmented_searchsorted",
 ]
@@ -199,114 +189,6 @@ def segmented_searchsorted(
 
 
 @dataclass
-class FlatStates:
-    """CSR-layout sparse distance maps for all ``n`` nodes.
-
-    ``ids[offsets[v]:offsets[v+1]]`` are the map keys (vertex ids) of node
-    ``v``'s state and ``dists[...]`` the corresponding finite distances.
-    Entries within a node are kept in the order the producing filter emits
-    (deterministic), so two ``FlatStates`` are comparable array-wise.
-    """
-
-    n: int
-    offsets: np.ndarray  # (n+1,) int64
-    ids: np.ndarray  # (total,) int64
-    dists: np.ndarray  # (total,) float64
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_sources(cls, n: int, sources: Iterable[int] | None = None) -> "FlatStates":
-        """The canonical initialization ``x^(0)``: ``{v: 0}`` for sources.
-
-        ``sources=None`` means every vertex is a source (Equation 3.1).
-        """
-        if sources is None:
-            src = np.arange(n, dtype=np.int64)
-        else:
-            src = np.unique(np.asarray(list(sources), dtype=np.int64))
-            if src.size and (src.min() < 0 or src.max() >= n):
-                raise ValueError("source out of range")
-        counts = np.zeros(n, dtype=np.int64)
-        counts[src] = 1
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        return cls(n, offsets, src.copy(), np.zeros(src.size))
-
-    @classmethod
-    def from_dicts(cls, dicts: Sequence[dict]) -> "FlatStates":
-        """Convert reference-engine states (list of dicts) to flat layout."""
-        n = len(dicts)
-        ids_parts, dist_parts, counts = [], [], np.zeros(n, dtype=np.int64)
-        for v, d in enumerate(dicts):
-            items = sorted((k, val) for k, val in d.items() if val != INF)
-            counts[v] = len(items)
-            ids_parts.extend(k for k, _ in items)
-            dist_parts.extend(val for _, val in items)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        return cls(
-            n,
-            offsets,
-            np.array(ids_parts, dtype=np.int64),
-            np.array(dist_parts, dtype=np.float64),
-        )
-
-    # -- accessors ----------------------------------------------------------
-
-    @property
-    def total(self) -> int:
-        """Total number of stored entries across all nodes."""
-        return int(self.ids.size)
-
-    def counts(self) -> np.ndarray:
-        """Per-node entry counts ``|x_v|``."""
-        return np.diff(self.offsets)
-
-    def node(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(ids, dists)`` of node ``v``'s state."""
-        lo, hi = self.offsets[v], self.offsets[v + 1]
-        return self.ids[lo:hi], self.dists[lo:hi]
-
-    def to_dicts(self) -> list[dict]:
-        """Convert to reference-engine representation."""
-        return [
-            dict(zip(self.ids[lo:hi].tolist(), self.dists[lo:hi].tolist()))
-            for lo, hi in zip(self.offsets[:-1], self.offsets[1:])
-        ]
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense ``(n, n)`` matrix with ``inf`` for absent entries."""
-        # reprolint: disable=quadratic-transient-flow (the dense (n, n)
-        # matrix is the declared output of this debugging helper)
-        out = np.full((self.n, self.n), INF)
-        owner = np.repeat(np.arange(self.n), self.counts())
-        out[owner, self.ids] = self.dists
-        return out
-
-    def restrict(self, keep_mask: np.ndarray) -> "FlatStates":
-        """Projection ``P``: zero out the states of nodes with mask False.
-
-        Implements Equation (5.2) — entries of non-selected nodes are
-        dropped wholesale (their state becomes ⊥).  Lazy in spirit: O(total).
-        """
-        keep_mask = np.asarray(keep_mask, dtype=bool)
-        if keep_mask.shape != (self.n,):
-            raise ValueError("mask must have shape (n,)")
-        counts = self.counts() * keep_mask
-        entry_keep = np.repeat(keep_mask, self.counts())
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        return FlatStates(self.n, offsets, self.ids[entry_keep], self.dists[entry_keep])
-
-    def equals(self, other: "FlatStates") -> bool:
-        """Exact equality of canonical representations."""
-        return (
-            self.n == other.n
-            and np.array_equal(self.offsets, other.offsets)
-            and np.array_equal(self.ids, other.ids)
-            and np.array_equal(self.dists, other.dists)
-        )
-
-
-@dataclass
 class BatchedFlatStates:
     """CSR-layout states of ``k`` independent samples over the same graph.
 
@@ -314,9 +196,10 @@ class BatchedFlatStates:
     ``s * n + v`` holds sample ``s``'s state at node ``v`` (``offsets`` has
     ``k * n + 1`` entries).  ``ids`` are *actual* vertex ids ``0..n-1`` —
     propagation never crosses samples, so only targets need the composite
-    addressing.  Viewed through :meth:`as_flat`, the batch is an ordinary
-    :class:`FlatStates` over ``k * n`` virtual nodes, which lets the
-    batched kernels reuse the scalar ones.
+    addressing.  Entries within a segment are kept in the order the
+    producing filter emits (deterministic), so two batches are comparable
+    array-wise.  A single state vector is the ``k = 1`` batch, whose
+    segments are the ``n`` nodes.
     """
 
     k: int
@@ -331,37 +214,41 @@ class BatchedFlatStates:
     def from_sources(
         cls, k: int, n: int, sources: Iterable[int] | None = None
     ) -> "BatchedFlatStates":
-        """``k`` copies of the canonical initialization ``x^(0)``."""
+        """``k`` copies of the canonical initialization ``x^(0)``.
+
+        ``{v: 0}`` for every source; ``sources=None`` means every vertex is
+        a source (Equation 3.1).
+        """
         if k < 1:
             raise ValueError("batch size k must be >= 1")
-        one = FlatStates.from_sources(n, sources)
-        offsets = np.concatenate(
-            [[0], (one.offsets[1:] + one.total * np.arange(k)[:, None]).reshape(-1)]
-        )
-        return cls(
-            k,
-            n,
-            offsets.astype(np.int64),
-            np.tile(one.ids, k),
-            np.tile(one.dists, k),
-        )
+        if sources is None:
+            src = np.arange(n, dtype=np.int64)
+        else:
+            src = np.unique(np.asarray(list(sources), dtype=np.int64))
+            if src.size and (src.min() < 0 or src.max() >= n):
+                raise ValueError("source out of range")
+        counts = np.zeros(n, dtype=np.int64)
+        counts[src] = 1
+        offsets = np.concatenate([[0], np.cumsum(np.tile(counts, k))])
+        return cls(k, n, offsets, np.tile(src, k), np.zeros(k * src.size))
 
     @classmethod
-    def from_states(cls, states: Sequence[FlatStates]) -> "BatchedFlatStates":
-        """Stack per-sample states (all over the same ``n``) into a batch."""
-        if not states:
-            raise ValueError("need at least one sample")
-        n = states[0].n
-        if any(st.n != n for st in states):
-            raise ValueError("all samples must share the same node count")
-        counts = np.concatenate([st.counts() for st in states])
+    def from_dicts(cls, dicts: Sequence[dict]) -> "BatchedFlatStates":
+        """The ``k = 1`` batch of reference-engine states (one dict per node)."""
+        n = len(dicts)
+        ids_parts, dist_parts, counts = [], [], np.zeros(n, dtype=np.int64)
+        for v, d in enumerate(dicts):
+            items = sorted((k, val) for k, val in d.items() if val != INF)
+            counts[v] = len(items)
+            ids_parts.extend(k for k, _ in items)
+            dist_parts.extend(val for _, val in items)
         offsets = np.concatenate([[0], np.cumsum(counts)])
         return cls(
-            len(states),
+            1,
             n,
-            offsets.astype(np.int64),
-            np.concatenate([st.ids for st in states]),
-            np.concatenate([st.dists for st in states]),
+            offsets,
+            np.array(ids_parts, dtype=np.int64),
+            np.array(dist_parts, dtype=np.float64),
         )
 
     @classmethod
@@ -427,14 +314,30 @@ class BatchedFlatStates:
             self.dists[last].reshape(self.k, self.n),
         )
 
-    def as_flat(self) -> FlatStates:
-        """Zero-copy view as one :class:`FlatStates` over ``k*n`` virtual nodes."""
-        return FlatStates(self.k * self.n, self.offsets, self.ids, self.dists)
+    def node(self, seg: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, dists)`` of segment ``seg = s * n + v`` (node ``v`` at ``k = 1``)."""
+        lo, hi = self.offsets[seg], self.offsets[seg + 1]
+        return self.ids[lo:hi], self.dists[lo:hi]
 
-    def sample_states(self, s: int) -> FlatStates:
-        """Sample ``s``'s state vector as a standalone :class:`FlatStates`."""
+    def to_dicts(self) -> list[dict]:
+        """Reference-engine representation: one dict per segment, ``k * n``."""
+        return [
+            dict(zip(self.ids[lo:hi].tolist(), self.dists[lo:hi].tolist()))
+            for lo, hi in zip(self.offsets[:-1], self.offsets[1:])
+        ]
+
+    def to_matrix(self) -> np.ndarray:
+        """Dense ``(k * n, n)`` matrix with ``inf`` for absent entries."""
+        out = np.full((self.k * self.n, self.n), INF)
+        owner = np.repeat(np.arange(self.k * self.n), self.counts())
+        out[owner, self.ids] = self.dists
+        return out
+
+    def sample_states(self, s: int) -> "BatchedFlatStates":
+        """Sample ``s``'s state vector as a standalone ``k = 1`` batch (a copy)."""
         lo, hi = self.offsets[s * self.n], self.offsets[(s + 1) * self.n]
-        return FlatStates(
+        return BatchedFlatStates(
+            1,
             self.n,
             (self.offsets[s * self.n : (s + 1) * self.n + 1] - lo).copy(),
             self.ids[lo:hi].copy(),
@@ -444,17 +347,26 @@ class BatchedFlatStates:
     def take(self, sample_idx: np.ndarray) -> "BatchedFlatStates":
         """Sub-batch of the given samples, in the given order."""
         sample_idx = np.asarray(sample_idx, dtype=np.int64)
-        return BatchedFlatStates.from_states(
+        return BatchedFlatStates.concat(
             [self.sample_states(int(s)) for s in sample_idx]
         )
 
     def restrict(self, keep_mask: np.ndarray) -> "BatchedFlatStates":
-        """Projection ``P`` applied to every sample (Equation 5.2)."""
+        """Projection ``P`` applied to every sample (Equation 5.2).
+
+        Entries of non-selected nodes are dropped wholesale (their state
+        becomes ⊥).  O(total).
+        """
         keep_mask = np.asarray(keep_mask, dtype=bool)
         if keep_mask.shape != (self.n,):
             raise ValueError("mask must have shape (n,)")
-        flat = self.as_flat().restrict(np.tile(keep_mask, self.k))
-        return BatchedFlatStates(self.k, self.n, flat.offsets, flat.ids, flat.dists)
+        keep = np.tile(keep_mask, self.k)
+        counts = self.counts()
+        entry_keep = np.repeat(keep, counts)
+        offsets = np.concatenate([[0], np.cumsum(counts * keep)])
+        return BatchedFlatStates(
+            self.k, self.n, offsets, self.ids[entry_keep], self.dists[entry_keep]
+        )
 
     def equals(self, other: "BatchedFlatStates") -> bool:
         """Exact equality of the whole batch."""
@@ -605,60 +517,42 @@ class TopKFilter(FilterSpec):
 
 def check_rank(
     n: int,  # shape: scalar
-    rank: np.ndarray,  # shape: (n,) int64 frozen
-) -> np.ndarray:  # shape: -> (n,) int64
-    """Validate an LE random order: an int64 permutation of ``0..n-1``.
+    ranks: np.ndarray,  # shape: (k, n) int64 frozen
+) -> np.ndarray:  # shape: -> (k, n) int64
+    """Validate LE random orders: a ``(k, n)`` int64 matrix, ``k >= 1``,
+    each row a permutation of ``0..n-1``.
 
-    The one canonical rank validation, shared by the LE drivers
-    (:mod:`repro.frt.lelists`), the congest layer, and ``zoo.le_lists``.
+    The one rank validation, shared by the LE drivers
+    (:mod:`repro.frt.lelists`), the reference engine's LE path, the
+    congest layer and ``zoo.le_lists``; one order is the ``k = 1`` matrix
+    ``[rank]``.
     """
-    rank = np.asarray(rank, dtype=np.int64)
-    if rank.shape != (n,):
-        raise ValueError(f"rank must have shape ({n},)")
-    if not np.array_equal(np.sort(rank), np.arange(n)):
-        raise ValueError("rank must be a permutation of 0..n-1")
-    return rank
-
-
-class LEFilter(FilterSpec):
-    """The least-element filter of Definition 7.3, vectorized.
-
-    ``rank`` is the random total order.  Within a target, after sorting by
-    ``(dist, rank)``, an entry survives iff its rank is a *strict* running
-    minimum — the staircase.  The per-segment prefix-minimum uses the
-    offset trick: add ``segment * n`` to ranks so segments occupy disjoint
-    descending value ranges and one global ``np.minimum.accumulate``
-    suffices (see DESIGN.md).
-    """
-
-    def __init__(self, rank: np.ndarray):
-        self.rank = np.asarray(rank, dtype=np.int64)
-
-    def sort_keys(
-        self, ids: np.ndarray, dists: np.ndarray, tgt: np.ndarray
-    ) -> tuple:
-        return (self.rank[ids], dists)
-
-    def keep_mask(self, tgt, ids, dists, seg_id, n) -> np.ndarray:
-        if tgt.size == 0:
-            return np.zeros(0, dtype=bool)
-        # Later segments get *smaller* bases so the running min never leaks
-        # forward from an earlier segment.
-        adjusted = self.rank[ids] - seg_id.astype(np.int64) * (n + 1)
-        run_min = np.minimum.accumulate(adjusted)
-        keep = np.ones(tgt.size, dtype=bool)
-        keep[1:] = adjusted[1:] < run_min[:-1]
-        return keep
+    ranks = np.asarray(ranks, dtype=np.int64)
+    if ranks.ndim != 2 or ranks.shape[1] != n:
+        raise ValueError(f"rank must be a (k, {n}) matrix, got shape {ranks.shape}")
+    if ranks.shape[0] < 1:
+        raise ValueError("rank must hold at least one sample")
+    if not np.array_equal(np.sort(ranks, axis=1), np.broadcast_to(np.arange(n), ranks.shape)):
+        raise ValueError(f"every rank row must be a permutation of 0..{n - 1}")
+    return ranks
 
 
 class BatchedLEFilter(FilterSpec):
-    """Per-sample least-element filters over composite segment ids.
+    """The least-element filter of Definition 7.3, one order per sample.
 
     ``ranks`` is a ``(k, n)`` matrix — one random total order per ensemble
-    sample.  An entry addressed to the composite target ``s * n + v`` is
-    keyed by ``ranks[s, id]``; deriving ``s`` from the target is what lets
-    one global sort aggregate all ``k`` samples at once.  The staircase
-    survival rule is :class:`LEFilter`'s, applied per composite segment.
+    sample (one order is ``rank[None, :]``).  An entry addressed to the
+    composite target ``s * n + v`` is keyed by ``ranks[s, id]``; deriving
+    ``s`` from the target is what lets one global sort aggregate all ``k``
+    samples at once.  Within a segment, after sorting by ``(dist, rank)``,
+    an entry survives iff its rank is a *strict* running minimum — the
+    staircase.  The per-segment prefix minimum uses the offset trick:
+    later segments get smaller bases (``rank - segment * (n + 1)``), so
+    segments occupy disjoint descending value ranges and one global
+    ``np.minimum.accumulate`` suffices.  The dense drivers run this
+    filter through the incremental prune/merge step
+    (:func:`_le_iteration_incremental`); ``sort_keys``/``keep_mask`` are
+    its full-sort form, which the generic iteration applies.
     """
 
     def __init__(self, ranks: np.ndarray):
@@ -698,156 +592,6 @@ class BatchedLEFilter(FilterSpec):
 # ---------------------------------------------------------------------------
 
 
-def _as_batch(states: FlatStates) -> BatchedFlatStates:
-    """Zero-copy view of serial states as a ``k = 1`` batch."""
-    return BatchedFlatStates(1, states.n, states.offsets, states.ids, states.dists)
-
-
-def _as_ledgers(ledger: CostLedger) -> list[CostLedger] | None:
-    """Wrap a serial ledger for the batched (per-sample) charging API."""
-    return None if ledger is NULL_LEDGER else [ledger]
-
-
-def _as_batch_filter(spec: FilterSpec) -> FilterSpec:
-    """The ``k = 1`` batch form of a serial filter.
-
-    An exact :class:`LEFilter` becomes ``BatchedLEFilter(rank[None, :])``
-    and takes the incremental LE path: bit-identical lists, iteration
-    counts and ledger charges.  The check is on the exact type, so an
-    ``LEFilter`` subclass that overrides ``sort_keys``/``keep_mask`` keeps
-    them on the generic path; every other filter is sample-oblivious and
-    passes through unchanged.
-    """
-    if type(spec) is LEFilter:
-        return BatchedLEFilter(spec.rank[None, :])
-    return spec
-
-
-def propagate(
-    states: FlatStates,  # shape: csr(n) frozen
-    src: np.ndarray,  # shape: (E,) int64 frozen
-    dst: np.ndarray,  # shape: (E,) int64 frozen
-    w: np.ndarray,  # shape: (E,) float64 frozen
-    *,
-    include_self: bool = True,  # shape: scalar
-    ledger: CostLedger = NULL_LEDGER,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Emit all propagated entries: returns flat ``(targets, ids, dists)``.
-
-    For each directed edge ``src[e] -> dst[e]`` every entry of
-    ``states[src[e]]`` is re-addressed to ``dst[e]`` with distance increased
-    by ``w[e]`` (the semimodule action ``w ⊙ x``).  With ``include_self``,
-    each node's own entries are also emitted (diagonal ``a_vv = 0``).
-    """
-    counts = states.counts()
-    edge_counts = counts[src]
-    total_edge = int(edge_counts.sum())
-    rep_edge = np.repeat(np.arange(src.size), edge_counts)
-    cum = np.concatenate([[0], np.cumsum(edge_counts)])
-    pos = np.arange(total_edge) - cum[rep_edge]
-    gather = states.offsets[src[rep_edge]] + pos
-    out_tgt = dst[rep_edge]
-    out_ids = states.ids[gather]
-    out_dists = states.dists[gather] + w[rep_edge]
-    if include_self:
-        own_tgt = np.repeat(np.arange(states.n, dtype=np.int64), counts)
-        out_tgt = np.concatenate([out_tgt, own_tgt])
-        out_ids = np.concatenate([out_ids, states.ids])
-        out_dists = np.concatenate([out_dists, states.dists])
-    # Cost: every emitted entry is one parallel unit of work at O(1) depth.
-    ledger.parallel_for(out_tgt.size, 1, 1, label="propagate")
-    return out_tgt, out_ids, out_dists
-
-
-def aggregate(
-    n: int,  # shape: scalar
-    tgt: np.ndarray,  # shape: (m,) int64 frozen
-    ids: np.ndarray,  # shape: (m,) int64 frozen
-    dists: np.ndarray,  # shape: (m,) float64 frozen
-    spec: FilterSpec,
-    *,
-    ledger: CostLedger = NULL_LEDGER,
-) -> FlatStates:  # shape: -> csr(n)
-    """Group flat entries by target and apply the filter ``spec``.
-
-    One global stable lexsort by ``(target, <spec keys>)`` realizes the
-    paper's parallel-merge aggregation (Lemma 2.3): ``O(E log E)`` work at
-    ``O(log E)`` depth for ``E`` entries.  This is the ``k = 1`` view of
-    :func:`aggregate_batched` — the serial and batched kernel stacks are
-    one implementation.
-    """
-    batch = aggregate_batched(
-        1, n, tgt, ids, dists, spec, ledgers=_as_ledgers(ledger)
-    )
-    return batch.as_flat()
-
-
-def dense_iteration(
-    G: Graph,
-    states: FlatStates,  # shape: csr(n) frozen
-    spec: FilterSpec,
-    *,
-    weight_scale: float = 1.0,
-    ledger: CostLedger = NULL_LEDGER,
-) -> FlatStates:
-    """One filtered MBF iteration ``r^V A x`` on ``G`` (min-plus, module D).
-
-    ``weight_scale`` multiplies all edge weights — the oracle uses this for
-    the level matrices ``A_λ = (1+eps)^(Λ-λ) · A_G`` (Lemma 5.1).  Runs as
-    the ``k = 1`` view of :func:`dense_iteration_batched` (one kernel
-    stack; bit-identical states and ledger charges).
-    """
-    batch = dense_iteration_batched(
-        G,
-        _as_batch(states),
-        spec,
-        weight_scale=weight_scale,
-        ledgers=_as_ledgers(ledger),
-    )
-    return batch.as_flat()
-
-
-def run_dense(
-    G: Graph,
-    spec: FilterSpec,
-    *,
-    sources: Iterable[int] | None = None,
-    h: int | None = None,
-    x0: FlatStates | None = None,  # shape: csr(n)
-    max_iterations: int | None = None,
-    ledger: CostLedger = NULL_LEDGER,
-) -> tuple[FlatStates, int]:
-    """Run the dense engine for ``h`` iterations or to the fixpoint.
-
-    Returns ``(states, iterations)``.  With ``h=None``, iterates until the
-    filtered state vector stabilizes (at most ``SPD(G) + 1`` iterations per
-    Definition 2.11), performing at most ``max_iterations`` iterations
-    (default ``n + 1``) — the same cap semantics as
-    :func:`repro.mbf.engine.run_to_fixpoint` and
-    :meth:`repro.oracle.HOracle.run`.
-
-    The serial driver *is* the ``k = 1`` view of :func:`run_dense_batched`
-    (LE filters additionally take the batched incremental prune/merge
-    path), so there is exactly one kernel stack to maintain.
-    """
-    states, iters = run_dense_batched(
-        G,
-        _as_batch_filter(spec),
-        1,
-        sources=sources,
-        h=h,
-        x0=None if x0 is None else _as_batch(x0),
-        max_iterations=max_iterations,
-        ledgers=_as_ledgers(ledger),
-    )
-    return states.as_flat(), int(iters[0])
-
-
-# ---------------------------------------------------------------------------
-# Batched iteration kernels (the ensemble hot path)
-# ---------------------------------------------------------------------------
-
-
 def _virtual_edges(
     k: int, n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -883,10 +627,11 @@ def _charge_sample_iteration(
 ) -> None:
     """Charge the Lemma 2.3 model cost of one iteration to each sample.
 
-    Mirrors the serial kernels exactly: ``emitted[s]`` parallel work for
+    Charges what the generic iteration charges (:func:`propagate_batched`
+    then :func:`aggregate_batched`): ``emitted[s]`` parallel work for
     propagation, an ``emitted[s]``-key sort plus an ``emitted[s]``-item
     filter scan for aggregation; samples that emitted nothing (empty
-    states) are charged nothing, as in the serial early-return.
+    states) are charged nothing.
     """
     if ledgers is None:
         return
@@ -905,19 +650,29 @@ def propagate_batched(
     dst: np.ndarray,  # shape: (E,) int64 frozen
     w: np.ndarray,  # shape: (E,) float64 frozen
     *,
-    include_self: bool = True,  # shape: scalar
     ledgers: Sequence[CostLedger] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched :func:`propagate`: targets are composite ``sample*n + v``.
+    """Emit all propagated entries: returns flat ``(targets, ids, dists)``.
 
-    Entry ids remain actual vertex ids; per-sample model costs are charged
-    to ``ledgers`` (one per sample) when given.
+    For each directed edge ``src[e] -> dst[e]`` every entry of each
+    sample's ``states[src[e]]`` is re-addressed to ``dst[e]`` with distance
+    increased by ``w[e]`` (the semimodule action ``w ⊙ x``); each node's
+    own entries are also emitted (diagonal ``a_vv = 0``).  Targets are
+    composite ``sample*n + v``, entry ids remain actual vertex ids;
+    per-sample model costs are charged to ``ledgers`` (one per sample)
+    when given.
     """
     k, n = states.k, states.n
     vsrc, vdst, vw = _virtual_edges(k, n, src, dst, w)
-    vtgt, ids, dists = propagate(
-        states.as_flat(), vsrc, vdst, vw, include_self=include_self
-    )
+    counts = states.counts()
+    edge_counts = counts[vsrc]
+    rep_edge = np.repeat(np.arange(vsrc.size), edge_counts)
+    cum = np.concatenate([[0], np.cumsum(edge_counts)])
+    gather = states.offsets[vsrc[rep_edge]] + np.arange(rep_edge.size) - cum[rep_edge]
+    own_tgt = np.repeat(np.arange(k * n, dtype=np.int64), counts)
+    vtgt = np.concatenate([vdst[rep_edge], own_tgt])
+    ids = np.concatenate([states.ids[gather], states.ids])
+    dists = np.concatenate([states.dists[gather] + vw[rep_edge], states.dists])
     if ledgers is not None:
         per = np.bincount(vtgt // n, minlength=k)
         for led, e in zip(ledgers, per):
@@ -935,12 +690,15 @@ def aggregate_batched(
     *,
     ledgers: Sequence[CostLedger] | None = None,
 ) -> BatchedFlatStates:  # shape: -> csr(k*n)
-    """Batched :func:`aggregate`: one global stable sort over all samples.
+    """Group flat entries by target and apply the filter ``spec``.
 
-    The composite target ``sample * n + v`` is the primary sort key, so
-    one pass groups every sample's every node; sample-aware filters
-    (:class:`BatchedLEFilter`) recover the sample from the composite id.
-    Per-sample results are bit-identical to ``k`` serial aggregations.
+    One global stable lexsort by ``(target, <spec keys>)`` realizes the
+    paper's parallel-merge aggregation (Lemma 2.3): ``O(E log E)`` work at
+    ``O(log E)`` depth for ``E`` entries.  The composite target
+    ``sample * n + v`` is the primary sort key, so one pass groups every
+    sample's every node; sample-aware filters (:class:`BatchedLEFilter`)
+    recover the sample from the composite id, so each sample's result
+    does not depend on the rest of the batch.
     """
     kn = k * n
     E = int(vtgt.size)
@@ -994,7 +752,7 @@ def _le_iteration_incremental(
     its comment).  A call whose whole load fits the budget runs as one
     block, with no bounds computed and nothing concatenated.
 
-    Prune: with ``include_self`` the target's current list is part of
+    Prune: the self-contribution puts the target's current list in
     every merge, so a propagated entry that some current entry ``(d', r')``
     dominates (``d' <= d`` and ``r' <= r``; equal rank means the identical
     vertex) can never survive the staircase — the dominator precedes it in
@@ -1035,17 +793,16 @@ def _le_iteration_incremental(
     # Rebuilt per call; measured 2-5% of an iteration, and any cross-call
     # cache would need invalidation on every active-set compaction.
     vsrc, vdst, vw = _virtual_edges(k, n, src, dst, w)
-    cur = states.as_flat()
-    ccounts = np.diff(cur.offsets)
-    # Model cost: the serial engine emits every entry along every out-edge
+    ccounts = np.diff(states.offsets)
+    # Model cost: full emission sends every entry along every out-edge
     # plus its own entries, and sorts them all; charge that per sample.
     out_degree = np.bincount(src, minlength=n)
     emitted = ccounts.reshape(k, n) @ out_degree + states.sample_totals()
     _charge_sample_iteration(ledgers, emitted)
     cur_own = np.repeat(np.arange(kn, dtype=np.int64), ccounts)
-    cur_rank = spec.entry_ranks(cur_own, cur.ids)
+    cur_rank = spec.entry_ranks(cur_own, states.ids)
     if fresh is None:
-        fslots, fcounts, foffsets = None, ccounts, cur.offsets
+        fslots, fcounts, foffsets = None, ccounts, states.offsets
     else:
         fslots = np.flatnonzero(fresh)
         fcounts = np.bincount(cur_own[fslots], minlength=kn)
@@ -1066,7 +823,7 @@ def _le_iteration_incremental(
         slot += np.arange(slot.size)
         if fslots is not None:
             slot = fslots[slot]
-        cd = cur.dists[slot] + np.repeat(vw[e_lo:e_hi], emits)
+        cd = states.dists[slot] + np.repeat(vw[e_lo:e_hi], emits)
         # The directed edges are grouped by target, so the candidates are too.
         ct = np.repeat(vdst[e_lo:e_hi], emits)
         # -- prune against the current staircases, one in-segment bisection --
@@ -1074,8 +831,8 @@ def _le_iteration_incremental(
         # rank one among those (ranks fall along a staircase); if there is
         # none, nothing dominates the candidate.  Ranks are gathered only
         # after the search, which keeps them out of its peak memory.
-        pred = _last_at_most(cur.offsets, ccounts, cur.dists, ct, cd, steps)
-        surv = np.flatnonzero((pred < cur.offsets[ct]) | (cur_rank[pred] > cur_rank[slot]))
+        pred = _last_at_most(states.offsets, ccounts, states.dists, ct, cd, steps)
+        surv = np.flatnonzero((pred < states.offsets[ct]) | (cur_rank[pred] > cur_rank[slot]))
         if surv.size == 0:
             return None
         # -- order the (small) survivor set by (segment, dist) ----------------
@@ -1103,11 +860,11 @@ def _le_iteration_incremental(
         # goes after the current entries with a *strictly* smaller dist.  The
         # prune's index ends the entries <= it; distances strictly increase
         # along a staircase, so at most that last one ties.
-        blo = cur.offsets[bt]
+        blo = states.offsets[bt]
         # reprolint: disable=float-distance-eq (the tie decides merge order
         # exactly as the full sort's (dist, rank) key would: bit-identity
         # needs the exact comparison, both operands are stored float64 sums)
-        tie = (bpred >= blo) & (cur.dists[bpred] == bd)
+        tie = (bpred >= blo) & (states.dists[bpred] == bd)
         loc = bpred + 1 - blo - tie
         # From here on, targets and offsets are local to the block.
         bt -= t_lo
@@ -1124,13 +881,13 @@ def _le_iteration_incremental(
         is_new = np.zeros(mtotal, dtype=bool)
         is_new[bpos] = True
         cpos = np.flatnonzero(~is_new)
-        olo, ohi = cur.offsets[t_lo], cur.offsets[t_hi]
-        m_ids[bpos], m_dists[bpos], m_rank[bpos] = cur.ids[slot], bd, br
-        m_ids[cpos], m_dists[cpos] = cur.ids[olo:ohi], cur.dists[olo:ohi]
+        olo, ohi = states.offsets[t_lo], states.offsets[t_hi]
+        m_ids[bpos], m_dists[bpos], m_rank[bpos] = states.ids[slot], bd, br
+        m_ids[cpos], m_dists[cpos] = states.ids[olo:ohi], states.dists[olo:ohi]
         m_rank[cpos] = cur_rank[olo:ohi]
         # -- staircase over the merged lists ----------------------------------
         # Later segments get smaller bases, so the running minimum never
-        # leaks forward from an earlier segment (see LEFilter.keep_mask).
+        # leaks forward from an earlier segment (see BatchedLEFilter).
         m_tgt = np.repeat(np.arange(t_hi - t_lo, dtype=np.int64), mcounts)
         adjusted = m_rank - m_tgt * (n + 1)
         run_min = np.minimum.accumulate(adjusted)
@@ -1145,12 +902,12 @@ def _le_iteration_incremental(
         kept = np.bincount(kept_tgt, minlength=t_hi - t_lo)
         return m_ids[keep], m_dists[keep], inserted, kept, changed
 
-    if int(cstart[-1]) + cur.total <= _LE_BLOCK_ENTRIES:
+    if int(cstart[-1]) + states.total <= _LE_BLOCK_ENTRIES:
         load = None
     else:
         # The first edge of each target, and the load before each target.
         tedge = np.searchsorted(vdst, np.arange(kn + 1))
-        load = cstart[tedge] + cur.offsets
+        load = cstart[tedge] + states.offsets
     ids, dists, inserted = [], [], []
     kept_counts = ccounts.copy()
     changed = np.zeros(k, dtype=bool)
@@ -1165,9 +922,9 @@ def _le_iteration_incremental(
             e_lo, e_hi = int(tedge[t_lo]), int(tedge[t_hi])
         block = merge_block(t_lo, t_hi, e_lo, e_hi)
         if block is None:
-            olo, ohi = cur.offsets[t_lo], cur.offsets[t_hi]
-            ids.append(cur.ids[olo:ohi])
-            dists.append(cur.dists[olo:ohi])
+            olo, ohi = states.offsets[t_lo], states.offsets[t_hi]
+            ids.append(states.ids[olo:ohi])
+            dists.append(states.dists[olo:ohi])
             inserted.append(np.zeros(ohi - olo, dtype=bool))
         else:
             merged = True
@@ -1178,7 +935,7 @@ def _le_iteration_incremental(
             changed |= block_changed
         t_lo = t_hi
     if not merged:
-        return states, changed, np.zeros(cur.total, dtype=bool)
+        return states, changed, np.zeros(states.total, dtype=bool)
     if len(ids) > 1:
         ids, dists, inserted = (np.concatenate(p) for p in (ids, dists, inserted))
     else:
@@ -1210,9 +967,7 @@ def _generic_iteration_batched(
     src, dst, w = G.directed_edges()
     if weight_scale != 1.0:
         w = w * weight_scale
-    vtgt, ids, dists = propagate_batched(
-        states, src, dst, w, include_self=True, ledgers=ledgers
-    )
+    vtgt, ids, dists = propagate_batched(states, src, dst, w, ledgers=ledgers)
     return aggregate_batched(
         states.k, states.n, vtgt, ids, dists, spec, ledgers=ledgers
     )
@@ -1234,8 +989,7 @@ def dense_iteration_batched_ex(
     ``(next, changed, inserted)``.  The incremental LE path derives the
     ``(k,)`` ``changed`` flags for free, so drivers should use them instead
     of re-comparing states; the generic path pays a state-sized comparison
-    for them (use :func:`dense_iteration_batched` when they are not
-    needed).
+    for them.
 
     ``fresh`` is the ``inserted`` mask the previous call returned for
     ``states``, on the same graph, filter and ``weight_scale``; ``None``
@@ -1253,29 +1007,6 @@ def dense_iteration_batched_ex(
         )
     nxt = _generic_iteration_batched(G, states, spec, weight_scale, ledgers)
     return nxt, ~states.sample_equal(nxt), None
-
-
-def dense_iteration_batched(
-    G: Graph,
-    states: BatchedFlatStates,  # shape: csr(k*n) frozen
-    spec: FilterSpec,
-    *,
-    weight_scale: float = 1.0,
-    ledgers: Sequence[CostLedger] | None = None,
-) -> BatchedFlatStates:
-    """Batched :func:`dense_iteration`: ``r^V A x`` for all ``k`` samples.
-
-    For :class:`BatchedLEFilter` the incremental prune/merge path runs
-    (with full emission: no delta is known here);
-    any other :class:`FilterSpec` (e.g. :class:`MinFilter`) goes through
-    the generic one-global-sort path.  Either way each sample's result is
-    bit-identical to a serial :func:`dense_iteration` on that sample.
-    """
-    if _check_batch_filter(spec, states):
-        return _le_iteration_incremental(
-            G, states, spec, weight_scale=weight_scale, ledgers=ledgers
-        )[0]
-    return _generic_iteration_batched(G, states, spec, weight_scale, ledgers)
 
 
 def take_active_samples(
@@ -1311,7 +1042,6 @@ def run_batched_fixpoint(
     ledgers: Sequence[CostLedger] | None,
     cap: int,  # shape: scalar
     *,
-    freeze_next: bool = False,
     error: str | None = None,
 ) -> tuple[BatchedFlatStates, np.ndarray]:
     """Iterate ``step`` with per-sample convergence masking.
@@ -1324,11 +1054,8 @@ def run_batched_fixpoint(
     ``None`` (the loop then compares states itself), and ``inserted`` is
     the delta mask handed back as the next step's ``fresh`` (``None`` on
     the first step, and whenever the step reports none).  Samples whose
-    ``changed`` flag clears are frozen — their pre-step state
-    (``freeze_next=False``, the serial "return the state the confirming
-    iteration reproduced" convention) or post-step state
-    (``freeze_next=True``, the serial inner-chain ``y = nxt; break``
-    convention; bitwise equal either way) — and masked out of further
+    ``changed`` flag clears are frozen at their state, which the
+    confirming step reproduced bit for bit, and masked out of further
     steps, so their ledgers stop accruing.
 
     Returns ``(final, iterations)`` over all samples in original order.
@@ -1338,7 +1065,7 @@ def run_batched_fixpoint(
     """
     k = states.k
     iters = np.zeros(k, dtype=np.int64)
-    done: list[FlatStates | None] = [None] * k
+    done: list[BatchedFlatStates | None] = [None] * k
     active = np.arange(k)
     cur, cur_spec, cur_ledgers, fresh = states, spec, ledgers, None
     for i in range(cap):
@@ -1348,10 +1075,9 @@ def run_batched_fixpoint(
         if changed.all():
             cur = nxt
             continue
-        frozen_src = nxt if freeze_next else cur
         for pos in np.flatnonzero(~changed):
             s = int(active[pos])
-            done[s] = frozen_src.sample_states(int(pos))
+            done[s] = cur.sample_states(int(pos))
             iters[s] = i
         keep = np.flatnonzero(changed)
         if keep.size == 0:
@@ -1367,7 +1093,46 @@ def run_batched_fixpoint(
         for pos, s in enumerate(active):
             done[int(s)] = cur.sample_states(pos)
             iters[int(s)] = cap
-    return BatchedFlatStates.from_states([st for st in done if st is not None]), iters
+    return BatchedFlatStates.concat([st for st in done if st is not None]), iters
+
+
+def prepare_batch_run(
+    n: int,  # shape: scalar
+    spec: FilterSpec,
+    k: int,  # shape: scalar
+    *,
+    sources: Iterable[int] | None,
+    h: int | None,
+    x0: BatchedFlatStates | None,  # shape: csr(k*n)
+    max_iterations: int | None,
+    ledgers: Sequence[CostLedger] | None,
+) -> tuple[BatchedFlatStates, list[CostLedger] | None, int]:
+    """Validate a batched driver's arguments; returns ``(x0, ledgers, cap)``.
+
+    The checks :func:`run_dense_batched` and ``HOracle.run_batch`` share:
+    a :class:`BatchedLEFilter` of ``k`` orders over ``n`` vertices, a
+    non-negative ``h``, one ledger per sample, and an ``x0`` of ``k``
+    samples over ``n`` nodes (default: ``k`` copies of the sources).
+    ``cap`` is the fixpoint-mode iteration cap, ``max_iterations`` or
+    ``n + 1``, and must be >= 1 unless ``h`` is given.  Each driver
+    canonicalizes ``x0`` through its filter itself.
+    """
+    if isinstance(spec, BatchedLEFilter) and (spec.k != k or spec.n != n):
+        raise ValueError(
+            f"filter batch shape ({spec.k}, {spec.n}) does not match (k={k}, n={n})"
+        )
+    if h is not None and h < 0:
+        raise ValueError("h must be non-negative")
+    ledger_list = list(ledgers) if ledgers is not None else None
+    if ledger_list is not None and len(ledger_list) != k:
+        raise ValueError(f"need one ledger per sample ({k}), got {len(ledger_list)}")
+    states = x0 if x0 is not None else BatchedFlatStates.from_sources(k, n, sources)
+    if states.k != k or states.n != n:
+        raise ValueError("x0 batch shape mismatch")
+    cap = (n + 1) if max_iterations is None else max_iterations
+    if h is None and cap < 1:
+        raise ValueError("max_iterations must be >= 1")
+    return states, ledger_list, cap
 
 
 def run_dense_batched(
@@ -1381,29 +1146,26 @@ def run_dense_batched(
     max_iterations: int | None = None,
     ledgers: Sequence[CostLedger] | None = None,
 ) -> tuple[BatchedFlatStates, np.ndarray]:
-    """Batched :func:`run_dense`: ``k`` samples to their own fixpoints.
+    """Run the dense engine for ``h`` iterations or to the fixpoint.
 
-    Fixpoints are detected per sample; converged samples are masked out of
-    subsequent iterations (their ledgers stop accruing, exactly like the
-    serial loop that stops after confirming the fixpoint).  Returns
-    ``(states, iterations)`` with one iteration count per sample;
-    ``ledgers``, when given, must hold one :class:`CostLedger` per sample
-    and each receives charges identical to a serial :func:`run_dense` of
-    that sample.
+    ``k`` samples run at once (a single run is ``k = 1``); fixpoints are
+    detected per sample and converged samples are masked out of
+    subsequent iterations, so their ledgers stop accruing after the
+    confirming iteration.  With ``h=None`` each sample iterates until its
+    filtered state vector stabilizes (at most ``SPD(G) + 1`` iterations
+    per Definition 2.11), performing at most ``max_iterations`` iterations
+    (default ``n + 1``) — the same cap semantics as
+    :func:`repro.mbf.engine.run_to_fixpoint` and
+    :meth:`repro.oracle.HOracle.run_batch`.  Returns ``(states,
+    iterations)`` with one iteration count per sample; ``ledgers``, when
+    given, must hold one :class:`CostLedger` per sample, and each sample's
+    result, count and charges do not depend on the rest of the batch.
     """
     n = G.n
-    if isinstance(spec, BatchedLEFilter) and (spec.k != k or spec.n != n):
-        raise ValueError(
-            f"filter batch shape ({spec.k}, {spec.n}) does not match (k={k}, n={n})"
-        )
-    if h is not None and h < 0:
-        raise ValueError("h must be non-negative")
-    ledger_list = list(ledgers) if ledgers is not None else None
-    if ledger_list is not None and len(ledger_list) != k:
-        raise ValueError(f"need one ledger per sample ({k}), got {len(ledger_list)}")
-    states = x0 if x0 is not None else BatchedFlatStates.from_sources(k, n, sources)
-    if states.k != k or states.n != n:
-        raise ValueError("x0 batch shape mismatch")
+    states, ledger_list, cap = prepare_batch_run(
+        n, spec, k, sources=sources, h=h, x0=x0,
+        max_iterations=max_iterations, ledgers=ledgers,
+    )
     # Canonicalize the initial vector through the filter (r^V x^(0)).
     states = aggregate_batched(
         k,
@@ -1421,9 +1183,6 @@ def run_dense_batched(
                 G, states, spec, ledgers=ledger_list, fresh=fresh
             )
         return states, np.full(k, h, dtype=np.int64)
-    cap = (n + 1) if max_iterations is None else max_iterations
-    if cap < 1:
-        raise ValueError("max_iterations must be >= 1")
     return run_batched_fixpoint(
         lambda s, sp, led, fr: dense_iteration_batched_ex(
             G, s, sp, ledgers=led, fresh=fr

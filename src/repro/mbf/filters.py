@@ -13,7 +13,7 @@ reference filter        dense counterpart                            paper ref
 ======================  ===========================================  ==========
 :func:`identity`        :class:`~repro.mbf.dense.MinFilter`          Ex. 3.5
 :func:`source_detection`  :class:`~repro.mbf.dense.TopKFilter`       Ex. 3.2
-:func:`le_list`         :class:`~repro.mbf.dense.LEFilter`           Def. 7.3
+:func:`le_list`         :class:`~repro.mbf.dense.BatchedLEFilter`    Def. 7.3
 :func:`distance_range`  ``dmax`` cap of :mod:`repro.mbf.scalar`      Ex. 3.7
 :func:`k_shortest_paths`  — (all-paths family is reference-only)     Eq. 3.22
 ======================  ===========================================  ==========

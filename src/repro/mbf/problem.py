@@ -8,15 +8,15 @@ reference-engine triple (``algo``, ``x0``, ``decode``) plus a declared
 
 State families (:data:`FAMILIES`):
 
-==================  ==============================  =======================
+==================  ==============================  ====================================
 family              node states                     dense representation
-==================  ==============================  =======================
+==================  ==============================  ====================================
 ``"min-plus"``      scalars/tuples over ``S_min,+``  ``(n, c)`` float matrix
 ``"max-min"``       scalars/tuples over ``S_max,min``  ``(n, c)`` float matrix
 ``"boolean"``       vertex sets over ``B``           hop counts, ``isfinite``
-``"distance-map"``  sparse maps in ``D``             CSR :class:`FlatStates`
+``"distance-map"``  sparse maps in ``D``             ``k = 1`` :class:`BatchedFlatStates`
 ``"all-paths"``     path maps in ``P_min,+``         — (reference only)
-==================  ==============================  =======================
+==================  ==============================  ====================================
 
 Two engine drivers share the uniform contract
 ``solve(G, problem, *, h=None, ledger=...) -> (decoded, iterations)``:
@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.graph.core import Graph
 from repro.mbf.algorithm import MBFAlgorithm
-from repro.mbf.dense import FilterSpec, FlatStates, run_dense
+from repro.mbf.dense import BatchedFlatStates, FilterSpec, run_dense_batched
 from repro.mbf.engine import run, run_to_fixpoint
 from repro.mbf.scalar import SCALAR_SEMIRINGS, run_scalar
 from repro.pram.cost import NULL_LEDGER, CostLedger
@@ -110,15 +110,19 @@ class ScalarForm:
 
 @dataclass
 class FlatForm:
-    """Dense form of a distance-map problem: CSR states + a filter spec."""
+    """Dense form of a distance-map problem: CSR states + a filter spec.
 
-    x0: FlatStates
+    ``x0`` is a ``k = 1`` batch and ``spec`` a filter for one sample (an
+    LE filter is ``BatchedLEFilter(rank[None, :])``).
+    """
+
+    x0: BatchedFlatStates
     spec: FilterSpec
-    decode: Callable[[FlatStates], Any]
+    decode: Callable[[BatchedFlatStates], Any]
 
     def __post_init__(self):
-        if not isinstance(self.x0, FlatStates):
-            raise TypeError("FlatForm x0 must be a FlatStates")
+        if not isinstance(self.x0, BatchedFlatStates) or self.x0.k != 1:
+            raise TypeError("FlatForm x0 must be a k = 1 BatchedFlatStates")
         if not isinstance(self.spec, FilterSpec):
             raise TypeError("FlatForm spec must be a FilterSpec")
 
@@ -205,10 +209,10 @@ def solve_dense(
 
     Dispatches on the problem's dense form: :class:`ScalarForm` runs the
     stacked scalar kernels (:func:`repro.mbf.scalar.run_scalar`),
-    :class:`FlatForm` the CSR distance-map engine
-    (:func:`repro.mbf.dense.run_dense`).  Decoded outputs and iteration
-    counts are identical to :func:`solve_reference` (pinned by the parity
-    suite).  Returns ``(decoded, iterations)``.
+    :class:`FlatForm` the CSR distance-map engine at ``k = 1``
+    (:func:`repro.mbf.dense.run_dense_batched`).  Decoded outputs and
+    iteration counts are identical to :func:`solve_reference` (pinned by
+    the parity suite).  Returns ``(decoded, iterations)``.
     """
     _check_problem(G, problem)
     form = problem.dense_form
@@ -229,12 +233,13 @@ def solve_dense(
             ledger=ledger,
         )
         return form.decode(X), iters
-    states, iters = run_dense(
+    states, iters = run_dense_batched(
         G,
         form.spec,
+        1,
         x0=form.x0,
         h=h,
         max_iterations=max_iterations,
-        ledger=ledger,
+        ledgers=[ledger],
     )
-    return form.decode(states), iters
+    return form.decode(states), int(iters[0])

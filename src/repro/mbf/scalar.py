@@ -114,9 +114,9 @@ def run_scalar(
 ) -> tuple[np.ndarray, int]:
     """Run ``c`` stacked scalar MBF fixpoints on ``G``.
 
-    Parameters mirror :func:`repro.mbf.dense.run_dense`: ``h`` runs exactly
-    ``h`` iterations, ``h=None`` iterates to the fixpoint under the
-    ``max_iterations`` cap (default ``n + 1``).  Returns ``(X, iterations)``
+    Parameters mirror :func:`repro.mbf.dense.run_dense_batched`: ``h``
+    runs exactly ``h`` iterations, ``h=None`` iterates to the fixpoint
+    under the ``max_iterations`` cap (default ``n + 1``).  Returns ``(X, iterations)``
     where ``X`` is the final ``(n, c)`` state matrix.
     """
     if semiring not in SCALAR_SEMIRINGS:

@@ -53,7 +53,13 @@ from repro.algebra.semimodule import (
 )
 from repro.mbf import filters
 from repro.mbf.algorithm import MBFAlgorithm, boolean_edge_entry
-from repro.mbf.dense import FlatStates, LEFilter, MinFilter, TopKFilter, check_rank
+from repro.mbf.dense import (
+    BatchedFlatStates,
+    BatchedLEFilter,
+    MinFilter,
+    TopKFilter,
+    check_rank,
+)
 from repro.mbf.problem import FlatForm, MBFProblem, ScalarForm
 
 INF = math.inf
@@ -171,7 +177,7 @@ def source_detection(
         decode,
         family="distance-map",
         dense_form=FlatForm(
-            FlatStates.from_sources(n, src),
+            BatchedFlatStates.from_sources(1, n, src),
             TopKFilter(k, dmax, mask),
             decode=lambda flat: flat.to_matrix(),
         ),
@@ -197,7 +203,7 @@ def apsp(n: int) -> MBFProblem:
         _decode_distance_matrix(n),
         family="distance-map",
         dense_form=FlatForm(
-            FlatStates.from_sources(n),
+            BatchedFlatStates.from_sources(1, n),
             MinFilter(),
             decode=lambda flat: flat.to_matrix(),
         ),
@@ -457,16 +463,18 @@ def le_lists(n: int, rank: np.ndarray) -> MBFProblem:
 
     The FRT pipeline's workhorse query, expressed as an ordinary zoo
     problem: distance-map semimodule + LE filter.  Decodes to the
-    canonical :class:`~repro.mbf.dense.FlatStates` (entries in ascending
-    ``(dist, rank)`` order) on both engines, so decoded outputs are
-    directly comparable via :meth:`FlatStates.equals`.
+    canonical ``k = 1`` :class:`~repro.mbf.dense.BatchedFlatStates`
+    (entries in ascending ``(dist, rank)`` order) on both engines, so
+    decoded outputs are directly comparable via
+    :meth:`~repro.mbf.dense.BatchedFlatStates.equals`.
     """
-    rank = check_rank(n, rank)
+    ranks = check_rank(n, [rank])
+    rank = ranks[0]
     module = DistanceMapModule(n)
     r = filters.le_list(rank)
     x0: list = [{v: 0.0} for v in range(n)]
 
-    def decode(states: list) -> FlatStates:
+    def decode(states: list) -> BatchedFlatStates:
         counts = np.zeros(n, dtype=np.int64)
         ids_parts: list[int] = []
         dist_parts: list[float] = []
@@ -476,7 +484,8 @@ def le_lists(n: int, rank: np.ndarray) -> MBFProblem:
             ids_parts.extend(w for w, _ in items)
             dist_parts.extend(val for _, val in items)
         offsets = np.concatenate([[0], np.cumsum(counts)])
-        return FlatStates(
+        return BatchedFlatStates(
+            1,
             n,
             offsets,
             np.array(ids_parts, dtype=np.int64),
@@ -489,6 +498,8 @@ def le_lists(n: int, rank: np.ndarray) -> MBFProblem:
         decode,
         family="distance-map",
         dense_form=FlatForm(
-            FlatStates.from_sources(n), LEFilter(rank), decode=lambda flat: flat
+            BatchedFlatStates.from_sources(1, n),
+            BatchedLEFilter(ranks),
+            decode=lambda flat: flat,
         ),
     )

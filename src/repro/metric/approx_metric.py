@@ -69,7 +69,7 @@ def metric_from_oracle(
     Shared by :func:`approximate_metric` and
     :meth:`repro.api.Pipeline.embed_metric` (which amortizes the oracle).
     """
-    states, iters = oracle.run(MinFilter(), ledger=ledger)
+    states, iters = oracle.run_batch(MinFilter(), 1, ledgers=[ledger])
     matrix = states.to_matrix()
     # dist(v,·,H) arrives at row of v's sources; symmetrize index order:
     # states[v][w] = dist(w → v) = dist(v, w) by symmetry of H.
@@ -77,7 +77,7 @@ def metric_from_oracle(
     return MetricResult(
         matrix=matrix,
         stretch_bound=float(bound),
-        iterations=iters,
+        iterations=int(iters[0]),
         meta={
             "eps": eps,
             "Lambda": oracle.Lambda,

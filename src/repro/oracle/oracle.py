@@ -20,6 +20,10 @@ Optimization (enabled by default, provably lossless): each inner chain
 ``(r^V A_λ)^f P_λ x`` stops early once a fixpoint is reached — applying a
 min-plus SLF to its own fixpoint changes nothing, so the remaining
 ``d - f`` applications are identities.
+
+Every query runs ``k`` samples at once (:meth:`HOracle.run_batch`,
+:meth:`HOracle.h_iteration_batched`); a single query is the ``k = 1``
+batch.
 """
 
 from __future__ import annotations
@@ -33,12 +37,9 @@ from repro.hopsets.base import HopSetResult
 from repro.mbf.dense import (
     BatchedFlatStates,
     FilterSpec,
-    FlatStates,
-    _as_batch,
-    _as_batch_filter,
-    _as_ledgers,
     aggregate_batched,
     dense_iteration_batched_ex,
+    prepare_batch_run,
     run_batched_fixpoint,
 )
 from repro.pram.cost import NULL_LEDGER, CostLedger
@@ -104,24 +105,6 @@ class HOracle:
 
     # -- single H-iteration --------------------------------------------------
 
-    def h_iteration(
-        self,
-        states: FlatStates,
-        spec: FilterSpec,
-        *,
-        ledger: CostLedger = NULL_LEDGER,
-    ) -> FlatStates:
-        """One iteration of ``A_H`` with filtering (Equation 5.9).
-
-        The ``k = 1`` view of :meth:`h_iteration_batched`; an exact
-        :class:`~repro.mbf.dense.LEFilter` runs as its one-row
-        :class:`~repro.mbf.dense.BatchedLEFilter`.
-        """
-        batch = self.h_iteration_batched(
-            _as_batch(states), _as_batch_filter(spec), ledgers=_as_ledgers(ledger)
-        )
-        return batch.as_flat()
-
     def h_iteration_batched(
         self,
         states: BatchedFlatStates,
@@ -129,7 +112,8 @@ class HOracle:
         *,
         ledgers: Sequence[CostLedger] | None = None,
     ) -> BatchedFlatStates:
-        """One ``A_H`` iteration for all ``k`` samples at once.
+        """One iteration of ``A_H`` with filtering (Equation 5.9), for all
+        ``k`` samples at once.
 
         Each level's ``d``-chain runs through the batched dense kernels,
         starting from full emission and then propagating only the entries
@@ -162,9 +146,9 @@ class HOracle:
             for child, t in zip(level_children, states.sample_totals()):
                 child.parallel_for(int(t), 1, 1, label=f"P_{lam}")
             if self.inner_early_exit:
-                # A chain that converges on step i stops there, keeping its
-                # post-step state after i + 1 iterations; chains that never
-                # converge keep their state after ``d`` steps.
+                # A chain that converges on step i stops there, after i + 1
+                # iterations; chains that never converge keep their state
+                # after ``d`` steps.
                 y, steps = run_batched_fixpoint(
                     lambda s, sp, led, fr: dense_iteration_batched_ex(
                         self.graph, s, sp, weight_scale=scale, ledgers=led, fresh=fr
@@ -173,7 +157,6 @@ class HOracle:
                     spec,
                     level_children,
                     self.d,
-                    freeze_next=True,
                 )
                 inner_used += np.minimum(steps + 1, self.d)
             else:
@@ -210,35 +193,6 @@ class HOracle:
 
     # -- full queries ----------------------------------------------------------
 
-    def run(
-        self,
-        spec: FilterSpec,
-        *,
-        sources: Iterable[int] | None = None,
-        x0: FlatStates | None = None,
-        h: int | None = None,
-        max_iterations: int | None = None,
-        ledger: CostLedger = NULL_LEDGER,
-    ) -> tuple[FlatStates, int]:
-        """Run an MBF-like algorithm on ``H``: ``A^h(H)`` (Theorem 5.2).
-
-        With ``h=None`` iterates to the fixpoint — at most ``SPD(H) + 1``
-        iterations, i.e. ``O(log² n)`` w.h.p. (Theorem 4.5) — performing at
-        most ``max_iterations`` H-iterations (default ``n + 1``), the same
-        cap semantics as :func:`repro.mbf.engine.run_to_fixpoint`.  Returns
-        ``(states, iterations)``.  The ``k = 1`` view of :meth:`run_batch`.
-        """
-        states, iters = self.run_batch(
-            _as_batch_filter(spec),
-            1,
-            sources=sources,
-            x0=None if x0 is None else _as_batch(x0),
-            h=h,
-            max_iterations=max_iterations,
-            ledgers=_as_ledgers(ledger),
-        )
-        return states.as_flat(), int(iters[0])
-
     def run_batch(
         self,
         spec: FilterSpec,
@@ -250,8 +204,15 @@ class HOracle:
         max_iterations: int | None = None,
         ledgers: Sequence[CostLedger] | None = None,
     ) -> tuple[BatchedFlatStates, np.ndarray]:
-        """Batched :meth:`run`: ``k`` MBF-like queries on ``H`` in one pass.
+        """Run an MBF-like algorithm on ``H``: ``A^h(H)`` (Theorem 5.2), for
+        ``k`` queries in one pass (a single query is ``k = 1``).
 
+        With ``h=None`` each sample iterates to its fixpoint — at most
+        ``SPD(H) + 1`` iterations, i.e. ``O(log² n)`` w.h.p. (Theorem 4.5)
+        — performing at most ``max_iterations`` H-iterations (default
+        ``n + 1``), the same cap semantics as
+        :func:`repro.mbf.engine.run_to_fixpoint`.  Arguments are checked
+        as :func:`~repro.mbf.dense.run_dense_batched` checks them.
         Fixpoints are detected per sample and converged samples are masked
         out of subsequent H-iterations, so each sample's result, iteration
         count, and (optional per-sample) ledger charges do not depend on
@@ -259,16 +220,10 @@ class HOracle:
         count per sample.
         """
         n = self.n
-        ledger_list = list(ledgers) if ledgers is not None else None
-        if ledger_list is not None and len(ledger_list) != k:
-            raise ValueError(
-                f"need one ledger per sample ({k}), got {len(ledger_list)}"
-            )
-        states = (
-            x0 if x0 is not None else BatchedFlatStates.from_sources(k, n, sources)
+        states, ledger_list, cap = prepare_batch_run(
+            n, spec, k, sources=sources, h=h, x0=x0,
+            max_iterations=max_iterations, ledgers=ledgers,
         )
-        if states.k != k or states.n != n:
-            raise ValueError("x0 batch shape mismatch")
         states = aggregate_batched(
             k,
             n,
@@ -282,9 +237,6 @@ class HOracle:
             for _ in range(h):
                 states = self.h_iteration_batched(states, spec, ledgers=ledger_list)
             return states, np.full(k, h, dtype=np.int64)
-        cap = (n + 1) if max_iterations is None else max_iterations
-        if cap < 1:
-            raise ValueError("max_iterations must be >= 1")
         return run_batched_fixpoint(
             lambda s, sp, led, _fresh: (
                 self.h_iteration_batched(s, sp, ledgers=led),

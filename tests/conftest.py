@@ -7,6 +7,7 @@ import pytest
 
 from repro.graph import generators
 from repro.graph.core import Graph
+from repro.mbf.dense import BatchedLEFilter, run_dense_batched
 
 
 @pytest.fixture
@@ -32,3 +33,14 @@ def small_graphs() -> list[Graph]:
 def triangle_graph() -> Graph:
     """K3 with weights 1, 2, 4 — tiny hand-checkable instance."""
     return Graph.from_edge_list(3, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 4.0)])
+
+
+def dense_k1(G: Graph, spec, **kwargs):
+    """One dense run: the ``k = 1`` batch, as ``(states, iterations)``."""
+    states, iters = run_dense_batched(G, spec, 1, **kwargs)
+    return states, int(iters[0])
+
+
+def le_filter(rank) -> BatchedLEFilter:
+    """The LE filter of one order: a one-row :class:`BatchedLEFilter`."""
+    return BatchedLEFilter(np.asarray(rank)[None, :])

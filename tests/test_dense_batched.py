@@ -1,16 +1,15 @@
-"""The batched multi-sample MBF engine: layout, kernels, drivers, parity.
+"""The batched multi-sample MBF engine: layout, kernels, drivers, independence.
 
-The acceptance contract of the batched engine is *bit-identical* output:
-for every sample, the batched drivers must reproduce the serial engine's
-LE lists, iteration counts, and cost-ledger charges exactly — the batch is
-an implementation detail, not a semantic change.  These tests pin that
-contract at every layer (kernels, ``run_dense_batched``,
-``HOracle.run_batch``) including k=1 and non-power-of-two k.  The LE
-kernel's semi-naive delta must match full emission at every step, its
-prune/merge must match the generic full-sort iteration, and its segmented
-searches must match a per-segment ``np.searchsorted``.  Cutting a step
-into target blocks must change no output and must bound its transient
-memory.
+The acceptance contract of the batched engine is that the batch is an
+implementation detail, not a semantic change: sample ``s`` of a ``k``-batch
+reproduces the ``k = 1`` run of sample ``s`` exactly — LE lists, iteration
+counts and cost-ledger charges.  These tests pin that contract at every
+layer (kernels, ``run_dense_batched``, ``HOracle.run_batch``) including
+non-power-of-two k.  The LE kernel's semi-naive delta must match full
+emission at every step, its prune/merge must match the generic full-sort
+iteration, and its segmented searches must match a per-segment
+``np.searchsorted``.  Cutting a step into target blocks must change no
+output and must bound its transient memory.
 """
 
 import dataclasses
@@ -27,27 +26,22 @@ from repro.hopsets import hub_hopset, rounded_hopset
 from repro.mbf.dense import (
     BatchedFlatStates,
     BatchedLEFilter,
-    FlatStates,
-    LEFilter,
     MinFilter,
+    TopKFilter,
     _generic_iteration_batched,
     _last_at_most,
     _le_iteration_incremental,
-    aggregate,
     aggregate_batched,
-    dense_iteration,
-    dense_iteration_batched,
     dense_iteration_batched_ex,
-    propagate,
     propagate_batched,
     run_batched_fixpoint,
-    run_dense,
     run_dense_batched,
     segmented_searchsorted,
 )
 from repro.oracle import HOracle
 from repro.pram import CostLedger
 from repro.simulated import SimulatedGraph
+from tests.conftest import dense_k1, le_filter
 
 
 def _ranks(k, n, seed):
@@ -55,40 +49,75 @@ def _ranks(k, n, seed):
     return np.stack([rng.permutation(n) for _ in range(k)])
 
 
-def _assert_batch_matches_serial(batched, iters, serial):
-    for s, (states, it) in enumerate(serial):
-        assert batched.sample_states(s).equals(states), f"sample {s} lists differ"
-        assert int(iters[s]) == it, f"sample {s} iteration count differs"
+def _source_batch(n, k, seed):
+    """``k`` samples with different random source sets, one batch."""
+    rng = np.random.default_rng(seed)
+    return BatchedFlatStates.concat(
+        [
+            BatchedFlatStates.from_sources(1, n, rng.choice(n, size=1 + s % 3, replace=False))
+            for s in range(k)
+        ]
+    )
+
+
+def _assert_batch_independent(run, spec, k, *, x0=None, **kwargs):
+    """Sample ``s`` of the ``k``-batch ``run(spec, k, ...)`` equals the
+    ``k = 1`` run of sample ``s`` alone: lists, iteration count and
+    per-sample ledger work/depth."""
+    ledgers = [CostLedger() for _ in range(k)]
+    batched, iters = run(spec, k, x0=x0, ledgers=ledgers, **kwargs)
+    assert batched.k == k and iters.shape == (k,)
+    for s in range(k):
+        one_ledger = CostLedger()
+        one, one_iters = run(
+            spec.take([s]),
+            1,
+            x0=None if x0 is None else x0.take([s]),
+            ledgers=[one_ledger],
+            **kwargs,
+        )
+        assert batched.sample_states(s).equals(one), f"sample {s} lists differ"
+        assert int(iters[s]) == int(one_iters[0]), f"sample {s} iterations differ"
+        assert (ledgers[s].work, ledgers[s].depth) == (
+            one_ledger.work,
+            one_ledger.depth,
+        ), f"sample {s} ledger differs"
 
 
 class TestBatchedFlatStates:
     def test_from_sources_stacks_samples(self):
         b = BatchedFlatStates.from_sources(3, 4)
-        one = FlatStates.from_sources(4)
+        one = BatchedFlatStates.from_sources(1, 4)
         assert b.k == 3 and b.n == 4 and b.total == 12
         for s in range(3):
             assert b.sample_states(s).equals(one)
 
     def test_from_states_roundtrip(self):
+        """Stacking ``k = 1`` batches with ``concat`` and cutting them out
+        again with ``sample_states`` round-trips every sample."""
         g = gen.cycle(9, rng=0)
-        parts = [
-            run_dense(g, LEFilter(r))[0] for r in _ranks(4, g.n, 1)
-        ]
-        b = BatchedFlatStates.from_states(parts)
+        parts = [dense_k1(g, le_filter(r))[0] for r in _ranks(4, g.n, 1)]
+        b = BatchedFlatStates.concat(parts)
         assert b.k == 4
         for s, st in enumerate(parts):
+            assert st.k == 1
             assert b.sample_states(s).equals(st)
 
     def test_as_flat_view(self):
-        b = BatchedFlatStates.from_sources(2, 3)
-        flat = b.as_flat()
-        assert flat.n == 6
-        assert flat.total == b.total
+        """The segment accessors see the batch as ``k * n`` flat nodes."""
+        b = BatchedFlatStates.from_sources(2, 3, [1])
+        assert b.to_dicts() == [{}, {1: 0.0}, {}, {}, {1: 0.0}, {}]
+        M = b.to_matrix()
+        assert M.shape == (6, 3)
+        assert M[1, 1] == M[4, 1] == 0.0 and np.isinf(M).sum() == 16
+        ids, dists = b.node(4)
+        assert ids.tolist() == [1] and dists.tolist() == [0.0]
+        assert b.counts().tolist() == [0, 1, 0, 0, 1, 0]
 
     def test_take_subset_and_order(self):
         g = gen.cycle(7, rng=2)
-        parts = [run_dense(g, LEFilter(r))[0] for r in _ranks(3, g.n, 3)]
-        b = BatchedFlatStates.from_states(parts)
+        parts = [dense_k1(g, le_filter(r))[0] for r in _ranks(3, g.n, 3)]
+        b = BatchedFlatStates.concat(parts)
         sub = b.take([2, 0])
         assert sub.k == 2
         assert sub.sample_states(0).equals(parts[2])
@@ -96,16 +125,16 @@ class TestBatchedFlatStates:
 
     def test_sample_equal_is_per_sample(self):
         g = gen.cycle(7, rng=2)
-        parts = [run_dense(g, LEFilter(r))[0] for r in _ranks(3, g.n, 3)]
-        a = BatchedFlatStates.from_states(parts)
-        c = BatchedFlatStates.from_states([parts[0], parts[0], parts[2]])
+        parts = [dense_k1(g, le_filter(r))[0] for r in _ranks(3, g.n, 3)]
+        a = BatchedFlatStates.concat(parts)
+        c = BatchedFlatStates.concat([parts[0], parts[0], parts[2]])
         eq = a.sample_equal(c)
         assert eq.tolist() == [True, parts[1].equals(parts[0]), True]
 
     def test_restrict_matches_per_sample_restrict(self):
         g = gen.grid(3, 3, rng=4)
-        parts = [run_dense(g, LEFilter(r))[0] for r in _ranks(2, g.n, 5)]
-        b = BatchedFlatStates.from_states(parts)
+        parts = [dense_k1(g, le_filter(r))[0] for r in _ranks(2, g.n, 5)]
+        b = BatchedFlatStates.concat(parts)
         mask = np.random.default_rng(6).random(g.n) < 0.5
         restricted = b.restrict(mask)
         for s, st in enumerate(parts):
@@ -113,22 +142,21 @@ class TestBatchedFlatStates:
 
     def test_sample_totals(self):
         g = gen.cycle(6, rng=7)
-        parts = [run_dense(g, LEFilter(r))[0] for r in _ranks(2, g.n, 8)]
-        b = BatchedFlatStates.from_states(parts)
+        parts = [dense_k1(g, le_filter(r))[0] for r in _ranks(2, g.n, 8)]
+        b = BatchedFlatStates.concat(parts)
         assert b.sample_totals().tolist() == [p.total for p in parts]
 
     def test_mixed_node_counts_rejected(self):
         with pytest.raises(ValueError, match="same node count"):
-            BatchedFlatStates.from_states(
-                [FlatStates.from_sources(3), FlatStates.from_sources(4)]
+            BatchedFlatStates.concat(
+                [BatchedFlatStates.from_sources(1, 3), BatchedFlatStates.from_sources(1, 4)]
             )
 
     def test_concat_inverts_sharding(self):
         """concat(split shards) == original, bit for bit — the sharded
         ensemble's re-assembly primitive."""
         g = gen.cycle(9, rng=0)
-        parts = [run_dense(g, LEFilter(r))[0] for r in _ranks(5, g.n, 11)]
-        b = BatchedFlatStates.from_states(parts)
+        b = run_dense_batched(g, BatchedLEFilter(_ranks(5, g.n, 11)), 5)[0]
         for bounds in ([(0, 2), (2, 5)], [(0, 1), (1, 3), (3, 5)], [(0, 5)]):
             shards = [b.take(list(range(lo, hi))) for lo, hi in bounds]
             merged = BatchedFlatStates.concat(shards)
@@ -140,10 +168,8 @@ class TestBatchedFlatStates:
 
     def test_concat_stacks_distinct_batches(self):
         g = gen.cycle(7, rng=2)
-        parts = [run_dense(g, LEFilter(r))[0] for r in _ranks(3, g.n, 12)]
-        merged = BatchedFlatStates.concat(
-            [BatchedFlatStates.from_states([p]) for p in parts]
-        )
+        parts = [dense_k1(g, le_filter(r))[0] for r in _ranks(3, g.n, 12)]
+        merged = BatchedFlatStates.concat([BatchedFlatStates.concat([p]) for p in parts])
         assert merged.k == 3
         for s, st in enumerate(parts):
             assert merged.sample_states(s).equals(st)
@@ -177,14 +203,16 @@ class TestBatchedLEFilter:
 
 
 class TestBatchedKernels:
+    """Each kernel's sample ``s`` equals the kernel run on sample ``s``
+    alone (the ``k = 1`` batch)."""
+
     def test_propagate_batched_matches_serial(self):
         g = gen.cycle(8, rng=0)
-        parts = [run_dense(g, LEFilter(r), h=1)[0] for r in _ranks(3, g.n, 1)]
-        b = BatchedFlatStates.from_states(parts)
+        b = run_dense_batched(g, BatchedLEFilter(_ranks(3, g.n, 1)), 3, h=1)[0]
         src, dst, w = g.directed_edges()
         vtgt, ids, dists = propagate_batched(b, src, dst, w)
-        for s, st in enumerate(parts):
-            t_s, i_s, d_s = propagate(st, src, dst, w)
+        for s in range(3):
+            t_s, i_s, d_s = propagate_batched(b.sample_states(s), src, dst, w)
             in_sample = (vtgt // g.n) == s
             assert np.array_equal(vtgt[in_sample] - s * g.n, t_s)
             assert np.array_equal(ids[in_sample], i_s)
@@ -193,23 +221,25 @@ class TestBatchedKernels:
     def test_aggregate_batched_le_matches_serial(self):
         g = gen.random_graph(12, 25, rng=2)
         ranks = _ranks(3, g.n, 3)
-        parts = [run_dense(g, LEFilter(r), h=1)[0] for r in ranks]
-        b = BatchedFlatStates.from_states(parts)
+        b = run_dense_batched(g, BatchedLEFilter(ranks), 3, h=1)[0]
         src, dst, w = g.directed_edges()
         vtgt, ids, dists = propagate_batched(b, src, dst, w)
         out = aggregate_batched(3, g.n, vtgt, ids, dists, BatchedLEFilter(ranks))
-        for s, (st, r) in enumerate(zip(parts, ranks)):
-            t_s, i_s, d_s = propagate(st, src, dst, w)
-            expect = aggregate(g.n, t_s, i_s, d_s, LEFilter(r))
+        for s in range(3):
+            t_s, i_s, d_s = propagate_batched(b.sample_states(s), src, dst, w)
+            expect = aggregate_batched(1, g.n, t_s, i_s, d_s, BatchedLEFilter(ranks[s : s + 1]))
             assert out.sample_states(s).equals(expect)
 
     def test_dense_iteration_batched_minfilter(self):
         """The generic (sample-oblivious) path: MinFilter over all samples
-        in one pass equals per-sample serial iterations."""
+        in one pass equals the ``k = 1`` iteration."""
         g = gen.grid(3, 4, rng=4)
         b = BatchedFlatStates.from_sources(3, g.n)
-        out = dense_iteration_batched(g, b, MinFilter())
-        expect = dense_iteration(g, FlatStates.from_sources(g.n), MinFilter())
+        out, changed, _ = dense_iteration_batched_ex(g, b, MinFilter())
+        expect, _, _ = dense_iteration_batched_ex(
+            g, BatchedFlatStates.from_sources(1, g.n), MinFilter()
+        )
+        assert changed.tolist() == [True] * 3
         for s in range(3):
             assert out.sample_states(s).equals(expect)
 
@@ -217,37 +247,38 @@ class TestBatchedKernels:
         g = gen.cycle(5, rng=5)
         b = BatchedFlatStates.from_sources(2, g.n)
         with pytest.raises(ValueError, match="does not match"):
-            dense_iteration_batched(g, b, BatchedLEFilter(_ranks(3, g.n, 6)))
+            dense_iteration_batched_ex(g, b, BatchedLEFilter(_ranks(3, g.n, 6)))
+
+
+def _dense_run(g):
+    return lambda spec, k, **kw: run_dense_batched(g, spec, k, **kw)
 
 
 class TestRunDenseBatchedParity:
+    """``run_dense_batched``: sample ``s`` of a batch equals the ``k = 1``
+    run of sample ``s`` — lists, iterations and ledgers."""
+
     @pytest.mark.parametrize("k", [1, 3, 5, 8])
     def test_le_lists_bit_identical(self, k):
         g = gen.random_graph(24, 60, rng=10)
-        ranks = _ranks(k, g.n, 11)
-        serial = [run_dense(g, LEFilter(r)) for r in ranks]
-        batched, iters = run_dense_batched(g, BatchedLEFilter(ranks), k)
-        _assert_batch_matches_serial(batched, iters, serial)
+        _assert_batch_independent(_dense_run(g), BatchedLEFilter(_ranks(k, g.n, 11)), k)
 
     def test_families(self, small_graphs):
         for g in small_graphs:
-            ranks = _ranks(3, g.n, 12)
-            serial = [run_dense(g, LEFilter(r)) for r in ranks]
-            batched, iters = run_dense_batched(g, BatchedLEFilter(ranks), 3)
-            _assert_batch_matches_serial(batched, iters, serial)
+            _assert_batch_independent(_dense_run(g), BatchedLEFilter(_ranks(3, g.n, 12)), 3)
 
     def test_ledgers_bit_identical(self):
-        """Per-sample batched ledgers charge exactly the serial model cost
+        """Per-sample ledgers charge exactly the sample's own model cost
         (work *and* depth), including each sample's confirming iteration
         and nothing after it."""
         g = gen.random_graph(20, 50, rng=13)
         ranks = _ranks(4, g.n, 14)
-        serial_ledgers = [CostLedger() for _ in range(4)]
+        single_ledgers = [CostLedger() for _ in range(4)]
         batch_ledgers = [CostLedger() for _ in range(4)]
-        for r, led in zip(ranks, serial_ledgers):
-            run_dense(g, LEFilter(r), ledger=led)
+        for r, led in zip(ranks, single_ledgers):
+            dense_k1(g, le_filter(r), ledgers=[led])
         run_dense_batched(g, BatchedLEFilter(ranks), 4, ledgers=batch_ledgers)
-        for s, (a, b) in enumerate(zip(serial_ledgers, batch_ledgers)):
+        for s, (a, b) in enumerate(zip(single_ledgers, batch_ledgers)):
             assert (a.work, a.depth) == (b.work, b.depth), f"sample {s}"
 
     def test_fixed_h_mode(self):
@@ -255,17 +286,23 @@ class TestRunDenseBatchedParity:
         ranks = _ranks(3, g.n, 16)
         batched, iters = run_dense_batched(g, BatchedLEFilter(ranks), 3, h=2)
         assert iters.tolist() == [2, 2, 2]
-        for s, r in enumerate(ranks):
-            expect, _ = run_dense(g, LEFilter(r), h=2)
-            assert batched.sample_states(s).equals(expect)
+        _assert_batch_independent(_dense_run(g), BatchedLEFilter(ranks), 3, h=2)
 
     def test_minfilter_batch(self):
         g = gen.grid(4, 4, rng=17)
-        expect, it = run_dense(g, MinFilter())
         batched, iters = run_dense_batched(g, MinFilter(), 3)
-        assert iters.tolist() == [it, it, it]
+        one, it = run_dense_batched(g, MinFilter(), 1)
+        assert iters.tolist() == [int(it[0])] * 3
         for s in range(3):
-            assert batched.sample_states(s).equals(expect)
+            assert batched.sample_states(s).equals(one)
+        _assert_batch_independent(_dense_run(g), MinFilter(), 3, x0=_source_batch(g.n, 3, 17))
+
+    def test_topkfilter_batch(self):
+        g = gen.random_graph(18, 40, rng=18)
+        mask = np.arange(g.n) % 2 == 0
+        spec = TopKFilter(2, 6.0, mask)
+        _assert_batch_independent(_dense_run(g), spec, 4, x0=_source_batch(g.n, 4, 18))
+        _assert_batch_independent(_dense_run(g), spec, 2, x0=_source_batch(g.n, 2, 19), h=2)
 
     def test_max_iterations_cap(self):
         g = gen.path_graph(8)
@@ -292,40 +329,47 @@ def _integer_weights(g, seed):
     return Graph(g.n, g.edges, w, validate=False)
 
 
-class TestOracleRunBatchParity:
-    """Each sample of ``run_batch`` equals ``run_dense`` on the materialized
-    ``H`` (Lemma 5.1).  Integer weights and the dyadic penalty base 1.5
-    (eps = 0.5) make every path weight exact, so states compare bitwise."""
+def _oracle(g, seed, **kwargs):
+    """An oracle on integer weights with the dyadic penalty base 1.5
+    (eps = 0.5), so every path weight is exact and states compare
+    bitwise; returns it with the materialized ``H``."""
+    rng = np.random.default_rng(seed)
+    g = _integer_weights(g, seed)
+    hop = rounded_hopset(hub_hopset(g, 4, rng=rng), g, 0.5)
+    oracle = HOracle(hop, rng=rng, **kwargs)
+    return oracle, SimulatedGraph.build(hop, levels=oracle.levels).to_graph()
 
-    def _oracle(self, g, seed, **kwargs):
-        rng = np.random.default_rng(seed)
-        g = _integer_weights(g, seed)
-        hop = rounded_hopset(hub_hopset(g, 4, rng=rng), g, 0.5)
-        oracle = HOracle(hop, rng=rng, **kwargs)
-        return oracle, SimulatedGraph.build(hop, levels=oracle.levels).to_graph()
+
+class TestOracleRunBatchParity:
+    """``HOracle.run_batch``: sample ``s`` of a batch equals the ``k = 1``
+    run of sample ``s``, and equals ``run_dense_batched`` on the
+    materialized ``H`` (Lemma 5.1)."""
 
     def _assert_matches_h(self, oracle, GH, ranks, **kw):
-        batched, iters = oracle.run_batch(BatchedLEFilter(ranks), len(ranks), **kw)
-        _assert_batch_matches_serial(
-            batched, iters, [run_dense(GH, LEFilter(r), **kw) for r in ranks]
-        )
+        k = len(ranks)
+        spec = BatchedLEFilter(ranks)
+        _assert_batch_independent(oracle.run_batch, spec, k, **kw)
+        batched, iters = oracle.run_batch(spec, k, **kw)
+        on_h, h_iters = run_dense_batched(GH, spec, k, **kw)
+        assert batched.equals(on_h)
+        assert np.array_equal(iters, h_iters)
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_le_lists_bit_identical(self, k):
         g = gen.cycle(20, wmin=1, wmax=2, rng=20)
-        oracle, GH = self._oracle(g, 21)
+        oracle, GH = _oracle(g, 21)
         self._assert_matches_h(oracle, GH, _ranks(k, g.n, 22))
 
     def test_ledgers_bit_identical(self):
         """A sample's ledger does not depend on the rest of the batch: it
-        equals the k = 1 run (``HOracle.run``) of that sample alone."""
+        equals the k = 1 run of that sample alone."""
         g = gen.random_graph(18, 40, rng=23)
-        oracle, _ = self._oracle(g, 24)
+        oracle, _ = _oracle(g, 24)
         ranks = _ranks(3, g.n, 25)
         single_ledgers = [CostLedger() for _ in range(3)]
         batch_ledgers = [CostLedger() for _ in range(3)]
         for r, led in zip(ranks, single_ledgers):
-            oracle.run(LEFilter(r), ledger=led)
+            oracle.run_batch(BatchedLEFilter(r[None, :]), 1, ledgers=[led])
         oracle.run_batch(BatchedLEFilter(ranks), 3, ledgers=batch_ledgers)
         for s, (a, b) in enumerate(zip(single_ledgers, batch_ledgers)):
             assert (a.work, a.depth) == (b.work, b.depth), f"sample {s}"
@@ -333,23 +377,68 @@ class TestOracleRunBatchParity:
     def test_without_inner_early_exit(self):
         """The literal (Λ+1)·d inner cost path computes H exactly too."""
         g = gen.cycle(14, rng=26)
-        oracle, GH = self._oracle(g, 27, inner_early_exit=False)
+        oracle, GH = _oracle(g, 27, inner_early_exit=False)
         self._assert_matches_h(oracle, GH, _ranks(3, g.n, 28))
 
     def test_fixed_h_mode(self):
         g = gen.cycle(12, rng=29)
-        oracle, GH = self._oracle(g, 30)
+        oracle, GH = _oracle(g, 30)
         self._assert_matches_h(oracle, GH, _ranks(2, g.n, 31), h=2)
 
     def test_minfilter_apsp_batch(self):
         """run_batch with a sample-oblivious filter: batched APSP on H."""
         g = gen.cycle(10, rng=32)
-        oracle, GH = self._oracle(g, 33)
-        expect, it = run_dense(GH, MinFilter())
+        oracle, GH = _oracle(g, 33)
+        expect, it = run_dense_batched(GH, MinFilter(), 1)
         batched, iters = oracle.run_batch(MinFilter(), 2)
-        assert iters.tolist() == [it, it]
+        assert iters.tolist() == [int(it[0])] * 2
         for s in range(2):
             assert batched.sample_states(s).equals(expect)
+        _assert_batch_independent(oracle.run_batch, MinFilter(), 3, x0=_source_batch(g.n, 3, 33))
+
+    @pytest.mark.parametrize("early", [True, False])
+    def test_topkfilter_batch(self, early):
+        g = gen.random_graph(16, 36, rng=34)
+        oracle, _ = _oracle(g, 35, inner_early_exit=early)
+        spec = TopKFilter(2, 8.0, np.arange(g.n) % 3 != 0)
+        _assert_batch_independent(oracle.run_batch, spec, 4, x0=_source_batch(g.n, 4, 36))
+
+
+def _driver(name, g):
+    """``run(spec, k, **kw)`` of the named batched driver on ``g``."""
+    if name == "dense":
+        return _dense_run(g)
+    return _oracle(g, 37)[0].run_batch
+
+
+@pytest.mark.parametrize("driver", ["dense", "oracle"])
+class TestDriverArgumentChecks:
+    """Both drivers validate their arguments the same way, before any
+    work (one shared helper)."""
+
+    def test_negative_h_rejected(self, driver):
+        g = gen.cycle(8, rng=38)
+        run = _driver(driver, g)
+        with pytest.raises(ValueError, match="h must be non-negative"):
+            run(BatchedLEFilter(_ranks(1, g.n, 39)), 1, h=-2)
+
+    def test_filter_batch_shape_rejected(self, driver):
+        g = gen.cycle(8, rng=38)
+        run = _driver(driver, g)
+        with pytest.raises(ValueError, match="does not match"):
+            run(BatchedLEFilter(_ranks(1, g.n, 39)), 2)
+
+    def test_ledger_count_rejected(self, driver):
+        g = gen.cycle(8, rng=38)
+        run = _driver(driver, g)
+        with pytest.raises(ValueError, match="one ledger per sample"):
+            run(MinFilter(), 2, ledgers=[CostLedger()])
+
+    def test_x0_shape_rejected(self, driver):
+        g = gen.cycle(8, rng=38)
+        run = _driver(driver, g)
+        with pytest.raises(ValueError, match="x0 batch shape"):
+            run(MinFilter(), 2, x0=BatchedFlatStates.from_sources(1, g.n))
 
 
 def _disconnected_graph():
@@ -362,12 +451,14 @@ def _disconnected_graph():
 
 def _reference(g, rank, steps, scale=1.0):
     """LE lists after ``steps`` full-emission iterations of the generic
-    one-global-sort path (``LEFilter`` never takes the incremental kernel),
-    plus the step at which they stopped changing (``None`` if not yet)."""
-    states = FlatStates.from_sources(g.n)
+    one-global-sort path (``BatchedLEFilter``'s own ``sort_keys`` and
+    ``keep_mask``, never the incremental kernel), plus the step at which
+    they stopped changing (``None`` if not yet)."""
+    spec = BatchedLEFilter(np.asarray(rank)[None, :])
+    states = BatchedFlatStates.from_sources(1, g.n)
     settled = None
     for i in range(steps):
-        nxt = dense_iteration(g, states, LEFilter(rank), weight_scale=scale)
+        nxt = _generic_iteration_batched(g, states, spec, scale, None)
         if settled is None and nxt.equals(states):
             settled = i
         states = nxt

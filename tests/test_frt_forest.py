@@ -1,8 +1,9 @@
-"""Forest-vs-serial parity suite (repro.frt.forest).
+"""Forest-vs-reference parity suite (repro.frt.forest).
 
 The contract under test: ``FRTForest.tree(s)`` is *bit-identical* — every
-structure array, node ids included — to the serial
-``build_frt_tree(lists.sample_states(s), ranks[s], betas[s], wmin)``, and
+structure array, node ids included — to the per-vertex reference
+``build_frt_tree(lists.sample_states(s), ranks[s], betas[s], wmin)``
+(``tests/frt_reference.py``), and
 the forest's vectorized distance queries equal the per-tree results
 exactly.
 """
@@ -17,7 +18,7 @@ from repro.api import (
     Pipeline,
     PipelineConfig,
 )
-from repro.frt import FRTForest, build_frt_forest, build_frt_tree
+from repro.frt import FRTForest, build_frt_forest
 from repro.frt.lelists import (
     compute_le_lists_batch,
     compute_le_lists_batch_via_oracle,
@@ -28,6 +29,7 @@ from repro.hopsets import hub_hopset
 from repro.mbf.dense import BatchedFlatStates
 from repro.oracle import HOracle
 from repro.util.rng import spawn_rngs, split_seed
+from tests.frt_reference import build_frt_tree
 
 TREE_ARRAYS = (
     "radii",

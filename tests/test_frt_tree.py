@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import EmbeddingConfig, Pipeline, PipelineConfig
-from repro.frt import build_frt_tree, compute_le_lists_batch, le_lists_as_arrays
+from repro.frt import build_frt_forest, compute_le_lists_batch
 from repro.frt.lelists import max_list_length
 from repro.graph import generators as gen
 from repro.graph.shortest_paths import dijkstra_distances, shortest_path_diameter
@@ -16,6 +16,12 @@ def le_lists_of(g, rank):
     """LE lists of one order: the k = 1 view of the batched driver."""
     lists, iters = compute_le_lists_batch(g, np.asarray(rank)[None, :])
     return lists.sample_states(0), int(iters[0])
+
+
+def tree_of(lists, rank, beta, wmin):
+    """The tree of one sample: the k = 1 forest's only tree."""
+    ranks = np.asarray(rank)[None, :]
+    return build_frt_forest(lists, ranks, np.array([beta]), wmin).tree(0)
 
 
 class TestLEListSemantics:
@@ -73,13 +79,15 @@ class TestLEListSemantics:
         assert 0.3 * np.log(g.n) <= avg <= 3 * np.log(g.n)
 
     def test_as_arrays(self):
+        """Per-vertex ``(ids, dists)`` slices, sorted by increasing distance."""
         g = gen.cycle(8, rng=0)
         rank = np.random.default_rng(0).permutation(8)
         lists, _ = le_lists_of(g, rank)
-        arrays = le_lists_as_arrays(lists)
+        arrays = [lists.node(v) for v in range(lists.k * lists.n)]
         assert len(arrays) == 8
-        ids, dists = arrays[3]
-        assert np.all(np.diff(dists) >= 0)
+        for ids, dists in arrays:
+            assert ids.size == dists.size > 0
+            assert np.all(np.diff(dists) >= 0)
 
 
 class TestTreeConstruction:
@@ -87,7 +95,7 @@ class TestTreeConstruction:
         rank = np.random.default_rng(seed).permutation(g.n)
         lists, _ = le_lists_of(g, rank)
         wmin, _ = g.weight_bounds()
-        return build_frt_tree(lists, rank, beta, wmin), rank
+        return tree_of(lists, rank, beta, wmin), rank
 
     def test_basic_shape(self):
         g = gen.grid(4, 4, rng=0)
@@ -190,16 +198,16 @@ class TestTreeConstruction:
         rank = np.random.default_rng(0).permutation(6)
         lists, _ = le_lists_of(g, rank)
         with pytest.raises(ValueError):
-            build_frt_tree(lists, rank, 2.5, 1.0)
+            tree_of(lists, rank, 2.5, 1.0)
         with pytest.raises(ValueError):
-            build_frt_tree(lists, rank, 1.5, 0.0)
+            tree_of(lists, rank, 1.5, 0.0)
 
     def test_wmin_must_lower_bound_distances(self):
         g = gen.cycle(6, wmin=1, wmax=1, rng=0)
         rank = np.random.default_rng(0).permutation(6)
         lists, _ = le_lists_of(g, rank)
         with pytest.raises(ValueError):
-            build_frt_tree(lists, rank, 1.0, 10.0)  # r_0 swallows neighbors
+            tree_of(lists, rank, 1.0, 10.0)  # r_0 swallows neighbors
 
 
 class TestDominanceAndStretch:

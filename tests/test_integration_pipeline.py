@@ -70,7 +70,7 @@ def test_hopset_feeds_every_consumer():
     # metric through the same decomposition machinery
     from repro.mbf.dense import MinFilter
 
-    states, _ = oracle.run(MinFilter())
+    states, _ = oracle.run_batch(MinFilter(), 1)
     matrix = states.to_matrix()
     D = dijkstra_distances(g)
     off = ~np.eye(g.n, dtype=bool)

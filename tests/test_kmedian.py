@@ -179,7 +179,7 @@ class TestHSTDP:
         assert cost == pytest.approx(want_cost)
 
     def test_single_vertex_graph(self):
-        from repro.frt import build_frt_tree
+        from tests.frt_reference import build_frt_tree
         from repro.frt.lelists import compute_le_lists_batch
         from repro.graph.core import Graph
 

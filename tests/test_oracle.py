@@ -9,10 +9,11 @@ import pytest
 
 from repro.graph import generators as gen
 from repro.hopsets import hub_hopset, identity_hopset, rounded_hopset
-from repro.mbf.dense import FlatStates, LEFilter, MinFilter, TopKFilter, run_dense
+from repro.mbf.dense import BatchedFlatStates, MinFilter, TopKFilter
 from repro.oracle import HOracle
 from repro.pram import CostLedger
 from repro.simulated import SimulatedGraph
+from tests.conftest import dense_k1, le_filter
 
 
 from repro.graph.core import Graph
@@ -28,6 +29,12 @@ def integerize(g: Graph, lo: int = 1, hi: int = 4, seed: int = 0) -> Graph:
     """
     w = np.random.default_rng(seed).integers(lo, hi + 1, g.m).astype(np.float64)
     return Graph(g.n, g.edges, w, validate=False)
+
+
+def oracle_k1(oracle, spec, **kwargs):
+    """One query on ``H``: the ``k = 1`` batch, ``(states, iterations)``."""
+    states, iters = oracle.run_batch(spec, 1, **kwargs)
+    return states, int(iters[0])
 
 
 def make_instance(n=20, eps=0.5, seed=0, family="cycle"):
@@ -48,13 +55,13 @@ class TestOracleMatchesMaterializedH:
     def test_min_filter_h_iterations(self, h):
         g, hop, H, oracle = make_instance()
         GH = H.to_graph()
-        want, _ = run_dense(GH, MinFilter(), h=h)
-        got, _ = oracle.run(MinFilter(), h=h)
+        want, _ = dense_k1(GH, MinFilter(), h=h)
+        got, _ = oracle_k1(oracle, MinFilter(), h=h)
         assert got.to_matrix() == pytest.approx(want.to_matrix())
 
     def test_min_filter_fixpoint_distances(self):
         g, hop, H, oracle = make_instance()
-        got, iters = oracle.run(MinFilter())
+        got, iters = oracle_k1(oracle, MinFilter())
         assert got.to_matrix() == pytest.approx(H.distances())
         assert iters <= H.spd()
 
@@ -63,16 +70,16 @@ class TestOracleMatchesMaterializedH:
         g, hop, H, oracle = make_instance(seed=seed)
         rank = np.random.default_rng(seed + 10).permutation(g.n)
         GH = H.to_graph()
-        want, _ = run_dense(GH, LEFilter(rank))
-        got, _ = oracle.run(LEFilter(rank))
+        want, _ = dense_k1(GH, le_filter(rank))
+        got, _ = oracle_k1(oracle, le_filter(rank))
         assert want.to_dicts() == pytest.approx(got.to_dicts())
 
     def test_le_filter_random_graph(self):
         g, hop, H, oracle = make_instance(n=24, family="random", seed=5)
         rank = np.random.default_rng(3).permutation(g.n)
         GH = H.to_graph()
-        want, _ = run_dense(GH, LEFilter(rank))
-        got, _ = oracle.run(LEFilter(rank))
+        want, _ = dense_k1(GH, le_filter(rank))
+        got, _ = oracle_k1(oracle, le_filter(rank))
         assert want.to_dicts() == pytest.approx(got.to_dicts())
 
     def test_topk_filter_matches(self):
@@ -81,10 +88,10 @@ class TestOracleMatchesMaterializedH:
         mask = np.zeros(g.n, dtype=bool)
         mask[S] = True
         spec = TopKFilter(2, 10.0, mask)
-        x0 = FlatStates.from_sources(g.n, S)
+        x0 = BatchedFlatStates.from_sources(1, g.n, S)
         GH = H.to_graph()
-        want, _ = run_dense(GH, spec, x0=x0, h=3)
-        got, _ = oracle.run(spec, x0=FlatStates.from_sources(g.n, S), h=3)
+        want, _ = dense_k1(GH, spec, x0=x0, h=3)
+        got, _ = oracle_k1(oracle, spec, x0=BatchedFlatStates.from_sources(1, g.n, S), h=3)
         assert want.to_dicts() == pytest.approx(got.to_dicts())
 
     def test_early_exit_is_lossless(self):
@@ -92,16 +99,16 @@ class TestOracleMatchesMaterializedH:
         rank = np.random.default_rng(4).permutation(g.n)
         o_fast = HOracle(hop, levels=np.zeros(g.n, dtype=np.int64), inner_early_exit=True)
         o_slow = HOracle(hop, levels=np.zeros(g.n, dtype=np.int64), inner_early_exit=False)
-        a, _ = o_fast.run(LEFilter(rank))
-        b, _ = o_slow.run(LEFilter(rank))
+        a, _ = oracle_k1(o_fast, le_filter(rank))
+        b, _ = oracle_k1(o_slow, le_filter(rank))
         assert a.to_dicts() == pytest.approx(b.to_dicts())
         assert sum(o_fast.inner_iterations_used) < sum(o_slow.inner_iterations_used)
 
 
 class TestPinnedCosts:
-    """Model costs, iteration counts and inner-iteration statistics of
-    ``HOracle.run`` on one fixed instance, recorded when ``run`` still had
-    its own serial loop; the ``k = 1`` view of ``run_batch`` must reproduce
+    """Model costs, iteration counts and inner-iteration statistics of one
+    query on one fixed instance, recorded when the oracle still had its own
+    single-sample loop; the ``k = 1`` batch of ``run_batch`` must reproduce
     them exactly.  ``(Λ+1)·d = 45`` inner iterations per H-iteration
     without early exit."""
 
@@ -123,12 +130,12 @@ class TestPinnedCosts:
         mask = np.zeros(n, dtype=bool)
         mask[::3] = True
         spec, x0 = {
-            "le": (LEFilter(np.random.default_rng(n + 1).permutation(n)), None),
+            "le": (le_filter(np.random.default_rng(n + 1).permutation(n)), None),
             "min": (MinFilter(), None),
-            "topk": (TopKFilter(2, 10.0, mask), FlatStates.from_sources(n, range(0, n, 3))),
+            "topk": (TopKFilter(2, 10.0, mask), BatchedFlatStates.from_sources(1, n, range(0, n, 3))),
         }[filt]
         ledger = CostLedger()
-        _, iters = oracle.run(spec, x0=x0, ledger=ledger)
+        _, iters = oracle_k1(oracle, spec, x0=x0, ledgers=[ledger])
         work, depth, want_iters, inner = self.PINNED[(filt, early)]
         assert (ledger.work, ledger.depth, iters) == (work, depth, want_iters)
         assert oracle.inner_iterations_used == inner
@@ -140,7 +147,7 @@ class TestOracleSemantics:
         g = gen.cycle(18, rng=0)
         hop = hub_hopset(g, d0=3, rng=1)
         oracle = HOracle(hop, rng=2)
-        states, iters = oracle.run(MinFilter())
+        states, iters = oracle_k1(oracle, MinFilter())
         assert iters == 1
         from repro.graph.shortest_paths import dijkstra_distances
 
@@ -153,20 +160,20 @@ class TestOracleSemantics:
         base = hub_hopset(g, d0=5, rng=2)
         hop = rounded_hopset(base, g, eps=0.2)
         oracle = HOracle(hop, rng=3)
-        _, iters = oracle.run(MinFilter())
+        _, iters = oracle_k1(oracle, MinFilter())
         assert iters <= int(np.log2(n) ** 2)
 
     def test_sources_subset(self):
         g, hop, H, oracle = make_instance(seed=11)
-        got, _ = oracle.run(MinFilter(), sources=[0, 5])
+        got, _ = oracle_k1(oracle, MinFilter(), sources=[0, 5])
         GH = H.to_graph()
-        want, _ = run_dense(GH, MinFilter(), sources=[0, 5])
+        want, _ = dense_k1(GH, MinFilter(), sources=[0, 5])
         assert got.to_matrix() == pytest.approx(want.to_matrix())
 
     def test_ledger_charged(self):
         g, hop, H, oracle = make_instance(seed=13)
         ledger = CostLedger()
-        oracle.run(MinFilter(), h=2, ledger=ledger)
+        oracle_k1(oracle, MinFilter(), h=2, ledgers=[ledger])
         assert ledger.work > 0 and ledger.depth > 0
 
     def test_levels_validated(self):
@@ -189,6 +196,6 @@ class TestOracleSemantics:
         # non-positive cap is a caller error, a positive cap that is too
         # small to reach/detect the fixpoint is a RuntimeError.
         with pytest.raises(ValueError):
-            oracle.run(MinFilter(), max_iterations=0)
+            oracle_k1(oracle, MinFilter(), max_iterations=0)
         with pytest.raises(RuntimeError):
-            oracle.run(MinFilter(), max_iterations=1)
+            oracle_k1(oracle, MinFilter(), max_iterations=1)

@@ -25,7 +25,7 @@ from repro.api import (
     solve,
 )
 from repro.graph.core import Graph
-from repro.mbf.dense import FlatStates
+from repro.mbf.dense import BatchedFlatStates
 from repro.mbf.problem import ScalarForm, solve_dense, solve_reference
 from repro.mbf.scalar import run_scalar
 from repro.pram.cost import CostLedger
@@ -74,7 +74,7 @@ DENSE_FAMILY_NAMES = sorted(_instances(8, np.random.default_rng(0)))
 
 
 def _same(a, b) -> bool:
-    if isinstance(a, FlatStates):
+    if isinstance(a, BatchedFlatStates):
         return a.equals(b)
     return np.array_equal(np.asarray(a), np.asarray(b))
 

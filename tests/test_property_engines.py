@@ -18,7 +18,8 @@ from repro.graph.shortest_paths import dijkstra_distances, shortest_path_diamete
 from repro.mbf import filters as ref_filters
 from repro.mbf import run as ref_run
 from repro.mbf.algorithm import MBFAlgorithm
-from repro.mbf.dense import LEFilter, MinFilter, TopKFilter, run_dense
+from repro.mbf.dense import BatchedFlatStates, MinFilter, TopKFilter
+from tests.conftest import dense_k1, le_filter
 
 INF = math.inf
 
@@ -52,7 +53,7 @@ class TestDenseVsReferenceProperty:
     @given(connected_graphs(), st.integers(min_value=0, max_value=4))
     @settings(max_examples=40, deadline=None)
     def test_min_filter(self, g, h):
-        flat, _ = run_dense(g, MinFilter(), h=h)
+        flat, _ = dense_k1(g, MinFilter(), h=h)
         algo = MBFAlgorithm(DistanceMapModule(g.n))
         ref = ref_run(g, algo, [{v: 0.0} for v in range(g.n)], h)
         assert flat.to_dicts() == [
@@ -65,7 +66,7 @@ class TestDenseVsReferenceProperty:
         perm = list(range(g.n))
         rnd.shuffle(perm)
         rank = np.array(perm, dtype=np.int64)
-        flat, _ = run_dense(g, LEFilter(rank), h=3)
+        flat, _ = dense_k1(g, le_filter(rank), h=3)
         algo = MBFAlgorithm(DistanceMapModule(g.n), filter=ref_filters.le_list(rank))
         ref = ref_run(g, algo, [{v: 0.0} for v in range(g.n)], 3)
         assert flat.to_dicts() == ref
@@ -76,10 +77,9 @@ class TestDenseVsReferenceProperty:
         S = list(range(0, g.n, 2))
         mask = np.zeros(g.n, dtype=bool)
         mask[S] = True
-        from repro.mbf.dense import FlatStates
 
-        flat, _ = run_dense(
-            g, TopKFilter(k, 20.0, mask), x0=FlatStates.from_sources(g.n, S), h=3
+        flat, _ = dense_k1(
+            g, TopKFilter(k, 20.0, mask), x0=BatchedFlatStates.from_sources(1, g.n, S), h=3
         )
         algo = MBFAlgorithm(
             DistanceMapModule(g.n), filter=ref_filters.source_detection(S, k, 20.0)
@@ -92,7 +92,7 @@ class TestDistanceInvariantsProperty:
     @given(connected_graphs())
     @settings(max_examples=40, deadline=None)
     def test_dense_fixpoint_is_dijkstra(self, g):
-        flat, iters = run_dense(g, MinFilter())
+        flat, iters = dense_k1(g, MinFilter())
         assert np.allclose(flat.to_matrix(), dijkstra_distances(g))
         assert iters <= g.n
 
@@ -100,7 +100,7 @@ class TestDistanceInvariantsProperty:
     @settings(max_examples=30, deadline=None)
     def test_le_lists_subset_of_distance_rows(self, g):
         rank = np.arange(g.n)  # deterministic order
-        flat, _ = run_dense(g, LEFilter(rank))
+        flat, _ = dense_k1(g, le_filter(rank))
         D = dijkstra_distances(g)
         for v in range(g.n):
             ids, dists = flat.node(v)
@@ -112,7 +112,7 @@ class TestDistanceInvariantsProperty:
     @settings(max_examples=30, deadline=None)
     def test_spd_consistency(self, g):
         spd = shortest_path_diameter(g)
-        _, iters = run_dense(g, MinFilter())
+        _, iters = dense_k1(g, MinFilter())
         assert iters == spd
 
 

@@ -211,7 +211,7 @@ class FixpointCapRule(Rule):
     summary = "iteration caps thread through run_to_fixpoint, not bare range()"
     invariant = (
         "Fixpoint iteration is capped via the engine API "
-        "(run_to_fixpoint/run_dense max_iterations=...), which raises "
+        "(run_to_fixpoint/run_dense_batched max_iterations=...), which raises "
         "ConvergenceError on exhaustion.  A hand-rolled `for _ in "
         "range(cap)` silently truncates: non-converged LE lists looked "
         "converged and poisoned every downstream tree."
@@ -244,7 +244,7 @@ class FixpointCapRule(Rule):
                     yield ctx.finding(
                         node, self,
                         f"bare `for ... in range({name}...)` fixpoint loop — "
-                        "pass max_iterations through run_to_fixpoint/run_dense "
+                        "pass max_iterations through run_to_fixpoint/run_dense_batched "
                         "so exhaustion raises instead of truncating",
                     )
                     break

@@ -6,15 +6,15 @@ contract convention is machine-readable and lives where reviewers read:
 
 - a trailing comment on a parameter's own signature line::
 
-      def propagate(
-          states,   # shape: csr(n)
+      def propagate_batched(
+          states,   # shape: csr(k*n)
           src,      # shape: (m,) int64
           w,        # shape: (m,) float64
       ):            # shape: -> (E,) float64
 
   Forms: ``(dims) [dtype]`` for arrays, ``csr(segments)`` for the CSR
-  container types (FlatStates / BatchedFlatStates — ``segments`` is the
-  segment-count expression, e.g. ``csr(k*n)``), ``scalar`` for plain
+  container type (BatchedFlatStates — ``segments`` is the segment-count
+  expression, e.g. ``csr(k*n)``), ``scalar`` for plain
   numbers/strings/flags, ``object`` for structured objects (dataclasses,
   containers of arrays), and a leading ``->`` for the return value.
   Dims are identifiers, integers, or simple products/sums (``k*n+1``).
