@@ -1,4 +1,4 @@
-"""E7 — Section 3: the whole MBF-like zoo, through the registry, at dense speed.
+"""E7 — Section 3: the whole MBF-like zoo, through ``solve``, at dense speed.
 
 Paper claims: the framework subsumes SSSP/APSP/k-SSP/source detection/
 widest paths/connectivity/LE lists as instances of one template; fixpoints

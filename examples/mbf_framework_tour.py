@@ -1,18 +1,19 @@
 #!/usr/bin/env python
 """A tour of the MBF-like algorithm framework (Sections 2-3).
 
-One template, many algorithms, many engines: each zoo factory packages a
-semimodule + filter + initialization as an :class:`MBFProblem`, and the
-engine registry runs it on the best capable engine — vectorized dense
-kernels for the scalar / distance-map / Boolean families, the object-based
-reference engine for the all-paths family.
+One template, many algorithms, two engines: each zoo factory packages a
+semimodule + filter + initialization as an :class:`MBFProblem`, and
+``solve`` runs it on the dense engine whenever the problem has a dense
+form — vectorized kernels for the scalar / distance-map / Boolean
+families — and on the object-based reference engine otherwise (the
+all-paths family).
 
 Run:  python examples/mbf_framework_tour.py
 """
 
 import numpy as np
 
-from repro.api import Graph, Pipeline, PipelineConfig, problems, resolve_engine, solve
+from repro.api import Graph, Pipeline, PipelineConfig, pick_engine, problems, solve
 
 
 def main() -> None:
@@ -26,12 +27,12 @@ def main() -> None:
     print(f"graph: n={g.n} m={g.m}\n")
 
     # -- SSSP (min-plus semiring, Example 3.3) ------------------------------
-    # solve() picks an engine by capability: scalar min-plus runs dense.
+    # solve() picks the engine: scalar min-plus has a dense form.
     inst = problems.sssp(g.n, source=0)
     dists, iters = solve(g, inst)
     print(
         f"SSSP from 0 ({iters} iterations, engine="
-        f"{resolve_engine(inst).name!r}): {np.round(dists, 3)}"
+        f"{pick_engine(inst)!r}): {np.round(dists, 3)}"
     )
 
     # -- source detection (Example 3.2) --------------------------------------
@@ -49,11 +50,11 @@ def main() -> None:
     print(f"transitive trust from 0 (widest paths): {np.round(trust, 3)}")
 
     # -- k shortest distances with paths (all-paths semiring, Ex. 3.23) ------
-    # No dense form exists for the all-paths family; auto selection falls
-    # back to the reference engine.
+    # No dense form exists for the all-paths family; solve() runs it on the
+    # reference engine.
     inst = problems.k_sdp(g.n, k=3, sink=3)
     paths, _ = solve(g, inst)
-    print(f"3 lightest simple 0->3 paths (engine={resolve_engine(inst).name!r}):")
+    print(f"3 lightest simple 0->3 paths (engine={pick_engine(inst)!r}):")
     for w, p in paths[0]:
         print(f"   weight {w:.2f}  via {p}")
 

@@ -14,13 +14,12 @@ is the canonical way to drive it:
 - :mod:`~repro.api.configs` — frozen, validated stage configs
   (:class:`HopsetConfig`, :class:`OracleConfig`, :class:`EmbeddingConfig`,
   :class:`PipelineConfig`) with ``to_dict``/``from_dict`` round-tripping;
-- :mod:`~repro.api.registry` — the string-keyed, capability-based MBF
-  engine registry (``"dense"``, ``"reference"``, plus third-party
-  registrations) with the uniform :func:`solve` driver;
 - :mod:`~repro.api.problems` — the Section-3 algorithm zoo as first-class
   :class:`MBFProblem` values (``problems.sssp(n, source)``, widest paths,
-  source detection, connectivity, LE lists, ...), every family runnable on
-  any capable engine via :func:`solve` or :meth:`Pipeline.solve`;
+  source detection, connectivity, LE lists, ...), every family runnable
+  via :func:`solve` or :meth:`Pipeline.solve` on the ``"dense"`` engine
+  (when the problem has a dense form; :func:`pick_engine` says which) or
+  the ``"reference"`` engine;
 - :mod:`~repro.api.result` — :class:`PipelineResult` (the one ensemble
   value: stacked forest, LE lists and ranks + cost ledgers + stage
   timings + provenance, with per-sample :class:`EmbeddingResult` views),
@@ -58,21 +57,11 @@ from repro.api.configs import (
     PipelineConfig,
 )
 from repro.api.pipeline import Pipeline, ShardWorkerError
-from repro.api.registry import (
-    MBFEngine,
-    available_engines,
-    engines_for,
-    get_engine,
-    register_engine,
-    resolve_engine,
-    solve,
-    unregister_engine,
-)
 from repro.api.result import DistanceOracle, PipelineResult, SolveResult
 
 # The Section-3 algorithm zoo, re-exported as the problem catalogue.
 from repro.api import problems
-from repro.mbf.problem import FAMILIES, MBFProblem
+from repro.mbf.problem import FAMILIES, MBFProblem, pick_engine, solve
 
 # Convenience re-exports: enough surface that examples and benchmarks can
 # drive the whole pipeline importing only from repro.api.
@@ -104,17 +93,11 @@ __all__ = [
     "PipelineResult",
     "DistanceOracle",
     "SolveResult",
-    # problems and the engine registry
+    # problems and their two engines
     "problems",
     "MBFProblem",
     "FAMILIES",
-    "MBFEngine",
-    "register_engine",
-    "unregister_engine",
-    "get_engine",
-    "available_engines",
-    "engines_for",
-    "resolve_engine",
+    "pick_engine",
     "solve",
     # re-exported building blocks
     "Graph",

@@ -134,24 +134,16 @@ class EmbeddingConfig(_ConfigBase):
         ``"oracle"`` — LE lists on the simulated graph ``H`` through the
         Section-5 oracle (polylog iterations; the paper's main pipeline);
         ``"direct"`` — LE lists on ``G`` itself (``SPD(G)`` iterations, the
-        Khan-et-al. regime).
-    backend:
-        Registry key of the MBF engine whose LE-list driver runs the
-        ``"direct"`` computation (see :mod:`repro.api.registry`); existence
-        is checked lazily at first use so third-party engines can register
-        late.
+        Khan-et-al. regime, on the dense engine).
     """
 
     method: str = "oracle"
-    backend: str = "dense"
 
     def __post_init__(self):
         if self.method not in EMBEDDING_METHODS:
             raise ValueError(
                 f"embedding method must be one of {EMBEDDING_METHODS}, got {self.method!r}"
             )
-        if not isinstance(self.backend, str) or not self.backend:
-            raise ValueError("embedding backend must be a non-empty registry key")
 
 
 @dataclass(frozen=True)

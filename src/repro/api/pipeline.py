@@ -34,8 +34,8 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 
 from repro.api.configs import ExecutionConfig, PipelineConfig
-from repro.api.registry import MBFEngine, get_engine, invoke_solve, resolve_engine
 from repro.api.result import DistanceOracle, PipelineResult, SolveResult
+from repro.frt import lelists
 from repro.frt.embedding import EmbeddingResult, _draw_randomness
 from repro.frt.forest import FRTForest, build_frt_forest
 from repro.frt.lelists import compute_le_lists_batch_via_oracle
@@ -46,6 +46,7 @@ from repro.hopsets.identity import identity_hopset
 from repro.hopsets.rounded import rounded_hopset
 from repro.hopsets.skeleton import hub_hopset
 from repro.mbf.dense import BatchedFlatStates
+from repro.mbf.problem import pick_engine, solve
 from repro.metric.approx_metric import MetricResult, metric_from_oracle
 from repro.oracle.oracle import HOracle
 from repro.pram.cost import NULL_LEDGER, CostLedger
@@ -206,9 +207,9 @@ class Pipeline:
         call builds (and caches) the hop set and oracle.
         """
         g = self._rng if rng is None else as_rng(rng)
-        # Resolve first, so artifact builds draw from the stream before the
+        # Build first, so artifact builds draw from the stream before the
         # sample does and stay outside ``timings["samples"]``.
-        self._resolve_sampler()
+        self._sampler_oracle()
         t0 = time.perf_counter()
         part = self._sample_batch_core([g], rank=rank, beta=beta, ledgers=[ledger])
         self._record_samples(1, t0)
@@ -252,10 +253,7 @@ class Pipeline:
             (:meth:`~repro.mbf.dense.BatchedFlatStates.concat`,
             :meth:`~repro.frt.forest.FRTForest.concat`) into the exact
             one-shard layout.  ``shard_size`` bounds peak memory:
-            ``shard_size=1`` samples one tree at a time.  Third-party
-            engines are shipped to the workers by value, so their drivers
-            must be picklable (a module-level function, not a lambda)
-            under spawn/forkserver start methods.
+            ``shard_size=1`` samples one tree at a time.
         """
         k = _as_int("k", k)
         if k < 1:
@@ -286,9 +284,8 @@ class Pipeline:
         else:
             children = spawn_rngs(self._rng, k)
         # Build shared artifacts up front so every shard (and worker) reuses
-        # the same hop set / oracle instead of racing to build its own, and
-        # fail fast in the parent on an engine without an LE-list driver.
-        self._resolve_sampler()
+        # the same hop set / oracle instead of racing to build its own.
+        self._sampler_oracle()
         t0 = time.perf_counter()
         result = self._sample_shards(children, exec_cfg)
         self._record_samples(k, t0)
@@ -306,22 +303,10 @@ class Pipeline:
             meta=self._provenance(k=k, seed=seed, execution=exec_cfg.to_dict()),
         )
 
-    def _resolve_sampler(self) -> tuple[HOracle | None, MBFEngine | None]:
-        """The LE-list inputs of the batched engine: ``(oracle, engine)``.
-
-        One of the two is ``None``: the ``"oracle"`` method builds (and
-        caches) the oracle, the ``"direct"`` method looks up the configured
-        engine, which must ship an LE-list driver.
-        """
-        if self.config.embedding.method == "oracle":
-            return self.oracle(), None
-        engine = get_engine(self.config.embedding.backend)
-        if engine.le_lists_batch is None:
-            raise ValueError(
-                f"engine {engine.name!r} has no LE-list driver; "
-                "use an engine that ships le_lists_batch (e.g. 'dense')"
-            )
-        return None, engine
+    def _sampler_oracle(self) -> HOracle | None:
+        """The oracle the ``"oracle"`` method samples through (built and
+        cached on first use); ``None`` for the ``"direct"`` method."""
+        return self.oracle() if self.config.embedding.method == "oracle" else None
 
     def _sample_batch_core(
         self,
@@ -342,25 +327,26 @@ class Pipeline:
         ledger per sample.  Returns the stacked result without timings or
         provenance — picklable, and the payload a pool worker ships back.
         """
-        method = self.config.embedding.method
-        oracle, engine = self._resolve_sampler()
+        oracle = self._sampler_oracle()
         draws = [_draw_randomness(self.G.n, g, rank=rank, beta=beta) for g in children]
         ranks = np.stack([r for r, _ in draws])
         if ledgers is None:
             ledgers = [CostLedger() for _ in children]
-        if method == "oracle":
+        meta = {"pipeline": self.config.embedding.method}
+        if oracle is not None:
             lists, iters = compute_le_lists_batch_via_oracle(
                 oracle, ranks, ledgers=ledgers
             )
-            extra_meta = {
-                "hop_d": oracle.d,
-                "Lambda": oracle.Lambda,
-                "penalty_base": oracle.penalty_base,
-                "eps": self.config.hopset.eps,
-            }
+            meta.update(
+                hop_d=oracle.d,
+                Lambda=oracle.Lambda,
+                penalty_base=oracle.penalty_base,
+                eps=self.config.hopset.eps,
+            )
         else:
-            lists, iters = engine.le_lists_batch(self.G, ranks, ledgers=ledgers)
-            extra_meta = {"backend": engine.name}
+            # Looked up on the module at call time, so a wrapper installed
+            # there (a profiler, a test spy) sees every direct sample.
+            lists, iters = lelists.compute_le_lists_batch(self.G, ranks, ledgers=ledgers)
         wmin, _ = self.G.weight_bounds()
         betas = np.array([b for _, b in draws])
         return PipelineResult(
@@ -369,7 +355,7 @@ class Pipeline:
             ranks=ranks,
             iterations=iters,
             ledgers=ledgers,
-            embedding_meta={"pipeline": method, **extra_meta},
+            embedding_meta=meta,
         )
 
     def _sample_shards(
@@ -392,14 +378,10 @@ class Pipeline:
         bounds = _shard_bounds(len(children), execution.workers, execution.shard_size)
         shards = [children[lo:hi] for lo, hi in bounds]
         if execution.workers > 1 and len(shards) > 1:
-            # Ship the resolved engine by value: under spawn/forkserver
-            # start methods the workers re-import the registry fresh, which
-            # only holds the built-ins.
-            _, engine = self._resolve_sampler()
             with ProcessPoolExecutor(
                 max_workers=min(execution.workers, len(shards)),
                 initializer=_init_ensemble_worker,
-                initargs=(self.G, self.config, self._hopset, self._oracle, engine),
+                initargs=(self.G, self.config, self._hopset, self._oracle),
             ) as pool:
                 futures = [pool.submit(_ensemble_shard_worker, shard) for shard in shards]
                 parts = []
@@ -453,8 +435,9 @@ class Pipeline:
         """Run an MBF-like problem (:mod:`repro.api.problems`) on this graph.
 
         The zoo-wide counterpart of :meth:`sample`: one call per problem,
-        engine selected by capability (``engine=None``/``"auto"`` prefers
-        the vectorized path; ``"reference"``/``"dense"``/... pin one), with
+        on the engine :func:`~repro.mbf.problem.pick_engine` names
+        (``engine=None``/``"auto"`` picks ``"dense"`` when the problem has
+        a dense form; ``"dense"``/``"reference"`` pin one), with
         the same ledger/timings treatment as sampling — wall-clock lands in
         ``timings["solves"]``, model costs in ``ledger`` (the vectorized
         engines charge it; the ``"reference"`` engine predates the cost
@@ -471,10 +454,10 @@ class Pipeline:
         :func:`~repro.mbf.dense.run_dense_batched`).  Returns a
         :class:`~repro.api.result.SolveResult`.
         """
-        eng = resolve_engine(problem, engine)
+        engine = pick_engine(problem, engine)
         t0 = time.perf_counter()
-        value, iterations = invoke_solve(
-            eng, self.G, problem, h=h, max_iterations=max_iterations, ledger=ledger
+        value, iterations = solve(
+            self.G, problem, engine=engine, h=h, max_iterations=max_iterations, ledger=ledger
         )
         self.stats["solves"] += 1
         self.timings["solves"] = self.timings.get("solves", 0.0) + (
@@ -485,7 +468,7 @@ class Pipeline:
             iterations=int(iterations),
             problem=problem.name,
             family=problem.family,
-            engine=eng.name,
+            engine=engine,
         )
 
     # -- applications ---------------------------------------------------------
@@ -510,7 +493,7 @@ class Pipeline:
         distance queries — the paper's mechanism).  ``"buy-at-bulk"``
         forwards to :func:`~repro.apps.buyatbulk.buy_at_bulk` with this
         pipeline injected, so the ensemble is sampled under the configured
-        method/backend and artifacts stay amortized across calls.
+        method and artifacts stay amortized across calls.
         """
         # Local imports: the application modules import Pipeline themselves.
         from repro.apps.buyatbulk import buy_at_bulk as _buy_at_bulk
@@ -628,7 +611,6 @@ class Pipeline:
                 "n": self.G.n,
                 "m": self.G.m,
                 "method": self.config.embedding.method,
-                "backend": self.config.embedding.backend,
                 "k": extra.get("k"),
                 "seed": extra.get("seed"),
             }
@@ -638,7 +620,6 @@ class Pipeline:
             "n": self.G.n,
             "m": self.G.m,
             "method": self.config.embedding.method,
-            "backend": self.config.embedding.backend,
             "fingerprint": fingerprint,
             "stats": dict(self.stats),
             **extra,
@@ -689,16 +670,9 @@ def _shard_bounds(
 _WORKER_PIPELINE: Pipeline | None = None
 
 
-def _init_ensemble_worker(graph, config, hopset, oracle, engine) -> None:
+def _init_ensemble_worker(graph, config, hopset, oracle) -> None:
     """Pool initializer: rebuild the shared pipeline once per worker."""
-    from repro.api.registry import register_engine
-
     global _WORKER_PIPELINE
-    if engine is not None:
-        # The worker's registry may hold only the built-ins (spawn /
-        # forkserver) or a stale entry under the same name — the shipped
-        # engine is authoritative.
-        register_engine(engine, overwrite=True)
     _WORKER_PIPELINE = Pipeline(graph, config, hopset=hopset, oracle=oracle)
 
 

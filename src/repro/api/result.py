@@ -3,7 +3,7 @@
 :class:`PipelineResult` is the one ensemble value: the stacked forest,
 LE lists and ranks of a batch of samples, per-sample and merged
 work/depth ledgers, wall-clock stage timings, and full provenance
-``meta`` (config dict, seeds, backend, hop-set and oracle diagnostics,
+``meta`` (config dict, seeds, method, hop-set and oracle diagnostics,
 build counters).  Its per-sample
 :class:`~repro.frt.embedding.EmbeddingResult` views are built on demand.
 
@@ -91,13 +91,13 @@ class PipelineResult:
         ``samples``, ``total``); measured, not modeled — the modeled costs
         live in the ledgers.
     meta:
-        Full provenance: config dict, seed, method/backend, graph size,
+        Full provenance: config dict, seed, method, graph size,
         hop-set and oracle diagnostics, and the pipeline's *lifetime*
         build counters (``hopset_builds <= 1`` verifies the batch reused
         one artifact set).
     embedding_meta:
         The per-sample provenance every :attr:`embeddings` view carries
-        (sampling method and oracle/backend parameters).
+        (sampling method and, for ``"oracle"``, the oracle's parameters).
     """
 
     forest: FRTForest
@@ -125,7 +125,7 @@ class PipelineResult:
         self.iterations = [int(i) for i in self.iterations]
         if self.ledger is None:
             self.ledger = CostLedger()
-            self.ledger.join(*self.ledgers, label="ensemble")
+            self.ledger.join(*self.ledgers)
 
     def __len__(self) -> int:
         return self.forest.size

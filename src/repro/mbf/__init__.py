@@ -14,7 +14,7 @@ class of the) result — the engines exploit this.
 
 The framework is exposed through first-class *problems*
 (:class:`~repro.mbf.problem.MBFProblem`: algorithm + initialization +
-decoder + declared state family) solved by capability-matched *engines*:
+decoder + declared state family) solved by one of two *engines*:
 
 - :mod:`repro.mbf.engine` — the *reference engine*: works for any semiring /
   semimodule / filter, object-based, the correctness oracle for every
@@ -29,8 +29,9 @@ decoder + declared state family) solved by capability-matched *engines*:
   forest fire, SSWP/MSWP/APWP, connectivity-as-hop-counting).
 
 Both vectorized paths are reached uniformly through
-:func:`~repro.mbf.problem.solve_dense`; string-keyed engine selection
-lives in :mod:`repro.api.registry`.
+:func:`~repro.mbf.problem.solve_dense` (the ``"dense"`` engine);
+:func:`~repro.mbf.problem.solve` runs a problem on ``"dense"`` or
+``"reference"``, as :func:`~repro.mbf.problem.pick_engine` decides.
 """
 
 from repro.mbf.algorithm import MBFAlgorithm
@@ -40,6 +41,8 @@ from repro.mbf.problem import (
     FlatForm,
     MBFProblem,
     ScalarForm,
+    pick_engine,
+    solve,
     solve_dense,
     solve_reference,
 )
@@ -56,6 +59,8 @@ __all__ = [
     "run",
     "run_to_fixpoint",
     "fixpoint_error",
+    "pick_engine",
+    "solve",
     "solve_reference",
     "solve_dense",
     "filters",

@@ -335,21 +335,11 @@ class BatchedFlatStates:
 
     def sample_states(self, s: int) -> "BatchedFlatStates":
         """Sample ``s``'s state vector as a standalone ``k = 1`` batch (a copy)."""
-        lo, hi = self.offsets[s * self.n], self.offsets[(s + 1) * self.n]
-        return BatchedFlatStates(
-            1,
-            self.n,
-            (self.offsets[s * self.n : (s + 1) * self.n + 1] - lo).copy(),
-            self.ids[lo:hi].copy(),
-            self.dists[lo:hi].copy(),
-        )
+        return self.take([s])
 
     def take(self, sample_idx: np.ndarray) -> "BatchedFlatStates":
-        """Sub-batch of the given samples, in the given order."""
-        sample_idx = np.asarray(sample_idx, dtype=np.int64)
-        return BatchedFlatStates.concat(
-            [self.sample_states(int(s)) for s in sample_idx]
-        )
+        """Sub-batch of the given samples, in the given order (a copy)."""
+        return _take_samples(self, sample_idx)[0]
 
     def restrict(self, keep_mask: np.ndarray) -> "BatchedFlatStates":
         """Projection ``P`` applied to every sample (Equation 5.2).
@@ -394,6 +384,33 @@ class BatchedFlatStates:
                 self.ids[lo_a:hi_a], other.ids[lo_b:hi_b]
             ) and np.array_equal(self.dists[lo_a:hi_a], other.dists[lo_b:hi_b])
         return eq
+
+
+def _take_samples(
+    states: BatchedFlatStates,  # shape: csr(k*n) frozen
+    sample_idx: np.ndarray,  # shape: (j,) int64 frozen
+) -> tuple[BatchedFlatStates, list[slice]]:
+    """The given samples, in the given order, and their entry ranges.
+
+    A sample's entries are one contiguous range of ``states``, so the
+    sub-batch copies each kept range once (contiguous copies beat an
+    element gather), and ``ranges`` slices any per-entry array the same
+    way.  Its offsets are the kept samples' offset rows, rebased.
+    """
+    sample_idx = np.asarray(sample_idx, dtype=np.int64)
+    n = states.n
+    seg = states.offsets[sample_idx[:, None] * n + np.arange(n + 1)]  # (j, n+1)
+    sizes = seg[:, -1] - seg[:, 0]
+    shift = seg[:, 0] - (np.cumsum(sizes) - sizes)  # old minus new entry position
+    ranges = [slice(lo, hi) for lo, hi in zip(seg[:, 0].tolist(), seg[:, -1].tolist())]
+    taken = BatchedFlatStates(
+        sample_idx.size,
+        n,
+        np.append((seg[:, :-1] - shift[:, None]).ravel(), sizes.sum()),
+        np.concatenate([states.ids[r] for r in ranges]),
+        np.concatenate([states.dists[r] for r in ranges]),
+    )
+    return taken, ranges
 
 
 # ---------------------------------------------------------------------------
@@ -639,9 +656,9 @@ def _charge_sample_iteration(
         e = int(e)
         if e == 0:
             continue
-        led.parallel_for(e, 1, 1, label="propagate")
-        led.sort(e, label="aggregate-sort")
-        led.parallel_for(e, 1, 1, label="filter")
+        led.parallel_for(e, 1, 1)
+        led.sort(e)
+        led.parallel_for(e, 1, 1)
 
 
 def propagate_batched(
@@ -676,7 +693,7 @@ def propagate_batched(
     if ledgers is not None:
         per = np.bincount(vtgt // n, minlength=k)
         for led, e in zip(ledgers, per):
-            led.parallel_for(int(e), 1, 1, label="propagate")
+            led.parallel_for(int(e), 1, 1)
     return vtgt, ids, dists
 
 
@@ -707,8 +724,8 @@ def aggregate_batched(
         for led, e in zip(ledgers, per):
             e = int(e)
             if e:
-                led.sort(e, label="aggregate-sort")
-                led.parallel_for(e, 1, 1, label="filter")
+                led.sort(e)
+                led.parallel_for(e, 1, 1)
     if E == 0:
         return BatchedFlatStates(
             k, n, np.zeros(kn + 1, dtype=np.int64), ids[:0], dists[:0]
@@ -1010,7 +1027,7 @@ def dense_iteration_batched_ex(
 
 
 def take_active_samples(
-    keep: np.ndarray,  # shape: (k,) bool frozen
+    keep: np.ndarray,  # shape: (j,) int64 frozen
     states: BatchedFlatStates,  # shape: csr(k*n) frozen
     spec: FilterSpec,
     ledgers: Sequence[CostLedger] | None,
@@ -1024,14 +1041,12 @@ def take_active_samples(
     and the per-entry ``fresh`` delta mask (if any) must shrink in
     lockstep, or samples silently swap ledgers or deltas.
     """
-    if fresh is not None:
-        bounds = states.offsets[:: states.n]
-        fresh = np.concatenate([fresh[bounds[p] : bounds[p + 1]] for p in keep])
+    taken, ranges = _take_samples(states, keep)
     return (
-        states.take(keep),
+        taken,
         spec.take(keep),
         None if ledgers is None else [ledgers[int(p)] for p in keep],
-        fresh,
+        None if fresh is None else np.concatenate([fresh[r] for r in ranges]),
     )
 
 

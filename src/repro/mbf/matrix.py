@@ -64,8 +64,8 @@ def distance_matrix_by_squaring(
     max_squarings = max(1, math.ceil(math.log2(n)) + 1)
     for _ in range(max_squarings):
         nxt = np.minimum(A, minplus_matmul(A, A))
-        ledger.parallel_for(n * n, work_per_item=n, depth_per_item=1, label="minplus-mul")
-        ledger.reduction(n, label="minplus-reduce")
+        ledger.parallel_for(n * n, work_per_item=n, depth_per_item=1)
+        ledger.reduction(n)
         finite = np.isfinite(A)
         progressed = bool(
             np.any(nxt[finite] < A[finite] * (1.0 - rtol))

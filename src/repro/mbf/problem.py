@@ -18,15 +18,18 @@ family              node states                     dense representation
 ``"all-paths"``     path maps in ``P_min,+``         — (reference only)
 ==================  ==============================  ====================================
 
-Two engine drivers share the uniform contract
+Two engines share the uniform contract
 ``solve(G, problem, *, h=None, ledger=...) -> (decoded, iterations)``:
 
-- :func:`solve_reference` — any family, through the object-based engine
-  (:mod:`repro.mbf.engine`; clarity over speed, no ledger charges);
-- :func:`solve_dense` — the vectorized path: scalar families through
-  :mod:`repro.mbf.scalar`, distance maps through :mod:`repro.mbf.dense`.
+- ``"reference"`` (:func:`solve_reference`) — any family, through the
+  object-based engine (:mod:`repro.mbf.engine`; clarity over speed, no
+  ledger charges), the correctness oracle for the dense one;
+- ``"dense"`` (:func:`solve_dense`) — the vectorized path: scalar families
+  through :mod:`repro.mbf.scalar`, distance maps through
+  :mod:`repro.mbf.dense`.
 
-Engine selection by name/capability lives in :mod:`repro.api.registry`.
+:func:`solve` runs a problem on the engine :func:`pick_engine` names:
+``"dense"`` whenever the problem has a dense form, else ``"reference"``.
 """
 
 from __future__ import annotations
@@ -52,6 +55,9 @@ __all__ = [
     "ScalarForm",
     "FlatForm",
     "MBFProblem",
+    "ENGINES",
+    "pick_engine",
+    "solve",
     "solve_reference",
     "solve_dense",
 ]
@@ -60,6 +66,9 @@ FAMILIES = ("min-plus", "max-min", "boolean", "distance-map", "all-paths")
 
 #: Families solvable by the vectorized engines (given a dense form).
 DENSE_FAMILIES = ("min-plus", "max-min", "boolean", "distance-map")
+
+#: The engine names :func:`solve` accepts.
+ENGINES = ("dense", "reference")
 
 
 @dataclass
@@ -132,8 +141,8 @@ class MBFProblem:
     """An MBF-like algorithm with initialization, decoder, and state family.
 
     The first three fields are the reference-engine triple; ``family``
-    declares the state family (capability key for engine selection) and
-    ``dense_form`` the optional vectorized representation.
+    declares the state family and ``dense_form`` the optional vectorized
+    representation (together they decide :func:`pick_engine`).
     """
 
     algo: MBFAlgorithm
@@ -243,3 +252,53 @@ def solve_dense(
         ledgers=[ledger],
     )
     return form.decode(states), int(iters[0])
+
+
+def pick_engine(problem: MBFProblem, engine: str | None = None) -> str:
+    """The engine :func:`solve` runs ``problem`` on: ``"dense"`` or ``"reference"``.
+
+    ``engine=None``/``"auto"`` picks ``"dense"`` when the problem has a
+    dense form in a dense family and ``"reference"`` otherwise.  An
+    explicit name must be one of :data:`ENGINES` (``KeyError``), and
+    ``"dense"`` must be able to run the problem (``ValueError``).
+    """
+    if not isinstance(problem, MBFProblem):
+        raise TypeError(f"expected an MBFProblem, got {type(problem)!r}")
+    if engine is None or engine == "auto":
+        dense = problem.family in DENSE_FAMILIES and problem.dense_form is not None
+        return "dense" if dense else "reference"
+    if engine not in ENGINES:
+        raise KeyError(f"unknown MBF engine {engine!r}; available: {ENGINES}")
+    if engine == "dense" and problem.family not in DENSE_FAMILIES:
+        raise ValueError(
+            f"engine 'dense' cannot solve family {problem.family!r} "
+            f"(supports: {DENSE_FAMILIES})"
+        )
+    if engine == "dense" and problem.dense_form is None:
+        raise ValueError(
+            f"engine 'dense' needs a dense form, but problem {problem.name!r} "
+            "has none; use the reference engine"
+        )
+    return engine
+
+
+def solve(
+    G: Graph,
+    problem: MBFProblem,
+    *,
+    engine: str | None = None,
+    h: int | None = None,
+    max_iterations: int | None = None,
+    ledger: CostLedger = NULL_LEDGER,
+) -> tuple[Any, int]:
+    """Solve an MBF-like problem on ``G`` with the engine :func:`pick_engine` names.
+
+    ``h`` runs exactly ``h`` iterations; ``h=None`` iterates to the
+    fixpoint under the ``max_iterations`` cap (the cap applies to fixpoint
+    mode only — an explicit ``h`` wins, the same precedence as
+    :func:`repro.mbf.dense.run_dense_batched`).  Returns ``(decoded,
+    iterations)``; decoded outputs and iteration counts do not depend on
+    the engine (pinned by the parity suite).
+    """
+    driver = solve_dense if pick_engine(problem, engine) == "dense" else solve_reference
+    return driver(G, problem, h=h, max_iterations=max_iterations, ledger=ledger)

@@ -94,10 +94,10 @@ def scalar_iteration(
         new[new > dmax] = INF
     # Lemma 2.3 for scalar states: every directed edge emits c entries
     # (plus the n*c self entries), aggregated by a balanced reduction.
-    ledger.parallel_for(src.size * c, 1, 1, label="propagate")
-    ledger.reduction((src.size + n) * c, label="aggregate")
+    ledger.parallel_for(src.size * c, 1, 1)
+    ledger.reduction((src.size + n) * c)
     if dmax != INF:
-        ledger.parallel_for(n * c, 1, 1, label="filter")
+        ledger.parallel_for(n * c, 1, 1)
     return new
 
 

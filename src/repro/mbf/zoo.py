@@ -3,8 +3,9 @@
 Each factory returns an :class:`~repro.mbf.problem.MBFProblem` bundling the
 :class:`~repro.mbf.algorithm.MBFAlgorithm`, the initial state vector
 ``x^(0)``, a ``decode`` function, the declared *state family*, and (for
-every family but all-paths) a vectorized dense form.  Run through any
-engine — uniformly via the registry::
+every family but all-paths) a vectorized dense form.  Run it through
+:func:`~repro.mbf.problem.solve`, which picks the dense engine whenever
+the problem has a dense form::
 
     from repro.api import solve
     inst = zoo.sssp(G.n, source=0)

@@ -144,7 +144,7 @@ class HOracle:
             scale = self.penalty_base ** (self.Lambda - lam)
             y = states.restrict(self.masks[lam])
             for child, t in zip(level_children, states.sample_totals()):
-                child.parallel_for(int(t), 1, 1, label=f"P_{lam}")
+                child.parallel_for(int(t), 1, 1)
             if self.inner_early_exit:
                 # A chain that converges on step i stops there, after i + 1
                 # iterations; chains that never converge keep their state
@@ -173,13 +173,13 @@ class HOracle:
                 inner_used += self.d
             y = y.restrict(self.masks[lam])
             for child, t in zip(level_children, y.sample_totals()):
-                child.parallel_for(int(t), 1, 1, label=f"P_{lam}'")
+                child.parallel_for(int(t), 1, 1)
             owner = np.repeat(np.arange(k * n, dtype=np.int64), y.counts())
             parts_tgt.append(owner)
             parts_ids.append(y.ids)
             parts_dists.append(y.dists)
         for led, ch in zip(ledger_list, children):
-            led.join(*ch, label="levels")
+            led.join(*ch)
         self.inner_iterations_used.extend(int(x) for x in inner_used)
         return aggregate_batched(
             k,

@@ -16,6 +16,6 @@ Benchmarks report these ledgers; they are the measured counterpart of the
 paper's asymptotic statements (e.g. Theorems 5.2 and 7.9).
 """
 
-from repro.pram.cost import CostLedger, NULL_LEDGER, PhaseCost
+from repro.pram.cost import CostLedger, NULL_LEDGER
 
-__all__ = ["CostLedger", "PhaseCost", "NULL_LEDGER"]
+__all__ = ["CostLedger", "NULL_LEDGER"]

@@ -22,18 +22,9 @@ not absolute constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["PhaseCost", "CostLedger", "NULL_LEDGER"]
-
-
-@dataclass
-class PhaseCost:
-    """Cost of one named phase: ``work`` operations at ``depth`` critical path."""
-
-    label: str
-    work: int
-    depth: int
+__all__ = ["CostLedger", "NULL_LEDGER"]
 
 
 def _log2_ceil(k: int) -> int:
@@ -45,63 +36,39 @@ def _log2_ceil(k: int) -> int:
 
 @dataclass
 class CostLedger:
-    """Accumulates work/depth; optionally keeps a per-phase trace.
+    """Accumulates work/depth."""
 
-    Parameters
-    ----------
-    trace:
-        If true, every charge is recorded as a :class:`PhaseCost` in
-        :attr:`phases` (useful for per-stage breakdowns in benches).
-    """
-
-    trace: bool = False
     work: int = 0
     depth: int = 0
-    phases: list[PhaseCost] = field(default_factory=list)
 
     # -- primitive verbs ---------------------------------------------------
 
-    def serial(self, work: int, depth: int | None = None, label: str = "serial") -> None:
+    def serial(self, work: int, depth: int | None = None) -> None:
         """Charge a sequential phase: ``depth`` defaults to ``work``."""
         if work < 0:
             raise ValueError("work must be non-negative")
-        d = work if depth is None else depth
         self.work += int(work)
-        self.depth += int(d)
-        if self.trace:
-            self.phases.append(PhaseCost(label, int(work), int(d)))
+        self.depth += int(work if depth is None else depth)
 
     def parallel_for(
-        self,
-        items: int,
-        work_per_item: int = 1,
-        depth_per_item: int = 1,
-        label: str = "parallel_for",
+        self, items: int, work_per_item: int = 1, depth_per_item: int = 1
     ) -> None:
         """Charge ``items`` independent parallel tasks."""
         if items < 0:
             raise ValueError("items must be non-negative")
         if items == 0:
             return
-        w = int(items) * int(work_per_item)
-        d = int(depth_per_item)
-        self.work += w
-        self.depth += d
-        if self.trace:
-            self.phases.append(PhaseCost(label, w, d))
+        self.work += int(items) * int(work_per_item)
+        self.depth += int(depth_per_item)
 
-    def reduction(self, items: int, label: str = "reduction") -> None:
+    def reduction(self, items: int) -> None:
         """Balanced binary tree reduction of ``items`` values."""
         if items <= 0:
             return
-        w = int(items)
-        d = _log2_ceil(items)
-        self.work += w
-        self.depth += d
-        if self.trace:
-            self.phases.append(PhaseCost(label, w, d))
+        self.work += int(items)
+        self.depth += _log2_ceil(items)
 
-    def sort(self, items: int, label: str = "sort") -> None:
+    def sort(self, items: int) -> None:
         """Parallel sort of ``items`` keys: ``O(k log k)`` work, ``O(log k)`` depth.
 
         The paper invokes the AKS sorting network (Lemma 2.3 cites [1]) with
@@ -109,40 +76,24 @@ class CostLedger:
         ``ceil(log2 k)`` depth.
         """
         if items <= 1:
-            self.serial(1, 1, label)
+            self.serial(1, 1)
             return
         lg = _log2_ceil(items)
-        w = int(items) * lg
-        self.work += w
+        self.work += int(items) * lg
         self.depth += lg
-        if self.trace:
-            self.phases.append(PhaseCost(label, w, lg))
 
     # -- composition -------------------------------------------------------
 
     def fork(self) -> "CostLedger":
         """Create a child ledger for a parallel branch (join with :meth:`join`)."""
-        return CostLedger(trace=self.trace)
+        return CostLedger()
 
-    def join(self, *children: "CostLedger", label: str = "join") -> None:
+    def join(self, *children: "CostLedger") -> None:
         """Join parallel children: sum of work, max of depth."""
         if not children:
             return
-        w = sum(c.work for c in children)
-        d = max(c.depth for c in children)
-        self.work += w
-        self.depth += d
-        if self.trace:
-            self.phases.append(PhaseCost(label, w, d))
-            for c in children:
-                self.phases.extend(c.phases)
-
-    def merge_sequential(self, other: "CostLedger", label: str = "seq") -> None:
-        """Append ``other``'s cost sequentially after this ledger's."""
-        self.work += other.work
-        self.depth += other.depth
-        if self.trace:
-            self.phases.extend(other.phases)
+        self.work += sum(c.work for c in children)
+        self.depth += max(c.depth for c in children)
 
     # -- reporting ----------------------------------------------------------
 
@@ -161,31 +112,24 @@ class _NullLedger(CostLedger):
     unconditionally without ``if ledger is not None`` noise.
     """
 
-    def serial(self, work: int, depth: int | None = None, label: str = "serial") -> None:
+    def serial(self, work: int, depth: int | None = None) -> None:
         return
 
     def parallel_for(
-        self,
-        items: int,
-        work_per_item: int = 1,
-        depth_per_item: int = 1,
-        label: str = "parallel_for",
+        self, items: int, work_per_item: int = 1, depth_per_item: int = 1
     ) -> None:
         return
 
-    def reduction(self, items: int, label: str = "reduction") -> None:
+    def reduction(self, items: int) -> None:
         return
 
-    def sort(self, items: int, label: str = "sort") -> None:
+    def sort(self, items: int) -> None:
         return
 
     def fork(self) -> "CostLedger":
         return self
 
-    def join(self, *children: "CostLedger", label: str = "join") -> None:
-        return
-
-    def merge_sequential(self, other: "CostLedger", label: str = "seq") -> None:
+    def join(self, *children: "CostLedger") -> None:
         return
 
 

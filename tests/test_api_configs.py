@@ -20,7 +20,6 @@ class TestValidation:
         cfg = PipelineConfig()
         assert cfg.hopset.kind == "hub"
         assert cfg.embedding.method == "oracle"
-        assert cfg.embedding.backend == "dense"
         assert cfg.seed is None
 
     def test_hopset_kind_checked(self):
@@ -64,10 +63,6 @@ class TestValidation:
         for method in EMBEDDING_METHODS:
             EmbeddingConfig(method=method)
 
-    def test_embedding_backend_nonempty(self):
-        with pytest.raises(ValueError, match="backend"):
-            EmbeddingConfig(backend="")
-
     def test_pipeline_nested_types_checked(self):
         with pytest.raises(TypeError):
             PipelineConfig(hopset={"kind": "hub"})
@@ -103,7 +98,7 @@ class TestRoundTrip:
         for cfg in (
             HopsetConfig(kind="identity", eps=0.0),
             OracleConfig(penalty_base=1.25, inner_early_exit=False),
-            EmbeddingConfig(method="direct", backend="reference"),
+            EmbeddingConfig(method="direct"),
         ):
             assert type(cfg).from_dict(cfg.to_dict()) == cfg
 
@@ -111,7 +106,7 @@ class TestRoundTrip:
         cfg = PipelineConfig(
             hopset=HopsetConfig(kind="hub", d0=4, eps=0.125, c=1.5),
             oracle=OracleConfig(penalty_base=1.2),
-            embedding=EmbeddingConfig(method="direct", backend="reference"),
+            embedding=EmbeddingConfig(method="direct"),
             seed=7,
         )
         d = cfg.to_dict()
@@ -162,7 +157,7 @@ class TestEnsembleMode:
         """The embedding stage config says what to compute, not how: it
         holds no execution mode."""
         cfg = EmbeddingConfig(method="direct")
-        assert cfg.to_dict() == {"method": "direct", "backend": "dense"}
+        assert cfg.to_dict() == {"method": "direct"}
         assert EmbeddingConfig.from_dict(cfg.to_dict()) == cfg
 
 

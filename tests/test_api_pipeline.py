@@ -1,6 +1,7 @@
 """The Pipeline facade: artifact caching, batch sampling, legacy parity."""
 
 import contextlib
+import multiprocessing
 import os
 import signal
 from concurrent.futures.process import BrokenProcessPool
@@ -12,16 +13,16 @@ from repro.api import (
     EmbeddingConfig,
     ExecutionConfig,
     HopsetConfig,
-    MBFEngine,
     OracleConfig,
     Pipeline,
     PipelineConfig,
     PipelineResult,
     ShardWorkerError,
     generators as gen,
-    register_engine,
-    unregister_engine,
+    problems,
+    solve,
 )
+import repro.frt.lelists as lelists
 from repro.frt.embedding import _draw_randomness
 from repro.frt.lelists import compute_le_lists_batch_via_oracle
 from tests.frt_reference import build_frt_tree
@@ -74,8 +75,7 @@ class TestLegacyParity:
         a = Pipeline(g, cfg, rng=9).sample()
         b = Pipeline(g, cfg, rng=9).sample()
         _assert_same_embedding(a, b)
-        assert b.meta["pipeline"] == "direct"
-        assert b.meta["backend"] == "dense"
+        assert b.meta == {"pipeline": "direct"}
 
 
 class TestArtifactCaching:
@@ -243,7 +243,7 @@ class TestEnsembleValue:
             assert np.array_equal(emb.rank, res.ranks[s])
             assert emb.le_lists.equals(res.le_lists.sample_states(s))
             assert emb.iterations == res.iterations[s]
-            assert emb.meta == res.embedding_meta == {"pipeline": "direct", "backend": "dense"}
+            assert emb.meta == res.embedding_meta == {"pipeline": "direct"}
 
     def test_ledger_defaults_to_the_join(self):
         g = gen.cycle(12, rng=3)
@@ -391,31 +391,16 @@ class TestValidationAndBackends:
         with pytest.raises(TypeError):
             Pipeline(g, {"seed": 0})
 
-    def test_unknown_backend_fails_at_sample_time(self):
-        g = gen.cycle(8, rng=15)
-        cfg = PipelineConfig(
-            embedding=EmbeddingConfig(method="direct", backend="missing")
-        )
-        pipe = Pipeline(g, cfg, rng=0)  # lazy: construction succeeds
-        with pytest.raises(KeyError, match="missing"):
-            pipe.sample()
-
     def test_reference_backend_end_to_end(self):
+        """The direct method's LE lists are the reference engine's, sample
+        by sample."""
         g = gen.cycle(10, rng=16)
-        direct_ref = Pipeline(
-            g,
-            PipelineConfig(
-                embedding=EmbeddingConfig(method="direct", backend="reference")
-            ),
-            rng=4,
-        ).sample()
-        direct_dense = Pipeline(
-            g,
-            PipelineConfig(embedding=EmbeddingConfig(method="direct")),
-            rng=4,
-        ).sample()
-        _assert_same_embedding(direct_ref, direct_dense)
-        assert direct_ref.meta["backend"] == "reference"
+        cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
+        res = Pipeline(g, cfg, rng=4).sample_ensemble(k=3, seed=0)
+        for s in range(3):
+            ref, iters = solve(g, problems.le_lists(g.n, res.ranks[s]), engine="reference")
+            assert res.le_lists.sample_states(s).to_dicts() == ref.to_dicts()
+            assert res.iterations[s] == iters
 
     def test_ledger_threaded_through_sample(self):
         g = gen.cycle(12, rng=17)
@@ -559,28 +544,6 @@ class TestBatchedEnsemble:
             k=2, execution=ExecutionConfig(mode="batched", workers=2)
         )
         assert res.size == 2 and res.forest is not None
-
-    def test_backend_without_batch_driver_rejected(self):
-        """A solve-only engine cannot sample: sample() and ensembles alike
-        fail with a capability message."""
-
-        def solve_only(G, problem, *, h=None, ledger=None, **kw):
-            return None, 0
-
-        register_engine(
-            MBFEngine(name="test-solve-only", solve=solve_only, families=("min-plus",))
-        )
-        try:
-            g = gen.cycle(8, rng=12)
-            cfg = PipelineConfig(
-                embedding=EmbeddingConfig(method="direct", backend="test-solve-only")
-            )
-            with pytest.raises(ValueError, match="no LE-list driver"):
-                Pipeline(g, cfg, rng=0).sample_ensemble(k=2)
-            with pytest.raises(ValueError, match="no LE-list driver"):
-                Pipeline(g, cfg, rng=0).sample()
-        finally:
-            unregister_engine("test-solve-only")
 
     def test_batch_seed_does_not_shift_pipeline_stream(self):
         g = gen.cycle(16, rng=5)
@@ -757,19 +720,20 @@ class TestShardedBatchedEnsemble:
         )
         _assert_same_result(one, two)
 
-    def test_dead_worker_names_its_shard(self):
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the workers inherit the patched LE driver only when forked",
+    )
+    def test_dead_worker_names_its_shard(self, monkeypatch):
         """A worker that dies surfaces as a typed error naming the first
         shard that did not complete and its sample range, chained from
         the pool's own error."""
-        register_engine(MBFEngine(name="test-dies", le_lists_batch=_die_in_worker))
-        try:
-            cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct", backend="test-dies"))
-            with _time_limit(60), pytest.raises(ShardWorkerError) as info:
-                Pipeline(gen.cycle(12, rng=24), cfg).sample_ensemble(
-                    k=4, seed=25, execution=ExecutionConfig(workers=2)
-                )
-        finally:
-            unregister_engine("test-dies")
+        monkeypatch.setattr(lelists, "compute_le_lists_batch", _die_in_worker)
+        cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
+        with _time_limit(60), pytest.raises(ShardWorkerError) as info:
+            Pipeline(gen.cycle(12, rng=24), cfg).sample_ensemble(
+                k=4, seed=25, execution=ExecutionConfig(workers=2)
+            )
         err = info.value
         assert isinstance(err, RuntimeError)
         assert (err.shard, err.lo, err.hi) == (0, 0, 2)

@@ -37,6 +37,7 @@ from repro.mbf.dense import (
     run_batched_fixpoint,
     run_dense_batched,
     segmented_searchsorted,
+    take_active_samples,
 )
 from repro.oracle import HOracle
 from repro.pram import CostLedger
@@ -122,6 +123,38 @@ class TestBatchedFlatStates:
         assert sub.k == 2
         assert sub.sample_states(0).equals(parts[2])
         assert sub.sample_states(1).equals(parts[0])
+
+    def test_take_active_samples_lockstep(self):
+        """Compaction shrinks states, filter, ledgers and the per-entry
+        ``fresh`` mask with one sample index, in the order given — an
+        empty sample included."""
+        g = gen.cycle(7, rng=2)
+        ranks = _ranks(4, g.n, 13)
+        parts = [dense_k1(g, le_filter(r))[0] for r in ranks[:3]]
+        empty = BatchedFlatStates.from_sources(1, g.n, [])
+        b = BatchedFlatStates.concat([parts[0], empty, parts[1], parts[2]])
+        fresh = np.random.default_rng(14).random(b.total) < 0.5
+        ledgers = [CostLedger() for _ in range(4)]
+        keep = np.array([3, 1, 0])
+        states, spec, kept_ledgers, kept_fresh = take_active_samples(
+            keep, b, BatchedLEFilter(ranks), ledgers, fresh
+        )
+        assert states.k == 3 and states.sample_totals().tolist() == [
+            parts[2].total, 0, parts[0].total
+        ]
+        old, new = b.offsets[:: g.n], states.offsets[:: g.n]
+        for i, s in enumerate(keep):
+            assert states.sample_states(i).equals(b.sample_states(s))
+            assert np.array_equal(
+                kept_fresh[new[i] : new[i + 1]], fresh[old[s] : old[s + 1]]
+            )
+        assert np.array_equal(spec.ranks, ranks[keep])
+        assert all(a is ledgers[s] for a, s in zip(kept_ledgers, keep))
+        assert kept_fresh.shape == (states.total,)
+        _, _, no_ledgers, no_fresh = take_active_samples(
+            keep, b, BatchedLEFilter(ranks), None
+        )
+        assert no_ledgers is None and no_fresh is None
 
     def test_sample_equal_is_per_sample(self):
         g = gen.cycle(7, rng=2)

@@ -88,35 +88,6 @@ class TestForkJoin:
         parent.join()
         assert parent.snapshot() == (0, 0)
 
-    def test_merge_sequential(self):
-        a, b = CostLedger(), CostLedger()
-        a.serial(1, 1)
-        b.serial(2, 2)
-        a.merge_sequential(b)
-        assert a.snapshot() == (3, 3)
-
-
-class TestTrace:
-    def test_phases_recorded(self):
-        c = CostLedger(trace=True)
-        c.serial(5, label="setup")
-        c.parallel_for(3, label="scan")
-        assert [p.label for p in c.phases] == ["setup", "scan"]
-        assert c.phases[0].work == 5
-
-    def test_trace_off_by_default(self):
-        c = CostLedger()
-        c.serial(5)
-        assert c.phases == []
-
-    def test_join_propagates_child_phases(self):
-        c = CostLedger(trace=True)
-        child = c.fork()
-        child.serial(2, label="inner")
-        c.join(child)
-        labels = [p.label for p in c.phases]
-        assert "inner" in labels and "join" in labels
-
 
 class TestNullLedger:
     def test_ignores_everything(self):

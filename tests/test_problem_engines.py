@@ -17,13 +17,12 @@ from repro.api import (
     Pipeline,
     PipelineConfig,
     SolveResult,
-    engines_for,
     generators as gen,
-    get_engine,
+    pick_engine,
     problems,
-    resolve_engine,
     solve,
 )
+from repro.frt.lelists import compute_le_lists_batch
 from repro.graph.core import Graph
 from repro.mbf.dense import BatchedFlatStates
 from repro.mbf.problem import ScalarForm, solve_dense, solve_reference
@@ -102,9 +101,8 @@ class TestDenseReferenceParity:
     def test_all_paths_family_reference_only(self):
         g = GRAPHS[0]
         inst = problems.k_sdp(g.n, 2, sink=0)
-        assert engines_for("all-paths") == ("reference",)
-        # auto falls back to the reference engine...
-        assert resolve_engine(inst).name == "reference"
+        # auto picks the reference engine...
+        assert pick_engine(inst) == "reference"
         out, _ = solve(g, inst)
         ref, _ = solve(g, inst, engine="reference")
         assert out == ref
@@ -115,7 +113,7 @@ class TestDenseReferenceParity:
     def test_problem_without_dense_form_autoroutes_to_reference(self):
         inst = problems.sssp(5, 0)
         stripped = MBFProblem(inst.algo, inst.x0, inst.decode, family=inst.family)
-        assert resolve_engine(stripped).name == "reference"
+        assert pick_engine(stripped) == "reference"
         g = gen.path_graph(5)
         out, _ = solve(g, stripped)
         assert np.array_equal(out, np.array([0.0, 1.0, 2.0, 3.0, 4.0]))
@@ -210,17 +208,17 @@ class TestPipelineSolve:
         assert ledger.work > 0
 
     def test_le_lists_problem_matches_backend_driver(self):
+        """The LE-list problem equals the direct pipeline's batched driver."""
         g = gen.random_graph(14, 30, rng=52)
         rank = np.random.default_rng(53).permutation(g.n)
         via_problem, it_p = solve(g, problems.le_lists(g.n, rank))
-        via_backend, it_b = get_engine("dense").le_lists_batch(g, rank[None, :])
-        assert via_problem.equals(via_backend.sample_states(0))
+        via_driver, it_b = compute_le_lists_batch(g, rank[None, :])
+        assert via_problem.equals(via_driver)
         assert it_p == it_b[0]
 
     def test_families_are_declared(self):
         insts = _instances(8, np.random.default_rng(1))
         assert {i.family for i in insts.values()} | {"all-paths"} == set(FAMILIES)
-        for eng_name in ("dense", "reference"):
-            eng = get_engine(eng_name)
+        for engine in ("dense", "reference"):
             for inst in insts.values():
-                assert eng.supports(inst), (eng_name, inst.name)
+                assert pick_engine(inst, engine) == engine, (engine, inst.name)
