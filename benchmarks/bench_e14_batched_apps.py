@@ -11,7 +11,8 @@ accumulates every demand path through all trees via LCA-by-level
 arithmetic.
 
 Measured: wall-clock of the per-tree serial loops (``hst_kmedian_dp`` /
-``route_demands_on_tree``, the bit-identical references) vs the fused
+``route_demands_on_tree`` from ``tests/apps_reference.py``, the
+bit-identical references, run on each ``forest.tree(s)``) vs the fused
 forest kernels across ``(n, r)``, plus an end-to-end ``Pipeline.solve_app``
 timing.  Asserted shape: the forest k-median DP beats the per-tree loop
 **≥ 3x at n=512, r=16** (the vectorized fold does ``O(levels ·
@@ -37,8 +38,8 @@ from repro.apps.batched import (
     hst_kmedian_dp_forest,
     route_demands_on_forest,
 )
-from repro.apps.buyatbulk import CableType, Demand, cable_cost, route_demands_on_tree
-from repro.apps.kmedian import hst_kmedian_dp
+from repro.apps.buyatbulk import CableType, Demand, cable_cost
+from tests.apps_reference import hst_kmedian_dp, route_demands_on_tree
 
 CABLES = [CableType(1.0, 1.0), CableType(10.0, 4.0), CableType(100.0, 12.0)]
 
@@ -139,7 +140,7 @@ def test_e14_forest_routing(benchmark, n, r, demands, assert_speedup):
     for s, want in enumerate(serial):
         tree = forest.tree(s)
         ref = sum(
-            cable_cost(f, CABLES) * tree.edge_weight_above(node)
+            cable_cost(f, CABLES) * float(tree.edge_weights[0, tree.node_level[node]])
             for node, f in want.items()
         )
         assert costs[s] == pytest.approx(ref, rel=1e-12)

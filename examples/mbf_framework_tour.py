@@ -72,8 +72,8 @@ def main() -> None:
         f"{res.iterations} iterations; stats={pipe.stats['solves']} solve(s), "
         f"{pipe.timings['solves'] * 1e3:.2f} ms"
     )
-    tree = pipe.sample().tree
-    print(f"...and an FRT tree from the same facade: {tree.num_nodes} tree nodes")
+    tree = pipe.sample().tree  # one tree: a k = 1 FRTForest
+    print(f"...and an FRT tree from the same facade: {tree.total_nodes} tree nodes")
 
 
 if __name__ == "__main__":

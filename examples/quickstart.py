@@ -44,9 +44,9 @@ def main() -> None:
         f"\noracle pipeline:  hop bound d={oracle.d}, levels Λ={oracle.Lambda}, "
         f"H-iterations={res.iterations} (vs SPD={spd})"
     )
-    t = res.tree
+    t = res.tree  # one tree: a k = 1 FRTForest
     print(
-        f"  one tree: {t.num_nodes} nodes, depth {t.k}, beta={res.beta:.3f}"
+        f"  one tree: {t.total_nodes} nodes, depth {t.k_max}, beta={res.beta:.3f}"
     )
 
     # -- batch ensemble sampling: one build, k trees ---------------------------

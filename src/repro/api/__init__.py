@@ -138,13 +138,11 @@ __all__ = [
     "kmedian_greedy",
     "kmedian_random",
     "KMedianResult",
-    "hst_kmedian_dp",
     "hst_kmedian_dp_forest",
     "buy_at_bulk",
     "CableType",
     "Demand",
     "BuyAtBulkResult",
-    "route_demands_on_tree",
     "route_demands_on_forest",
     "cable_costs_array",
     "forest_tree_costs",
@@ -173,13 +171,11 @@ _LAZY_EXPORTS = {
     "kmedian_greedy": "repro.apps.kmedian",
     "kmedian_random": "repro.apps.kmedian",
     "KMedianResult": "repro.apps.kmedian",
-    "hst_kmedian_dp": "repro.apps.kmedian",
     "hst_kmedian_dp_forest": "repro.apps.batched",
     "buy_at_bulk": "repro.apps.buyatbulk",
     "CableType": "repro.apps.buyatbulk",
     "Demand": "repro.apps.buyatbulk",
     "BuyAtBulkResult": "repro.apps.buyatbulk",
-    "route_demands_on_tree": "repro.apps.buyatbulk",
     "route_demands_on_forest": "repro.apps.batched",
     "cable_costs_array": "repro.apps.batched",
     "forest_tree_costs": "repro.apps.batched",

@@ -25,7 +25,6 @@ import numpy as np
 from repro.frt.embedding import EmbeddingResult
 from repro.frt.ensemble import sample_views
 from repro.frt.forest import FRTForest
-from repro.frt.tree import FRTTree
 from repro.mbf.dense import BatchedFlatStates
 from repro.metric.approx_metric import MetricResult
 from repro.pram.cost import CostLedger
@@ -70,7 +69,8 @@ class PipelineResult:
     ----------
     forest:
         The stacked :class:`~repro.frt.forest.FRTForest` of all ``k``
-        trees; distance queries run on it (``result.forest.distances``).
+        trees; distance queries run on it (``result.forest.distances``),
+        and ``result.forest.tree(s)`` is sample ``s`` as a ``k = 1`` forest.
     le_lists:
         All samples' LE lists as one
         :class:`~repro.mbf.dense.BatchedFlatStates`.
@@ -145,15 +145,13 @@ class PipelineResult:
             self.forest, self.le_lists, self.ranks, self.iterations, self.embedding_meta
         )
 
-    @property
-    def trees(self) -> list[FRTTree]:
-        """The sampled trees (conveniences for downstream consumers)."""
-        return [e.tree for e in self.embeddings]
-
     def best_tree_for(
-        self, objective: Callable[[FRTTree], float]
+        self, objective: Callable[[FRTForest], float]
     ) -> tuple[EmbeddingResult, float]:
         """Return the ``(embedding, value)`` minimizing ``objective``.
+
+        ``objective`` scores one tree, a ``k = 1``
+        :class:`~repro.frt.forest.FRTForest` (``embedding.tree``).
 
         This is the log(1/eps)-repetitions pattern: for a linear objective,
         the best of ``k`` trees is an ``O(log n)``-approximation with

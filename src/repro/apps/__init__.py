@@ -9,8 +9,9 @@
 - :mod:`repro.apps.batched` — the forest-backed fast path both pipelines
   run on: the k-median DP and the demand routing of *every* ensemble
   sample in one vectorized pass over the stacked
-  :class:`~repro.frt.forest.FRTForest` arrays, bit-identical per sample to
-  the serial references.
+  :class:`~repro.frt.forest.FRTForest` arrays; one tree is its ``k = 1``
+  case.  The per-tree reference loops they are checked against, bit for
+  bit, live in ``tests/apps_reference.py``.
 """
 
 from repro.apps.batched import (
@@ -19,28 +20,25 @@ from repro.apps.batched import (
     hst_kmedian_dp_forest,
     route_demands_on_forest,
 )
-from repro.apps.kmedian import KMedianResult, hst_kmedian_dp, kmedian, kmedian_cost
+from repro.apps.kmedian import KMedianResult, kmedian, kmedian_cost
 from repro.apps.buyatbulk import (
     BuyAtBulkResult,
     CableType,
     Demand,
     buy_at_bulk,
     cable_cost,
-    route_demands_on_tree,
 )
 
 __all__ = [
     "KMedianResult",
     "kmedian",
     "kmedian_cost",
-    "hst_kmedian_dp",
     "hst_kmedian_dp_forest",
     "BuyAtBulkResult",
     "CableType",
     "Demand",
     "buy_at_bulk",
     "cable_cost",
-    "route_demands_on_tree",
     "route_demands_on_forest",
     "cable_costs_array",
     "forest_tree_costs",

@@ -1,10 +1,7 @@
 """Forest-backed application kernels: the whole ensemble in one pass.
 
-PRs 2-4 batched the paper's *pipeline* — LE-list fixpoints, then FRT tree
-construction — but the Section 9-10 applications still consumed the
-ensemble one tree at a time through per-node Python DP loops, so the
-end-to-end scenario never saw the forest speedup.  This module closes the
-gap at the top of the stack:
+The Section 9-10 applications score every tree of a sampled ensemble; one
+tree is the ``k = 1`` case of the same kernels (``forest.tree(s)``).
 
 - :func:`hst_kmedian_dp_forest` runs the Theorem 9.2 k-median DP on the
   stacked :class:`~repro.frt.forest.FRTForest` arrays for *all* samples in
@@ -14,22 +11,21 @@ gap at the top of the stack:
   vectorized operations instead of ``O(samples · nodes · k²)`` Python
   iterations, recording each fold's argmin split in a parallel choice
   tensor.  Backtracking then visits only the ``O(k · depth)`` nodes per
-  sample that actually hold facilities, each a pure integer lookup — so
-  costs *and* facility sets are bit-identical to
-  :func:`~repro.apps.kmedian.hst_kmedian_dp` run per tree (pinned by
-  ``tests/test_apps_batched.py``).
+  sample that actually hold facilities, each a pure integer lookup.
 - :func:`route_demands_on_forest` accumulates every demand's tree path
   through all stacked trees at once via LCA-by-level arithmetic (one
   ``bincount`` over masked ancestor ids per level) instead of per-demand
-  Python walks; per-node flows are bit-identical to
-  :func:`~repro.apps.buyatbulk.route_demands_on_tree` per sample.
+  Python walks.
 - :func:`cable_costs_array` / :func:`forest_tree_costs` vectorize the
   per-edge cable purchase so buy-at-bulk scores the whole ensemble and
   keeps the best tree without a Python loop over edges.
 
-The serial functions remain the executable references; this module must
-agree with them exactly (flows, DP costs, facility ids), not merely
-approximately.
+The per-tree Python loops these kernels replace are kept as executable
+references in ``tests/apps_reference.py``; costs, facility ids and flows
+must agree with them exactly, not merely approximately (pinned by
+``tests/test_apps_batched.py``).  Each sample's answer is independent of
+the rest of the batch: the kernels on ``forest.tree(s)`` return sample
+``s``'s answer of the whole forest bit for bit.
 """
 
 from __future__ import annotations
@@ -56,9 +52,9 @@ def _subtree_weights(forest: FRTForest, leaf_weights: np.ndarray) -> np.ndarray:
     Each vertex contributes to its ancestor at every *real* level (padded
     levels replicate the root and are masked out).  ``bincount`` sums the
     contributions in flat ``(sample, vertex, level)`` order, i.e. by
-    ascending vertex per node — the same accumulation order as the serial
-    ``W[tree.level_ids[v]] += leaf_weights[v]`` loop, so the per-node sums
-    are bit-identical.
+    ascending vertex per node — the same accumulation order as the per-tree
+    reference's ``W[level_ids[v]] += leaf_weights[v]`` loop, so the
+    per-node sums are bit-identical.
     """
     size, n = forest.size, forest.n
     gids = forest.node_offsets[:-1, None, None] + forest.level_ids
@@ -77,21 +73,22 @@ def hst_kmedian_dp_forest(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Optimal k-median on every tree of ``forest`` in one vectorized DP.
 
-    The batched counterpart of :func:`~repro.apps.kmedian.hst_kmedian_dp`:
     ``leaf_weights[v]`` is the client weight at vertex ``v`` (shared by all
     samples — they embed the same clients), ``allowed[v]`` marks facility
-    locations.  Returns ``(costs, facilities)`` where ``costs[s]`` and
-    ``facilities[s]`` are bit-identical to
-    ``hst_kmedian_dp(forest.tree(s), leaf_weights, k, allowed=allowed)``.
+    locations.  Returns ``(costs, facilities)``: ``costs[s]`` is sample
+    ``s``'s optimal tree cost (every client pays its tree distance to the
+    nearest open facility) and ``facilities[s]`` its sorted facility
+    vertices, bit-identical to the per-tree reference loop
+    (``tests/apps_reference.py``) and to this call on ``forest.tree(s)``.
 
     The DP tensor ``dp[node, j]`` (``j = 0..k`` facilities inside the
     node's subtree) is filled level-synchronously bottom-up: at level ``j``
     all samples' level-``j`` children are grouped by composite parent key
     and folded child-position by child-position, each fold a vectorized
     ``(min, +)`` convolution across every parent of every sample at once.
-    Children fold in ascending node-id order — the serial
-    ``children_lists`` order — so float addition order (and therefore every
-    bit of the result) matches the per-tree loop.
+    Children fold in ascending node-id order — the per-tree reference's
+    children order — so float addition order (and therefore every bit of
+    the result) matches the per-tree loop.
     """
     n = forest.n
     leaf_weights = np.asarray(leaf_weights, dtype=np.float64)
@@ -114,7 +111,7 @@ def hst_kmedian_dp_forest(
     W = _subtree_weights(forest, leaf_weights)
 
     # Leaves: dp = [0, 0, inf, ...] when the vertex may host a facility,
-    # [0, inf, ...] otherwise (the serial [0.0, 0.0] / [0.0] arrays,
+    # [0, inf, ...] otherwise (the per-tree [0.0, 0.0] / [0.0] arrays,
     # INF-padded to fixed width — padding never wins a min).
     leaf_gid = offsets[:-1, None] + forest.level_ids[:, :, 0]  # (size, n)
     dp = np.full((total, k + 1), INF)
@@ -123,12 +120,12 @@ def hst_kmedian_dp_forest(
 
     # Level-synchronous bottom-up merge.  Nodes are stored per sample in
     # creation (root-down) order, so within a level the flat node ids
-    # ascend exactly like the serial per-parent children order.
+    # ascend exactly like the per-tree children order.
     # ``choice[child, j]`` records the fold's argmin split — how many of
     # the ``j`` facilities went to the already-merged left siblings when
     # ``child`` was folded in — making backtracking pure array lookups.
     # ``np.argmin``'s first-occurrence tie-break over ascending ``j1`` is
-    # exactly the serial loop's "first strictly smaller candidate wins".
+    # exactly the per-tree loop's "first strictly smaller candidate wins".
     choice = np.zeros((total, k + 1), dtype=np.int64)
     parent_flat = forest.parent
     level_flat = forest.node_level
@@ -158,7 +155,7 @@ def hst_kmedian_dp_forest(
             choice[ch[sel]] = cand.argmin(axis=1)
         dp[uniq_par] = acc
 
-    # Root answers: argmin over the INF-padded row equals the serial argmin
+    # Root answers: argmin over the INF-padded row equals the per-tree argmin
     # over the (possibly shorter) finite prefix, first-minimum tie-break
     # included.
     root_gid = offsets[:-1] + forest.level_ids[np.arange(size), 0, forest.depths]
@@ -184,13 +181,13 @@ def _backtrack(
     many went to the left siblings, the difference is the child's own
     share.  Only the ``O(k · depth)`` nodes per sample that actually hold
     facilities are visited, each a pure integer lookup — and the recorded
-    choices carry the serial tie-break, so the facility ids match
-    :func:`~repro.apps.kmedian.hst_kmedian_dp` exactly.
+    choices carry the per-tree loop's tie-break, so the facility ids match
+    the reference exactly.
     """
     total = forest.total_nodes
     offsets = forest.node_offsets
     # Children CSR over global ids (ascending within each parent — the
-    # serial children_lists order).
+    # per-tree reference's children order).
     nonroot = np.flatnonzero(forest.parent >= 0)
     par_g = offsets[sample_of[nonroot]] + forest.parent[nonroot]
     kids = nonroot[np.argsort(par_g, kind="stable")]
@@ -229,15 +226,13 @@ def route_demands_on_forest(
 ) -> np.ndarray:  # shape: -> (total_nodes,) float64 owned
     """Aggregate per-tree-edge flows of all samples, ``(total_nodes,)``.
 
-    The batched counterpart of
-    :func:`~repro.apps.buyatbulk.route_demands_on_tree`: each demand's tree
-    path climbs from both endpoints to their LCA, touching the ancestors
-    strictly below the LCA level.  All ``(sample, demand, side)``
-    contributions of one level are gathered per pass and summed with a
-    ``bincount`` over global node ids — in the serial per-demand order per
-    node, so the flows are bit-identical to the per-tree reference (index
-    the result by ``forest.node_offsets[s] + local_node_id``; nodes off
-    every demand path hold ``0.0``).
+    Each demand's tree path climbs from both endpoints to their LCA,
+    touching the ancestors strictly below the LCA level.  All
+    ``(sample, demand, side)`` contributions of one level are gathered per
+    pass and summed with a ``bincount`` over global node ids — per node in
+    demand order, so the flows are bit-identical to the per-tree reference
+    walks (index the result by ``forest.node_offsets[s] + local_node_id``;
+    nodes off every demand path hold ``0.0``).
     """
     demands = list(demands)
     if not demands:
@@ -251,7 +246,7 @@ def route_demands_on_forest(
     # One pass per climbing level: a level-``j`` node only ever receives
     # level-``j`` contributions, so partitioning the sum by level keeps
     # every node's accumulation order (demand-major, then side) — and its
-    # float bits — identical to the serial walks, while the transient
+    # float bits — identical to the per-tree walks, while the transient
     # gathers stay at ``(size, D, 2)`` instead of the full
     # ``(size, D, 2, k_max)`` tensor (the same bounded-transient policy as
     # the forest's blocked pair queries).

@@ -18,8 +18,8 @@ With ``trees > 1`` the reduction step samples a whole batched ensemble and
 scores every tree's routing cost in one vectorized pass
 (:func:`~repro.apps.batched.route_demands_on_forest` +
 :func:`~repro.apps.batched.forest_tree_costs`), keeping the best tree —
-the repetition trick without a per-tree Python loop.  The serial
-:func:`route_demands_on_tree` stays the bit-identical per-tree reference.
+the repetition trick without a per-tree Python loop.  One tree, sampled
+here or supplied as an embedding, is the same code at ``k = 1``.
 
 Reported alongside: a *shortest-path routing* baseline (each demand routed
 independently in ``G``) and the fractional lower bound
@@ -40,7 +40,6 @@ from repro.api.pipeline import Pipeline
 from repro.apps.batched import forest_tree_costs, route_demands_on_forest
 from repro.frt.embedding import EmbeddingResult
 from repro.frt.paths import PathOracle, tree_edge_to_graph_path
-from repro.frt.tree import FRTTree
 from repro.graph.core import Graph
 from repro.graph.shortest_paths import dijkstra_distances
 from repro.util.rng import as_rng
@@ -50,7 +49,6 @@ __all__ = [
     "Demand",
     "BuyAtBulkResult",
     "cable_cost",
-    "route_demands_on_tree",
     "buy_at_bulk",
 ]
 
@@ -124,25 +122,6 @@ def cable_cost(flow: float, cables: list[CableType]) -> float:
     return min(c.cost * math.ceil(flow / c.capacity - 1e-12) for c in cables)
 
 
-def route_demands_on_tree(
-    tree: FRTTree, demands: list[Demand]
-) -> dict[int, float]:
-    """Aggregate per-tree-edge flows (keyed by the edge's child node).
-
-    The tree path between two leaves climbs from both sides to the LCA;
-    with all leaves at depth ``k`` this touches the ancestors of both
-    endpoints strictly below the LCA level.
-    """
-    flows: dict[int, float] = {}
-    for dm in demands:
-        lvl = int(tree.lca_levels([dm.source], [dm.target])[0])
-        for side in (dm.source, dm.target):
-            for j in range(lvl):
-                node = int(tree.level_ids[side, j])
-                flows[node] = flows.get(node, 0.0) + dm.amount
-    return flows
-
-
 def _accumulate_graph_flow(
     edge_flows: dict[tuple[int, int], float], path: list[int], amount: float
 ) -> None:
@@ -163,20 +142,19 @@ def buy_at_bulk(
 ) -> BuyAtBulkResult:
     """Theorem 10.2 pipeline: expected ``O(log n)``-approximation.
 
-    A pre-sampled ``embedding`` may be supplied (e.g. from the oracle
-    pipeline); routing then runs the serial single-tree reference path
-    (``trees``/``pipeline`` must be left at their defaults — the
-    combination is rejected rather than silently ignored).
-    Otherwise ``trees`` FRT trees are sampled as one batched ensemble
-    (``Pipeline.sample_ensemble``), every sample's routing
-    cost is scored in one vectorized
+    ``trees`` FRT trees are sampled as one batched ensemble
+    (``Pipeline.sample_ensemble``), every sample's routing cost is scored
+    in one vectorized
     :func:`~repro.apps.batched.route_demands_on_forest` pass, and the best
     tree (minimum surrogate cost — the paper's repetition trick) is mapped
     back to ``G``.  ``pipeline`` injects a pre-configured
     :class:`~repro.api.pipeline.Pipeline` on ``G`` (e.g. the oracle
     method); it must embed the same graph, and its own generator drives
     the sampling (``rng`` applies only when neither ``embedding`` nor
-    ``pipeline`` is given).
+    ``pipeline`` is given).  A pre-sampled ``embedding`` (e.g. from the
+    oracle pipeline) is routed instead, through the same code at
+    ``k = 1``; ``trees``/``pipeline`` must then be left at their defaults
+    — the combination is rejected rather than silently ignored.
     """
     if not demands:
         raise ValueError("need at least one demand")
@@ -193,16 +171,8 @@ def buy_at_bulk(
     for dm in demands:
         if not (0 <= dm.source < G.n and 0 <= dm.target < G.n):
             raise ValueError("demand endpoint out of range")
-    meta_extra: dict = {}
     if embedding is not None:
-        emb = embedding
-        tree = emb.tree
-        # -- serial reference: route on the one supplied tree ---------------
-        tree_flows = route_demands_on_tree(tree, demands)
-        tree_cost = 0.0
-        for node, f in tree_flows.items():
-            w = tree.edge_weight_above(node)
-            tree_cost += cable_cost(f, cables) * w
+        forest = embedding.tree
     else:
         if pipeline is None:
             pipeline = Pipeline(
@@ -212,23 +182,22 @@ def buy_at_bulk(
             )
         elif pipeline.G is not G:
             raise ValueError("pipeline must embed the same graph as the demands")
-        result = pipeline.sample_ensemble(trees)
-        forest = result.forest
-        flows = route_demands_on_forest(forest, demands)
-        tree_costs = forest_tree_costs(forest, flows, cables)
-        best = int(np.argmin(tree_costs))
-        emb = result.embeddings[best]
-        tree = emb.tree
-        lo, hi = forest.node_offsets[best], forest.node_offsets[best + 1]
-        local = flows[lo:hi]
-        used = np.flatnonzero(local > 0)
-        tree_flows = {int(node): float(local[node]) for node in used}
-        tree_cost = float(tree_costs[best])
+        forest = pipeline.sample_ensemble(trees).forest
+    flows = route_demands_on_forest(forest, demands)
+    tree_costs = forest_tree_costs(forest, flows, cables)
+    best = int(np.argmin(tree_costs))
+    meta_extra: dict = {}
+    if embedding is None:
         meta_extra = {
             "trees": trees,
             "best_sample": best,
             "tree_costs": [float(c) for c in tree_costs],
         }
+    tree = forest.tree(best)
+    local = flows[forest.node_offsets[best] : forest.node_offsets[best + 1]]
+    used = np.flatnonzero(local > 0)
+    tree_flows = {int(node): float(local[node]) for node in used}
+    tree_cost = float(tree_costs[best])
 
     # -- map back to G -------------------------------------------------------
     oracle = PathOracle(G)
@@ -272,7 +241,7 @@ def buy_at_bulk(
             "demands": len(demands),
             "cables": len(cables),
             "tree_edges_used": len(tree_flows),
-            "beta": emb.beta,
+            "beta": float(forest.betas[best]),
             **meta_extra,
         },
     )

@@ -19,10 +19,10 @@ Pipeline, following Blelloch et al. [10] adapted to graph inputs:
    ancestor level whose subtree holds an open facility, so
    ``cost(F) = Σ_{t: subtree(t)∩F=∅} W(t)·2·w(level(t))`` and a knapsack DP
    over the tree solves the problem *optimally* on the tree metric
-   (:func:`hst_kmedian_dp`, the serial reference verified against brute
-   force in tests; the pipeline runs all repetition trees at once through
-   :func:`~repro.apps.batched.hst_kmedian_dp_forest`, bit-identical per
-   tree).
+   (:func:`~repro.apps.batched.hst_kmedian_dp_forest`, which runs the DP
+   of all repetition trees at once; tests check it against brute force
+   and, bit for bit, against the per-tree reference loop in
+   ``tests/apps_reference.py``).
 4. **Map back**: open the chosen candidates in ``G``; the tree guarantee
    gives expected ``O(log k)``-approximation overall.
 """
@@ -38,7 +38,6 @@ from repro.api.configs import EmbeddingConfig, PipelineConfig
 from repro.api.pipeline import Pipeline
 from repro.apps.batched import hst_kmedian_dp_forest
 from repro.frt.stretch import all_pairs
-from repro.frt.tree import FRTTree
 from repro.graph.core import Graph
 from repro.graph.shortest_paths import dijkstra_distances
 from repro.util.rng import as_rng
@@ -47,7 +46,6 @@ __all__ = [
     "KMedianResult",
     "successive_sampling",
     "distance_to_set_via_oracle",
-    "hst_kmedian_dp",
     "kmedian",
     "kmedian_cost",
     "kmedian_greedy",
@@ -148,124 +146,6 @@ def successive_sampling(
     return np.unique(np.concatenate(chosen))
 
 
-def hst_kmedian_dp(
-    tree: FRTTree,
-    leaf_weights: np.ndarray,
-    k: int,
-    *,
-    allowed: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Optimal k-median on the HST metric of ``tree``.
-
-    ``leaf_weights[v]`` is the client weight at vertex ``v``'s leaf;
-    ``allowed[v]`` marks vertices usable as facilities (default: all).
-    Returns ``(tree_cost, facility_vertices)`` — provably optimal for the
-    tree metric (every client pays its tree distance to the nearest open
-    facility).
-
-    This is the *serial reference* (one tree, a per-node Python loop).
-    Batch users — anything scoring a whole ensemble — should call
-    :func:`~repro.apps.batched.hst_kmedian_dp_forest`, which runs every
-    sample's DP in one vectorized pass with bit-identical costs and
-    facility sets.
-
-    DP: ``dp[t][j]`` = cost of tree edges inside ``subtree(t)`` with ``j``
-    facilities placed inside; merging child ``c`` adds
-    ``W(c)·2·w(level(c))`` when ``c`` receives no facility (its clients pay
-    the edge above ``c``).  Root answer: ``min_{j<=k} dp[root][j]`` —
-    opening fewer can never help, but equal-cost smaller sets are legal.
-    """
-    n = tree.n
-    leaf_weights = np.asarray(leaf_weights, dtype=np.float64)
-    if leaf_weights.shape != (n,) or np.any(leaf_weights < 0):
-        raise ValueError("leaf_weights must be a non-negative (n,) array")
-    if allowed is None:
-        allowed = np.ones(n, dtype=bool)
-    allowed = np.asarray(allowed, dtype=bool)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not allowed.any():
-        raise ValueError("no facility locations allowed")
-
-    N = tree.num_nodes
-    children = tree.children_lists()
-    # Client weight below each node.
-    W = np.zeros(N)
-    for v in range(n):
-        W[tree.level_ids[v]] += leaf_weights[v]
-    # leaf node -> vertex
-    leaf_vertex = np.full(N, -1, dtype=np.int64)
-    for v in range(n):
-        leaf_vertex[tree.leaf_of(v)] = v
-
-    order = np.argsort(tree.node_level, kind="stable")  # leaves first
-    dp: list[np.ndarray | None] = [None] * N
-    # For backtracking: per node, per j, the list of (child, j_child).
-    alloc: list[dict[int, list[tuple[int, int]]] | None] = [None] * N
-
-    for node in order:
-        node = int(node)
-        if not children[node]:  # leaf
-            v = int(leaf_vertex[node])
-            if allowed[v]:
-                dp[node] = np.array([0.0, 0.0])
-                alloc[node] = {0: [], 1: [(node, 1)]}
-            else:
-                dp[node] = np.array([0.0])
-                alloc[node] = {0: []}
-            continue
-        comb = np.array([0.0])
-        comb_alloc: dict[int, list[tuple[int, int]]] = {0: []}
-        for c in children[node]:
-            cdp = dp[c]
-            assert cdp is not None
-            lvl_c = int(tree.node_level[c])
-            penalty = 2.0 * tree.edge_weights[lvl_c] * W[c]
-            child_cost = cdp.copy()
-            child_cost[0] += penalty  # no facility below c: clients pay up
-            new_size = min(k, comb.size - 1 + cdp.size - 1) + 1
-            new = np.full(new_size, INF)
-            new_alloc: dict[int, list[tuple[int, int]]] = {}
-            for j1 in range(comb.size):
-                if not np.isfinite(comb[j1]):
-                    continue
-                for j2 in range(cdp.size):
-                    j = j1 + j2
-                    if j >= new_size:
-                        break
-                    cand = comb[j1] + child_cost[j2]
-                    if cand < new[j]:
-                        new[j] = cand
-                        new_alloc[j] = comb_alloc[j1] + [(c, j2)]
-            comb = new
-            comb_alloc = new_alloc
-        dp[node] = comb
-        alloc[node] = comb_alloc
-
-    root = tree.root
-    rdp = dp[root]
-    assert rdp is not None
-    jmax = min(k, rdp.size - 1)
-    best_j = int(np.argmin(rdp[: jmax + 1]))
-    best_cost = float(rdp[best_j])
-
-    # Backtrack facilities.
-    facilities: list[int] = []
-    stack = [(root, best_j)]
-    while stack:
-        node, j = stack.pop()
-        a = alloc[node]
-        assert a is not None
-        if not children[node]:
-            if j == 1:
-                facilities.append(int(leaf_vertex[node]))
-            continue
-        for c, jc in a[j]:
-            if jc > 0:
-                stack.append((c, jc))
-    return best_cost, np.array(sorted(facilities), dtype=np.int64)
-
-
 def kmedian(
     G: Graph,
     k: int,
@@ -281,14 +161,17 @@ def kmedian(
     best resulting solution (the standard repetition trick from the
     introduction of the paper).  The whole repetition batch runs through
     the forest-backed fast path: one ``Pipeline.sample_ensemble`` call
-    embeds all trees at once and :func:`~repro.apps.batched.hst_kmedian_dp_forest` solves every
-    tree's DP in one vectorized pass (bit-identical per tree to the serial
-    :func:`hst_kmedian_dp` reference).  With ``oracle``, the
-    candidate-sampling distance queries run on the simulated graph ``H``
-    (the paper's mechanism); evaluation/weighting remain exact.
+    embeds all trees at once and
+    :func:`~repro.apps.batched.hst_kmedian_dp_forest` solves every tree's
+    DP in one vectorized pass.  ``trees`` must be at least 1.  With
+    ``oracle``, the candidate-sampling distance queries run on the
+    simulated graph ``H`` (the paper's mechanism); evaluation/weighting
+    remain exact.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if trees < 1:
+        raise ValueError("trees must be >= 1")
     if not G.is_connected():
         raise ValueError("k-median pipeline requires a connected graph")
     g = as_rng(rng)
@@ -318,7 +201,7 @@ def kmedian(
     pipe = Pipeline(
         clique, PipelineConfig(embedding=EmbeddingConfig(method="direct")), rng=g
     )
-    result = pipe.sample_ensemble(max(1, trees))
+    result = pipe.sample_ensemble(trees)
     _, facility_sets = hst_kmedian_dp_forest(result.forest, weights, k)
     best: tuple[float, np.ndarray] | None = None
     for fac_local in facility_sets:

@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.congest.model import RoundLedger
-from repro.frt.forest import build_frt_forest
-from repro.frt.tree import FRTTree
+from repro.frt.forest import FRTForest, build_frt_forest
 from repro.graph.core import Graph
 from repro.graph.shortest_paths import hop_diameter, hop_limited_distances
 from repro.hopsets.rounded import rounded_hopset
@@ -51,9 +50,13 @@ __all__ = ["SkeletonFRTResult", "jump_started_tree", "skeleton_frt"]
 
 @dataclass
 class SkeletonFRTResult:
-    """Output of the skeleton-based distributed FRT construction."""
+    """Output of the skeleton-based distributed FRT construction.
 
-    tree: FRTTree
+    ``tree`` is the sampled tree as a ``k = 1``
+    :class:`~repro.frt.forest.FRTForest`.
+    """
+
+    tree: FRTForest
     rank: np.ndarray
     beta: float
     le_lists: BatchedFlatStates
@@ -180,7 +183,7 @@ def jump_started_tree(
     *,
     rng=None,
     beta: float | None = None,
-) -> tuple[FRTTree, float, BatchedFlatStates, int]:
+) -> tuple[FRTForest, float, BatchedFlatStates, int]:
     """The local phase of Sections 8.2 and 8.3, then the FRT tree.
 
     Runs exactly ``ell`` LE iterations on ``G`` with weights scaled by
@@ -189,8 +192,8 @@ def jump_started_tree(
     each step propagates only the entries the previous one inserted.  A
     guard for unlucky small-scale sampling tops up while some list misses
     the common root (the global min-rank vertex).  Draws ``beta`` unless
-    given and builds the tree.  Returns ``(tree, beta, lists,
-    extra_iterations)``.
+    given and builds the tree, a ``k = 1`` forest.  Returns ``(tree, beta,
+    lists, extra_iterations)``.
     """
     n = G.n
     spec = BatchedLEFilter(rank[None, :])
@@ -217,5 +220,5 @@ def jump_started_tree(
         raise RuntimeError("local LE phase failed to reach a common root")
     b = float(as_rng(rng).uniform(1.0, 2.0)) if beta is None else float(beta)
     wmin, _ = G.weight_bounds()
-    forest = build_frt_forest(cur, rank[None, :], np.array([b]), wmin)
-    return forest.tree(0), b, cur, extra_iterations
+    tree = build_frt_forest(cur, rank[None, :], np.array([b]), wmin)
+    return tree, b, cur, extra_iterations

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.congest.model import RoundLedger
 from repro.congest.skeleton import jump_started_tree
-from repro.frt.tree import FRTTree
+from repro.frt.forest import FRTForest
 from repro.graph.core import Graph
 from repro.graph.shortest_paths import (
     dijkstra_distances,
@@ -45,9 +45,13 @@ __all__ = ["SpannerFRTResult", "spanner_frt"]
 
 @dataclass
 class SpannerFRTResult:
-    """Output of the Section-8.2 spanner-based construction."""
+    """Output of the Section-8.2 spanner-based construction.
 
-    tree: FRTTree
+    ``tree`` is the sampled tree as a ``k = 1``
+    :class:`~repro.frt.forest.FRTForest`.
+    """
+
+    tree: FRTForest
     rank: np.ndarray
     beta: float
     le_lists: BatchedFlatStates

@@ -17,8 +17,8 @@ Entry points:
   random orders in one pass)
 - :class:`~repro.frt.forest.FRTForest` and
   :func:`~repro.frt.forest.build_frt_forest` (all ensemble trees in one
-  vectorized pass, one tree being ``k = 1``; ensemble distance queries)
-  and its per-sample :class:`~repro.frt.tree.FRTTree` views
+  vectorized pass, one tree being ``k = 1``; ensemble distance queries;
+  ``forest.tree(s)`` cuts sample ``s`` out as a ``k = 1`` forest)
 - :class:`~repro.frt.embedding.EmbeddingResult` (one sample; sampling
   itself runs through :class:`repro.api.Pipeline`, ``sample()`` /
   ``sample_ensemble(k)``)
@@ -30,17 +30,14 @@ from repro.frt.lelists import (
     compute_le_lists_batch,
     compute_le_lists_batch_via_oracle,
 )
-from repro.frt.tree import FRTTree
 from repro.frt.forest import FRTForest, build_frt_forest
 from repro.frt.embedding import EmbeddingResult
 from repro.frt.stretch import StretchReport, evaluate_stretch
 from repro.frt.paths import tree_edge_to_graph_path, reconstruct_graph_path
-from repro.frt.decomposition import HierarchicalDecomposition, decomposition_of
 
 __all__ = [
     "compute_le_lists_batch",
     "compute_le_lists_batch_via_oracle",
-    "FRTTree",
     "FRTForest",
     "build_frt_forest",
     "EmbeddingResult",
@@ -48,6 +45,4 @@ __all__ = [
     "evaluate_stretch",
     "tree_edge_to_graph_path",
     "reconstruct_graph_path",
-    "HierarchicalDecomposition",
-    "decomposition_of",
 ]

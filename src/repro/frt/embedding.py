@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.frt.tree import FRTTree
+from repro.frt.forest import FRTForest
 from repro.mbf.dense import BatchedFlatStates
 from repro.util.rng import as_rng
 
@@ -34,13 +34,14 @@ __all__ = ["EmbeddingResult"]
 class EmbeddingResult:
     """A sampled tree embedding plus provenance for verification.
 
-    ``le_lists`` is the sample's ``k = 1`` batch of LE lists.
+    ``tree`` is the sample's ``k = 1`` :class:`~repro.frt.forest.FRTForest`
+    and ``le_lists`` its ``k = 1`` batch of LE lists.
     ``iterations`` counts (outer) MBF-like iterations until the LE-list
     fixpoint; for the oracle pipeline this is the ``O(log² n)`` quantity,
     for the direct pipeline it is ``SPD``-scale.
     """
 
-    tree: FRTTree
+    tree: FRTForest
     rank: np.ndarray
     beta: float
     le_lists: BatchedFlatStates

@@ -1,13 +1,34 @@
-"""Batched FRT forest construction — all ensemble trees in one NumPy pass.
+"""FRT trees from LE lists (Section 7.1, Lemma 7.2), all samples in one pass.
+
+Given LE lists w.r.t. a random order and ``β ∈ [1, 2)``, vertex ``v``'s
+*decomposition sequence* is ``(v_0, v_1, ..., v_k)`` where
+
+    ``v_i = min-rank vertex within distance r_i = β · 2^i · scale`` of ``v``
+
+with ``scale = ω_min / 2`` (so ``r_0 < ω_min`` and ``v_0 = v``) and ``k``
+minimal with ``r_k ≥ max_v dist(v, v_min)`` (so ``v_k`` is the global
+min-rank vertex for everyone — a common root).  The tree's nodes are the
+distinct suffixes ``(v_i..v_k)``; the leaf of ``v`` is its full sequence.
+
+**Edge-weight convention** (see DESIGN.md §5): the edge from a level-``i``
+node to its parent weighs ``r_{i+1} = β·2^{i+1}·scale`` (the parent ball
+radius) rather than the paper's ``β·2^i``.  With the paper's weights,
+domination ``dist_T ≥ dist`` can fail by an additive ``2β·scale`` when two
+vertices share a level-``(i+1)`` center at distance ``≈ 2 r_{i+1}``; the
+doubled weights make domination unconditional (tested exhaustively) at the
+price of a factor ≤ 2 in expected stretch — still ``O(log n)``.
+
+Because all leaves sit at depth ``k`` and level-``i`` edges all share one
+weight, ``dist_T(u, v) = 2 · Σ_{j<ℓ} r_{j+1}`` where ``ℓ`` is the lowest
+level at which ``u``'s and ``v``'s suffixes coincide — tree distance
+queries are O(k) array comparisons and fully vectorizable.
 
 Lemma 7.2 read literally walks the vertices of one sample in a Python
 loop; for an ensemble of ``k`` samples that is ``k · n`` Python-level
-iterations after the LE-list stage was vectorized.
-:func:`build_frt_forest` removes that tail (one tree is the ``k = 1``
-forest): given the ensemble's LE lists as one
-:class:`~repro.mbf.dense.BatchedFlatStates` plus per-sample ``(rank, beta)``
-draws, it constructs every tree of the ensemble with a fixed number of
-array operations per *level*:
+iterations.  :func:`build_frt_forest` instead takes the ensemble's LE
+lists as one :class:`~repro.mbf.dense.BatchedFlatStates` plus per-sample
+``(rank, beta)`` draws and constructs every tree with a fixed number of
+array operations per *level* (one tree is the ``k = 1`` forest):
 
 1. **Level labels** — one flat
    :func:`~repro.mbf.dense.segmented_searchsorted` over the CSR ``dists``
@@ -26,10 +47,9 @@ array operations per *level*:
    (pinned by ``tests/test_frt_forest.py``).
 
 The resulting :class:`FRTForest` answers ensemble distance queries
-(``distances`` / ``distance_upper_bounds`` / ``median_distances``) without
-touching per-tree objects, and :meth:`FRTForest.tree` materializes any
-sample as a standalone :class:`~repro.frt.tree.FRTTree` view whose
-structure arrays — node ids included — equal the reference construction.
+(``distances`` / ``distance_upper_bounds`` / ``median_distances``), and
+:meth:`FRTForest.tree` cuts any sample out as a read-only ``k = 1``
+forest whose arrays are zero-copy slices of the stacked storage.
 """
 
 from __future__ import annotations
@@ -40,7 +60,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.frt.tree import FRTTree
 from repro.mbf.dense import BatchedFlatStates, segmented_searchsorted
 from repro.util.freeze import freeze, freeze_enabled
 
@@ -65,9 +84,10 @@ class FRTForest:
     - ``level_ids[s, v, i]`` — node id of ``v``'s level-``i`` ancestor in
       sample ``s``; for ``i > depths[s]`` the root id is replicated,
     - ``radii[s, i] = beta_s · 2^i · scale`` (``i > depths[s]``: padding),
-    - ``edge_weights[s, i]`` / ``cum_weights[s, ℓ]`` — per-sample level
-      edge weights and their prefix sums (:class:`~repro.frt.tree.FRTTree`'s
-      convention),
+    - ``edge_weights[s, i]`` — weight of every level-``i`` → ``i+1`` edge
+      of sample ``s`` (the module docstring's convention), and
+      ``cum_weights[s, ℓ] = Σ_{j<ℓ} edge_weights[s, j]`` — the
+      leaf-to-level-``ℓ`` distance,
     - ``node_offsets`` — CSR bounds of the per-sample node arrays:
       ``parent`` / ``node_level`` / ``node_leading`` of sample ``s`` live
       at ``[node_offsets[s]:node_offsets[s+1]]``, with *sample-local* node
@@ -100,13 +120,14 @@ class FRTForest:
         """Total nodes across all samples."""
         return int(self.parent.size)
 
-    def tree(self, s: int) -> FRTTree:  # shape: -> object view
-        """Sample ``s`` as a :class:`~repro.frt.tree.FRTTree` view.
+    def tree(self, s: int) -> "FRTForest":  # shape: -> object view
+        """Sample ``s`` as a ``k = 1`` forest.
 
-        Bit-identical — all structure arrays, node ids included — to the
-        per-vertex reference construction of sample ``s`` alone
-        (``tests/frt_reference.py``).  The tree's arrays are zero-copy
-        *views* into the forest's stacked storage, returned **read-only**
+        Equal in every field — shapes, dtypes and values, node ids
+        included — to :func:`build_frt_forest` of sample ``s`` alone, and
+        to the per-vertex reference construction (``tests/frt_reference.py``).
+        Every array except the 2-entry ``node_offsets`` is a zero-copy
+        slice of this forest's stacked storage, returned **read-only**
         (writing through one tree would silently corrupt all ``size``
         samples and every server cache keyed on this forest's fingerprint;
         a write raises ``ValueError`` instead).  Storing one copy keeps an
@@ -117,22 +138,26 @@ class FRTForest:
             raise IndexError(f"sample index {s} out of range [0, {self.size})")
         k = int(self.depths[s])
         lo, hi = self.node_offsets[s], self.node_offsets[s + 1]
-        return FRTTree(
+        row = slice(s, s + 1)
+        return FRTForest(
             n=self.n,
-            k=k,
-            beta=float(self.betas[s]),
+            size=1,
+            k_max=k,
             scale=self.scale,
-            radii=freeze(self.radii[s, : k + 1]),
-            edge_weights=freeze(self.edge_weights[s, :k]),
-            cum_weights=freeze(self.cum_weights[s, : k + 1]),
-            level_ids=freeze(self.level_ids[s, :, : k + 1]),
+            betas=freeze(self.betas[row]),
+            depths=freeze(self.depths[row]),
+            radii=freeze(self.radii[row, : k + 1]),
+            edge_weights=freeze(self.edge_weights[row, :k]),
+            cum_weights=freeze(self.cum_weights[row, : k + 1]),
+            level_ids=freeze(self.level_ids[row, :, : k + 1]),
+            node_offsets=freeze(np.array([0, hi - lo], dtype=np.int64)),
             parent=freeze(self.parent[lo:hi]),
             node_level=freeze(self.node_level[lo:hi]),
             node_leading=freeze(self.node_leading[lo:hi]),
         )
 
-    def trees(self) -> list[FRTTree]:  # shape: -> object view
-        """All samples as tree views (see :meth:`tree`)."""
+    def trees(self) -> list["FRTForest"]:  # shape: -> object view
+        """All samples as ``k = 1`` forests (see :meth:`tree`)."""
         return [self.tree(s) for s in range(self.size)]
 
     @classmethod
@@ -263,8 +288,8 @@ class FRTForest:
     def distances(self, us, vs) -> np.ndarray:  # shape: -> (s, p) float64 owned
         """``(size, P)`` matrix of tree distances — every sample, one pass.
 
-        Bit-identical to stacking ``self.tree(s).distances(us, vs)`` over
-        samples.
+        Row ``s`` is bit-identical to the ``(1, P)`` answer of
+        ``self.tree(s).distances(us, vs)``.
         """
         lvl = self.lca_levels(us, vs)
         return 2.0 * np.take_along_axis(self.cum_weights, lvl, axis=1)

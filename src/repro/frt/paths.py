@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from repro.frt.tree import FRTTree
+from repro.frt.forest import FRTForest
 from repro.graph.core import Graph
 
 __all__ = ["reconstruct_graph_path", "tree_edge_to_graph_path", "PathOracle"]
@@ -78,18 +78,22 @@ def reconstruct_graph_path(G: Graph, u: int, v: int) -> list[int]:
 
 
 def tree_edge_to_graph_path(
-    tree: FRTTree,
+    tree: FRTForest,
     child: int,
     G: Graph,
     oracle: PathOracle | None = None,
 ) -> list[int]:
     """Map the tree edge above ``child`` to a ``G``-path (Section 7.5).
 
-    Routes between the leading vertices of ``child`` and its parent through
-    a common descendant leaf.  Returns the vertex sequence; its weight is
-    at most ``dist(x_i, v, G) + dist(v, x_{i+1}, G) ≤ r_i + r_{i+1}``
-    because ``H`` dominates ``G``.
+    ``tree`` is one tree — a ``k = 1`` forest such as ``forest.tree(s)`` —
+    and ``child`` one of its node ids.  Routes between the leading vertices
+    of ``child`` and its parent through a common descendant leaf.  Returns
+    the vertex sequence; its weight is at most
+    ``dist(x_i, v, G) + dist(v, x_{i+1}, G) ≤ r_i + r_{i+1}`` because ``H``
+    dominates ``G``.
     """
+    if tree.size != 1:
+        raise ValueError("pass one tree (a k = 1 forest, e.g. forest.tree(s))")
     p = int(tree.parent[child])
     if p < 0:
         raise ValueError("the root has no parent edge")
@@ -101,7 +105,7 @@ def tree_edge_to_graph_path(
     # of the decomposition sequence when child is a leaf; otherwise pick
     # the first vertex whose level-ids include child.
     lvl = int(tree.node_level[child])
-    descendants = np.flatnonzero(tree.level_ids[:, lvl] == child)
+    descendants = np.flatnonzero(tree.level_ids[0, :, lvl] == child)
     via = int(descendants[0])
     first = oracle.path(lead_child, via)
     second = oracle.path(via, lead_parent)

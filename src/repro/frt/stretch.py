@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.frt.tree import FRTTree
+from repro.frt.forest import FRTForest
 from repro.graph.core import Graph
 from repro.graph.shortest_paths import dijkstra_distances
 from repro.util.pairs import all_pairs, sample_distinct, unrank_pairs
@@ -67,7 +67,7 @@ def sample_pairs(n: int, count: int | None, rng=None) -> tuple[np.ndarray, np.nd
 
 def evaluate_stretch(
     G: Graph,
-    sampler: Callable[[], FRTTree],
+    sampler: Callable[[], FRTForest],
     *,
     trees: int = 8,
     pairs: int | None = None,
@@ -76,13 +76,21 @@ def evaluate_stretch(
 ) -> StretchReport:
     """Estimate embedding stretch of ``sampler()`` trees against ``G``.
 
-    ``sampler`` is called ``trees`` times; stretch is measured on ``pairs``
-    sampled vertex pairs (all pairs by default).
+    ``sampler`` returns one tree — a ``k = 1`` forest such as
+    ``pipe.sample().tree`` — and is called ``trees`` times; stretch is
+    measured on ``pairs`` sampled vertex pairs (all pairs by default).
+    An empty pair set (``pairs=0``, or a single-vertex graph) raises
+    ``ValueError`` before any tree is sampled.
     """
     if trees < 1:
         raise ValueError("need at least one tree")
     g = as_rng(rng)
     us, vs = sample_pairs(G.n, pairs, g)
+    if us.size == 0:
+        raise ValueError(
+            f"empty pair set (pairs={pairs}, n={G.n}): stretch needs at "
+            "least one vertex pair"
+        )
     DG = dijkstra_distances(G)
     base = DG[us, vs]
     if np.any(~np.isfinite(base)) or np.any(base <= 0):
@@ -90,8 +98,7 @@ def evaluate_stretch(
     ratios = np.empty((trees, us.size))
     dominating = True
     for t in range(trees):
-        tree = sampler()
-        dT = tree.distances(us, vs)
+        dT = sampler().distances(us, vs)  # (1, P): one tree's row
         if np.any(dT < base * (1.0 - rtol)):
             dominating = False
         ratios[t] = dT / base

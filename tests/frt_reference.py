@@ -1,22 +1,37 @@
 """The per-vertex reference FRT tree construction (Lemma 7.2), for tests.
 
 :func:`build_frt_tree` builds one sample's tree with a per-vertex Python
-loop, straight from the lemma.  The library builds trees with
+loop, straight from the lemma, and returns it as a ``k = 1``
+:class:`~repro.frt.forest.FRTForest`.  The library builds trees with
 :func:`repro.frt.forest.build_frt_forest`, all samples in one vectorized
 pass; the parity tests and the e13 benchmark compare each forest sample
 against this reference, bit for bit.
+
+The helpers below compare forests field by field
+(:func:`assert_forests_equal`) and read one tree (:func:`children_lists`,
+:func:`distance_matrix`, :func:`to_networkx` — a ``k = 1`` forest such
+as ``forest.tree(s)``) for verification-scale checks.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
-from repro.frt.tree import FRTTree
+from repro.frt.forest import FRTForest
 from repro.mbf.dense import BatchedFlatStates
+from repro.util.pairs import all_pairs
 
-__all__ = ["build_frt_tree"]
+__all__ = [
+    "assert_forests_equal",
+    "build_frt_tree",
+    "children_lists",
+    "distance_matrix",
+    "require_one_tree",
+    "to_networkx",
+]
 
 
 def build_frt_tree(
@@ -24,8 +39,8 @@ def build_frt_tree(
     rank: np.ndarray,
     beta: float,
     wmin: float,
-) -> FRTTree:
-    """Construct the FRT tree from LE lists (Lemma 7.2).
+) -> FRTForest:
+    """Construct the FRT tree from LE lists (Lemma 7.2), as a ``k = 1`` forest.
 
     Parameters
     ----------
@@ -113,16 +128,79 @@ def build_frt_tree(
     node_leading = np.concatenate(node_leading_chunks)
     edge_weights = radii[1:]
     cum_weights = np.concatenate([[0.0], np.cumsum(edge_weights)])
-    return FRTTree(
+    return FRTForest(
         n=n,
-        k=k,
-        beta=float(beta),
+        size=1,
+        k_max=k,
         scale=scale,
-        radii=radii,
-        edge_weights=edge_weights,
-        cum_weights=cum_weights,
-        level_ids=level_ids,
+        betas=np.array([beta], dtype=np.float64),
+        depths=np.array([k], dtype=np.int64),
+        radii=radii[None, :],
+        edge_weights=edge_weights[None, :],
+        cum_weights=cum_weights[None, :],
+        level_ids=level_ids[None, :, :],
+        node_offsets=np.array([0, parent.size], dtype=np.int64),
         parent=parent,
         node_level=node_level,
         node_leading=node_leading,
     )
+
+
+def assert_forests_equal(got: FRTForest, want: FRTForest) -> None:
+    """Every field equal: scalars by value, arrays by dtype, shape and bits."""
+    for f in dataclasses.fields(FRTForest):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, f.name
+            assert np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+def require_one_tree(tree: FRTForest) -> None:
+    """Reject a ``k``-forest where a per-tree helper expects one tree."""
+    if tree.size != 1:
+        raise ValueError("expected one tree (a k = 1 forest, e.g. forest.tree(s))")
+
+
+def children_lists(tree: FRTForest) -> list[list[int]]:
+    """Adjacency ``children[node] -> [child ids]`` (leaves empty).
+
+    Children appear in increasing node-id order — the order the k-median
+    DP folds them in.
+    """
+    require_one_tree(tree)
+    children: list[list[int]] = [[] for _ in range(tree.total_nodes)]
+    for node, p in enumerate(tree.parent.tolist()):
+        if p >= 0:
+            children[p].append(node)
+    return children
+
+
+def distance_matrix(tree: FRTForest) -> np.ndarray:
+    """Dense ``(n, n)`` tree metric of one tree."""
+    require_one_tree(tree)
+    iu, ju = all_pairs(tree.n)
+    d = tree.distances(iu, ju)[0]
+    out = np.zeros((tree.n, tree.n))
+    out[iu, ju] = d
+    out[ju, iu] = d
+    return out
+
+
+def to_networkx(tree: FRTForest):
+    """Export one tree with ``weight`` attributes; leaves carry ``vertex``."""
+    import networkx as nx
+
+    require_one_tree(tree)
+    t = nx.Graph()
+    for node in range(tree.total_nodes):
+        t.add_node(node, level=int(tree.node_level[node]),
+                   leading=int(tree.node_leading[node]))
+    for node, p in enumerate(tree.parent.tolist()):
+        if p >= 0:
+            weight = float(tree.edge_weights[0, tree.node_level[node]])
+            t.add_edge(node, p, weight=weight)
+    for v in range(tree.n):
+        t.nodes[int(tree.level_ids[0, v, 0])]["vertex"] = v
+    return t

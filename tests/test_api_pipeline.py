@@ -25,7 +25,7 @@ from repro.api import (
 import repro.frt.lelists as lelists
 from repro.frt.embedding import _draw_randomness
 from repro.frt.lelists import compute_le_lists_batch_via_oracle
-from tests.frt_reference import build_frt_tree
+from tests.frt_reference import build_frt_tree, distance_matrix
 from repro.graph.core import Graph
 from repro.graph.shortest_paths import dijkstra_distances
 from repro.hopsets import hub_hopset, rounded_hopset
@@ -39,7 +39,7 @@ def _assert_same_embedding(a, b):
     assert a.beta == b.beta
     assert a.iterations == b.iterations
     assert a.le_lists.to_dicts() == b.le_lists.to_dicts()
-    assert np.array_equal(a.tree.distance_matrix(), b.tree.distance_matrix())
+    assert np.array_equal(distance_matrix(a.tree), distance_matrix(b.tree))
 
 
 class TestLegacyParity:
@@ -66,7 +66,7 @@ class TestLegacyParity:
         assert np.array_equal(res.rank, r)
         assert res.beta == b
         assert res.iterations == iters[0]
-        assert np.array_equal(res.tree.distance_matrix(), legacy_tree.distance_matrix())
+        assert np.array_equal(distance_matrix(res.tree), distance_matrix(legacy_tree))
         assert res.meta["pipeline"] == "oracle"
 
     def test_direct_sample_reproducible_and_labelled(self):
@@ -190,7 +190,7 @@ class TestEnsemble:
         cfg = PipelineConfig(hopset=HopsetConfig(eps=0.5, d0=3), seed=4)
         res = Pipeline(g, cfg).sample_ensemble(k=2)
         assert isinstance(res, PipelineResult)
-        assert res.size == len(res) == len(res.trees) == len(res.iterations) == 2
+        assert res.size == len(res) == len(res.forest.trees()) == len(res.iterations) == 2
         assert res.forest.size == res.le_lists.k == 2
         assert res.timings["total"] > 0
         # meta round-trips back into an identical config
@@ -375,7 +375,7 @@ class TestHopsetKinds:
         res = pipe.sample()
         assert pipe.hopset().d == 1
         D = dijkstra_distances(g)
-        assert np.all(res.tree.distance_matrix() >= D - 1e-9)
+        assert np.all(distance_matrix(res.tree) >= D - 1e-9)
 
 
 class TestValidationAndBackends:

@@ -2,12 +2,13 @@
 
 The contract under test: :func:`hst_kmedian_dp_forest` and
 :func:`route_demands_on_forest` are *bit-identical* per sample — DP costs,
-facility ids, and per-node flows included — to the serial references
-:func:`~repro.apps.kmedian.hst_kmedian_dp` and
-:func:`~repro.apps.buyatbulk.route_demands_on_tree` run tree by tree, on
-every edge case the serial DP handles (k = 1, non-power-of-two k, ragged
-ensemble depths, weighted clients, disallowed facilities, single-vertex
-graphs).
+facility ids, and per-node flows included — to the per-tree reference
+loops ``hst_kmedian_dp`` and ``route_demands_on_tree``
+(``tests/apps_reference.py``) run tree by tree, on every edge case the
+per-tree DP handles (k = 1, non-power-of-two k, ragged ensemble depths,
+weighted clients, disallowed facilities, single-vertex graphs).  Every
+kernel is also batch-independent: run on ``forest.tree(s)``, a ``k = 1``
+forest, it returns sample ``s``'s answer of the whole forest bit for bit.
 """
 
 import numpy as np
@@ -26,18 +27,14 @@ from repro.apps.batched import (
     hst_kmedian_dp_forest,
     route_demands_on_forest,
 )
-from repro.apps.buyatbulk import (
-    CableType,
-    Demand,
-    buy_at_bulk,
-    cable_cost,
-    route_demands_on_tree,
-)
-from repro.apps.kmedian import KMedianResult, hst_kmedian_dp, kmedian
+from repro.apps.buyatbulk import CableType, Demand, buy_at_bulk, cable_cost
+from repro.apps.kmedian import KMedianResult, kmedian
 from repro.frt.forest import build_frt_forest
 from repro.frt.lelists import compute_le_lists_batch
+from repro.frt.paths import PathOracle, tree_edge_to_graph_path
 from repro.graph.core import Graph
 from repro.util.rng import as_rng
+from tests.apps_reference import hst_kmedian_dp, route_demands_on_tree
 
 CABLES = [CableType(1.0, 1.0), CableType(10.0, 4.0), CableType(100.0, 12.0)]
 
@@ -83,6 +80,14 @@ def _assert_dp_parity(forest, weights, k, allowed=None):
         assert facs[s].dtype == want_fac.dtype
         assert np.array_equal(facs[s], want_fac)
     return costs, facs
+
+
+def _tree_cost(tree, tree_flows):
+    """The per-edge cable purchase of one tree's flows, edge by edge."""
+    return sum(
+        cable_cost(f, CABLES) * float(tree.edge_weights[0, tree.node_level[node]])
+        for node, f in tree_flows.items()
+    )
 
 
 class TestForestKMedianDPParity:
@@ -211,11 +216,7 @@ class TestForestTreeCosts:
         costs = forest_tree_costs(forest, flows, CABLES)
         for s in range(forest.size):
             tree = forest.tree(s)
-            tree_flows = route_demands_on_tree(tree, demands)
-            want = sum(
-                cable_cost(f, CABLES) * tree.edge_weight_above(node)
-                for node, f in tree_flows.items()
-            )
+            want = _tree_cost(tree, route_demands_on_tree(tree, demands))
             assert costs[s] == pytest.approx(want, rel=1e-12)
 
     def test_cable_costs_array_matches_scalar(self):
@@ -231,6 +232,66 @@ class TestForestTreeCosts:
             cable_costs_array(np.ones(3), [])
         with pytest.raises(ValueError):
             forest_tree_costs(forest, np.zeros(3), CABLES)
+
+
+class TestBatchIndependence:
+    """Each kernel on ``forest.tree(s)`` (a ``k = 1`` forest) returns
+    sample ``s``'s answer of the ``k``-forest run, bit for bit: the batch
+    never leaks into a sample's result."""
+
+    @staticmethod
+    def _assert_dp(forest, weights, k, allowed=None):
+        costs, facs = hst_kmedian_dp_forest(forest, weights, k, allowed=allowed)
+        for s in range(forest.size):
+            one_cost, one_fac = hst_kmedian_dp_forest(
+                forest.tree(s), weights, k, allowed=allowed
+            )
+            assert one_cost.shape == (1,) and len(one_fac) == 1
+            assert one_cost[0] == costs[s]
+            assert one_fac[0].dtype == facs[s].dtype
+            assert np.array_equal(one_fac[0], facs[s])
+
+    @staticmethod
+    def _assert_routing(forest, demands):
+        flows = route_demands_on_forest(forest, demands)
+        costs = forest_tree_costs(forest, flows, CABLES)
+        for s in range(forest.size):
+            tree = forest.tree(s)
+            one = route_demands_on_forest(tree, demands)
+            lo, hi = forest.node_offsets[s], forest.node_offsets[s + 1]
+            assert one.dtype == flows.dtype
+            assert np.array_equal(one, flows[lo:hi])
+            one_cost = forest_tree_costs(tree, one, CABLES)
+            assert one_cost.shape == (1,) and one_cost[0] == costs[s]
+
+    def test_ragged_depths(self):
+        g, forest = _ragged_forest(seed=105)
+        rng = np.random.default_rng(8)
+        w = rng.uniform(0.0, 2.0, g.n)
+        allowed = rng.random(g.n) < 0.5
+        for k in (1, 2, 4):
+            self._assert_dp(forest, w, k)
+            self._assert_dp(forest, w, k, allowed=allowed)
+        self._assert_routing(forest, _random_demands(g.n, 25, 9))
+
+    def test_direct_and_oracle_ensembles(self):
+        g = gen.random_graph(36, 90, rng=10)
+        oracle = Pipeline(g, PipelineConfig(hopset=HopsetConfig(eps=0.25, d0=4)), rng=11)
+        for forest in (_direct_forest(g, 5, seed=12), oracle.sample_ensemble(3, seed=13).forest):
+            self._assert_dp(forest, np.ones(g.n), 3)
+            self._assert_routing(forest, _random_demands(g.n, 10, 14))
+
+    def test_single_vertex_graph(self):
+        # No demand can join two distinct vertices here, so routing is
+        # checked through the cost of an all-zero flow vector.
+        _, forest = _single_vertex_forest()
+        self._assert_dp(forest, np.array([2.5]), 1)
+        zeros = np.zeros(forest.total_nodes)
+        costs = forest_tree_costs(forest, zeros, CABLES)
+        for s in range(forest.size):
+            tree = forest.tree(s)
+            one = forest_tree_costs(tree, np.zeros(tree.total_nodes), CABLES)
+            assert one.shape == (1,) and one[0] == costs[s] == 0.0
 
 
 class TestBuyAtBulkEnsemble:
@@ -292,22 +353,50 @@ class TestBuyAtBulkEnsemble:
             buy_at_bulk(g, [Demand(0, 4, 1.0)], CABLES, embedding=emb, pipeline=pipe)
 
     def test_embedding_path_stays_serial_reference(self):
-        # Supplying an embedding must reproduce the serial computation
-        # exactly (the reference branch is untouched by the batching).
+        # A supplied embedding runs the ensemble code at k = 1: its tree
+        # cost and edge flows are the k = 1 forest kernels' bit for bit,
+        # and the per-tree reference's (which sums in demand-walk order
+        # rather than node order) within float summation order.
         g = gen.grid(4, 4, rng=50)
         pipe = Pipeline(
             g, PipelineConfig(embedding=EmbeddingConfig(method="direct")), rng=51
         )
         emb = pipe.sample()
-        demands = _random_demands(g.n, 6, 52)
+        # Fractional amounts, so summation order shows in the bits.
+        demands = [Demand(d.source, d.target, d.amount / 7.0) for d in _random_demands(g.n, 6, 52)]
         res = buy_at_bulk(g, demands, CABLES, embedding=emb)
-        tree_flows = route_demands_on_tree(emb.tree, demands)
-        want = sum(
-            cable_cost(f, CABLES) * emb.tree.edge_weight_above(node)
-            for node, f in tree_flows.items()
-        )
-        assert res.tree_cost == want
-        assert "mode" not in res.meta
+        tree = emb.tree
+        flows = route_demands_on_forest(tree, demands)
+        assert res.tree_cost == forest_tree_costs(tree, flows, CABLES)[0]
+        ref_flows = route_demands_on_tree(tree, demands)
+        assert res.tree_cost == pytest.approx(_tree_cost(tree, ref_flows), rel=1e-14)
+        assert res.meta["tree_edges_used"] == len(ref_flows)
+        assert res.meta["beta"] == emb.beta
+        assert "trees" not in res.meta and "mode" not in res.meta
+
+        def mapped(order):
+            oracle, out = PathOracle(g), {}
+            for node in order:
+                path = tree_edge_to_graph_path(tree, node, g, oracle)
+                for a, b in zip(path[:-1], path[1:]):
+                    key = (min(a, b), max(a, b))
+                    out[key] = out.get(key, 0.0) + float(flows[node])
+            return out
+
+        def graph_cost(edge_flows):
+            A = g.adjacency()
+            return sum(cable_cost(f, CABLES) * float(A[u, v]) for (u, v), f in edge_flows.items())
+
+        # Bit for bit: the used tree edges mapped back in node order.
+        got = mapped(np.flatnonzero(flows > 0).tolist())
+        assert list(res.edge_flows.items()) == list(got.items())
+        assert res.graph_cost == graph_cost(got)
+        # The reference maps them back in demand-walk order.
+        ref = mapped(list(ref_flows))
+        assert res.edge_flows.keys() == ref.keys()
+        for key, f in ref.items():
+            assert res.edge_flows[key] == pytest.approx(f, rel=1e-14)
+        assert res.graph_cost == pytest.approx(graph_cost(ref), rel=1e-14)
 
 
 class TestKMedianBatchedPath:
@@ -319,9 +408,9 @@ class TestKMedianBatchedPath:
         assert res.facilities.size <= 4
 
     def test_matches_per_tree_dp_on_shared_forest(self):
-        # The pipeline's forest DP must equal running the serial DP on each
-        # tree of the same ensemble — this is the end-to-end guarantee the
-        # per-function parity tests compose into.
+        # The pipeline's forest DP must equal running the per-tree DP on
+        # each tree of the same ensemble — this is the end-to-end guarantee
+        # the per-function parity tests compose into.
         g = gen.random_graph(30, 80, rng=62)
         forest = _direct_forest(g, 5, seed=63)
         w = np.random.default_rng(64).uniform(0.0, 2.0, g.n)

@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.apps.buyatbulk import (
-    CableType,
-    Demand,
-    buy_at_bulk,
-    cable_cost,
-    route_demands_on_tree,
-)
+from repro.apps.batched import route_demands_on_forest
+from repro.apps.buyatbulk import CableType, Demand, buy_at_bulk, cable_cost
 from repro.api import EmbeddingConfig, Pipeline, PipelineConfig
 from repro.graph import generators as gen
 from repro.util.rng import as_rng
@@ -58,18 +53,18 @@ class TestTreeRouting:
         g = gen.cycle(12, rng=0)
         emb = Pipeline(g, DIRECT, rng=1).sample()
         demands = [Demand(0, 6, 5.0)]
-        flows = route_demands_on_tree(emb.tree, demands)
-        lvl = int(emb.tree.lca_levels([0], [6])[0])
+        flows = route_demands_on_forest(emb.tree, demands)
+        lvl = int(emb.tree.lca_levels([0], [6])[0, 0])
         # both endpoints climb lvl edges
-        assert len(flows) == 2 * lvl
-        assert all(f == 5.0 for f in flows.values())
+        assert np.count_nonzero(flows) == 2 * lvl
+        assert np.all(flows[flows > 0] == 5.0)
 
     def test_flows_aggregate(self):
         g = gen.star(8, rng=0)
         emb = Pipeline(g, DIRECT, rng=2).sample()
         demands = [Demand(1, 2, 1.0), Demand(1, 2, 2.0)]
-        flows = route_demands_on_tree(emb.tree, demands)
-        assert max(flows.values()) == 3.0
+        flows = route_demands_on_forest(emb.tree, demands)
+        assert flows.max() == 3.0
 
     def test_tree_cost_matches_distances(self):
         # With a single linear cable (u=1, c=1), tree cost = Σ d_i · dist_T.
@@ -77,7 +72,7 @@ class TestTreeRouting:
         emb = Pipeline(g, DIRECT, rng=4).sample()
         demands = [Demand(0, 11, 1.0), Demand(2, 9, 1.0)]
         res = buy_at_bulk(g, demands, [CableType(1.0, 1.0)], embedding=emb)
-        want = sum(emb.tree.distance(d.source, d.target) for d in demands)
+        want = emb.tree.distances([d.source for d in demands], [d.target for d in demands]).sum()
         assert res.tree_cost == pytest.approx(want)
 
 

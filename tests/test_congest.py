@@ -9,7 +9,7 @@ from repro.congest import RoundLedger, khan_le_lists, skeleton_frt
 from repro.frt import compute_le_lists_batch
 from repro.graph import generators as gen
 from repro.graph.shortest_paths import dijkstra_distances, shortest_path_diameter
-from tests.frt_reference import build_frt_tree
+from tests.frt_reference import assert_forests_equal, build_frt_tree, distance_matrix
 
 
 class TestRoundLedger:
@@ -78,7 +78,7 @@ class TestSkeletonFRT:
         g = gen.cycle(48, rng=0)
         res = skeleton_frt(g, eps=0.1, rng=1)
         DG = dijkstra_distances(g)
-        MT = res.tree.distance_matrix()
+        MT = distance_matrix(res.tree)
         assert np.all(MT >= DG - 1e-9)
 
     def test_stretch_sane(self):
@@ -87,7 +87,7 @@ class TestSkeletonFRT:
         ratios = []
         for seed in range(5):
             res = skeleton_frt(g, eps=0.05, rng=seed)
-            MT = res.tree.distance_matrix()
+            MT = distance_matrix(res.tree)
             off = ~np.eye(g.n, dtype=bool)
             ratios.append((MT[off] / DG[off]).mean())
         # Average stretch O(alpha · log n) with a small constant.
@@ -159,7 +159,7 @@ class TestSpannerFRT:
         g = gen.cycle(48, rng=20)
         res = spanner_frt(g, k=2, rng=21)
         DG = dijkstra_distances(g)
-        MT = res.tree.distance_matrix()
+        MT = distance_matrix(res.tree)
         assert np.all(MT >= DG - 1e-9)
 
     def test_round_breakdown(self):
@@ -184,7 +184,7 @@ class TestSpannerFRT:
             vals = []
             for s in seeds:
                 res = spanner_frt(g, k=k, rng=s)
-                vals.append((res.tree.distance_matrix()[off] / DG[off]).mean())
+                vals.append((distance_matrix(res.tree)[off] / DG[off]).mean())
             return np.mean(vals)
 
         s2 = mean_stretch(2, range(4))
@@ -237,11 +237,8 @@ class TestCongestTreesMatchReference:
     def _assert_reference_tree(g, res):
         wmin, _ = g.weight_bounds()
         want = build_frt_tree(res.le_lists, res.rank, res.beta, wmin)
-        got = res.tree
-        assert (got.n, got.k, got.beta, got.scale) == (want.n, want.k, want.beta, want.scale)
-        for name in ("radii", "edge_weights", "cum_weights", "level_ids",
-                     "parent", "node_level", "node_leading"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert_forests_equal(res.tree, want)
+        assert res.tree.betas[0] == res.beta
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_skeleton_tree(self, seed):
@@ -275,19 +272,26 @@ _PIN_GRAPHS = {
 _TREE_FIELDS = (
     "radii", "edge_weights", "cum_weights", "level_ids", "parent", "node_level", "node_leading",
 )
+_ROW_FIELDS = ("radii", "edge_weights", "cum_weights", "level_ids")  # (1, ...) per sample
 _ALPHA_S = 3.814697265625  # 1.25 ** 6: the H_S distortion bound at Λ_S = 5
 _META_S = {"local_iterations_within_ell": True, "extra_iterations": 0, "Lambda_S": 5}
 
 
 def _pinned_run(res):
-    """``(rounds, meta, beta, lists+rank digest, tree digest)`` of a run."""
+    """``(rounds, meta, beta, lists+rank digest, tree digest)`` of a run.
+
+    The tree digest hashes sample 0's rows of the ``k = 1`` forest —
+    ``radii[0]``, ``level_ids[0]`` and so on, with the shapes and bytes the
+    per-tree arrays had when the digests were recorded."""
     lists = res.le_lists
+    tree = res.tree
+    rows = [getattr(tree, f)[0] if f in _ROW_FIELDS else getattr(tree, f) for f in _TREE_FIELDS]
     return (
         res.ledger.rounds,
         res.meta,
         res.beta,
         _digest(lists.offsets, lists.ids, lists.dists, res.rank),
-        _digest(*(getattr(res.tree, f) for f in _TREE_FIELDS)),
+        _digest(*rows),
     )
 
 

@@ -1,11 +1,13 @@
 """Tests for sampled FRT ensembles (``PipelineResult`` + ``FRTForest``)
-and hierarchical decompositions."""
+and the hierarchical decompositions their trees encode."""
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from repro.api import EmbeddingConfig, Pipeline, PipelineConfig, PipelineResult
-from repro.frt import FRTForest, decomposition_of
+from repro.frt import FRTForest
 from repro.graph import generators as gen
 from repro.graph.shortest_paths import dijkstra_distances
 
@@ -84,10 +86,10 @@ class TestEnsembleDistances:
 
     def test_best_tree_for_objective(self):
         # objective: tree distance between opposite corners
-        emb, val = self.res.best_tree_for(lambda t: t.distance(0, 24))
-        all_vals = [t.distance(0, 24) for t in self.res.trees]
-        assert val == pytest.approx(min(all_vals))
-        assert emb.tree.distance(0, 24) == pytest.approx(val)
+        emb, val = self.res.best_tree_for(lambda t: t.distances([0], [24])[0, 0])
+        all_vals = self.forest.distances([0], [24])[:, 0]
+        assert val == min(all_vals)
+        assert emb.tree.distances([0], [24])[0, 0] == val
 
 
 class TestForestBackedEnsemble:
@@ -98,7 +100,7 @@ class TestForestBackedEnsemble:
     def test_forest_and_loop_queries_identical(self):
         forest = self.res.forest
         iu, ju = np.triu_indices(self.g.n, k=1)
-        loop = np.stack([t.distances(iu, ju) for t in self.res.trees])
+        loop = np.concatenate([t.distances(iu, ju) for t in forest.trees()])
         assert np.array_equal(forest.distances(iu, ju), loop)
         assert np.array_equal(forest.distance_upper_bounds(iu, ju), loop.min(axis=0))
         assert np.array_equal(
@@ -117,49 +119,100 @@ class TestForestBackedEnsemble:
             )
 
 
+@lru_cache(maxsize=None)
+def _decomposition_forests():
+    """``(D, forest)`` for a k-forest from each sampling path on one graph.
+
+    Built once: every decomposition property below reads every sample of
+    both forests.
+    """
+    g = gen.random_graph(30, 70, rng=20)
+    D = dijkstra_distances(g)
+    direct = Pipeline(g, DIRECT).sample_ensemble(6, seed=21).forest
+    oracle = Pipeline(g, PipelineConfig(), rng=22).sample_ensemble(4, seed=23).forest
+    return [(D, direct), (D, oracle)]
+
+
+def _levels(forest):
+    """``(s, i, labels)`` for every real level ``i`` of every sample ``s``:
+    ``labels[v]`` is ``v``'s level-``i`` cluster (its tree node)."""
+    for s in range(forest.size):
+        for i in range(int(forest.depths[s]) + 1):
+            yield s, i, forest.level_ids[s, :, i]
+
+
 class TestDecomposition:
-    def setup_method(self):
-        self.g = gen.random_graph(30, 70, rng=20)
-        self.emb = Pipeline(self.g, DIRECT, rng=21).sample()
-        self.dec = decomposition_of(self.emb.tree)
+    """An FRT tree is a laminar hierarchical decomposition of ``V``: the
+    level-``i`` nodes partition the vertices into clusters of G-diameter at
+    most ``2·r_i`` (every member within ``r_i`` of the cluster's leading
+    vertex), each level refining the one above, from singletons at level 0
+    to one cluster at the root.  Checked on every sample of a k-forest, on
+    the direct and the oracle path."""
 
     def test_levels_cover_tree(self):
-        assert self.dec.levels == self.emb.tree.k + 1
+        # Each real level's clusters are exactly the sample's nodes of that
+        # level, and the padding above its depth repeats the root.
+        for _, forest in _decomposition_forests():
+            for s, i, labels in _levels(forest):
+                lo, hi = forest.node_offsets[s], forest.node_offsets[s + 1]
+                level_nodes = np.flatnonzero(forest.node_level[lo:hi] == i)
+                assert np.array_equal(np.unique(labels), level_nodes)
+            k = forest.depths[:, None, None]
+            cols = np.arange(forest.k_max + 1)[None, None, :]
+            root = np.take_along_axis(forest.level_ids, k, axis=2)
+            assert np.all((forest.level_ids == root) | (cols < k))
 
     def test_leaf_level_singletons(self):
-        for members in self.dec.clusters(0):
-            assert members.size == 1
+        for _, forest in _decomposition_forests():
+            for s in range(forest.size):
+                assert np.unique(forest.level_ids[s, :, 0]).size == forest.n
 
     def test_root_level_single_cluster(self):
-        assert len(self.dec.clusters(self.dec.levels - 1)) == 1
+        for _, forest in _decomposition_forests():
+            for s in range(forest.size):
+                root = forest.level_ids[s, :, int(forest.depths[s])]
+                assert np.unique(root).size == 1
 
     def test_partition_at_every_level(self):
-        for i in range(self.dec.levels):
-            members = np.concatenate(self.dec.clusters(i))
-            assert np.array_equal(np.sort(members), np.arange(30))
+        # Every vertex sits in exactly one cluster per level, and that
+        # cluster is a tree node of the level.
+        for _, forest in _decomposition_forests():
+            for s, i, labels in _levels(forest):
+                assert labels.shape == (forest.n,)
+                assert np.all(forest.node_level[forest.node_offsets[s] + labels] == i)
 
     def test_refinement_chain(self):
-        assert self.dec.is_refinement_chain()
+        # Every level-i cluster lies inside one level-(i+1) cluster: its
+        # parent node.
+        for _, forest in _decomposition_forests():
+            for s, i, fine in _levels(forest):
+                if i < forest.depths[s]:
+                    coarse = forest.level_ids[s, :, i + 1]
+                    assert np.array_equal(forest.parent[forest.node_offsets[s] + fine], coarse)
 
     def test_diameter_bound(self):
         # Cluster G-diameter <= 2 * r_i (domination of the embedded metric).
-        for i in range(self.dec.levels):
-            diam = self.dec.max_cluster_diameter(i, self.g)
-            assert diam <= 2 * self.dec.radii[i] + 1e-9
+        for D, forest in _decomposition_forests():
+            for s, i, labels in _levels(forest):
+                for cid in np.unique(labels):
+                    members = np.flatnonzero(labels == cid)
+                    diam = D[np.ix_(members, members)].max()
+                    assert diam <= 2 * forest.radii[s, i] + 1e-9
 
     def test_centers_are_members_distancewise(self):
-        # Every vertex is within r_i of its level-i center in G.
-        D = dijkstra_distances(self.g)
-        for i in range(self.dec.levels):
-            for v in range(30):
-                c = self.dec.center_of(i, v)
-                assert D[v, c] <= self.dec.radii[i] + 1e-9
+        # Every vertex is within r_i of its level-i leading vertex in G.
+        for D, forest in _decomposition_forests():
+            for s, i, labels in _levels(forest):
+                centers = forest.node_leading[forest.node_offsets[s] + labels]
+                assert np.all(D[np.arange(forest.n), centers] <= forest.radii[s, i] + 1e-9)
 
     def test_cluster_of_consistent(self):
-        for v in range(30):
-            cid = self.dec.cluster_of(1, v)
-            members = self.dec.clusters(1)
-            found = [m for m in members if v in m]
-            assert len(found) == 1
-            lab = self.dec.labels[1]
-            assert np.all(lab[found[0]] == cid)
+        # One center per cluster: vertices sharing a level-i cluster share
+        # its leading vertex, and level-0 clusters are led by their vertex.
+        for _, forest in _decomposition_forests():
+            for s, i, labels in _levels(forest):
+                centers = forest.node_leading[forest.node_offsets[s] + labels]
+                if i == 0:
+                    assert np.array_equal(centers, np.arange(forest.n))
+                for cid in np.unique(labels):
+                    assert np.unique(centers[labels == cid]).size == 1

@@ -1,11 +1,12 @@
 """Forest-vs-reference parity suite (repro.frt.forest).
 
-The contract under test: ``FRTForest.tree(s)`` is *bit-identical* — every
-structure array, node ids included — to the per-vertex reference
+The contract under test: ``FRTForest.tree(s)`` — sample ``s`` as a
+read-only ``k = 1`` forest sliced out of the stacked storage — equals in
+every field, node ids included, the per-vertex reference
 ``build_frt_tree(lists.sample_states(s), ranks[s], betas[s], wmin)``
-(``tests/frt_reference.py``), and
-the forest's vectorized distance queries equal the per-tree results
-exactly.
+(``tests/frt_reference.py``) and ``build_frt_forest`` of sample ``s``
+alone, and the forest's vectorized distance queries equal the per-tree
+results exactly.
 """
 
 import numpy as np
@@ -29,13 +30,16 @@ from repro.hopsets import hub_hopset
 from repro.mbf.dense import BatchedFlatStates
 from repro.oracle import HOracle
 from repro.util.rng import spawn_rngs, split_seed
-from tests.frt_reference import build_frt_tree
+from tests.frt_reference import assert_forests_equal, build_frt_tree
 
 TREE_ARRAYS = (
+    "betas",
+    "depths",
     "radii",
     "edge_weights",
     "cum_weights",
     "level_ids",
+    "node_offsets",
     "parent",
     "node_level",
     "node_leading",
@@ -50,17 +54,6 @@ def _draws(n, k, seed, betas=None):
     return ranks, np.asarray(betas, dtype=np.float64)
 
 
-def _assert_tree_identical(got, want):
-    assert got.n == want.n
-    assert got.k == want.k
-    assert got.beta == want.beta
-    assert got.scale == want.scale
-    for name in TREE_ARRAYS:
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype, name
-        assert np.array_equal(a, b), name
-
-
 def _assert_forest_matches_serial(g, lists, ranks, betas):
     wmin, _ = g.weight_bounds()
     forest = build_frt_forest(lists, ranks, betas, wmin)
@@ -69,14 +62,14 @@ def _assert_forest_matches_serial(g, lists, ranks, betas):
         for s in range(lists.k)
     ]
     assert forest.size == lists.k and forest.n == g.n
-    assert np.array_equal(forest.depths, [t.k for t in serial])
+    assert np.array_equal(forest.depths, [t.k_max for t in serial])
     for s, want in enumerate(serial):
-        _assert_tree_identical(forest.tree(s), want)
+        assert_forests_equal(forest.tree(s), want)
     # Vectorized queries == stacked per-tree queries, bit for bit.
     rng = np.random.default_rng(0)
     us = rng.integers(0, g.n, size=32)
     vs = rng.integers(0, g.n, size=32)
-    stacked = np.stack([t.distances(us, vs) for t in serial])
+    stacked = np.concatenate([t.distances(us, vs) for t in serial])
     assert np.array_equal(forest.distances(us, vs), stacked)
     assert np.array_equal(
         forest.distance_upper_bounds(us, vs), stacked.min(axis=0)
@@ -163,7 +156,7 @@ class TestForestConcat:
             assert a.dtype == b.dtype, name
             assert np.array_equal(a, b), name
         for s in range(full.size):
-            _assert_tree_identical(merged.tree(s), full.tree(s))
+            assert_forests_equal(merged.tree(s), full.tree(s))
         return merged, full
 
     def test_even_shards(self):
@@ -252,7 +245,7 @@ class TestForestStructure:
         assert f.node_offsets[0] == 0
         assert f.node_offsets[-1] == f.total_nodes
         assert all(
-            f.num_nodes(s) == f.tree(s).num_nodes for s in range(f.size)
+            f.num_nodes(s) == f.tree(s).total_nodes for s in range(f.size)
         )
 
     def test_padded_levels_replicate_root(self):
@@ -270,9 +263,7 @@ class TestForestStructure:
 
         monkeypatch.setattr(forest_mod, "_QUERY_BLOCK_ELEMS", 8)
         iu, ju = np.triu_indices(self.g.n, k=1)
-        stacked = np.stack(
-            [self.forest.tree(s).distances(iu, ju) for s in range(self.forest.size)]
-        )
+        stacked = np.concatenate([t.distances(iu, ju) for t in self.forest.trees()])
         assert np.array_equal(self.forest.distances(iu, ju), stacked)
 
     def test_tree_views_are_read_only(self):
@@ -280,11 +271,10 @@ class TestForestStructure:
         under REPRO_FREEZE) — an in-place write through a view would
         corrupt every other view of the stacked storage."""
         t = self.forest.tree(0)
-        for name in ("radii", "edge_weights", "cum_weights", "level_ids",
-                     "parent", "node_level", "node_leading"):
+        for name in TREE_ARRAYS:
             assert not getattr(t, name).flags.writeable, name
         with pytest.raises(ValueError):
-            t.radii[0] = -1.0
+            t.radii[0, 0] = -1.0
         # Outside freeze mode the stacked storage itself stays writable;
         # a mutable private buffer is always one explicit copy away.
         from repro.util.freeze import freeze_enabled
@@ -320,7 +310,23 @@ class TestForestStructure:
     def test_trees_list(self):
         trees = self.forest.trees()
         assert len(trees) == self.forest.size
-        assert all(t.n == self.g.n for t in trees)
+        assert all(t.n == self.g.n and t.size == 1 for t in trees)
+        # The k = 1 trees concatenate back into the forest.
+        assert_forests_equal(FRTForest.concat(trees), self.forest)
+
+    def test_tree_is_zero_copy_single_sample_forest(self):
+        f = self.forest
+        for s in range(f.size):
+            t = f.tree(s)
+            alone = build_frt_forest(
+                self.lists.sample_states(s), self.ranks[s : s + 1],
+                self.betas[s : s + 1], self.wmin,
+            )
+            assert_forests_equal(t, alone)
+            for name in ("level_ids", "parent", "cum_weights"):
+                assert np.shares_memory(getattr(t, name), getattr(f, name)), name
+            # The tree of a one-tree forest is that forest again.
+            assert_forests_equal(t.tree(0), t)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="ranks"):
@@ -386,7 +392,7 @@ class TestPipelineForest:
         assert isinstance(res.forest, FRTForest)
         assert res.forest.size == 6
         for s, emb in enumerate(res.embeddings):
-            _assert_tree_identical(emb.tree, res.forest.tree(s))
+            assert_forests_equal(emb.tree, res.forest.tree(s))
 
     def test_one_tree_at_a_time_still_carries_forest(self):
         """shard_size=1 samples one tree at a time in-process and still
@@ -408,10 +414,10 @@ class TestPipelineForest:
         b = pipe.sample_ensemble(k=5, seed=7)
         a = [pipe.sample(rng=c) for c in spawn_rngs(split_seed(7, 2)[1], 5)]
         for ea, eb in zip(a, b):
-            _assert_tree_identical(eb.tree, ea.tree)
+            assert_forests_equal(eb.tree, ea.tree)
         iu, ju = np.triu_indices(g.n, k=1)
         assert np.array_equal(
-            np.stack([e.tree.distances(iu, ju) for e in a]),
+            np.concatenate([e.tree.distances(iu, ju) for e in a]),
             b.forest.distances(iu, ju),
         )
 
@@ -423,4 +429,4 @@ class TestPipelineForest:
         a = [pipe.sample(rng=c) for c in spawn_rngs(split_seed(1, 2)[1], 3)]
         assert isinstance(b.forest, FRTForest)
         for ea, eb in zip(a, b):
-            _assert_tree_identical(eb.tree, ea.tree)
+            assert_forests_equal(eb.tree, ea.tree)

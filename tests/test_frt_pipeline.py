@@ -12,6 +12,7 @@ from repro.graph.shortest_paths import dijkstra_distances, shortest_path_diamete
 from repro.hopsets import hub_hopset, rounded_hopset
 from repro.oracle import HOracle
 from repro.pram import CostLedger
+from tests.frt_reference import distance_matrix
 
 DIRECT = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
 
@@ -33,7 +34,7 @@ class TestOraclePipeline:
         DG = dijkstra_distances(g)
         for seed in range(3):
             res = _via_oracle(g, eps=0.25, d0=4, rng=seed).sample()
-            MT = res.tree.distance_matrix()
+            MT = distance_matrix(res.tree)
             assert np.all(MT >= DG - 1e-9)
 
     def test_iterations_polylog_not_spd(self):
@@ -177,22 +178,27 @@ class TestPathReconstruction:
         res = Pipeline(g, DIRECT, rng=3).sample()
         tree = res.tree
         oracle = PathOracle(g)
-        for child in range(tree.num_nodes):
+        for child in range(tree.total_nodes):
             if tree.parent[child] < 0:
                 continue
             p = tree_edge_to_graph_path(tree, child, g, oracle)
             lvl = int(tree.node_level[child])
             w = oracle.path_weight(p)
             # Section 7.5 bound: ≤ r_i + r_{i+1} = 1.5 ω_T(e).
-            assert w <= tree.radii[lvl] + tree.radii[lvl + 1] + 1e-9
+            assert w <= tree.radii[0, lvl] + tree.radii[0, lvl + 1] + 1e-9
             assert p[0] == tree.node_leading[child]
             assert p[-1] == tree.node_leading[tree.parent[child]]
 
     def test_root_edge_rejected(self):
         g = gen.cycle(8, rng=0)
         res = Pipeline(g, DIRECT, rng=1).sample()
+        root = int(res.tree.level_ids[0, 0, res.tree.k_max])
         with pytest.raises(ValueError):
-            tree_edge_to_graph_path(res.tree, res.tree.root, g)
+            tree_edge_to_graph_path(res.tree, root, g)
+        # A k-forest is not one tree: its node ids are per sample.
+        two = Pipeline(g, DIRECT, rng=1).sample_ensemble(2, seed=2).forest
+        with pytest.raises(ValueError, match="one tree"):
+            tree_edge_to_graph_path(two, 1, g)
 
     def test_leaf_to_root_concatenation_connects(self):
         # Concatenating per-edge paths up the tree yields a valid G-walk
@@ -201,14 +207,14 @@ class TestPathReconstruction:
         res = Pipeline(g, DIRECT, rng=5).sample()
         tree = res.tree
         oracle = PathOracle(g)
-        node = tree.leaf_of(5)
+        node = int(tree.level_ids[0, 5, 0])  # vertex 5's leaf
         walk = [int(tree.node_leading[node])]
         while tree.parent[node] >= 0:
             seg = tree_edge_to_graph_path(tree, node, g, oracle)
             assert seg[0] == walk[-1]
             walk.extend(seg[1:])
             node = int(tree.parent[node])
-        assert walk[-1] == tree.node_leading[tree.root]
+        assert walk[-1] == tree.node_leading[tree.level_ids[0, 5, tree.k_max]]
 
 
 class TestPipelineConstructorVariants:
@@ -219,7 +225,7 @@ class TestPipelineConstructorVariants:
         hop = hub_hopset(g, d0=3, rng=1)
         res = _via_oracle(g, hopset=hop, rng=2).sample()
         D = dijkstra_distances(g)
-        assert np.all(res.tree.distance_matrix() >= D - 1e-9)
+        assert np.all(distance_matrix(res.tree) >= D - 1e-9)
 
     def test_disconnected_rejected(self):
         from repro.graph.core import Graph

@@ -8,6 +8,7 @@ from repro.frt import build_frt_forest, compute_le_lists_batch
 from repro.frt.lelists import max_list_length
 from repro.graph import generators as gen
 from repro.graph.shortest_paths import dijkstra_distances, shortest_path_diameter
+from tests.frt_reference import children_lists, distance_matrix, to_networkx
 
 DIRECT = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
 
@@ -19,9 +20,17 @@ def le_lists_of(g, rank):
 
 
 def tree_of(lists, rank, beta, wmin):
-    """The tree of one sample: the k = 1 forest's only tree."""
+    """The tree of one sample: a k = 1 forest."""
     ranks = np.asarray(rank)[None, :]
-    return build_frt_forest(lists, ranks, np.array([beta]), wmin).tree(0)
+    return build_frt_forest(lists, ranks, np.array([beta]), wmin)
+
+
+def leaf_of(tree, v):
+    return int(tree.level_ids[0, v, 0])
+
+
+def root_of(tree):
+    return int(tree.level_ids[0, 0, tree.k_max])
 
 
 class TestLEListSemantics:
@@ -100,29 +109,29 @@ class TestTreeConstruction:
     def test_basic_shape(self):
         g = gen.grid(4, 4, rng=0)
         tree, _ = self._tree(g)
-        assert tree.n == 16
-        assert tree.num_nodes >= tree.k + 1
+        assert tree.n == 16 and tree.size == 1
+        assert tree.total_nodes >= tree.k_max + 1
         # one root
         assert int(np.sum(tree.parent < 0)) == 1
 
     def test_leaves_are_vertices(self):
         g = gen.cycle(10, rng=1)
         tree, _ = self._tree(g)
-        leaves = {tree.leaf_of(v) for v in range(10)}
+        leaves = {leaf_of(tree, v) for v in range(10)}
         assert len(leaves) == 10
         for v in range(10):
-            assert tree.node_leading[tree.leaf_of(v)] == v
-            assert tree.node_level[tree.leaf_of(v)] == 0
+            assert tree.node_leading[leaf_of(tree, v)] == v
+            assert tree.node_level[leaf_of(tree, v)] == 0
 
     def test_root_is_min_rank_vertex(self):
         g = gen.random_graph(20, 40, rng=2)
         tree, rank = self._tree(g, seed=3)
-        assert tree.node_leading[tree.root] == np.argmin(rank)
+        assert tree.node_leading[root_of(tree)] == np.argmin(rank)
 
     def test_parent_levels_consistent(self):
         g = gen.random_graph(15, 30, rng=4)
         tree, _ = self._tree(g)
-        for node in range(tree.num_nodes):
+        for node in range(tree.total_nodes):
             p = tree.parent[node]
             if p >= 0:
                 assert tree.node_level[p] == tree.node_level[node] + 1
@@ -132,17 +141,17 @@ class TestTreeConstruction:
 
         g = gen.grid(3, 4, rng=5)
         tree, _ = self._tree(g, seed=6)
-        T = tree.to_networkx()
+        T = to_networkx(tree)
         for u, v in [(0, 11), (3, 7), (1, 2)]:
             want = nx.shortest_path_length(
-                T, tree.leaf_of(u), tree.leaf_of(v), weight="weight"
+                T, leaf_of(tree, u), leaf_of(tree, v), weight="weight"
             )
-            assert tree.distance(u, v) == pytest.approx(want)
+            assert tree.distances([u], [v])[0, 0] == pytest.approx(want)
 
     def test_distance_matrix_symmetric_zero_diag(self):
         g = gen.cycle(9, rng=7)
         tree, _ = self._tree(g)
-        M = tree.distance_matrix()
+        M = distance_matrix(tree)
         assert np.allclose(M, M.T)
         assert np.all(np.diag(M) == 0)
 
@@ -150,7 +159,7 @@ class TestTreeConstruction:
         # Any tree metric satisfies the four-point condition.
         g = gen.random_graph(12, 25, rng=8)
         tree, _ = self._tree(g, seed=9)
-        M = tree.distance_matrix()
+        M = distance_matrix(tree)
         rng = np.random.default_rng(0)
         for _ in range(50):
             a, b, c, d = rng.choice(12, size=4, replace=False)
@@ -163,35 +172,43 @@ class TestTreeConstruction:
     def test_children_lists(self):
         g = gen.cycle(7, rng=1)
         tree, _ = self._tree(g)
-        children = tree.children_lists()
+        children = children_lists(tree)
         for node, p in enumerate(tree.parent):
             if p >= 0:
                 assert node in children[p]
         # leaves have no children
         for v in range(7):
-            assert children[tree.leaf_of(v)] == []
+            assert children[leaf_of(tree, v)] == []
 
     def test_children_lists_matches_naive_loop(self):
-        # The argsort-grouped construction must reproduce the per-node
-        # append loop exactly: same lists, children in increasing id order.
+        # The forest k-median kernel groups children with a stable argsort
+        # on ``parent``; that grouping must reproduce the per-node append
+        # loop the reference DP folds in: same lists, increasing id order.
         g = gen.random_graph(40, 100, rng=12)
         tree, _ = self._tree(g, seed=13)
-        naive = [[] for _ in range(tree.num_nodes)]
-        for node, p in enumerate(tree.parent):
-            if p >= 0:
-                naive[int(p)].append(node)
-        got = tree.children_lists()
+        naive = children_lists(tree)
+        nonroot = np.flatnonzero(tree.parent >= 0)
+        kids = nonroot[np.argsort(tree.parent[nonroot], kind="stable")]
+        bounds = np.concatenate(
+            [[0], np.cumsum(np.bincount(tree.parent[nonroot], minlength=tree.total_nodes))]
+        )
+        got = [kids[bounds[p] : bounds[p + 1]].tolist() for p in range(tree.total_nodes)]
         assert got == naive
         for lst in got:
             assert lst == sorted(lst)
 
     def test_edge_weight_above(self):
+        # The edge above a level-i node weighs edge_weights[i] = r_{i+1}
+        # (the parent radius); the networkx export reads the same weight,
+        # and the root has no edge above it.
         g = gen.cycle(7, rng=1)
         tree, _ = self._tree(g)
-        leaf = tree.leaf_of(0)
-        assert tree.edge_weight_above(leaf) == pytest.approx(tree.edge_weights[0])
-        with pytest.raises(ValueError):
-            tree.edge_weight_above(tree.root)
+        T = to_networkx(tree)
+        leaf = leaf_of(tree, 0)
+        p = int(tree.parent[leaf])
+        assert T.edges[leaf, p]["weight"] == tree.edge_weights[0, 0] == tree.radii[0, 1]
+        assert tree.parent[root_of(tree)] == -1
+        assert T.degree[root_of(tree)] == len(children_lists(tree)[root_of(tree)])
 
     def test_beta_validation(self):
         g = gen.cycle(6, rng=0)
@@ -217,7 +234,7 @@ class TestDominanceAndStretch:
             DG = dijkstra_distances(g)
             for seed in range(4):
                 res = Pipeline(g, DIRECT, rng=seed).sample()
-                MT = res.tree.distance_matrix()
+                MT = distance_matrix(res.tree)
                 assert np.all(MT >= DG - 1e-9), f"domination violated (seed={seed})"
 
     def test_distance_upper_bound_at_lca(self):
@@ -226,9 +243,9 @@ class TestDominanceAndStretch:
         res = Pipeline(g, DIRECT, rng=1).sample()
         tree = res.tree
         iu, ju = np.triu_indices(16, k=1)
-        lvl = tree.lca_levels(iu, ju)
-        d = tree.distances(iu, ju)
-        assert np.all(d <= 4.0 * tree.radii[lvl] + 1e-9)
+        lvl = tree.lca_levels(iu, ju)[0]
+        d = tree.distances(iu, ju)[0]
+        assert np.all(d <= 4.0 * tree.radii[0, lvl] + 1e-9)
 
     def test_expected_stretch_reasonable(self):
         from repro.frt import evaluate_stretch
@@ -270,7 +287,7 @@ class TestSampleFRTTree:
         res = Pipeline(g, DIRECT, rng=0).sample(rank=rank, beta=1.25)
         assert res.beta == 1.25
         assert np.array_equal(res.rank, rank)
-        assert res.tree.node_leading[res.tree.root] == 0
+        assert res.tree.node_leading[root_of(res.tree)] == 0
 
     def test_disconnected_rejected(self):
         from repro.graph.core import Graph

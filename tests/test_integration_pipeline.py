@@ -12,13 +12,13 @@ from repro.apps.buyatbulk import CableType, Demand, buy_at_bulk
 from repro.apps.kmedian import kmedian, kmedian_cost
 from repro.congest import skeleton_frt
 from repro.api import EmbeddingConfig, HopsetConfig, Pipeline, PipelineConfig
-from repro.frt import decomposition_of
 from repro.graph import generators as gen
 from repro.graph.shortest_paths import dijkstra_distances
 from repro.hopsets import hub_hopset, identity_hopset, rounded_hopset, verify_hopset
 from repro.metric import approximate_metric
 from repro.oracle import HOracle
 from repro.pram import CostLedger
+from tests.frt_reference import distance_matrix
 
 DIRECT = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
 
@@ -54,7 +54,7 @@ def test_pipeline_matrix_dominance_and_iterations(family, pipeline):
         res = _via_oracle(g, eps=0.0, d0=4, rng=11).sample()
     else:
         res = _via_oracle(g, eps=0.25, d0=4, rng=12).sample()
-    M = res.tree.distance_matrix()
+    M = distance_matrix(res.tree)
     assert np.all(M >= D - 1e-9)
     assert res.iterations <= g.n
     if pipeline.startswith("oracle"):
@@ -77,10 +77,13 @@ def test_hopset_feeds_every_consumer():
     assert np.all(matrix[off] >= D[off] - 1e-9)
     # tree through the same oracle
     res = _via_oracle(g, oracle=oracle, rng=23).sample()
-    assert np.all(res.tree.distance_matrix() >= D - 1e-9)
-    # the tree's decomposition respects the (approximate) metric radii
-    dec = decomposition_of(res.tree)
-    assert dec.is_refinement_chain()
+    tree = res.tree
+    assert np.all(distance_matrix(tree) >= D - 1e-9)
+    # the tree's levels form a laminar decomposition: each level-i cluster
+    # lies inside its parent's level-(i+1) cluster
+    for i in range(tree.k_max):
+        fine, coarse = tree.level_ids[0, :, i], tree.level_ids[0, :, i + 1]
+        assert np.array_equal(tree.parent[fine], coarse)
 
 
 def test_metric_then_kmedian():
@@ -112,7 +115,7 @@ def test_ensemble_drives_buyatbulk():
 
 
 def test_skeleton_tree_feeds_applications():
-    """The Congest-produced tree is a regular FRTTree usable downstream."""
+    """The Congest-produced tree is a regular k = 1 forest usable downstream."""
     g = gen.cycle_with_hub(64)
     res = skeleton_frt(g, eps=0.0, c=0.7, rng=50)
     demands = [Demand(0, 32, 2.0)]

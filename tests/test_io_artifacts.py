@@ -30,6 +30,7 @@ from repro.io import (
     save_metric,
     save_result,
 )
+from tests.frt_reference import assert_forests_equal
 
 FOREST_ARRAYS = (
     "betas",
@@ -88,10 +89,7 @@ def test_forest_round_trip_bit_identical(tmp_path, k, mmap):
     loaded = load_forest(path, mmap=mmap)
     _assert_forest_identical(loaded, forest)
     for s in range(forest.size):
-        t0, t1 = forest.tree(s), loaded.tree(s)
-        assert t0.k == t1.k and t0.beta == t1.beta
-        assert np.array_equal(t0.level_ids, t1.level_ids)
-        assert np.array_equal(t0.cum_weights, t1.cum_weights)
+        assert_forests_equal(loaded.tree(s), forest.tree(s))
     us, vs = _query_pairs(40)
     assert np.array_equal(forest.distances(us, vs), loaded.distances(us, vs))
     assert np.array_equal(
@@ -258,7 +256,7 @@ def test_from_artifacts_round_trip_is_read_only(tmp_path, monkeypatch):
         loaded.forest.level_ids[0, 0, 0] = -1
     tree = loaded.forest.tree(0)
     with pytest.raises(ValueError):
-        tree.radii[0] = -1.0
+        tree.radii[0, 0] = -1.0
     # Frozen storage still answers queries normally.
     us, vs = _query_pairs(24, seed=2)
     assert loaded.forest.distances(us, vs).shape == (3, us.size)

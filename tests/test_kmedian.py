@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.apps.batched import hst_kmedian_dp_forest
 from repro.apps.kmedian import (
-    hst_kmedian_dp,
     kmedian,
     kmedian_cost,
     kmedian_greedy,
@@ -16,8 +16,19 @@ from repro.apps.kmedian import (
 from repro.api import EmbeddingConfig, Pipeline, PipelineConfig
 from repro.graph import generators as gen
 from repro.graph.shortest_paths import dijkstra_distances
+from tests import apps_reference
+from tests.frt_reference import distance_matrix
 
 DIRECT = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
+
+
+def hst_kmedian_dp(tree, weights, k, *, allowed=None):
+    """The library DP on one tree (a ``k = 1`` forest), checked bit for bit
+    against the per-tree reference loop."""
+    costs, facs = hst_kmedian_dp_forest(tree, weights, k, allowed=allowed)
+    want_cost, want_fac = apps_reference.hst_kmedian_dp(tree, weights, k, allowed=allowed)
+    assert costs[0] == want_cost and np.array_equal(facs[0], want_fac)
+    return float(costs[0]), facs[0]
 
 
 def brute_force_kmedian(G, k):
@@ -93,7 +104,7 @@ class TestHSTDP:
         n = tree.n
         cand = range(n) if allowed is None else np.flatnonzero(allowed)
         best = (np.inf, None)
-        M = tree.distance_matrix()
+        M = distance_matrix(tree)
         for j in range(1, k + 1):
             for subset in itertools.combinations(cand, j):
                 cost = float((M[:, list(subset)].min(axis=1) * weights).sum())
@@ -108,7 +119,7 @@ class TestHSTDP:
         got_cost, fac = hst_kmedian_dp(tree, w, k)
         assert got_cost == pytest.approx(want_cost)
         # facilities actually realize the claimed cost
-        M = tree.distance_matrix()
+        M = distance_matrix(tree)
         realized = float((M[:, fac].min(axis=1) * w).sum())
         assert realized == pytest.approx(got_cost)
         assert 1 <= fac.size <= k
@@ -154,14 +165,14 @@ class TestHSTDP:
         for k in (1, 3):
             cost, fac = hst_kmedian_dp(tree, w, k, allowed=allowed)
             assert np.array_equal(fac, [only])
-            M = tree.distance_matrix()
+            M = distance_matrix(tree)
             assert cost == pytest.approx(float((M[:, only] * w).sum()))
 
     def test_zero_weight_clients_do_not_pay(self):
         tree, w = self._tree_and_weights(n=8, seed=21)
         w[[1, 5, 6]] = 0.0
         cost, fac = hst_kmedian_dp(tree, w, 2)
-        M = tree.distance_matrix()
+        M = distance_matrix(tree)
         realized = float((M[:, fac].min(axis=1) * w).sum())
         assert cost == pytest.approx(realized)
         want_cost, _ = self.brute_force_on_tree(tree, w, 2)
@@ -248,6 +259,13 @@ class TestKMedianPipeline:
         g = Graph.from_edge_list(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(ValueError):
             kmedian(g, 1)
+
+
+    @pytest.mark.parametrize("trees", [0, -1])
+    def test_tree_count_must_be_positive(self, trees):
+        # Rejected, not clamped to one tree and recorded as given.
+        with pytest.raises(ValueError, match="trees must be >= 1"):
+            kmedian(gen.random_graph(12, 30, rng=3), 2, trees=trees)
 
 
 class TestCliqueConstructionMemory:

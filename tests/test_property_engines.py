@@ -20,6 +20,7 @@ from repro.mbf import run as ref_run
 from repro.mbf.algorithm import MBFAlgorithm
 from repro.mbf.dense import BatchedFlatStates, MinFilter, TopKFilter
 from tests.conftest import dense_k1, le_filter
+from tests.frt_reference import distance_matrix
 
 INF = math.inf
 
@@ -126,7 +127,7 @@ class TestFRTreeProperty:
 
         res = Pipeline(g, direct, rng=seed).sample()
         D = dijkstra_distances(g)
-        M = res.tree.distance_matrix()
+        M = distance_matrix(res.tree)
         assert np.all(M >= D - 1e-9)
 
     @given(connected_graphs(max_n=8), st.integers(min_value=0, max_value=10**6))
@@ -137,7 +138,7 @@ class TestFRTreeProperty:
         direct = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
 
         res = Pipeline(g, direct, rng=seed).sample()
-        M = res.tree.distance_matrix()
+        M = distance_matrix(res.tree)
         n = g.n
         assert np.allclose(M, M.T)
         assert np.all(np.diag(M) == 0)

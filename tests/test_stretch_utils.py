@@ -201,7 +201,20 @@ class TestEvaluateStretch:
 
         class Fake:
             def distances(self, us, vs):
-                return np.full(np.atleast_1d(us).size, 1e-6)
+                return np.full((1, np.atleast_1d(us).size), 1e-6)
 
         rep = evaluate_stretch(g, lambda: Fake(), trees=1, rng=1)
         assert not rep.dominating
+
+    @pytest.mark.parametrize("case", ["pairs=0", "single-vertex"])
+    def test_empty_pair_set_rejected_before_sampling(self, case):
+        # Fails fast with a message naming the empty pair set, instead of
+        # sampling every tree and then failing inside a NumPy reduction.
+        if case == "pairs=0":
+            g, kwargs = gen.cycle(6, rng=0), {"pairs": 0}
+        else:
+            g, kwargs = Graph.from_edge_list(1, []), {}
+        calls = []
+        with pytest.raises(ValueError, match="empty pair set"):
+            evaluate_stretch(g, lambda: calls.append(1), trees=3, rng=1, **kwargs)
+        assert calls == []
