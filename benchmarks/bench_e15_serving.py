@@ -31,7 +31,7 @@ from repro.api import (
     generators as gen,
 )
 from repro.io import load_forest, save_forest
-from repro.serve import ForestServer, load_server
+from repro.serve import load_server
 
 
 def _forest(n, r, seed):

@@ -45,9 +45,9 @@ def test_e6_metric_quality(benchmark, n):
     assert violations == 0
     assert achieved <= res.stretch_bound + 1e-9
     assert np.all(res.matrix[off] >= D[off] - 1e-9)
-    # The facade's constant-time query object reads the same matrix.
-    oracle = pipe.distance_oracle()
-    assert oracle.query(0, 1) == res.matrix[0, 1]
+    # The metric is the constant-time query object, cached by the facade.
+    assert pipe.embed_metric() is res
+    assert res.query(0, 1) == res.matrix[0, 1]
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

@@ -10,8 +10,6 @@ D = 2, SPD = n/2) and on a star (SPD = 2), printing the crossover.
 Run:  python examples/distributed_embedding.py
 """
 
-import numpy as np
-
 from repro.congest import khan_le_lists, skeleton_frt
 from repro.graph import generators
 from repro.graph.shortest_paths import hop_diameter, shortest_path_diameter

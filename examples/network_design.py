@@ -11,8 +11,6 @@ lower bound.
 Run:  python examples/network_design.py
 """
 
-import numpy as np
-
 from repro.api import (
     as_rng,
     buy_at_bulk,

@@ -7,7 +7,7 @@ through one `Pipeline` object:
 
 - `sample()` / `sample_ensemble(k)` — FRT trees; the hop set and oracle are
   built once and amortized across the whole batch;
-- `distance_oracle()` — constant-time `(1+o(1))`-approximate distance
+- `embed_metric()` — constant-time `(1+o(1))`-approximate distance
   queries (Theorem 6.1) from the same cached artifacts;
 - the embedding contract of Definition 7.1 (domination, expected stretch
   O(log n)) verified over the batch.
@@ -62,10 +62,10 @@ def main() -> None:
     print(f"  dist_G(0, {n // 2}) = {g.weights[:n // 2].sum():.2f} (via ring)")
 
     # -- constant-time approximate distance queries ----------------------------
-    dq = pipe.distance_oracle()
+    metric = pipe.embed_metric()
     print(
-        f"\ndistance oracle:  dist_H(0, {n // 2}) = {dq.query(0, n // 2):.2f} "
-        f"(stretch bound {dq.stretch_bound:.3f}, same cached hop set/oracle)"
+        f"\napproximate metric:  dist_H(0, {n // 2}) = {metric.query(0, n // 2):.2f} "
+        f"(stretch bound {metric.stretch_bound:.3f}, same cached hop set/oracle)"
     )
 
     # -- stretch over repeated samples, direct pipeline -------------------------

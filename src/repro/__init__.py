@@ -4,11 +4,12 @@ Embedding based on an Algebraic View on Moore-Bellman-Ford" (SPAA 2016).
 The recommended entry point is the unified pipeline facade in
 :mod:`repro.api`: build a :class:`~repro.api.pipeline.Pipeline` from a graph
 and a :class:`~repro.api.configs.PipelineConfig`, then call ``sample()``,
-``sample_ensemble(k)``, ``distance_oracle()`` or ``embed_metric()`` — stage
-artifacts (hop set, oracle) are built lazily, cached, and amortized across
-samples.  MBF problems run through :func:`~repro.api.solve` on the
-``"dense"`` or the ``"reference"`` engine; see ``API.md`` for the guide and
-the legacy-call migration table.
+``sample_ensemble(k)`` or ``embed_metric()`` (Theorem 6.1's approximate
+metric, a :class:`~repro.metric.MetricResult` with constant-time
+``query(u, v)``) — stage artifacts (hop set, oracle) are built lazily,
+cached, and amortized across samples.  MBF problems run through
+:func:`~repro.api.solve` on the ``"dense"`` or the ``"reference"`` engine;
+see ``API.md`` for the guide and the legacy-call migration table.
 
 Top-level re-exports cover the most common entry points; see the
 subpackages for the full API:
@@ -37,7 +38,7 @@ from repro.api.configs import (
     PipelineConfig,
 )
 from repro.api.pipeline import Pipeline
-from repro.api.result import DistanceOracle, PipelineResult
+from repro.api.result import PipelineResult
 from repro.graph.core import Graph
 from repro.pram.cost import CostLedger
 
@@ -52,6 +53,5 @@ __all__ = [
     "OracleConfig",
     "EmbeddingConfig",
     "PipelineResult",
-    "DistanceOracle",
     "__version__",
 ]

@@ -8,9 +8,11 @@ is the canonical way to drive it:
   expensive stage artifacts (hop set, oracle) and exposes ``sample()``,
   ``sample_ensemble(k)`` (all ``k`` samples in one fused batched pass, with
   per-sample child RNGs and optional process-pool sharding of the sample
-  axis), ``solve_app()`` (the Section
-  9-10 applications through the forest-backed batch path),
-  ``distance_oracle()`` and ``embed_metric()``;
+  axis), ``solve_app()`` (the Section 9-10 applications through the
+  forest-backed batch path) and ``embed_metric()`` (Theorem 6.1's
+  approximate metric, a :class:`MetricResult` with constant-time
+  ``query(u, v)``); it is the one place that builds the hop set → oracle
+  chain;
 - :mod:`~repro.api.configs` — frozen, validated stage configs
   (:class:`HopsetConfig`, :class:`OracleConfig`, :class:`EmbeddingConfig`,
   :class:`PipelineConfig`) with ``to_dict``/``from_dict`` round-tripping;
@@ -22,8 +24,8 @@ is the canonical way to drive it:
   the ``"reference"`` engine;
 - :mod:`~repro.api.result` — :class:`PipelineResult` (the one ensemble
   value: stacked forest, LE lists and ranks + cost ledgers + stage
-  timings + provenance, with per-sample :class:`EmbeddingResult` views),
-  :class:`SolveResult`, and :class:`DistanceOracle`.
+  timings + provenance, with per-sample :class:`EmbeddingResult` views)
+  and :class:`SolveResult`.
 
 Convenience re-exports make the facade self-sufficient for scripts and
 benchmarks: graph construction/generators, ground-truth distances, stretch
@@ -39,7 +41,7 @@ Quickstart::
     result = pipe.sample_ensemble(k=8)       # one hopset/oracle build
     best, cost = result.best_tree_for(my_objective)
     d_min = result.forest.distance_upper_bounds([0], [32])
-    dist = pipe.distance_oracle().query(0, 32)
+    dist = pipe.embed_metric().query(0, 32)
 
 See ``API.md`` at the repository root for the full guide and the
 old-call → new-call migration table.
@@ -57,7 +59,7 @@ from repro.api.configs import (
     PipelineConfig,
 )
 from repro.api.pipeline import Pipeline, ShardWorkerError
-from repro.api.result import DistanceOracle, PipelineResult, SolveResult
+from repro.api.result import PipelineResult, SolveResult
 
 # The Section-3 algorithm zoo, re-exported as the problem catalogue.
 from repro.api import problems
@@ -91,7 +93,6 @@ __all__ = [
     "HOPSET_KINDS",
     "EMBEDDING_METHODS",
     "PipelineResult",
-    "DistanceOracle",
     "SolveResult",
     # problems and their two engines
     "problems",
@@ -126,8 +127,6 @@ __all__ = [
     "load_forest",
     "save_result",
     "load_result",
-    "save_metric",
-    "load_metric",
     "read_artifact_meta",
     "ForestServer",
     "ServeRequest",
@@ -160,8 +159,6 @@ _LAZY_EXPORTS = {
     "load_forest": "repro.io.artifacts",
     "save_result": "repro.io.artifacts",
     "load_result": "repro.io.artifacts",
-    "save_metric": "repro.io.artifacts",
-    "load_metric": "repro.io.artifacts",
     "read_artifact_meta": "repro.io.artifacts",
     "ForestServer": "repro.serve.server",
     "ServeRequest": "repro.serve.server",

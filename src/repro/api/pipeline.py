@@ -3,13 +3,16 @@
 This is the canonical entry point to the paper's pipeline.  A ``Pipeline``
 binds one graph to one :class:`~repro.api.configs.PipelineConfig`, builds
 the expensive stage artifacts (hop set, oracle) lazily, caches them, and
-amortizes them across samples:
+amortizes them across samples.  It is the one place that builds the
+hop set → oracle chain: Theorem 6.1's metric (:meth:`Pipeline.embed_metric`),
+the spanner metric of Theorem 6.2 and the Section-8.3 skeleton oracle all
+run through it:
 
 >>> from repro.api import Pipeline, PipelineConfig
 >>> pipe = Pipeline(G, PipelineConfig(seed=0))
 >>> result = pipe.sample_ensemble(k=8)          # one hopset+oracle build
 >>> tree = pipe.sample().tree                   # still the same artifacts
->>> dist = pipe.distance_oracle().query(0, 5)   # ditto
+>>> dist = pipe.embed_metric().query(0, 5)      # ditto
 
 Randomness: the pipeline threads a single :class:`numpy.random.Generator`
 (from ``rng`` or ``config.seed``) through construction and sampling, so a
@@ -34,7 +37,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 
 from repro.api.configs import ExecutionConfig, PipelineConfig
-from repro.api.result import DistanceOracle, PipelineResult, SolveResult
+from repro.api.result import PipelineResult, SolveResult
 from repro.frt import lelists
 from repro.frt.embedding import EmbeddingResult, _draw_randomness
 from repro.frt.forest import FRTForest, build_frt_forest
@@ -115,7 +118,7 @@ class Pipeline:
         if not isinstance(G, Graph):
             raise TypeError(f"expected a repro Graph, got {type(G)!r}")
         if not G.is_connected():
-            raise ValueError("FRT embeddings require a connected graph")
+            raise ValueError("the pipeline requires a connected graph")
         if config is None:
             config = PipelineConfig()
         elif not isinstance(config, PipelineConfig):
@@ -530,9 +533,12 @@ class Pipeline:
         """Theorem 6.1 through the cached oracle: an approximate *metric*.
 
         Reuses the pipeline's hop set / oracle (one build serves trees and
-        metric queries alike); the result is cached.  Passing an explicit
-        ``ledger`` always runs (and charges) the computation — a cached
-        matrix must not silently report zero cost.
+        metric queries alike); the result is cached.  The returned
+        :class:`~repro.metric.MetricResult` is the constant-time query
+        object: ``query(u, v)``, ``matrix[us, vs]``, ``n`` and
+        ``stretch_bound``.  Passing an explicit ``ledger`` always runs (and
+        charges) the computation — a cached matrix must not silently report
+        zero cost.
         """
         if self._metric is None or ledger is not NULL_LEDGER:
             oracle = self.oracle()
@@ -545,10 +551,6 @@ class Pipeline:
                 time.perf_counter() - t0
             )
         return self._metric
-
-    def distance_oracle(self) -> DistanceOracle:
-        """Constant-time approximate distance queries on this graph."""
-        return DistanceOracle(self.embed_metric())
 
     # -- artifacts (offline half of the build/serve split) --------------------
 

@@ -7,9 +7,6 @@ work/depth ledgers, wall-clock stage timings, and full provenance
 build counters).  Its per-sample
 :class:`~repro.frt.embedding.EmbeddingResult` views are built on demand.
 
-:class:`DistanceOracle` wraps a computed :class:`~repro.metric.MetricResult`
-as a constant-time query object — the Theorem 6.1 interface.
-
 :class:`SolveResult` carries one :meth:`~repro.api.pipeline.Pipeline.solve`
 answer: the decoded value plus iteration count and engine provenance.
 """
@@ -23,13 +20,12 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from repro.frt.embedding import EmbeddingResult
-from repro.frt.ensemble import sample_views
+from repro.frt.ensemble import sample_view
 from repro.frt.forest import FRTForest
 from repro.mbf.dense import BatchedFlatStates
-from repro.metric.approx_metric import MetricResult
 from repro.pram.cost import CostLedger
 
-__all__ = ["PipelineResult", "DistanceOracle", "SolveResult"]
+__all__ = ["PipelineResult", "SolveResult"]
 
 
 @dataclass(frozen=True)
@@ -141,9 +137,7 @@ class PipelineResult:
     def embeddings(self) -> list[EmbeddingResult]:
         """The ``k = 1`` :class:`~repro.frt.embedding.EmbeddingResult` view
         of every sample, in sample order; built once, on first access."""
-        return sample_views(
-            self.forest, self.le_lists, self.ranks, self.iterations, self.embedding_meta
-        )
+        return [self._view(s) for s in range(self.size)]
 
     def best_tree_for(
         self, objective: Callable[[FRTForest], float]
@@ -151,19 +145,25 @@ class PipelineResult:
         """Return the ``(embedding, value)`` minimizing ``objective``.
 
         ``objective`` scores one tree, a ``k = 1``
-        :class:`~repro.frt.forest.FRTForest` (``embedding.tree``).
+        :class:`~repro.frt.forest.FRTForest` (``forest.tree(s)``), in
+        sample order; the first minimum wins a tie.  Only the winning
+        sample's :class:`~repro.frt.embedding.EmbeddingResult` is built.
 
         This is the log(1/eps)-repetitions pattern: for a linear objective,
         the best of ``k`` trees is an ``O(log n)``-approximation with
         probability ``1 - 2^{-Ω(k)}``.
         """
-        best: tuple[EmbeddingResult, float] | None = None
-        for emb in self.embeddings:
-            val = float(objective(emb.tree))
-            if best is None or val < best[1]:
-                best = (emb, val)
-        assert best is not None
-        return best
+        best, best_val = 0, None
+        for s, tree in enumerate(self.forest.trees()):
+            val = float(objective(tree))
+            if best_val is None or val < best_val:
+                best, best_val = s, val
+        return self._view(best), best_val
+
+    def _view(self, s: int) -> EmbeddingResult:
+        return sample_view(
+            self.forest, self.le_lists, self.ranks, self.iterations, self.embedding_meta, s
+        )
 
     @property
     def fingerprint(self) -> str | None:
@@ -183,39 +183,3 @@ class PipelineResult:
         from repro.io.artifacts import save_result
 
         return save_result(path, self)
-
-
-@dataclass(frozen=True)
-class DistanceOracle:
-    """Constant-time approximate distance queries (Theorem 6.1 interface).
-
-    Wraps a materialized approximate metric: ``query`` and ``distances``
-    read the matrix, so each call is O(1) per pair.  The distances are
-    exact distances of the simulated graph ``H`` — a true metric that
-    dominates ``dist_G`` within :attr:`stretch_bound`.
-    """
-
-    metric: MetricResult
-
-    @property
-    def n(self) -> int:
-        return self.metric.n
-
-    @property
-    def stretch_bound(self) -> float:
-        """A-priori multiplicative guarantee vs ``dist_G`` (w.h.p.)."""
-        return self.metric.stretch_bound
-
-    def query(self, u: int, v: int) -> float:
-        """``dist(u, v, H)`` — dominating, within the stretch bound."""
-        return self.metric.query(u, v)
-
-    def distances(self, us, vs) -> np.ndarray:
-        """Vectorized pairwise queries: ``dist(us[i], vs[i], H)``."""
-        us = np.atleast_1d(np.asarray(us, dtype=np.int64))
-        vs = np.atleast_1d(np.asarray(vs, dtype=np.int64))
-        return self.metric.matrix[us, vs]
-
-    def matrix(self) -> np.ndarray:
-        """The full ``(n, n)`` approximate distance matrix (no copy)."""
-        return self.metric.matrix

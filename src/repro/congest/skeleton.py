@@ -8,8 +8,9 @@ Pipeline (Theorem 8.1), with round accounting per the paper's protocol:
    ``ℓ = ceil(sqrt(n))`` (partial distance estimation [31]):
    ``O~(ℓ + |S|)`` rounds.  W.h.p. ``dist(·,·,G_S) = dist(·,·,G)``.
 3. **Simulated skeleton graph** ``H_S`` — hub hop set + levels on ``G_S``
-   (our stand-in for the Henzinger et al. [25] hop set, cf. DESIGN.md §2)
-   and LE lists of ``H_S`` via the oracle; each ``H_S``-iteration
+   (our stand-in for the Henzinger et al. [25] hop set, cf. DESIGN.md §2),
+   built as :meth:`repro.api.Pipeline.oracle` builds the main pipeline's
+   oracle, and LE lists of ``H_S`` via that oracle; each ``H_S``-iteration
    broadcasts all skeleton lists over the BFS tree:
    ``Σ_s |x_s| + D(G)`` rounds per iteration, ``O(log² n)`` iterations.
 4. **Jump-started local phase** — ``ℓ`` LE iterations on ``G`` with edge
@@ -29,19 +30,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.api.configs import HopsetConfig, PipelineConfig
+from repro.api.pipeline import Pipeline
 from repro.congest.model import RoundLedger
 from repro.frt.forest import FRTForest, build_frt_forest
 from repro.graph.core import Graph
 from repro.graph.shortest_paths import hop_diameter, hop_limited_distances
-from repro.hopsets.rounded import rounded_hopset
-from repro.hopsets.skeleton import hub_hopset
 from repro.mbf.dense import (
     BatchedFlatStates,
     BatchedLEFilter,
     aggregate_batched,
     dense_iteration_batched_ex,
 )
-from repro.oracle.oracle import HOracle
 from repro.util.pairs import all_pairs, sample_distinct
 from repro.util.rng import as_rng
 
@@ -73,9 +73,15 @@ def skeleton_frt(
     rng=None,
     beta: float | None = None,
 ) -> SkeletonFRTResult:
-    """Run the Section-8.3 skeleton algorithm; returns tree + round ledger."""
+    """Run the Section-8.3 skeleton algorithm; returns tree + round ledger.
+
+    ``eps`` rounds the ``H_S`` hop set as in the pipeline's
+    :class:`~repro.api.configs.HopsetConfig`, which rejects a negative
+    value with a ``ValueError``.
+    """
     if not G.is_connected():
         raise ValueError("skeleton FRT requires a connected graph")
+    hs_config = PipelineConfig(hopset=HopsetConfig(eps=eps))
     g = as_rng(rng)
     n = G.n
     ledger = RoundLedger()
@@ -109,9 +115,7 @@ def skeleton_frt(
         )
 
     # -- step 3: H_S LE lists via the oracle ------------------------------
-    base = hub_hopset(GS, rng=g)
-    hop = rounded_hopset(base, GS, eps) if eps > 0 else base
-    oracle = HOracle(hop, rng=g)
+    oracle = Pipeline(GS, hs_config, rng=g).oracle()
     rank_s = g.permutation(target).astype(np.int64)
     spec_s = BatchedLEFilter(rank_s[None, :])
     # One {v: 0} entry per node is already a canonical LE state.

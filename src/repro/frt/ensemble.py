@@ -5,8 +5,8 @@ batched engine produces them as one stacked value — an
 :class:`~repro.frt.forest.FRTForest`, one
 :class:`~repro.mbf.dense.BatchedFlatStates` of LE lists and a ``(k, n)``
 rank matrix, carried by :class:`repro.api.PipelineResult`.
-:func:`sample_views` cuts it into ``k = 1``
-:class:`~repro.frt.embedding.EmbeddingResult` views.
+:func:`sample_view` cuts sample ``s`` out of it as a ``k = 1``
+:class:`~repro.frt.embedding.EmbeddingResult` view.
 """
 
 from __future__ import annotations
@@ -17,28 +17,26 @@ from repro.frt.embedding import EmbeddingResult
 from repro.frt.forest import FRTForest
 from repro.mbf.dense import BatchedFlatStates
 
-__all__ = ["sample_views"]
+__all__ = ["sample_view"]
 
 
-def sample_views(
+def sample_view(
     forest: FRTForest,
     le_lists: BatchedFlatStates,  # shape: csr(k*n) frozen
     ranks: np.ndarray,  # shape: (k, n) int64 frozen
     iterations: list[int],
     meta: dict,
-) -> list[EmbeddingResult]:
-    """One :class:`~repro.frt.embedding.EmbeddingResult` per sample: the
-    tree is a read-only view into ``forest``, the rank a row view, the LE
-    lists a ``k = 1`` batch copied out of ``le_lists``, ``meta`` a copy per
-    view."""
-    return [
-        EmbeddingResult(
-            tree=forest.tree(s),
-            rank=ranks[s],
-            beta=float(forest.betas[s]),
-            le_lists=le_lists.sample_states(s),
-            iterations=int(iterations[s]),
-            meta=dict(meta),
-        )
-        for s in range(forest.size)
-    ]
+    s: int,
+) -> EmbeddingResult:
+    """Sample ``s`` as an :class:`~repro.frt.embedding.EmbeddingResult`:
+    the tree is a read-only view into ``forest``, the rank a row view, the
+    LE lists a ``k = 1`` batch copied out of ``le_lists``, ``meta`` a
+    copy."""
+    return EmbeddingResult(
+        tree=forest.tree(s),
+        rank=ranks[s],
+        beta=float(forest.betas[s]),
+        le_lists=le_lists.sample_states(s),
+        iterations=int(iterations[s]),
+        meta=dict(meta),
+    )

@@ -91,8 +91,10 @@ def evaluate_stretch(
             f"empty pair set (pairs={pairs}, n={G.n}): stretch needs at "
             "least one vertex pair"
         )
-    DG = dijkstra_distances(G)
-    base = DG[us, vs]
+    # Dijkstra from the pairs' distinct sources only: (|sources|, n), not
+    # the (n, n) all-pairs matrix a handful of sampled pairs would waste.
+    sources = np.unique(us)
+    base = dijkstra_distances(G, sources)[np.searchsorted(sources, us), vs]
     if np.any(~np.isfinite(base)) or np.any(base <= 0):
         raise ValueError("stretch undefined for disconnected pairs")
     ratios = np.empty((trees, us.size))

@@ -1,11 +1,11 @@
 """Versioned, provenance-stamped artifact serialization (offline half).
 
 ``repro.io`` turns the expensive pipeline outputs — stacked
-:class:`~repro.frt.forest.FRTForest` ensembles, batched
-``PipelineResult``s, and Theorem 6.1 approximate metrics — into
-schema-versioned files that :mod:`repro.serve` preloads once and queries
-many times.  See :mod:`repro.io.artifacts` for the file format and the
-zero-copy ``mmap=True`` load path.
+:class:`~repro.frt.forest.FRTForest` ensembles (kind ``"forest"``) and
+batched ``PipelineResult``s (kind ``"result"``) — into schema-versioned
+files that :mod:`repro.serve` preloads once and queries many times.  See
+:mod:`repro.io.artifacts` for the file format and the zero-copy
+``mmap=True`` load path.
 """
 
 from repro.io.artifacts import (
@@ -15,11 +15,9 @@ from repro.io.artifacts import (
     ArtifactError,
     content_fingerprint,
     load_forest,
-    load_metric,
     load_result,
     read_artifact_meta,
     save_forest,
-    save_metric,
     save_result,
 )
 
@@ -30,10 +28,8 @@ __all__ = [
     "SCHEMA_VERSION",
     "content_fingerprint",
     "load_forest",
-    "load_metric",
     "load_result",
     "read_artifact_meta",
     "save_forest",
-    "save_metric",
     "save_result",
 ]

@@ -16,6 +16,11 @@ under our control:
 - one ``<name>.npy`` member per array, stored (never deflated) in standard
   npy format.
 
+**Kinds.**  ``"forest"`` (:func:`save_forest`, a stacked
+:class:`~repro.frt.forest.FRTForest`) and ``"result"`` (:func:`save_result`,
+a batched ``PipelineResult``).  Both carry a forest, so :func:`load_forest`
+reads either; any other kind is rejected on open.
+
 Because members are stored uncompressed, ``mmap=True`` loads map each
 array's payload bytes straight out of the file
 (:func:`numpy.memmap` at the member's data offset) — *zero copies* of the
@@ -49,7 +54,6 @@ import numpy as np
 
 from repro.frt.forest import FRTForest
 from repro.mbf.dense import BatchedFlatStates
-from repro.metric.approx_metric import MetricResult
 from repro.util.freeze import freeze
 
 __all__ = [
@@ -59,11 +63,9 @@ __all__ = [
     "SCHEMA_VERSION",
     "content_fingerprint",
     "load_forest",
-    "load_metric",
     "load_result",
     "read_artifact_meta",
     "save_forest",
-    "save_metric",
     "save_result",
 ]
 
@@ -73,8 +75,8 @@ SCHEMA = "repro-artifact"
 #: Current schema version; loads reject any other value with a clear error.
 SCHEMA_VERSION = 1
 
-#: The artifact kinds this module writes and reads.
-ARTIFACT_KINDS = ("forest", "result", "metric")
+#: The artifact kinds this module writes and reads; both carry a forest.
+ARTIFACT_KINDS = ("forest", "result")
 
 _META_MEMBER = "meta.json"
 
@@ -405,11 +407,6 @@ def load_forest(
     """
     zf, meta = _open_artifact(path)
     try:
-        if meta["kind"] not in ("forest", "result"):
-            raise ArtifactError(
-                f"{path}: kind {meta['kind']!r} carries no forest; "
-                "expected a 'forest' or 'result' artifact"
-            )
         manifest = meta.get("arrays", {})
         if not isinstance(manifest, dict):
             raise ArtifactError(f"{path}: meta.json lacks an array manifest")
@@ -542,70 +539,4 @@ def load_result(
         timings=dict(head.get("timings", {})),
         meta=dict(meta.get("provenance", {})),
         embedding_meta=dict(emb_meta[0]),
-    )
-
-
-# -- approximate metrics (the distance-oracle payload) -------------------------
-
-
-def save_metric(
-    path,  # shape: scalar
-    metric: MetricResult,
-    *,
-    provenance: dict | None = None,  # shape: scalar
-) -> dict:  # shape: -> scalar
-    """Persist a :class:`~repro.metric.approx_metric.MetricResult`.
-
-    The Theorem 6.1 oracle's queryable payload: the ``(n, n)`` approximate
-    distance matrix plus its a-priori stretch bound, iteration count, and
-    meta.  Wrap the loaded value in
-    :class:`~repro.api.result.DistanceOracle` for the constant-time query
-    interface.
-    """
-    if not isinstance(metric, MetricResult):
-        raise TypeError(f"expected a MetricResult, got {type(metric)!r}")
-    matrix = np.asarray(metric.matrix, dtype=np.float64)
-    header = {
-        "metric": {
-            "n": int(matrix.shape[0]),
-            "stretch_bound": float(metric.stretch_bound),
-            "iterations": int(metric.iterations),
-            "meta": dict(metric.meta),
-        }
-    }
-    return _write_artifact(path, "metric", header, {"metric/matrix": matrix}, provenance)
-
-
-def load_metric(
-    path,  # shape: scalar
-    *,
-    mmap: bool = False,  # shape: scalar
-) -> MetricResult:  # shape: -> object view
-    """Load a metric artifact — the matrix is read-only in both modes
-    (memmapped at ``mmap=True``, frozen after validation otherwise)."""
-    zf, meta = _open_artifact(path)
-    try:
-        if meta["kind"] != "metric":
-            raise ArtifactError(
-                f"{path}: kind {meta['kind']!r} is not a 'metric' artifact"
-            )
-        arrays = _read_arrays(path, zf, meta, mmap)
-    finally:
-        zf.close()
-    head = meta.get("metric")
-    if not isinstance(head, dict):
-        raise ArtifactError(f"{path}: missing 'metric' header in meta.json")
-    matrix = arrays.get("metric/matrix")
-    if matrix is None:
-        raise ArtifactError(f"{path}: metric artifact lacks array 'metric/matrix'")
-    n = int(head.get("n", -1))
-    if matrix.shape != (n, n):
-        raise ArtifactError(
-            f"{path}: metric matrix shape {matrix.shape} does not match header n={n}"
-        )
-    return MetricResult(
-        matrix=matrix,
-        stretch_bound=float(head["stretch_bound"]),
-        iterations=int(head["iterations"]),
-        meta=dict(head.get("meta", {})),
     )

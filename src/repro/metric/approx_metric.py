@@ -1,13 +1,19 @@
 """Approximate metrics from graphs (Theorems 6.1 and 6.2).
 
-``approximate_metric`` runs the APSP query (identity/min filter) against the
-Section-5 oracle: the result is ``dist(·,·,H)`` — a *true metric* (triangle
-inequality holds exactly, unlike raw ``d``-hop distances, cf. Observation
-1.1) that approximates ``dist(·,·,G)`` within ``(1+eps)^{Λ+1}``.
+Theorem 6.1's metric is one APSP query (min filter) of the Section-5
+oracle on ``H``: ``dist(·,·,H)`` is a *true metric* (the triangle
+inequality holds exactly, unlike raw ``d``-hop distances, cf.
+Observation 1.1) that approximates ``dist(·,·,G)`` within
+``(1+eps)^{Λ+1}``.  :class:`repro.api.Pipeline` is the one place that
+builds the hop set and oracle for it: ``Pipeline(G, cfg).embed_metric()``
+runs :func:`metric_from_oracle` on its cached oracle and returns a
+:class:`MetricResult`, the one metric value (``query(u, v)``, ``matrix``,
+``n``, ``stretch_bound``).
 
 ``approximate_metric_spanner`` first sparsifies with a Baswana–Sen
-``(2k-1)``-spanner (Theorem 6.2): the work drops on dense graphs at the
-price of an extra ``2k-1`` stretch factor.
+``(2k-1)``-spanner (Theorem 6.2) and runs the same pipeline on it: the
+work drops on dense graphs at the price of an extra ``2k-1`` stretch
+factor.
 """
 
 from __future__ import annotations
@@ -17,8 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graph.core import Graph
-from repro.hopsets.rounded import rounded_hopset
-from repro.hopsets.skeleton import hub_hopset
 from repro.metric.spanner import baswana_sen_spanner
 from repro.mbf.dense import MinFilter
 from repro.oracle.oracle import HOracle
@@ -28,7 +32,6 @@ from repro.util.rng import as_rng
 __all__ = [
     "MetricResult",
     "metric_from_oracle",
-    "approximate_metric",
     "approximate_metric_spanner",
 ]
 
@@ -66,8 +69,8 @@ def metric_from_oracle(
 
     Runs the APSP query (min filter) on ``H`` and packages the exact
     ``H``-distances with the a-priori ``(1+eps)^{Λ+1}`` stretch bound.
-    Shared by :func:`approximate_metric` and
-    :meth:`repro.api.Pipeline.embed_metric` (which amortizes the oracle).
+    :meth:`repro.api.Pipeline.embed_metric` calls it on the pipeline's
+    cached oracle.
     """
     states, iters = oracle.run_batch(MinFilter(), 1, ledgers=[ledger])
     matrix = states.to_matrix()
@@ -87,30 +90,6 @@ def metric_from_oracle(
     )
 
 
-def approximate_metric(
-    G: Graph,
-    *,
-    eps: float = 0.25,
-    d0: int | None = None,
-    rng=None,
-    ledger: CostLedger = NULL_LEDGER,
-) -> MetricResult:
-    """Theorem 6.1: a ``(1+eps)^{O(log n)}``-approximate metric of ``G``.
-
-    With the paper's parameterization ``eps ∈ 1/polylog(n)`` the bound is
-    ``1 + o(1)``.  Returned distances are exact distances of the simulated
-    graph ``H`` — hence a true metric (tests verify zero triangle
-    violations).
-    """
-    if not G.is_connected():
-        raise ValueError("approximate_metric requires a connected graph")
-    g = as_rng(rng)
-    base = hub_hopset(G, d0, rng=g)
-    hopset = rounded_hopset(base, G, eps) if eps > 0 else base
-    oracle = HOracle(hopset, rng=g)
-    return metric_from_oracle(oracle, eps=eps, ledger=ledger)
-
-
 def approximate_metric_spanner(
     G: Graph,
     k: int,
@@ -123,13 +102,21 @@ def approximate_metric_spanner(
     """Theorem 6.2: ``O(1)``-approximate metric via a ``(2k-1)``-spanner.
 
     The spanner shrinks the edge set to ``O~(n^{1+1/k})`` w.h.p.; the
-    combined guarantee is ``(2k-1) · (1+eps)^{O(log n)}``.
+    combined guarantee is ``(2k-1) · (1+eps)^{O(log n)}``.  The metric of
+    the spanner is ``Pipeline(spanner, cfg, rng=g).embed_metric()`` with
+    ``cfg``'s hop set at ``d0`` and ``eps``, so a negative ``eps`` raises
+    :class:`~repro.api.configs.HopsetConfig`'s ``ValueError``.
     """
+    # Local imports: repro.api.pipeline imports this module.
+    from repro.api.configs import HopsetConfig, PipelineConfig
+    from repro.api.pipeline import Pipeline
+
     if k < 1:
         raise ValueError("k must be >= 1")
+    config = PipelineConfig(hopset=HopsetConfig(d0=d0, eps=eps))
     g = as_rng(rng)
     spanner = baswana_sen_spanner(G, k, rng=g)
-    inner = approximate_metric(spanner, eps=eps, d0=d0, rng=g, ledger=ledger)
+    inner = Pipeline(spanner, config, rng=g).embed_metric(ledger=ledger)
     return MetricResult(
         matrix=inner.matrix,
         stretch_bound=inner.stretch_bound * (2 * k - 1),

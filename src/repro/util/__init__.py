@@ -1,14 +1,8 @@
-"""Small shared utilities: RNG handling, validation, array helpers."""
+"""Small shared utilities: RNG handling, pair sampling, read-only freezing."""
 
 from repro.util.freeze import freeze, freeze_enabled
 from repro.util.pairs import all_pairs, sample_distinct, unrank_pairs
 from repro.util.rng import as_rng, spawn_rngs, split_seed
-from repro.util.validation import (
-    check_index,
-    check_positive,
-    check_probability,
-    require,
-)
 
 __all__ = [
     "as_rng",
@@ -19,8 +13,4 @@ __all__ = [
     "all_pairs",
     "unrank_pairs",
     "sample_distinct",
-    "check_index",
-    "check_positive",
-    "check_probability",
-    "require",
 ]

@@ -8,6 +8,9 @@ so a renamed test or file fails here, not silently in CI.
 ``bench-*.json`` artifacts into one ``bench-trend.json`` + summary table.
 ``.github/requirements-ci.txt`` must install every third-party module the
 tier-1 tests import, or a clean CI install fails at collection.
+The repository benchmark (``perfbench/``) imports library names and wraps
+layer entry points in its traced runs; a deleted or renamed one fails
+``TestPerfbenchReach`` here, not only CI's full traced perfbench pass.
 """
 
 import ast
@@ -156,7 +159,7 @@ def _requirement_names(lines):
 
 class TestCIRequirements:
     def test_every_third_party_test_import_is_installed(self):
-        local = {"repro", "tools", "tests", "merge_trend", "check_trend"}
+        local = {"repro", "tools", "tests", "perfbench", "merge_trend", "check_trend"}
         imported = set()
         for path in (REPO / "tests").glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
@@ -174,3 +177,34 @@ class TestCIRequirements:
         declared = project["dependencies"] + project["optional-dependencies"]["dev"]
         ci = _requirement_names(REQUIREMENTS.read_text().splitlines())
         assert ci == _requirement_names(declared)
+
+
+class TestPerfbenchReach:
+    def test_layer_spans_install_and_restore(self):
+        # Importing the workloads resolves every library name perfbench
+        # imports; installing the layer spans resolves every attribute it
+        # wraps (a missing one raises).  restore() must put back each
+        # original object, so untraced runs execute the library unmodified.
+        from perfbench.spans import Tracer
+        from perfbench.workloads import install_layer_spans
+
+        class RecordingTracer(Tracer):
+            def __init__(self):
+                super().__init__()
+                self.wrapped = []
+
+            def wrap(self, owner, attr, name, on_result=None, skip_under=None):
+                self.wrapped.append((owner, attr, vars(owner).get(attr)))
+                super().wrap(owner, attr, name, on_result, skip_under)
+
+        tracer = RecordingTracer()
+        try:
+            install_layer_spans(tracer)
+            assert tracer.wrapped
+            for owner, attr, original in tracer.wrapped:
+                assert original is not None, f"{owner.__name__}.{attr}"
+                assert vars(owner)[attr] is not original, f"{owner.__name__}.{attr}"
+        finally:
+            tracer.restore()
+        for owner, attr, original in tracer.wrapped:
+            assert vars(owner)[attr] is original, f"{owner.__name__}.{attr}"

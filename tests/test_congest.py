@@ -149,6 +149,12 @@ class TestSkeletonFRT:
         with pytest.raises(ValueError):
             skeleton_frt(g)
 
+    def test_negative_eps_rejected(self):
+        # The H_S hop set is built by the pipeline, whose HopsetConfig
+        # rejects a negative eps.
+        with pytest.raises(ValueError, match="eps must be non-negative"):
+            skeleton_frt(gen.cycle(16, rng=0), eps=-0.1)
+
 
 class TestSpannerFRT:
     """Section 8.2 — the spanner-based (Ghaffari-Lenzen) construction."""

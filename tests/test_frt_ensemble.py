@@ -10,6 +10,7 @@ from repro.api import EmbeddingConfig, Pipeline, PipelineConfig, PipelineResult
 from repro.frt import FRTForest
 from repro.graph import generators as gen
 from repro.graph.shortest_paths import dijkstra_distances
+from tests.frt_reference import assert_forests_equal
 
 DIRECT = PipelineConfig(embedding=EmbeddingConfig(method="direct"))
 
@@ -90,6 +91,36 @@ class TestEnsembleDistances:
         all_vals = self.forest.distances([0], [24])[:, 0]
         assert val == min(all_vals)
         assert emb.tree.distances([0], [24])[0, 0] == val
+
+    @pytest.mark.parametrize("objective", ["corner", "depth", "constant"])
+    def test_best_tree_for_builds_only_the_winner(self, objective):
+        # Scores forest.trees() and builds the winner's view alone: no
+        # sample's LE lists are copied out for scoring.  The result equals
+        # the old loop over every embedding, field by field; "depth" and
+        # "constant" tie, and the first minimum wins.
+        fn = {
+            "corner": lambda t: t.distances([0], [24])[0, 0],
+            "depth": lambda t: t.depths[0],
+            "constant": lambda t: 1.0,
+        }[objective]
+        emb, val = self.res.best_tree_for(fn)
+        assert "embeddings" not in self.res.__dict__
+        old = None
+        for e in self.res.embeddings:
+            v = float(fn(e.tree))
+            if old is None or v < old[1]:
+                old = (e, v)
+        want, want_val = old
+        assert val == want_val
+        assert_forests_equal(emb.tree, want.tree)
+        assert np.array_equal(emb.rank, want.rank)
+        assert emb.beta == want.beta
+        for name in ("offsets", "ids", "dists"):
+            a, b = getattr(emb.le_lists, name), getattr(want.le_lists, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert (emb.le_lists.k, emb.le_lists.n) == (want.le_lists.k, want.le_lists.n)
+        assert emb.iterations == want.iterations
+        assert emb.meta == want.meta
 
 
 class TestForestBackedEnsemble:

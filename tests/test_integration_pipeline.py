@@ -15,7 +15,6 @@ from repro.api import EmbeddingConfig, HopsetConfig, Pipeline, PipelineConfig
 from repro.graph import generators as gen
 from repro.graph.shortest_paths import dijkstra_distances
 from repro.hopsets import hub_hopset, identity_hopset, rounded_hopset, verify_hopset
-from repro.metric import approximate_metric
 from repro.oracle import HOracle
 from repro.pram import CostLedger
 from tests.frt_reference import distance_matrix
@@ -91,7 +90,7 @@ def test_metric_then_kmedian():
     candidate clique matches k-median on the true graph within the
     metric's stretch bound."""
     g = gen.random_graph(26, 60, rng=30)
-    metric = approximate_metric(g, eps=0.1, d0=4, rng=31)
+    metric = _via_oracle(g, eps=0.1, d0=4, rng=31).embed_metric()
     res_true = kmedian(g, 3, trees=3, rng=32)
     # evaluate the chosen facilities under the approximate metric:
     approx_cost = metric.matrix[res_true.facilities].min(axis=0).sum()

@@ -23,12 +23,9 @@ from repro.io import (
     ArtifactError,
     content_fingerprint,
     load_forest,
-    load_metric,
     load_result,
     read_artifact_meta,
     save_forest,
-    save_metric,
-    save_result,
 )
 from tests.frt_reference import assert_forests_equal
 
@@ -278,22 +275,6 @@ def test_facade_save_and_from_artifacts(tmp_path):
     )
 
 
-# -- metric round trips --------------------------------------------------------
-
-
-@pytest.mark.parametrize("mmap", [False, True], ids=["inmem", "mmap"])
-def test_metric_round_trip(tmp_path, mmap):
-    pipe = Pipeline(gen.random_graph(24, rng=2), PipelineConfig(seed=5))
-    metric = pipe.embed_metric()
-    path = tmp_path / "metric.rpz"
-    save_metric(path, metric)
-    loaded = load_metric(path, mmap=mmap)
-    assert np.array_equal(loaded.matrix, metric.matrix)
-    assert loaded.stretch_bound == metric.stretch_bound
-    assert loaded.iterations == metric.iterations
-    assert loaded.meta == metric.meta
-
-
 # -- provenance + fingerprinting -----------------------------------------------
 
 
@@ -387,14 +368,15 @@ def test_rejects_unknown_schema_and_future_version(tmp_path):
 
 
 def test_rejects_wrong_kind(tmp_path):
-    pipe = Pipeline(gen.random_graph(16, rng=1), PipelineConfig(seed=2))
-    path = tmp_path / "m.rpz"
-    save_metric(path, pipe.embed_metric())
-    with pytest.raises(ArtifactError, match="carries no forest"):
+    # A kind this build does not write (such as the retired "metric" kind)
+    # is rejected on open, before any array is read.
+    path = _forest_artifact(tmp_path)
+    _rewrite_meta(path, lambda m: m.update(kind="metric"))
+    with pytest.raises(ArtifactError, match="unknown artifact kind 'metric'"):
         load_forest(path)
+    with pytest.raises(ArtifactError, match="unknown artifact kind 'metric'"):
+        load_result(path)
     fpath = _forest_artifact(tmp_path)
-    with pytest.raises(ArtifactError, match="not a 'metric'"):
-        load_metric(fpath)
     with pytest.raises(ArtifactError, match="not a 'result'"):
         load_result(fpath)
 

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.api import HopsetConfig, Pipeline, PipelineConfig
 from repro.graph import generators as gen
 from repro.graph.shortest_paths import dijkstra_distances
 from repro.hopsets.verify import count_triangle_violations
-from repro.metric import (
-    approximate_metric,
-    approximate_metric_spanner,
-    baswana_sen_spanner,
-)
+from repro.metric import approximate_metric_spanner, baswana_sen_spanner
+
+
+def _metric(g, *, eps=0.25, d0=None, rng=None):
+    """Theorem 6.1 through the pipeline: the metric of a hub hop set."""
+    config = PipelineConfig(hopset=HopsetConfig(eps=eps, d0=d0))
+    return Pipeline(g, config, rng=rng).embed_metric()
 
 
 class TestBaswanaSenSpanner:
@@ -65,7 +68,7 @@ class TestBaswanaSenSpanner:
 class TestApproximateMetric:
     def test_is_metric_and_approximates(self):
         g = gen.cycle(24, wmin=1, wmax=3, rng=0)
-        res = approximate_metric(g, eps=0.25, d0=4, rng=1)
+        res = _metric(g, eps=0.25, d0=4, rng=1)
         D = dijkstra_distances(g)
         off = ~np.eye(g.n, dtype=bool)
         # dominance and claimed stretch
@@ -76,39 +79,39 @@ class TestApproximateMetric:
 
     def test_small_eps_near_exact(self):
         g = gen.grid(4, 5, rng=2)
-        res = approximate_metric(g, eps=0.01, d0=3, rng=3)
+        res = _metric(g, eps=0.01, d0=3, rng=3)
         D = dijkstra_distances(g)
         off = ~np.eye(g.n, dtype=bool)
         assert np.all(res.matrix[off] <= 1.25 * D[off])
 
     def test_eps_zero_exact(self):
         g = gen.cycle(16, rng=4)
-        res = approximate_metric(g, eps=0.0, d0=3, rng=5)
+        res = _metric(g, eps=0.0, d0=3, rng=5)
         assert res.matrix == pytest.approx(dijkstra_distances(g))
         assert res.iterations == 1
 
     def test_iterations_polylog(self):
         g = gen.cycle(48, rng=6)
-        res = approximate_metric(g, eps=0.25, d0=5, rng=7)
+        res = _metric(g, eps=0.25, d0=5, rng=7)
         assert res.iterations <= int(np.log2(g.n) ** 2)
 
     def test_query_interface(self):
         g = gen.path_graph(6)
-        res = approximate_metric(g, eps=0.0, d0=2, rng=8)
+        res = _metric(g, eps=0.0, d0=2, rng=8)
         assert res.query(0, 5) == pytest.approx(5.0)
         assert res.n == 6
 
     def test_symmetry(self):
         g = gen.random_graph(20, 50, rng=9)
-        res = approximate_metric(g, eps=0.25, d0=4, rng=10)
+        res = _metric(g, eps=0.25, d0=4, rng=10)
         assert np.allclose(res.matrix, res.matrix.T)
 
     def test_disconnected_rejected(self):
         from repro.graph.core import Graph
 
         g = Graph.from_edge_list(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        with pytest.raises(ValueError):
-            approximate_metric(g)
+        with pytest.raises(ValueError, match="pipeline requires a connected graph"):
+            _metric(g)
 
 
 class TestApproximateMetricSpanner:
@@ -130,3 +133,9 @@ class TestApproximateMetricSpanner:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             approximate_metric_spanner(gen.cycle(6), 0)
+
+    def test_negative_eps_rejected(self):
+        # The spanner's metric comes from the pipeline, whose HopsetConfig
+        # rejects a negative eps.
+        with pytest.raises(ValueError, match="eps must be non-negative"):
+            approximate_metric_spanner(gen.cycle(6, rng=0), 2, eps=-0.1)

@@ -218,3 +218,22 @@ class TestEvaluateStretch:
         with pytest.raises(ValueError, match="empty pair set"):
             evaluate_stretch(g, lambda: calls.append(1), trees=3, rng=1, **kwargs)
         assert calls == []
+
+    def test_sampled_pairs_skip_all_pairs_matrix(self):
+        # Regression: the ground truth ran all-pairs Dijkstra, an (n, n)
+        # float64 matrix (30.5 MiB at n = 2000) read at 7 entries.  Dijkstra
+        # from the sampled pairs' sources needs (7, n) floats.
+        g = gen.random_graph(2000, 6000, rng=3)
+
+        class FarTree:
+            def distances(self, us, vs):
+                return np.full((1, np.atleast_1d(us).size), 1e12)
+
+        tracemalloc.start()
+        try:
+            rep = evaluate_stretch(g, FarTree, trees=2, pairs=7, rng=4)
+        finally:
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"peak allocation {peak / 2**20:.1f} MiB"
+        assert rep.pairs == 7 and rep.dominating

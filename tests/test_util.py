@@ -1,9 +1,9 @@
-"""Tests for repro.util (rng coercion, validation helpers)."""
+"""Tests for repro.util (rng coercion and spawning)."""
 
 import numpy as np
 import pytest
 
-from repro.util import as_rng, check_index, check_positive, check_probability, require, spawn_rngs
+from repro.util import as_rng, spawn_rngs
 
 
 class TestAsRng:
@@ -42,46 +42,3 @@ class TestSpawnRngs:
     def test_children_differ(self):
         a, b = spawn_rngs(3, 2)
         assert a.random() != b.random()
-
-
-class TestValidation:
-    def test_require_passes(self):
-        require(True, "never")
-
-    def test_require_raises(self):
-        with pytest.raises(ValueError, match="boom"):
-            require(False, "boom")
-
-    def test_check_positive_strict(self):
-        assert check_positive(2.5, "x") == 2.5
-        with pytest.raises(ValueError):
-            check_positive(0.0, "x")
-        with pytest.raises(ValueError):
-            check_positive(-1.0, "x")
-
-    def test_check_positive_nonstrict(self):
-        assert check_positive(0.0, "x", strict=False) == 0.0
-        with pytest.raises(ValueError):
-            check_positive(-0.1, "x", strict=False)
-
-    def test_check_positive_nan(self):
-        with pytest.raises(ValueError):
-            check_positive(float("nan"), "x")
-
-    def test_check_probability(self):
-        assert check_probability(0.5, "p") == 0.5
-        assert check_probability(0, "p") == 0.0
-        assert check_probability(1, "p") == 1.0
-        with pytest.raises(ValueError):
-            check_probability(1.1, "p")
-        with pytest.raises(ValueError):
-            check_probability(-0.1, "p")
-
-    def test_check_index(self):
-        assert check_index(3, 5, "i") == 3
-        with pytest.raises(ValueError):
-            check_index(5, 5, "i")
-        with pytest.raises(ValueError):
-            check_index(-1, 5, "i")
-        with pytest.raises(TypeError):
-            check_index(1.5, 5, "i")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from tools.reprolint.dataflow import function_scopes, get_dataflow, scope_nodes
 from tools.reprolint.engine import Finding, LintContext, Rule, register_rule
