@@ -10,6 +10,7 @@ JSON/YAML provenance records.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass, field, fields
 
 __all__ = [
@@ -84,6 +85,13 @@ class HopsetConfig(_ConfigBase):
             # different fingerprint.
             if isinstance(getattr(self, name), bool):
                 raise TypeError(f"hopset {name} must be a number, got a bool")
+        if self.d0 is not None:
+            # One fingerprint per hop bound: a NumPy integer is stored as the
+            # Python int it equals, and a float (even 3.0) is rejected.
+            try:
+                object.__setattr__(self, "d0", operator.index(self.d0))
+            except TypeError:
+                raise TypeError(f"hopset d0 must be an int, got {self.d0!r}") from None
         if self.d0 is not None and self.d0 < 1:
             raise ValueError("hopset d0 must be >= 1 (or None for the default)")
         if self.d0 is not None and self.kind != "hub":

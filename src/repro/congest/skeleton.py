@@ -42,6 +42,7 @@ from repro.mbf.dense import (
     aggregate_batched,
     dense_iteration_batched_ex,
 )
+from repro.oracle import ChainHistory
 from repro.util.pairs import all_pairs, sample_distinct
 from repro.util.rng import as_rng
 
@@ -120,10 +121,11 @@ def skeleton_frt(
     spec_s = BatchedLEFilter(rank_s[None, :])
     # One {v: 0} entry per node is already a canonical LE state.
     states = BatchedFlatStates.from_sources(1, target)
+    history = ChainHistory()  # each H_S-iteration's chains start from the last's
     hs_iterations = 0
     for _ in range(target + 1):
         ledger.broadcast(states.total, D, label="skeleton-list-broadcast")
-        nxt = oracle.h_iteration_batched(states, spec_s)
+        nxt = oracle.h_iteration_batched(states, spec_s, history=history)
         hs_iterations += 1
         if nxt.equals(states):
             states = nxt

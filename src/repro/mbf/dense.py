@@ -98,6 +98,7 @@ __all__ = [
     "aggregate_batched",
     "dense_iteration_batched_ex",
     "take_active_samples",
+    "charge_emission",
     "run_batched_fixpoint",
     "prepare_batch_run",
     "run_dense_batched",
@@ -639,8 +640,9 @@ def _stable_lexsort(keys: tuple) -> np.ndarray:
     return order
 
 
-def _charge_sample_iteration(
-    ledgers: Sequence[CostLedger] | None, emitted: np.ndarray
+def charge_emission(
+    ledgers: Sequence[CostLedger] | None,
+    emitted: np.ndarray,  # shape: (k,) int64 frozen
 ) -> None:
     """Charge the Lemma 2.3 model cost of one iteration to each sample.
 
@@ -648,7 +650,9 @@ def _charge_sample_iteration(
     then :func:`aggregate_batched`): ``emitted[s]`` parallel work for
     propagation, an ``emitted[s]``-key sort plus an ``emitted[s]``-item
     filter scan for aggregation; samples that emitted nothing (empty
-    states) are charged nothing.
+    states) are charged nothing.  The LE step charges it for full
+    emission whatever it emits, and so does the oracle for a chain step
+    it derives without the kernel.
     """
     if ledgers is None:
         return
@@ -751,6 +755,7 @@ def _le_iteration_incremental(
     weight_scale: float = 1.0,
     ledgers: Sequence[CostLedger] | None = None,
     fresh: np.ndarray | None = None,
+    base: BatchedFlatStates | None = None,
 ) -> tuple[BatchedFlatStates, np.ndarray, np.ndarray]:
     """One batched LE iteration: semi-naive emission, prune, staircase merge.
 
@@ -796,39 +801,65 @@ def _le_iteration_incremental(
     ledgers are still charged the full Lemma 2.3 emission, computed from
     the list lengths, once per call.
 
+    Base: with ``base`` given, the current lists that candidates are
+    merged into are ``base``'s, not ``states``'; the fresh entries of
+    ``states`` are then also emitted to their own node (a zero-weight
+    loop, last in each target's edge group), since ``base`` need not hold
+    them.  The result is ``r(base ⊕ F ⊕ A·F)`` for the fresh entries
+    ``F``: the oracle's warm chain step (:mod:`repro.oracle.oracle`).
+    ``base`` must hold or dominate every entry of ``states`` that is not
+    fresh, as there: then an entry of ``states`` that dominates a
+    candidate, or a dominator of that entry, is in the merge, so the prune
+    tests candidates against ``states`` first — far fewer survive it than
+    a test against ``base`` alone, which lacks the fresh entries — and
+    the survivors against ``base``.  The ledgers are charged from
+    ``states`` as without ``base``.
+
     Returns ``(next_states, changed, inserted)``: ``inserted`` marks the
-    entries of ``next_states`` this iteration inserted (the next call's
-    ``fresh``), and ``changed[s]`` says sample ``s`` inserted any
-    (``False`` == fixpoint reached).  A call without survivors returns
-    ``states`` itself.
+    entries of ``next_states`` this iteration inserted into the current
+    lists (the next call's ``fresh`` when there is no ``base``), and
+    ``changed[s]`` says sample ``s`` inserted any (``False`` == fixpoint
+    reached, without ``base``).  A call without survivors returns the
+    current lists' batch itself.
     """
     k, n = states.k, states.n
     kn = k * n
     src, dst, w = G.directed_edges()
+    # Model cost: full emission sends every entry of ``states`` along every
+    # out-edge plus its own entries, and sorts them all; charge that per sample.
+    scounts = np.diff(states.offsets)
+    out_degree = np.bincount(src, minlength=n)
+    emitted = scounts.reshape(k, n) @ out_degree + states.sample_totals()
+    charge_emission(ledgers, emitted)
+    if base is not None:
+        loops = np.arange(n, dtype=np.int64)
+        at = np.searchsorted(dst, loops, side="right")
+        src, dst, w = np.insert(src, at, loops), np.insert(dst, at, loops), np.insert(w, at, 0.0)
     if weight_scale != 1.0:
         w = w * weight_scale
     # Rebuilt per call; measured 2-5% of an iteration, and any cross-call
     # cache would need invalidation on every active-set compaction.
     vsrc, vdst, vw = _virtual_edges(k, n, src, dst, w)
-    ccounts = np.diff(states.offsets)
-    # Model cost: full emission sends every entry along every out-edge
-    # plus its own entries, and sorts them all; charge that per sample.
-    out_degree = np.bincount(src, minlength=n)
-    emitted = ccounts.reshape(k, n) @ out_degree + states.sample_totals()
-    _charge_sample_iteration(ledgers, emitted)
-    cur_own = np.repeat(np.arange(kn, dtype=np.int64), ccounts)
-    cur_rank = spec.entry_ranks(cur_own, states.ids)
+    src_own = np.repeat(np.arange(kn, dtype=np.int64), scounts)
+    src_rank = spec.entry_ranks(src_own, states.ids)
+    ssteps = int(scounts.max()).bit_length() if kn else 0
+    # The lists candidates are merged into: ``states``' own, or ``base``'s.
+    if base is None:
+        into, ccounts, cur_rank, steps = states, scounts, src_rank, ssteps
+    else:
+        into, ccounts = base, np.diff(base.offsets)
+        cur_rank = spec.entry_ranks(np.repeat(np.arange(kn, dtype=np.int64), ccounts), base.ids)
+        steps = int(ccounts.max()).bit_length() if kn else 0
     if fresh is None:
-        fslots, fcounts, foffsets = None, ccounts, states.offsets
+        fslots, fcounts, foffsets = None, scounts, states.offsets
     else:
         fslots = np.flatnonzero(fresh)
-        fcounts = np.bincount(cur_own[fslots], minlength=kn)
+        fcounts = np.bincount(src_own[fslots], minlength=kn)
         foffsets = np.concatenate([[0], np.cumsum(fcounts)])
-    del cur_own
+    del src_own
     # Edge e emits the candidates [cstart[e], cstart[e + 1]).
     ecounts = fcounts[vsrc]
     cstart = np.concatenate([[0], np.cumsum(ecounts)])
-    steps = int(ccounts.max()).bit_length() if kn else 0
 
     def merge_block(t_lo: int, t_hi: int, e_lo: int, e_hi: int):
         """Targets ``[t_lo, t_hi)``, fed by edges ``[e_lo, e_hi)``: their
@@ -848,8 +879,20 @@ def _le_iteration_incremental(
         # rank one among those (ranks fall along a staircase); if there is
         # none, nothing dominates the candidate.  Ranks are gathered only
         # after the search, which keeps them out of its peak memory.
-        pred = _last_at_most(states.offsets, ccounts, states.dists, ct, cd, steps)
-        surv = np.flatnonzero((pred < states.offsets[ct]) | (cur_rank[pred] > cur_rank[slot]))
+        pred = _last_at_most(states.offsets, scounts, states.dists, ct, cd, ssteps)
+        if base is None:
+            surv = np.flatnonzero((pred < states.offsets[ct]) | (src_rank[pred] > src_rank[slot]))
+        else:
+            # A self-candidate finds itself (pred == slot) and must stay, as
+            # ``base`` need not hold it; the few survivors are then tested
+            # against ``base``, the lists merged into.
+            surv = np.flatnonzero(
+                (pred < states.offsets[ct]) | (src_rank[pred] > src_rank[slot]) | (pred == slot)
+            )
+            bp = _last_at_most(into.offsets, ccounts, into.dists, ct[surv], cd[surv], steps)
+            ok = (bp < into.offsets[ct[surv]]) | (cur_rank[bp] > src_rank[slot[surv]])
+            surv = surv[ok]
+            pred[surv] = bp[ok]
         if surv.size == 0:
             return None
         # -- order the (small) survivor set by (segment, dist) ----------------
@@ -865,7 +908,7 @@ def _le_iteration_incremental(
         run_start = np.ones(surv.size, dtype=bool)
         run_start[1:] = bkey[1:] != bkey[:-1]
         slot = slot[surv]
-        br = cur_rank[slot]
+        br = src_rank[slot]
         if not run_start.all():
             run_min = np.minimum.reduceat(br, np.flatnonzero(run_start))
             lowest = br == run_min[np.cumsum(run_start) - 1]
@@ -877,11 +920,11 @@ def _le_iteration_incremental(
         # goes after the current entries with a *strictly* smaller dist.  The
         # prune's index ends the entries <= it; distances strictly increase
         # along a staircase, so at most that last one ties.
-        blo = states.offsets[bt]
+        blo = into.offsets[bt]
         # reprolint: disable=float-distance-eq (the tie decides merge order
         # exactly as the full sort's (dist, rank) key would: bit-identity
         # needs the exact comparison, both operands are stored float64 sums)
-        tie = (bpred >= blo) & (states.dists[bpred] == bd)
+        tie = (bpred >= blo) & (into.dists[bpred] == bd)
         loc = bpred + 1 - blo - tie
         # From here on, targets and offsets are local to the block.
         bt -= t_lo
@@ -898,9 +941,9 @@ def _le_iteration_incremental(
         is_new = np.zeros(mtotal, dtype=bool)
         is_new[bpos] = True
         cpos = np.flatnonzero(~is_new)
-        olo, ohi = states.offsets[t_lo], states.offsets[t_hi]
+        olo, ohi = into.offsets[t_lo], into.offsets[t_hi]
         m_ids[bpos], m_dists[bpos], m_rank[bpos] = states.ids[slot], bd, br
-        m_ids[cpos], m_dists[cpos] = states.ids[olo:ohi], states.dists[olo:ohi]
+        m_ids[cpos], m_dists[cpos] = into.ids[olo:ohi], into.dists[olo:ohi]
         m_rank[cpos] = cur_rank[olo:ohi]
         # -- staircase over the merged lists ----------------------------------
         # Later segments get smaller bases, so the running minimum never
@@ -919,12 +962,12 @@ def _le_iteration_incremental(
         kept = np.bincount(kept_tgt, minlength=t_hi - t_lo)
         return m_ids[keep], m_dists[keep], inserted, kept, changed
 
-    if int(cstart[-1]) + states.total <= _LE_BLOCK_ENTRIES:
+    if int(cstart[-1]) + into.total <= _LE_BLOCK_ENTRIES:
         load = None
     else:
         # The first edge of each target, and the load before each target.
         tedge = np.searchsorted(vdst, np.arange(kn + 1))
-        load = cstart[tedge] + states.offsets
+        load = cstart[tedge] + into.offsets
     ids, dists, inserted = [], [], []
     kept_counts = ccounts.copy()
     changed = np.zeros(k, dtype=bool)
@@ -939,9 +982,9 @@ def _le_iteration_incremental(
             e_lo, e_hi = int(tedge[t_lo]), int(tedge[t_hi])
         block = merge_block(t_lo, t_hi, e_lo, e_hi)
         if block is None:
-            olo, ohi = states.offsets[t_lo], states.offsets[t_hi]
-            ids.append(states.ids[olo:ohi])
-            dists.append(states.dists[olo:ohi])
+            olo, ohi = into.offsets[t_lo], into.offsets[t_hi]
+            ids.append(into.ids[olo:ohi])
+            dists.append(into.dists[olo:ohi])
             inserted.append(np.zeros(ohi - olo, dtype=bool))
         else:
             merged = True
@@ -952,7 +995,7 @@ def _le_iteration_incremental(
             changed |= block_changed
         t_lo = t_hi
     if not merged:
-        return states, changed, np.zeros(states.total, dtype=bool)
+        return into, changed, np.zeros(into.total, dtype=bool)
     if len(ids) > 1:
         ids, dists, inserted = (np.concatenate(p) for p in (ids, dists, inserted))
     else:
@@ -998,6 +1041,7 @@ def dense_iteration_batched_ex(
     weight_scale: float = 1.0,
     ledgers: Sequence[CostLedger] | None = None,
     fresh: np.ndarray | None = None,  # shape: (total,) bool frozen
+    base: BatchedFlatStates | None = None,  # shape: csr(k*n) frozen
 ) -> tuple[BatchedFlatStates, np.ndarray, np.ndarray | None]:
     """One batched iteration, plus per-sample ``changed`` flags and a delta.
 
@@ -1015,13 +1059,28 @@ def dense_iteration_batched_ex(
     :func:`_le_iteration_incremental`) and returns the mask of the entries
     it inserted; the generic path always propagates everything and
     returns ``inserted=None``.
+
+    ``base`` (LE filters only) is a batch of the same shape whose lists
+    the fresh entries are merged into instead of ``states``': the result
+    is ``r(base ⊕ F ⊕ A·F)`` for the fresh entries ``F`` of ``states``,
+    and ``changed``/``inserted`` are relative to ``base``.  ``base`` must
+    hold or dominate every entry of ``states`` outside ``F``.  The
+    ledgers are charged from ``states`` either way.  The oracle's
+    warm-started level chains use it (:mod:`repro.oracle.oracle`).
     """
     if _check_batch_filter(spec, states):
         if fresh is not None and np.shape(fresh) != (states.total,):
             raise ValueError(f"fresh must be a ({states.total},) entry mask")
+        if base is not None and (base.k, base.n) != (states.k, states.n):
+            raise ValueError(
+                f"base batch shape ({base.k}, {base.n}) does not match "
+                f"states ({states.k}, {states.n})"
+            )
         return _le_iteration_incremental(
-            G, states, spec, weight_scale=weight_scale, ledgers=ledgers, fresh=fresh
+            G, states, spec, weight_scale=weight_scale, ledgers=ledgers, fresh=fresh, base=base
         )
+    if base is not None:
+        raise ValueError("base applies to the LE filter only")
     nxt = _generic_iteration_batched(G, states, spec, weight_scale, ledgers)
     return nxt, ~states.sample_equal(nxt), None
 
@@ -1058,6 +1117,7 @@ def run_batched_fixpoint(
     cap: int,  # shape: scalar
     *,
     error: str | None = None,
+    on_take=None,
 ) -> tuple[BatchedFlatStates, np.ndarray]:
     """Iterate ``step`` with per-sample convergence masking.
 
@@ -1071,7 +1131,10 @@ def run_batched_fixpoint(
     the first step, and whenever the step reports none).  Samples whose
     ``changed`` flag clears are frozen at their state, which the
     confirming step reproduced bit for bit, and masked out of further
-    steps, so their ledgers stop accruing.
+    steps, so their ledgers stop accruing.  ``on_take(keep)``, if given,
+    is called with the kept batch positions each time the batch shrinks,
+    so a caller holding per-sample state of its own (the oracle's chain
+    history) slices it in step.
 
     Returns ``(final, iterations)`` over all samples in original order.
     With ``error`` set, samples still unconverged after ``cap`` steps
@@ -1102,6 +1165,8 @@ def run_batched_fixpoint(
         cur, cur_spec, cur_ledgers, fresh = take_active_samples(
             keep, nxt, cur_spec, cur_ledgers, fresh
         )
+        if on_take is not None:
+            on_take(keep)
     if active.size:
         if error is not None:
             raise RuntimeError(error)

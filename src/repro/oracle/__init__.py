@@ -1,5 +1,5 @@
 """The oracle for MBF-like queries on ``H`` (Section 5)."""
 
-from repro.oracle.oracle import HOracle
+from repro.oracle.oracle import ChainHistory, HOracle
 
-__all__ = ["HOracle"]
+__all__ = ["ChainHistory", "HOracle"]

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -11,7 +12,9 @@ from repro.api import (
     ExecutionConfig,
     HopsetConfig,
     OracleConfig,
+    Pipeline,
     PipelineConfig,
+    generators,
 )
 
 
@@ -42,6 +45,29 @@ class TestValidation:
         under a different fingerprint."""
         with pytest.raises(TypeError, match=name):
             HopsetConfig(**{name: True})
+
+    @pytest.mark.parametrize("d0", [3.0, 2.5])
+    def test_d0_float_rejected(self, d0):
+        """Regression: d0=3.0 built d0=3's hop set under another
+        fingerprint, and d0=2.5 was accepted and built with hop bound 5."""
+        with pytest.raises(TypeError, match="d0 must be an int"):
+            HopsetConfig(d0=d0)
+
+    def test_d0_numpy_integer_fingerprints_as_int(self):
+        """Regression: d0=np.int64(3) sampled the whole ensemble, then
+        failed to fingerprint it (int64 is not JSON serializable)."""
+        cfg = HopsetConfig(d0=np.int64(3))
+        assert cfg.d0 == 3 and type(cfg.d0) is int
+        assert cfg == HopsetConfig(d0=3)
+        g = generators.random_graph(30, 70, rng=1)
+        runs = [
+            Pipeline(g, PipelineConfig(hopset=HopsetConfig(d0=d0)), rng=5).sample_ensemble(
+                2, seed=1
+            )
+            for d0 in (np.int64(3), 3)
+        ]
+        assert runs[0].meta["fingerprint"] == runs[1].meta["fingerprint"]
+        assert runs[0].le_lists.equals(runs[1].le_lists)
 
     def test_d0_rejected_for_non_hub_kinds(self):
         """Regression: d0 used to be forwarded to identity_hopset as an

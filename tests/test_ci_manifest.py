@@ -10,7 +10,8 @@ so a renamed test or file fails here, not silently in CI.
 tier-1 tests import, or a clean CI install fails at collection.
 The repository benchmark (``perfbench/``) imports library names and wraps
 layer entry points in its traced runs; a deleted or renamed one fails
-``TestPerfbenchReach`` here, not only CI's full traced perfbench pass.
+``TestPerfbenchReach`` here, not only CI's full traced perfbench pass, and
+so does a moved charge in its warm-up builds' golden ledgers.
 """
 
 import ast
@@ -208,3 +209,19 @@ class TestPerfbenchReach:
             tracer.restore()
         for owner, attr, original in tracer.wrapped:
             assert vars(owner)[attr] is original, f"{owner.__name__}.{attr}"
+
+    @pytest.mark.parametrize("method", ["oracle", "direct"])
+    def test_warm_up_ledgers_match_golden(self, method):
+        # The benchmark checks each warm-up build's merged model work and
+        # depth against golden.json; a moved charge would otherwise show
+        # only as a failed operation in a benchmark run.  Same instance,
+        # setup and seed as perfbench's warm-up, with no artifact written.
+        import numpy as np
+        from perfbench import workloads
+
+        spec = workloads.WARM[method]
+        G = workloads._graph(spec, np.random.SeedSequence([0, 0]))
+        pipe, _ = workloads.setup_pipeline(G, method)
+        res = pipe.sample_ensemble(spec.k, seed=workloads.WARM_SEED)
+        golden = json.loads(workloads.GOLDEN.read_text())[method]
+        assert (res.ledger.work, res.ledger.depth) == (golden["work"], golden["depth"])

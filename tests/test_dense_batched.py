@@ -617,6 +617,80 @@ class TestSemiNaiveDelta:
             dense_iteration_batched_ex(g, b, spec, fresh=np.ones(3, dtype=bool))
 
 
+class TestBaseMerge:
+    """``base=``: the fresh entries of ``states``, sent along every edge and
+    to themselves, merged into ``base``'s lists — the oracle's warm chain
+    step ``r(base ⊕ F ⊕ A·F)``."""
+
+    @staticmethod
+    def _entries(states):
+        own = np.repeat(np.arange(states.k * states.n), states.counts())
+        return set(zip(own.tolist(), states.ids.tolist(), states.dists.tolist()))
+
+    @pytest.mark.parametrize("budget", [None, 1, 7], ids=["default", "1", "7"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_full_sort_of_base_and_fresh(self, monkeypatch, k, budget):
+        # Integer weights make equal-distance candidates common.  ``old``
+        # and ``new`` play the previous and the current H-iteration's
+        # step-j lists, ``base`` the previous one's step j + 1: it
+        # dominates ``old``, so it holds or dominates every entry of
+        # ``new`` outside ``fresh``, as the kernel requires.
+        if budget is not None:
+            monkeypatch.setattr(dense, "_LE_BLOCK_ENTRIES", budget)
+        rng = np.random.default_rng(70)
+        for n, m in [(12, 24), (30, 80)]:
+            shape = gen.random_graph(n, m, rng=rng)
+            g = Graph(n, shape.edges, rng.integers(1, 4, size=shape.m).astype(float))
+            spec = BatchedLEFilter(_ranks(k, n, int(rng.integers(1 << 30))))
+            old, _ = run_dense_batched(g, spec, k, h=1)
+            base = _generic_iteration_batched(g, old, spec, 1.0, None)
+            far, _ = run_dense_batched(g, spec, k, h=3)
+            both = BatchedFlatStates.concat([old, far])  # samples 0..k-1, then again
+            own = np.repeat(np.arange(2 * k * n) % (k * n), both.counts())
+            new = aggregate_batched(k, n, own, both.ids, both.dists, spec)
+            fresh_set = self._entries(new) - self._entries(old)
+            own_new = np.repeat(np.arange(k * n), new.counts())
+            fresh = np.array(
+                [e in fresh_set for e in zip(own_new.tolist(), new.ids.tolist(),
+                                             new.dists.tolist())]
+            )
+            assert fresh.any() and not fresh.all()
+            ledgers = [CostLedger() for _ in range(k)]
+            got, changed, inserted = dense_iteration_batched_ex(
+                g, new, spec, ledgers=ledgers, fresh=fresh, base=base
+            )
+            counts = np.bincount(own_new[fresh], minlength=k * n)
+            part = BatchedFlatStates(
+                k, n, np.concatenate([[0], np.cumsum(counts)]), new.ids[fresh], new.dists[fresh]
+            )
+            tgt, ids, dists = propagate_batched(part, *g.directed_edges())  # A·F and F
+            own_base = np.repeat(np.arange(k * n), base.counts())
+            want = aggregate_batched(
+                k, n, np.concatenate([own_base, tgt]), np.concatenate([base.ids, ids]),
+                np.concatenate([base.dists, dists]), spec,
+            )
+            assert got.equals(want)
+            own_got = np.repeat(np.arange(k * n), got.counts())
+            added = self._entries(got) - self._entries(base)
+            assert inserted.tolist() == [
+                e in added for e in zip(own_got.tolist(), got.ids.tolist(), got.dists.tolist())
+            ]
+            assert np.array_equal(changed, np.bincount(own_got[inserted] // n, minlength=k) > 0)
+            # Charged from ``states``, as a step without ``base`` charges it.
+            plain = [CostLedger() for _ in range(k)]
+            dense_iteration_batched_ex(g, new, spec, ledgers=plain)
+            assert _ledger_totals(ledgers) == _ledger_totals(plain)
+
+    def test_base_validated(self):
+        g = gen.cycle(6, rng=71)
+        b = BatchedFlatStates.from_sources(2, g.n)
+        spec = BatchedLEFilter(_ranks(2, g.n, 72))
+        with pytest.raises(ValueError, match="base batch shape"):
+            dense_iteration_batched_ex(g, b, spec, base=BatchedFlatStates.from_sources(1, g.n))
+        with pytest.raises(ValueError, match="LE filter only"):
+            dense_iteration_batched_ex(g, b, MinFilter(), base=b)
+
+
 class TestIncrementalMatchesFullSort:
     """The LE kernel's prune, survivor sort and merge against the generic
     iteration, which sorts every candidate by ``(target, dist, rank)``."""
