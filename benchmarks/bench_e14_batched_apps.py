@@ -13,8 +13,8 @@ arithmetic.
 Measured: wall-clock of the per-tree serial loops (``hst_kmedian_dp`` /
 ``route_demands_on_tree`` from ``tests/apps_reference.py``, the
 bit-identical references, run on each ``forest.tree(s)``) vs the fused
-forest kernels across ``(n, r)``, plus an end-to-end ``Pipeline.solve_app``
-timing.  Asserted shape: the forest k-median DP beats the per-tree loop
+forest kernels across ``(n, r)``, plus an end-to-end timing of one
+``kmedian`` and one ``buy_at_bulk`` call.  Asserted shape: the forest k-median DP beats the per-tree loop
 **≥ 3x at n=512, r=16** (the vectorized fold does ``O(levels ·
 max_children · k)`` array ops instead of ``O(r · nodes · k²)`` Python
 iterations), and the routing pass beats the per-demand walks ≥ 3x at the
@@ -38,7 +38,8 @@ from repro.apps.batched import (
     hst_kmedian_dp_forest,
     route_demands_on_forest,
 )
-from repro.apps.buyatbulk import CableType, Demand, cable_cost
+from repro.apps.buyatbulk import CableType, Demand, buy_at_bulk, cable_cost
+from repro.apps.kmedian import kmedian
 from tests.apps_reference import hst_kmedian_dp, route_demands_on_tree
 
 CABLES = [CableType(1.0, 1.0), CableType(10.0, 4.0), CableType(100.0, 12.0)]
@@ -160,17 +161,21 @@ def test_e14_forest_routing(benchmark, n, r, demands, assert_speedup):
         )
 
 
-def test_e14_solve_app_end_to_end(benchmark):
-    """The facade entry: one ``solve_app`` call per application, timed.
+def test_e14_apps_end_to_end(benchmark):
+    """The application entries: one ``kmedian`` and one ``buy_at_bulk``
+    call, timed.
 
-    No speedup floor — the G-side work (candidate Dijkstras, path
-    mapping) legitimately dominates at this size; the recorded split seeds
-    the perf trajectory for the app layer.
+    Both draw from one generator, which also drives the pipeline that
+    buy-at-bulk samples its trees through.  No speedup floor — the G-side
+    work (candidate Dijkstras, path mapping) legitimately dominates at
+    this size; the recorded split seeds the perf trajectory for the app
+    layer.
     """
     n = 256
     g = gen.random_graph(n, 3 * n, rng=144)
+    app_rng = as_rng(145)
     pipe = Pipeline(
-        g, PipelineConfig(embedding=EmbeddingConfig(method="direct")), rng=145
+        g, PipelineConfig(embedding=EmbeddingConfig(method="direct")), rng=app_rng
     )
     rng = as_rng(146)
     dms = [
@@ -180,11 +185,12 @@ def test_e14_solve_app_end_to_end(benchmark):
     ]
 
     def run():
-        km = pipe.solve_app("kmedian", k=8, trees=8)
-        bab = pipe.solve_app("buy-at-bulk", demands=dms, cables=CABLES, trees=8)
-        return km, bab
+        t0 = time.perf_counter()
+        km = kmedian(g, 8, trees=8, rng=app_rng)
+        bab = buy_at_bulk(g, dms, CABLES, trees=8, pipeline=pipe)
+        return km, bab, time.perf_counter() - t0
 
-    km, bab = benchmark.pedantic(run, rounds=1, iterations=1)
+    km, bab, apps_s = benchmark.pedantic(run, rounds=1, iterations=1)
     assert km.facilities.size <= 8
     assert bab.graph_cost >= bab.lower_bound * (1 - 1e-9)
     benchmark.extra_info.update(
@@ -193,5 +199,5 @@ def test_e14_solve_app_end_to_end(benchmark):
         kmedian_cost=float(km.cost),
         kmedian_candidates=km.meta["candidates"],
         bab_ratio_vs_lb=float(bab.ratio_vs_lower_bound),
-        apps_seconds=pipe.timings["apps"],
+        apps_seconds=apps_s,
     )

@@ -62,18 +62,17 @@ def main() -> None:
     reach, _ = solve(g, problems.connectivity(g.n))
     print(f"connected: {bool(reach.all())}")
 
-    # -- the same zoo through the Pipeline facade ----------------------------
-    # Pipeline.solve adds the facade treatment: per-call stats, wall-clock
-    # timings, and SolveResult provenance alongside FRT sampling.
-    pipe = Pipeline(g, PipelineConfig(seed=0))
-    res = pipe.solve(problems.mssp(g.n, sources=[0, 3]))
+    # -- multi-source shortest paths, then an FRT tree of the same graph -----
+    # solve() is the one way to run a problem; the problem itself and
+    # pick_engine say what ran where.
+    inst = problems.mssp(g.n, sources=[0, 3])
+    _, iters = solve(g, inst)
     print(
-        f"\nPipeline.solve: {res.problem} via {res.engine!r} in "
-        f"{res.iterations} iterations; stats={pipe.stats['solves']} solve(s), "
-        f"{pipe.timings['solves'] * 1e3:.2f} ms"
+        f"\n{inst.name} ({inst.family} family) via {pick_engine(inst)!r} "
+        f"in {iters} iterations"
     )
-    tree = pipe.sample().tree  # one tree: a k = 1 FRTForest
-    print(f"...and an FRT tree from the same facade: {tree.total_nodes} tree nodes")
+    tree = Pipeline(g, PipelineConfig(seed=0)).sample().tree  # a k = 1 FRTForest
+    print(f"...and an FRT tree of the same graph: {tree.total_nodes} tree nodes")
 
 
 if __name__ == "__main__":

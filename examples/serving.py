@@ -3,7 +3,7 @@
 
 Offline, once: build a pipeline, sample a batched FRT ensemble — sharded
 across a small process pool via :class:`ExecutionConfig` — and persist
-it as a provenance-stamped artifact file (``Pipeline.save_artifacts``).
+it as a provenance-stamped artifact file (``repro.io.save_result``).
 Online, many times: preload the artifact into a :class:`ForestServer`
 (memmapped — cold start never reads the stacked arrays), then answer
 many small distance queries; the micro-batcher coalesces them into one
@@ -27,7 +27,7 @@ from repro.api import (
     as_rng,
     generators,
 )
-from repro.io import read_artifact_meta
+from repro.io import load_result, read_artifact_meta, save_result
 from repro.serve import load_server
 
 
@@ -46,9 +46,8 @@ def main() -> None:
         # never change the persisted bits (or the fingerprint), so pick
         # whatever the build machine has — serving is unaffected.
         t0 = time.perf_counter()
-        meta = pipe.save_artifacts(
-            path, k, seed=1, execution=ExecutionConfig(workers=2)
-        )
+        ensemble = pipe.sample_ensemble(k, seed=1, execution=ExecutionConfig(workers=2))
+        meta = save_result(path, ensemble)
         build_s = time.perf_counter() - t0
         print(f"offline build: n={n}, k={k} ensemble "
               f"(2-way sharded) in {build_s:.2f}s")
@@ -100,7 +99,7 @@ def main() -> None:
                   else f"  {key:<18} {value}")
 
         # Served answers are bit-identical to direct forest queries.
-        check = Pipeline.from_artifacts(path)
+        check = load_result(path)
         assert np.array_equal(
             server.distance_upper_bounds(hot_us, hot_vs),
             check.forest.distance_upper_bounds(hot_us, hot_vs),

@@ -7,9 +7,12 @@ and a :class:`~repro.api.configs.PipelineConfig`, then call ``sample()``,
 ``sample_ensemble(k)`` or ``embed_metric()`` (Theorem 6.1's approximate
 metric, a :class:`~repro.metric.MetricResult` with constant-time
 ``query(u, v)``) — stage artifacts (hop set, oracle) are built lazily,
-cached, and amortized across samples.  MBF problems run through
-:func:`~repro.api.solve` on the ``"dense"`` or the ``"reference"`` engine;
-see ``API.md`` for the guide and the legacy-call migration table.
+cached, and amortized across samples.  ``Pipeline`` builds and samples;
+MBF problems run through :func:`~repro.api.solve` on the ``"dense"`` or
+the ``"reference"`` engine, ensembles are saved and loaded with
+:func:`~repro.io.save_result` / :func:`~repro.io.load_result`, and the
+applications are the functions of :mod:`repro.apps`.  See ``API.md`` for
+the guide and the legacy-call migration table.
 
 Top-level re-exports cover the most common entry points; see the
 subpackages for the full API:

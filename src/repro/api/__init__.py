@@ -2,30 +2,31 @@
 
 The paper's central contribution is a *pipeline*: hop set → simulated graph
 ``H`` → MBF-like oracle → LE lists → FRT tree → applications.  This package
-is the canonical way to drive it:
+is the canonical way to drive it, with one spelling per operation:
 
-- :class:`~repro.api.pipeline.Pipeline` — lazily builds and caches the
-  expensive stage artifacts (hop set, oracle) and exposes ``sample()``,
-  ``sample_ensemble(k)`` (all ``k`` samples in one fused batched pass, with
-  per-sample child RNGs and optional process-pool sharding of the sample
-  axis), ``solve_app()`` (the Section 9-10 applications through the
-  forest-backed batch path) and ``embed_metric()`` (Theorem 6.1's
-  approximate metric, a :class:`MetricResult` with constant-time
-  ``query(u, v)``); it is the one place that builds the hop set → oracle
-  chain;
+- :class:`~repro.api.pipeline.Pipeline` — builds and samples, nothing
+  else: it lazily builds and caches the stage artifacts (``hopset()``,
+  ``oracle()``) and exposes ``sample()``, ``sample_ensemble(k)`` (all
+  ``k`` samples in one fused batched pass, with per-sample child RNGs and
+  optional process-pool sharding of the sample axis) and
+  ``embed_metric()`` (Theorem 6.1's approximate metric, a
+  :class:`MetricResult`); it is the one place that builds the hop set →
+  oracle chain;
 - :mod:`~repro.api.configs` — frozen, validated stage configs
   (:class:`HopsetConfig`, :class:`OracleConfig`, :class:`EmbeddingConfig`,
-  :class:`PipelineConfig`) with ``to_dict``/``from_dict`` round-tripping;
-- :mod:`~repro.api.problems` — the Section-3 algorithm zoo as first-class
-  :class:`MBFProblem` values (``problems.sssp(n, source)``, widest paths,
-  source detection, connectivity, LE lists, ...), every family runnable
-  via :func:`solve` or :meth:`Pipeline.solve` on the ``"dense"`` engine
+  :class:`ExecutionConfig`, :class:`PipelineConfig`) with
+  ``to_dict``/``from_dict`` round-tripping;
+- :mod:`~repro.api.problems` — the Section-3 algorithm zoo as
+  :class:`MBFProblem` values, every family runnable via
+  ``solve(G, problem) -> (value, iterations)`` on the ``"dense"`` engine
   (when the problem has a dense form; :func:`pick_engine` says which) or
   the ``"reference"`` engine;
-- :mod:`~repro.api.result` — :class:`PipelineResult` (the one ensemble
-  value: stacked forest, LE lists and ranks + cost ledgers + stage
-  timings + provenance, with per-sample :class:`EmbeddingResult` views)
-  and :class:`SolveResult`.
+- :mod:`~repro.api.result` — :class:`PipelineResult`, the one ensemble
+  value (stacked forest, LE lists and ranks + cost ledgers + stage timings
+  + provenance, with per-sample :class:`EmbeddingResult` views), saved by
+  :func:`save_result` and read back by :func:`load_result`;
+- the Section 9-10 applications are the free functions :func:`kmedian`
+  and :func:`buy_at_bulk`.
 
 Convenience re-exports make the facade self-sufficient for scripts and
 benchmarks: graph construction/generators, ground-truth distances, stretch
@@ -59,7 +60,7 @@ from repro.api.configs import (
     PipelineConfig,
 )
 from repro.api.pipeline import Pipeline, ShardWorkerError
-from repro.api.result import PipelineResult, SolveResult
+from repro.api.result import PipelineResult
 
 # The Section-3 algorithm zoo, re-exported as the problem catalogue.
 from repro.api import problems
@@ -93,7 +94,6 @@ __all__ = [
     "HOPSET_KINDS",
     "EMBEDDING_METHODS",
     "PipelineResult",
-    "SolveResult",
     # problems and their two engines
     "problems",
     "MBFProblem",

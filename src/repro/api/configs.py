@@ -10,6 +10,7 @@ JSON/YAML provenance records.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import asdict, dataclass, field, fields
 
@@ -25,6 +26,18 @@ __all__ = [
 
 HOPSET_KINDS = ("hub", "identity", "exact-closure")
 EMBEDDING_METHODS = ("oracle", "direct")
+
+
+def _as_int(name: str, value) -> int:
+    """``value`` as the Python int it equals, so each integer value has one
+    config dict and one fingerprint (a NumPy integer becomes that int); a
+    ``bool`` or a non-integer raises ``TypeError`` before any work runs."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got a bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an int, got {value!r}") from None
 
 
 class _ConfigBase:
@@ -64,12 +77,14 @@ class HopsetConfig(_ConfigBase):
         not applicable to the other kinds (identity measures ``SPD(G)``,
         the closure is ``d = 1``), where a non-``None`` value is rejected.
     eps:
-        Rounding granularity: shortcut weights are rounded up to powers of
-        ``1 + eps`` (:func:`~repro.hopsets.rounded.rounded_hopset`), which
-        makes the Section-4 level machinery load-bearing.  ``0`` keeps the
-        exact construction.  Ignored for ``kind="identity"`` (no shortcuts).
+        Rounding granularity, finite and ``>= 0``: shortcut weights are
+        rounded up to powers of ``1 + eps``
+        (:func:`~repro.hopsets.rounded.rounded_hopset`), which makes the
+        Section-4 level machinery load-bearing.  ``0`` keeps the exact
+        construction.  Ignored for ``kind="identity"`` (no shortcuts).
     c:
-        Hub sampling oversampling constant (``kind="hub"`` only).
+        Hub sampling oversampling constant, finite and ``>= 1``
+        (``kind="hub"`` only).
     """
 
     kind: str = "hub"
@@ -80,29 +95,26 @@ class HopsetConfig(_ConfigBase):
     def __post_init__(self):
         if self.kind not in HOPSET_KINDS:
             raise ValueError(f"hopset kind must be one of {HOPSET_KINDS}, got {self.kind!r}")
-        for name in ("d0", "eps", "c"):
-            # A bool would build the same hop set as 1 / 1.0 under a
-            # different fingerprint.
+        for name in ("eps", "c"):
+            # A bool would build the same hop set as 1.0 under a different
+            # fingerprint.
             if isinstance(getattr(self, name), bool):
                 raise TypeError(f"hopset {name} must be a number, got a bool")
         if self.d0 is not None:
-            # One fingerprint per hop bound: a NumPy integer is stored as the
-            # Python int it equals, and a float (even 3.0) is rejected.
-            try:
-                object.__setattr__(self, "d0", operator.index(self.d0))
-            except TypeError:
-                raise TypeError(f"hopset d0 must be an int, got {self.d0!r}") from None
-        if self.d0 is not None and self.d0 < 1:
-            raise ValueError("hopset d0 must be >= 1 (or None for the default)")
-        if self.d0 is not None and self.kind != "hub":
-            raise ValueError(
-                f"d0 only applies to kind='hub' (got kind={self.kind!r}); "
-                "identity measures SPD(G) and exact-closure is d = 1"
-            )
-        if self.eps < 0:
-            raise ValueError("hopset eps must be non-negative")
-        if self.c <= 0:
-            raise ValueError("hopset sampling constant c must be positive")
+            object.__setattr__(self, "d0", _as_int("hopset d0", self.d0))
+            if self.d0 < 1:
+                raise ValueError("hopset d0 must be >= 1 (or None for the default)")
+            if self.kind != "hub":
+                raise ValueError(
+                    f"d0 only applies to kind='hub' (got kind={self.kind!r}); "
+                    "identity measures SPD(G) and exact-closure is d = 1"
+                )
+        # NaN fails every comparison, so each bound is written to be true
+        # only for good values.
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError(f"hopset eps must be non-negative and finite, got {self.eps!r}")
+        if not (math.isfinite(self.c) and self.c >= 1):
+            raise ValueError(f"hopset sampling constant c must be finite and >= 1, got {self.c!r}")
 
 
 @dataclass(frozen=True)
@@ -112,8 +124,8 @@ class OracleConfig(_ConfigBase):
     Parameters
     ----------
     penalty_base:
-        The level penalty base of Section 4; ``None`` defaults to
-        ``1 + eps`` of the hop set (the Theorem 4.5 requirement).
+        The level penalty base of Section 4, finite and ``>= 1``; ``None``
+        defaults to ``1 + eps`` of the hop set (the Theorem 4.5 requirement).
         Explicit values below ``1 + eps`` of the built hop set are
         rejected at oracle-build time — the reported stretch bound would
         not hold (use :class:`repro.simulated.SimulatedGraph` directly
@@ -128,8 +140,9 @@ class OracleConfig(_ConfigBase):
     inner_early_exit: bool = True
 
     def __post_init__(self):
-        if self.penalty_base is not None and self.penalty_base < 1.0:
-            raise ValueError("oracle penalty_base must be >= 1 (or None for 1 + eps)")
+        base = self.penalty_base
+        if base is not None and not (math.isfinite(base) and base >= 1.0):
+            raise ValueError(f"oracle penalty_base must be finite and >= 1 (or None), got {base!r}")
 
 
 @dataclass(frozen=True)
@@ -198,18 +211,15 @@ class ExecutionConfig(_ConfigBase):
             )
         if self.mode not in (None, "batched"):
             raise ValueError(f"execution mode must be None or 'batched', got {self.mode!r}")
-        if not isinstance(self.workers, int) or isinstance(self.workers, bool):
-            raise TypeError(f"workers must be an int, got {type(self.workers)!r}")
+        object.__setattr__(self, "workers", _as_int("workers", self.workers))
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if isinstance(self.shard_size, bool):
-            raise TypeError(f"shard_size must be an int or None, got {type(self.shard_size)!r}")
-        if self.shard_size is not None and (
-            not isinstance(self.shard_size, int) or self.shard_size < 1
-        ):
-            raise ValueError(
-                f"shard_size must be a positive int or None, got {self.shard_size!r}"
-            )
+        if self.shard_size is not None:
+            object.__setattr__(self, "shard_size", _as_int("shard_size", self.shard_size))
+            if self.shard_size < 1:
+                raise ValueError(
+                    f"shard_size must be a positive int or None, got {self.shard_size!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -245,10 +255,10 @@ class PipelineConfig(_ConfigBase):
             raise TypeError("embedding must be an EmbeddingConfig")
         if not isinstance(self.execution, ExecutionConfig):
             raise TypeError("execution must be an ExecutionConfig")
-        if isinstance(self.seed, bool):
-            raise TypeError("seed must be an int or None, got a bool")
-        if self.seed is not None and (not isinstance(self.seed, int) or self.seed < 0):
-            raise ValueError("seed must be a non-negative int or None")
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _as_int("seed", self.seed))
+            if self.seed < 0:
+                raise ValueError("seed must be a non-negative int or None")
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":

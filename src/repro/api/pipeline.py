@@ -29,15 +29,15 @@ concatenate into one; ``sample()`` is element 0 of a one-sample result.
 from __future__ import annotations
 
 import dataclasses
-import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 
 import numpy as np
 
-from repro.api.configs import ExecutionConfig, PipelineConfig
-from repro.api.result import PipelineResult, SolveResult
+from repro.api.configs import ExecutionConfig, PipelineConfig, _as_int
+from repro.api.result import PipelineResult
 from repro.frt import lelists
 from repro.frt.embedding import EmbeddingResult, _draw_randomness
 from repro.frt.forest import FRTForest, build_frt_forest
@@ -49,7 +49,6 @@ from repro.hopsets.identity import identity_hopset
 from repro.hopsets.rounded import rounded_hopset
 from repro.hopsets.skeleton import hub_hopset
 from repro.mbf.dense import BatchedFlatStates
-from repro.mbf.problem import pick_engine, solve
 from repro.metric.approx_metric import MetricResult, metric_from_oracle
 from repro.oracle.oracle import HOracle
 from repro.pram.cost import NULL_LEDGER, CostLedger
@@ -134,8 +133,6 @@ class Pipeline:
             "oracle_builds": 0,
             "metric_builds": 0,
             "samples": 0,
-            "solves": 0,
-            "apps": 0,
         }
         self.timings: dict[str, float] = {}
 
@@ -145,20 +142,16 @@ class Pipeline:
         """The (cached) hop-set result; built on first use."""
         if self._hopset is None:
             cfg = self.config.hopset
-            t0 = time.perf_counter()
-            if cfg.kind == "hub":
-                base = hub_hopset(self.G, cfg.d0, c=cfg.c, rng=self._rng)
-            elif cfg.kind == "identity":
-                base = identity_hopset(self.G)
-            else:  # exact-closure
-                base = exact_closure_hopset(self.G)
-            if cfg.eps > 0 and cfg.kind != "identity":
-                base = rounded_hopset(base, self.G, cfg.eps)
-            self._hopset = base
-            self.stats["hopset_builds"] += 1
-            self.timings["hopset"] = self.timings.get("hopset", 0.0) + (
-                time.perf_counter() - t0
-            )
+            with self._stage("hopset", "hopset_builds"):
+                if cfg.kind == "hub":
+                    base = hub_hopset(self.G, cfg.d0, c=cfg.c, rng=self._rng)
+                elif cfg.kind == "identity":
+                    base = identity_hopset(self.G)
+                else:  # exact-closure
+                    base = exact_closure_hopset(self.G)
+                if cfg.eps > 0 and cfg.kind != "identity":
+                    base = rounded_hopset(base, self.G, cfg.eps)
+                self._hopset = base
         return self._hopset
 
     def oracle(self) -> HOracle:
@@ -176,17 +169,13 @@ class Pipeline:
                     "set; use repro.simulated.SimulatedGraph directly for "
                     "ablations below that bound"
                 )
-            t0 = time.perf_counter()
-            self._oracle = HOracle(
-                hopset,
-                penalty_base=cfg.penalty_base,
-                inner_early_exit=cfg.inner_early_exit,
-                rng=self._rng,
-            )
-            self.stats["oracle_builds"] += 1
-            self.timings["oracle"] = self.timings.get("oracle", 0.0) + (
-                time.perf_counter() - t0
-            )
+            with self._stage("oracle", "oracle_builds"):
+                self._oracle = HOracle(
+                    hopset,
+                    penalty_base=cfg.penalty_base,
+                    inner_early_exit=cfg.inner_early_exit,
+                    rng=self._rng,
+                )
         return self._oracle
 
     # -- sampling -------------------------------------------------------------
@@ -213,9 +202,8 @@ class Pipeline:
         # Build first, so artifact builds draw from the stream before the
         # sample does and stay outside ``timings["samples"]``.
         self._sampler_oracle()
-        t0 = time.perf_counter()
-        part = self._sample_batch_core([g], rank=rank, beta=beta, ledgers=[ledger])
-        self._record_samples(1, t0)
+        with self._stage("samples", "samples"):
+            part = self._sample_batch_core([g], rank=rank, beta=beta, ledgers=[ledger])
         return part.embeddings[0]
 
     def sample_ensemble(
@@ -289,9 +277,8 @@ class Pipeline:
         # Build shared artifacts up front so every shard (and worker) reuses
         # the same hop set / oracle instead of racing to build its own.
         self._sampler_oracle()
-        t0 = time.perf_counter()
-        result = self._sample_shards(children, exec_cfg)
-        self._record_samples(k, t0)
+        with self._stage("samples", "samples", k):
+            result = self._sample_shards(children, exec_cfg)
         # Per-batch stage timings: the delta over this call, not the
         # pipeline's lifetime accumulation.
         timings = {
@@ -418,115 +405,6 @@ class Pipeline:
             embedding_meta=embedding_meta,
         )
 
-    def _record_samples(self, k: int, t0: float) -> None:
-        self.stats["samples"] += k
-        self.timings["samples"] = self.timings.get("samples", 0.0) + (
-            time.perf_counter() - t0
-        )
-
-    # -- problem solving ------------------------------------------------------
-
-    def solve(
-        self,
-        problem,
-        *,
-        engine: str | None = None,
-        h: int | None = None,
-        max_iterations: int | None = None,
-        ledger: CostLedger = NULL_LEDGER,
-    ) -> SolveResult:
-        """Run an MBF-like problem (:mod:`repro.api.problems`) on this graph.
-
-        The zoo-wide counterpart of :meth:`sample`: one call per problem,
-        on the engine :func:`~repro.mbf.problem.pick_engine` names
-        (``engine=None``/``"auto"`` picks ``"dense"`` when the problem has
-        a dense form; ``"dense"``/``"reference"`` pin one), with
-        the same ledger/timings treatment as sampling — wall-clock lands in
-        ``timings["solves"]``, model costs in ``ledger`` (the vectorized
-        engines charge it; the ``"reference"`` engine predates the cost
-        model and charges nothing), and the call count in
-        ``stats["solves"]``.
-
-        >>> res = pipe.solve(problems.sssp(pipe.G.n, source=0))
-        >>> res.value            # decoded answer (here: distance vector)
-        >>> res.iterations       # MBF iterations to the fixpoint
-
-        ``h`` runs exactly ``h`` iterations (h-hop semantics) instead of
-        iterating to the fixpoint; ``max_iterations`` caps the fixpoint
-        search (and only that — an explicit ``h`` takes precedence, as in
-        :func:`~repro.mbf.dense.run_dense_batched`).  Returns a
-        :class:`~repro.api.result.SolveResult`.
-        """
-        engine = pick_engine(problem, engine)
-        t0 = time.perf_counter()
-        value, iterations = solve(
-            self.G, problem, engine=engine, h=h, max_iterations=max_iterations, ledger=ledger
-        )
-        self.stats["solves"] += 1
-        self.timings["solves"] = self.timings.get("solves", 0.0) + (
-            time.perf_counter() - t0
-        )
-        return SolveResult(
-            value=value,
-            iterations=int(iterations),
-            problem=problem.name,
-            family=problem.family,
-            engine=engine,
-        )
-
-    # -- applications ---------------------------------------------------------
-
-    def solve_app(self, app: str, **kwargs):
-        """Run a Section 9-10 application on this pipeline's graph.
-
-        The application-level counterpart of :meth:`solve`: one call per
-        problem instance, routed through the forest-backed batch path
-        (``sample_ensemble`` + the vectorized DP/routing kernels of
-        :mod:`repro.apps.batched`), with wall-clock recorded in
-        ``timings["apps"]`` and the call count in ``stats["apps"]``.
-
-        >>> res = pipe.solve_app("kmedian", k=4, trees=8)
-        >>> res.facilities, res.cost
-        >>> res = pipe.solve_app("buy-at-bulk", demands=dms, cables=cbl, trees=4)
-        >>> res.graph_cost
-
-        ``"kmedian"`` forwards to :func:`~repro.apps.kmedian.kmedian` with
-        this pipeline's generator (and, under the ``"oracle"`` embedding
-        method, the cached Section-5 oracle for the candidate-sampling
-        distance queries — the paper's mechanism).  ``"buy-at-bulk"``
-        forwards to :func:`~repro.apps.buyatbulk.buy_at_bulk` with this
-        pipeline injected, so the ensemble is sampled under the configured
-        method and artifacts stay amortized across calls.
-        """
-        # Local imports: the application modules import Pipeline themselves.
-        from repro.apps.buyatbulk import buy_at_bulk as _buy_at_bulk
-        from repro.apps.kmedian import kmedian as _kmedian
-
-        t0 = time.perf_counter()
-        if app == "kmedian":
-            if "oracle" not in kwargs and self.config.embedding.method == "oracle":
-                kwargs["oracle"] = self.oracle()
-            kwargs.setdefault("rng", self._rng)
-            result = _kmedian(self.G, **kwargs)
-        elif app in ("buy-at-bulk", "buyatbulk"):
-            for key in ("pipeline", "embedding", "rng"):
-                if key in kwargs:
-                    raise ValueError(
-                        f"solve_app('buy-at-bulk') routes through this "
-                        f"pipeline's sampler; {key!r} cannot be overridden — "
-                        "call repro.apps.buyatbulk.buy_at_bulk directly instead"
-                    )
-            result = _buy_at_bulk(self.G, pipeline=self, **kwargs)
-        else:
-            raise ValueError(
-                f"unknown application {app!r}; available: 'kmedian', 'buy-at-bulk'"
-            )
-        self.stats["apps"] += 1
-        self.timings["apps"] = self.timings.get("apps", 0.0) + (
-            time.perf_counter() - t0
-        )
-        return result
-
     # -- distance queries -----------------------------------------------------
 
     def embed_metric(self, *, ledger: CostLedger = NULL_LEDGER) -> MetricResult:
@@ -542,54 +420,26 @@ class Pipeline:
         """
         if self._metric is None or ledger is not NULL_LEDGER:
             oracle = self.oracle()
-            t0 = time.perf_counter()
-            self._metric = metric_from_oracle(
-                oracle, eps=self.config.hopset.eps, ledger=ledger
-            )
-            self.stats["metric_builds"] += 1
-            self.timings["metric"] = self.timings.get("metric", 0.0) + (
-                time.perf_counter() - t0
-            )
+            with self._stage("metric", "metric_builds"):
+                self._metric = metric_from_oracle(
+                    oracle, eps=self.config.hopset.eps, ledger=ledger
+                )
         return self._metric
 
-    # -- artifacts (offline half of the build/serve split) --------------------
+    # -- bookkeeping ----------------------------------------------------------
 
-    def save_artifacts(
-        self,
-        path,
-        k: int,
-        *,
-        seed: int | None = None,
-        execution: ExecutionConfig | None = None,
-    ) -> dict:
-        """Offline build step: sample a ``k``-ensemble and persist it.
+    @contextmanager
+    def _stage(self, timing: str, counter: str, count: int = 1):
+        """Account one stage block in :attr:`timings` and :attr:`stats`.
 
-        One call produces the artifact file the online side preloads
-        (``repro.serve.load_server`` or :meth:`from_artifacts`): samples an
-        ensemble (the stacked forest *is* the storage format), stamps the
-        provenance fingerprint, and writes a ``"result"`` artifact via
-        :func:`repro.io.save_result`.  An ``execution`` config with
-        ``workers > 1`` shards the build across a process pool — the
-        persisted arrays are bit-identical either way.  Returns the
-        written artifact meta.
+        Once the block completes, its wall-clock seconds are added to
+        ``timings[timing]`` and ``count`` to ``stats[counter]``; a block
+        that raises records nothing.
         """
-        return self.sample_ensemble(k, seed=seed, execution=execution).save(path)
-
-    @staticmethod
-    def from_artifacts(
-        path, *, mmap: bool = False
-    ) -> PipelineResult:  # shape: -> object view
-        """Rehydrate a persisted ensemble — no graph, no rebuild.
-
-        The loaded :class:`~repro.api.result.PipelineResult` carries the
-        stacked forest, LE lists and ranks, ledger totals, timings, and
-        the stamped provenance; queries are bit-identical to the result
-        that was saved.  ``mmap=True`` maps the stacked arrays read-only
-        from the file.
-        """
-        from repro.io.artifacts import load_result
-
-        return load_result(path, mmap=mmap)
+        t0 = time.perf_counter()
+        yield
+        self.stats[counter] += count
+        self.timings[timing] = self.timings.get(timing, 0.0) + (time.perf_counter() - t0)
 
     # -- introspection --------------------------------------------------------
 
@@ -646,14 +496,6 @@ class Pipeline:
             f"Pipeline(n={self.G.n}, m={self.G.m}, "
             f"method={self.config.embedding.method!r}, built={built})"
         )
-
-
-def _as_int(name: str, value) -> int:
-    """``operator.index(value)``, rejecting ``bool``: one fingerprint per
-    integer value, and a bad value fails before any work runs."""
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an int, got a bool")
-    return operator.index(value)
 
 
 def _shard_bounds(

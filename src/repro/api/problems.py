@@ -6,8 +6,9 @@ A real module alias of :mod:`repro.mbf.zoo`, so both spellings work::
     import repro.api.problems as problems
 
 Every factory returns an :class:`~repro.mbf.problem.MBFProblem` runnable
-through :func:`repro.api.solve` / :meth:`repro.api.Pipeline.solve` on any
-capable engine; see the "Problems and engines" section of API.md.
+through :func:`repro.api.solve` (``solve(G, problem)`` returns
+``(value, iterations)``) on any capable engine; see the "Problems and
+engines" section of API.md.
 """
 
 from repro.mbf.zoo import *  # noqa: F401,F403

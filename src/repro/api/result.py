@@ -1,4 +1,4 @@
-"""Result types returned by the :mod:`repro.api` facade.
+"""The ensemble value returned by the :mod:`repro.api` facade.
 
 :class:`PipelineResult` is the one ensemble value: the stacked forest,
 LE lists and ranks of a batch of samples, per-sample and merged
@@ -6,51 +6,24 @@ work/depth ledgers, wall-clock stage timings, and full provenance
 ``meta`` (config dict, seeds, method, hop-set and oracle diagnostics,
 build counters).  Its per-sample
 :class:`~repro.frt.embedding.EmbeddingResult` views are built on demand.
-
-:class:`SolveResult` carries one :meth:`~repro.api.pipeline.Pipeline.solve`
-answer: the decoded value plus iteration count and engine provenance.
+:func:`repro.io.save_result` persists it and :func:`repro.io.load_result`
+reads it back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from repro.frt.embedding import EmbeddingResult
-from repro.frt.ensemble import sample_view
 from repro.frt.forest import FRTForest
 from repro.mbf.dense import BatchedFlatStates
 from repro.pram.cost import CostLedger
 
-__all__ = ["PipelineResult", "SolveResult"]
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    """One solved MBF problem: decoded answer + run provenance.
-
-    ``value`` is the problem's decoded output (whatever its ``decode``
-    produces: distance vectors/matrices, Boolean flags, LE lists, path
-    lists); ``iterations`` the number of MBF iterations performed (the
-    fixpoint index, or the requested ``h``).  ``problem``/``family``/
-    ``engine`` record what ran where, so results are self-describing in
-    experiment logs.
-    """
-
-    value: Any
-    iterations: int
-    problem: str
-    family: str
-    engine: str
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SolveResult({self.problem!r}, family={self.family!r}, "
-            f"engine={self.engine!r}, iterations={self.iterations})"
-        )
+__all__ = ["PipelineResult"]
 
 
 @dataclass
@@ -161,8 +134,15 @@ class PipelineResult:
         return self._view(best), best_val
 
     def _view(self, s: int) -> EmbeddingResult:
-        return sample_view(
-            self.forest, self.le_lists, self.ranks, self.iterations, self.embedding_meta, s
+        """Sample ``s``: a read-only tree view, a rank row view, its LE lists
+        copied out as a ``k = 1`` batch, and a copy of the meta."""
+        return EmbeddingResult(
+            tree=self.forest.tree(s),
+            rank=self.ranks[s],
+            beta=float(self.forest.betas[s]),
+            le_lists=self.le_lists.sample_states(s),
+            iterations=int(self.iterations[s]),
+            meta=dict(self.embedding_meta),
         )
 
     @property
@@ -171,15 +151,3 @@ class PipelineResult:
         the pipeline — the cache/artifact key that does not depend on
         object identity.  ``None`` for results built outside the facade."""
         return self.meta.get("fingerprint")
-
-    def save(self, path) -> dict:
-        """Persist this batched ensemble as one artifact file.
-
-        Delegates to :func:`repro.io.save_result` (schema-versioned,
-        provenance-stamped, round-trips bit-identically through
-        ``Pipeline.from_artifacts`` / :func:`repro.io.load_result`).
-        Returns the written artifact meta.
-        """
-        from repro.io.artifacts import save_result
-
-        return save_result(path, self)

@@ -92,8 +92,11 @@ def hst_kmedian_dp_forest(
     """
     n = forest.n
     leaf_weights = np.asarray(leaf_weights, dtype=np.float64)
-    if leaf_weights.shape != (n,) or np.any(leaf_weights < 0):
-        raise ValueError("leaf_weights must be a non-negative (n,) array")
+    # Written so that NaN fails it too: a NaN weight made every cost NaN.
+    if leaf_weights.shape != (n,) or not np.all(
+        np.isfinite(leaf_weights) & (leaf_weights >= 0)
+    ):
+        raise ValueError("leaf_weights must be a finite, non-negative (n,) array")
     if allowed is None:
         allowed = np.ones(n, dtype=bool)
     allowed = np.asarray(allowed, dtype=bool)

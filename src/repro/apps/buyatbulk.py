@@ -61,8 +61,8 @@ class CableType:
     cost: float
 
     def __post_init__(self):
-        if self.capacity <= 0 or self.cost <= 0:
-            raise ValueError("cable capacity and cost must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in (self.capacity, self.cost)):
+            raise ValueError("cable capacity and cost must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,8 @@ class Demand:
     amount: float
 
     def __post_init__(self):
-        if self.amount <= 0:
-            raise ValueError("demand amount must be positive")
+        if not (math.isfinite(self.amount) and self.amount > 0):
+            raise ValueError("demand amount must be finite and positive")
         if self.source == self.target:
             raise ValueError("demand endpoints must differ")
 

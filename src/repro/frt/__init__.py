@@ -21,7 +21,8 @@ Entry points:
   ``forest.tree(s)`` cuts sample ``s`` out as a ``k = 1`` forest)
 - :class:`~repro.frt.embedding.EmbeddingResult` (one sample; sampling
   itself runs through :class:`repro.api.Pipeline`, ``sample()`` /
-  ``sample_ensemble(k)``)
+  ``sample_ensemble(k)``, and an ensemble's per-sample views are
+  :attr:`repro.api.PipelineResult.embeddings`)
 - :func:`~repro.frt.stretch.evaluate_stretch`
 - :func:`~repro.frt.paths.tree_edge_to_graph_path`
 """

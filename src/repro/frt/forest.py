@@ -272,10 +272,16 @@ class FRTForest:
         Large pair sets are processed in blocks so the transient
         ``(size, block, k_max + 1)`` gathers stay at a few tens of MiB
         regardless of ``P`` (the per-tree loop this replaces only ever
-        held one tree's slice at a time).
+        held one tree's slice at a time).  Ids outside ``[0, n)`` raise
+        ``ValueError``: NumPy would wrap a negative id to a vertex counted
+        from the end, a silently wrong answer.
         """
         us = np.atleast_1d(np.asarray(us, dtype=np.int64))
         vs = np.atleast_1d(np.asarray(vs, dtype=np.int64))
+        for ids in (us, vs):
+            if ids.size and (ids.min() < 0 or ids.max() >= self.n):
+                bad = int(ids[(ids < 0) | (ids >= self.n)][0])
+                raise ValueError(f"vertex id {bad} is not a vertex of [0, {self.n})")
         out = np.empty((self.size, us.size), dtype=np.int64)
         per_pair = self.size * (self.k_max + 1)
         block = max(1, _QUERY_BLOCK_ELEMS // per_pair)
@@ -348,7 +354,8 @@ def build_frt_forest(
     betas = np.asarray(betas, dtype=np.float64)
     if betas.shape != (k,):
         raise ValueError(f"betas must have shape ({k},)")
-    if np.any(betas < 1.0) or np.any(betas >= 2.0):
+    # Written so that NaN fails it too.
+    if not np.all((betas >= 1.0) & (betas < 2.0)):
         raise ValueError("every beta must lie in [1, 2)")
     if wmin <= 0:
         raise ValueError("wmin must be positive")

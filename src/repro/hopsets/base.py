@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.graph.core import Graph
@@ -22,8 +23,8 @@ class HopSetResult:
         code may use.
     eps:
         The stretch guarantee: ``dist^d(v,w,G') <= (1+eps) dist(v,w,G)``
-        (``0`` for exact constructions; guarantees hold w.h.p. for the
-        randomized ones).
+        (finite; ``0`` for exact constructions; guarantees hold w.h.p. for
+        the randomized ones).
     extra_edges:
         Number of edges added on top of ``G`` (after deduplication the
         graph may contain fewer *new* edges than were generated).
@@ -41,8 +42,8 @@ class HopSetResult:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("hop bound d must be >= 1")
-        if self.eps < 0:
-            raise ValueError("eps must be non-negative")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError(f"eps must be non-negative and finite, got {self.eps!r}")
         if self.extra_edges < 0:
             raise ValueError("extra_edges must be non-negative")
 

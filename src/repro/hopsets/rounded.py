@@ -30,12 +30,12 @@ __all__ = ["rounded_hopset", "round_up_to_power"]
 def round_up_to_power(values: np.ndarray, base: float) -> np.ndarray:
     """Round each positive value up to the nearest integer power of ``base``.
 
-    ``base`` must exceed 1.  Uses exact integer exponents (no drift): the
-    result of ``v`` is ``base**ceil(log_base(v))``, nudged up one power if
-    float rounding left it below ``v``.
+    ``base`` must be finite and exceed 1.  Uses exact integer exponents (no
+    drift): the result of ``v`` is ``base**ceil(log_base(v))``, nudged up
+    one power if float rounding left it below ``v``.
     """
-    if base <= 1.0:
-        raise ValueError("base must be > 1")
+    if not (math.isfinite(base) and base > 1.0):
+        raise ValueError(f"base must be finite and > 1, got {base!r}")
     values = np.asarray(values, dtype=np.float64)
     if np.any(values <= 0):
         raise ValueError("values must be positive")
@@ -57,11 +57,11 @@ def rounded_hopset(result: HopSetResult, G: Graph, eps: float) -> HopSetResult:
     G:
         The original graph (used to tell original edges from shortcuts).
     eps:
-        Rounding granularity; the returned guarantee is
+        Rounding granularity, finite and ``> 0``; the returned guarantee is
         ``(result.d, (1+result.eps)·(1+eps) - 1)``.
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0 (use the unrounded hop set for eps=0)")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0 (eps=0 means no rounding), got {eps!r}")
     base = 1.0 + eps
     gp = result.graph
     # Identify original edges of G by canonical key.

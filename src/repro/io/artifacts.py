@@ -1,10 +1,13 @@
 """Versioned, provenance-stamped serialization for pipeline artifacts.
 
-ROADMAP item 2: nothing survives the process — hop sets, oracles, and
+Without it nothing survives the process: hop sets, oracles, and
 :class:`~repro.frt.forest.FRTForest` ensembles are rebuilt from scratch
 every run.  This module is the offline half of the offline-build /
 online-serve split: the expensive stage outputs become *artifact files*
-that a serving process (:mod:`repro.serve`) preloads once.
+that a serving process (:mod:`repro.serve`) preloads once.  Saving a
+sampled ensemble is ``save_result(path, pipe.sample_ensemble(k, seed=s))``
+and reading it back ``load_result(path, mmap=...)``; there is no other
+spelling.
 
 **File format.**  One artifact is one uncompressed zip (the npz container
 layout) written by this module directly, so every member's byte offset is
@@ -384,7 +387,8 @@ def _forest_from_arrays(path, meta: dict, arrays: dict) -> FRTForest:
             f"{path}: node_offsets must rise from 0 to total_nodes={total_nodes}"
         )
     betas = np.asarray(fields["betas"])
-    if np.any(betas < 1.0) or np.any(betas >= 2.0):
+    # Written so that NaN fails it too.
+    if not np.all((betas >= 1.0) & (betas < 2.0)):
         raise ArtifactError(f"{path}: betas must lie in [1, 2)")
     return FRTForest(n=n, size=size, k_max=k_max, scale=scale, **fields)
 

@@ -52,6 +52,7 @@ batch.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -225,7 +226,7 @@ class HOracle:
         Optional pre-sampled node levels (else sampled from ``rng``).
     penalty_base:
         The level penalty base; defaults to ``1 + hopset.eps``.  Must be
-        ≥ 1.  (Theorem 4.5 requires ≥ ``1 + eps``.)
+        finite and ≥ 1.  (Theorem 4.5 requires ≥ ``1 + eps``.)
     inner_early_exit:
         Stop the inner ``d``-chains at their fixpoint (lossless; see module
         docstring).  Disable to reproduce the paper's literal cost.
@@ -255,8 +256,8 @@ class HOracle:
         self.levels = levels
         self.Lambda = Lambda
         base = (1.0 + hopset.eps) if penalty_base is None else float(penalty_base)
-        if base < 1.0:
-            raise ValueError("penalty_base must be >= 1")
+        if not (math.isfinite(base) and base >= 1.0):
+            raise ValueError(f"penalty_base must be finite and >= 1, got {base!r}")
         self.penalty_base = base
         self.masks = level_masks(levels, Lambda)
         self.inner_early_exit = bool(inner_early_exit)

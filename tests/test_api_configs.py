@@ -1,6 +1,7 @@
 """Config dataclasses of the repro.api facade: validation + round-tripping."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from repro.api import (
     OracleConfig,
     Pipeline,
     PipelineConfig,
+    content_fingerprint,
     generators,
 )
 
@@ -69,6 +71,25 @@ class TestValidation:
         assert runs[0].meta["fingerprint"] == runs[1].meta["fingerprint"]
         assert runs[0].le_lists.equals(runs[1].le_lists)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("eps", math.nan),
+            ("eps", math.inf),
+            ("eps", -math.inf),
+            ("c", math.nan),
+            ("c", math.inf),
+            ("c", 0.5),
+        ],
+    )
+    def test_hopset_floats_finite_and_in_range(self, field, value):
+        """Regression: eps=nan sampled from an unrounded hop set under a
+        NaN fingerprint, eps=inf crashed inside the LE kernel, and c=nan,
+        c=inf or c=0.5 were accepted (every vertex a hub, or a failure only
+        at build)."""
+        with pytest.raises(ValueError, match=f"hopset .*{field}"):
+            HopsetConfig(**{field: value})
+
     def test_d0_rejected_for_non_hub_kinds(self):
         """Regression: d0 used to be forwarded to identity_hopset as an
         explicit hop bound, silently truncating distances when d0 < SPD."""
@@ -82,6 +103,13 @@ class TestValidation:
             OracleConfig(penalty_base=0.5)
         assert OracleConfig(penalty_base=None).penalty_base is None
         assert OracleConfig(penalty_base=1.0).penalty_base == 1.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_oracle_penalty_base_finite(self, value):
+        """Regression: penalty_base=nan ran into the H-iteration cap and
+        penalty_base=inf crashed inside the LE kernel."""
+        with pytest.raises(ValueError, match="penalty_base must be finite"):
+            OracleConfig(penalty_base=value)
 
     def test_embedding_method_checked(self):
         with pytest.raises(ValueError, match="method"):
@@ -100,7 +128,7 @@ class TestValidation:
     def test_pipeline_seed_checked(self):
         with pytest.raises(ValueError):
             PipelineConfig(seed=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             PipelineConfig(seed=1.5)
         assert PipelineConfig(seed=0).seed == 0
 
@@ -117,6 +145,36 @@ class TestValidation:
             cfg.seed = 3
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.hopset.eps = 0.5
+
+
+_INT_FIELDS = {
+    "d0": (lambda v: PipelineConfig(hopset=HopsetConfig(d0=v)), lambda c: c.hopset.d0),
+    "seed": (lambda v: PipelineConfig(seed=v), lambda c: c.seed),
+    "workers": (
+        lambda v: PipelineConfig(execution=ExecutionConfig(workers=v)),
+        lambda c: c.execution.workers,
+    ),
+    "shard_size": (
+        lambda v: PipelineConfig(execution=ExecutionConfig(shard_size=v)),
+        lambda c: c.execution.shard_size,
+    ),
+}
+
+
+class TestIntegerRule:
+    """One rule for every integer field: a NumPy integer is stored as the
+    Python int it equals (bools and non-integers are checked per field
+    above and in TestExecutionConfig)."""
+
+    @pytest.mark.parametrize("name", sorted(_INT_FIELDS))
+    def test_numpy_integer_stored_as_int(self, name):
+        make, get = _INT_FIELDS[name]
+        ref = make(3)
+        for np_int in (np.int64, np.int32, np.uint16):
+            cfg = make(np_int(3))
+            assert type(get(cfg)) is int and get(cfg) == 3
+            assert cfg == ref and cfg.to_dict() == ref.to_dict()
+            assert content_fingerprint(cfg.to_dict()) == content_fingerprint(ref.to_dict())
 
 
 class TestRoundTrip:
@@ -213,7 +271,7 @@ class TestExecutionConfig:
     def test_shard_size_checked(self):
         with pytest.raises(ValueError, match="shard_size"):
             ExecutionConfig(shard_size=0)
-        with pytest.raises(ValueError, match="shard_size"):
+        with pytest.raises(TypeError, match="shard_size"):
             ExecutionConfig(shard_size="big")
         assert ExecutionConfig(shard_size=3).shard_size == 3
 

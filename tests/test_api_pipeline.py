@@ -29,6 +29,7 @@ from tests.frt_reference import build_frt_tree, distance_matrix
 from repro.graph.core import Graph
 from repro.graph.shortest_paths import dijkstra_distances
 from repro.hopsets import hub_hopset, rounded_hopset
+from repro.io import load_result, save_result
 from repro.oracle import HOracle
 from repro.pram import CostLedger
 from repro.util.rng import spawn_rngs, split_seed
@@ -115,6 +116,19 @@ class TestArtifactCaching:
         assert pipe.timings["hopset"] >= 0
         assert pipe.timings["oracle"] >= 0
         assert pipe.timings["samples"] >= 0
+
+    def test_builds_and_samples_only(self):
+        """Pipeline's public surface is its stages and its samplers; its
+        counters and timings cover exactly those."""
+        public = {name for name in dir(Pipeline) if not name.startswith("_")}
+        assert public == {"hopset", "oracle", "sample", "sample_ensemble", "embed_metric"}
+        pipe = Pipeline(gen.cycle(12, rng=3), PipelineConfig(seed=0))
+        pipe.sample_ensemble(3)
+        pipe.embed_metric()
+        assert pipe.stats == {
+            "hopset_builds": 1, "oracle_builds": 1, "metric_builds": 1, "samples": 3,
+        }
+        assert set(pipe.timings) == {"hopset", "oracle", "samples", "metric"}
 
 
 class TestEnsemble:
@@ -290,7 +304,8 @@ class TestIntegerArguments:
 
     def test_numpy_ints_save(self, tmp_path):
         pipe = Pipeline(self.g, self.cfg)
-        meta = pipe.save_artifacts(tmp_path / "a.rpz", np.int64(2), seed=np.int32(4))
+        result = pipe.sample_ensemble(np.int64(2), seed=np.int32(4))
+        meta = save_result(tmp_path / "a.rpz", result)
         assert meta["provenance"]["k"] == 2 and meta["provenance"]["seed"] == 4
 
 
@@ -792,18 +807,19 @@ class TestShardedBatchedEnsemble:
         _assert_same_result(baseline, res)
         assert res.meta["execution"]["workers"] == 2
 
-    def test_save_artifacts_with_workers(self, tmp_path):
-        """Regression: a pooled save_artifacts build used to raise through
-        the batched-mode guard; it must shard the offline build and
-        persist arrays bit-identical to the in-process build."""
+    def test_save_result_with_workers(self, tmp_path):
+        """Regression: a pooled offline build used to raise through the
+        batched-mode guard; it must shard the build and persist arrays
+        bit-identical to the in-process build."""
         g = gen.random_graph(24, 60, rng=21)
         p1, p2 = tmp_path / "one.rpz", tmp_path / "two.rpz"
-        Pipeline(g, self._cfg(seed=0)).save_artifacts(p1, 4, seed=3)
-        meta = Pipeline(g, self._cfg(seed=0)).save_artifacts(
-            p2, 4, seed=3, execution=ExecutionConfig(workers=2)
+        save_result(p1, Pipeline(g, self._cfg(seed=0)).sample_ensemble(4, seed=3))
+        pooled = Pipeline(g, self._cfg(seed=0)).sample_ensemble(
+            4, seed=3, execution=ExecutionConfig(workers=2)
         )
-        one = Pipeline.from_artifacts(p1)
-        two = Pipeline.from_artifacts(p2)
+        meta = save_result(p2, pooled)
+        one = load_result(p1)
+        two = load_result(p2)
         _assert_same_forest(one.forest, two.forest)
         for a, b in zip(one, two):
             _assert_same_embedding(a, b)

@@ -153,6 +153,17 @@ class TestForestKMedianDPParity:
         with pytest.raises(ValueError):
             hst_kmedian_dp_forest(forest, w, 1, allowed=np.ones(4, dtype=bool))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        """Regression: one NaN leaf weight returned costs [nan, nan] and
+        empty facility sets."""
+        g = gen.cycle(10, rng=10)
+        forest = _direct_forest(g, 2, seed=11)
+        w = np.ones(g.n)
+        w[3] = bad
+        with pytest.raises(ValueError, match="finite, non-negative"):
+            hst_kmedian_dp_forest(forest, w, 2)
+
 
 def _random_demands(n, count, rng):
     g = as_rng(rng)
@@ -419,60 +430,3 @@ class TestKMedianBatchedPath:
             want_cost, want_fac = hst_kmedian_dp(forest.tree(s), w, 3)
             assert costs[s] == want_cost
             assert np.array_equal(facs[s], want_fac)
-
-
-class TestSolveAppFacade:
-    def test_kmedian_direct(self):
-        g = gen.random_graph(30, 80, rng=70)
-        pipe = Pipeline(
-            g, PipelineConfig(embedding=EmbeddingConfig(method="direct")), rng=71
-        )
-        res = pipe.solve_app("kmedian", k=3, trees=3)
-        assert isinstance(res, KMedianResult)
-        assert pipe.stats["apps"] == 1
-        assert pipe.timings["apps"] > 0.0
-
-    def test_buy_at_bulk_uses_this_pipeline(self):
-        g = gen.random_graph(30, 80, rng=72)
-        pipe = Pipeline(
-            g, PipelineConfig(embedding=EmbeddingConfig(method="direct")), rng=73
-        )
-        demands = _random_demands(g.n, 6, 74)
-        res = pipe.solve_app("buy-at-bulk", demands=demands, cables=CABLES, trees=3)
-        assert res.meta["trees"] == 3
-        assert pipe.stats["samples"] == 3  # sampled through this pipeline
-        assert pipe.stats["apps"] == 1
-
-    def test_kmedian_oracle_method_forwards_oracle(self):
-        g = gen.random_graph(24, 60, rng=75)
-        pipe = Pipeline(g, PipelineConfig(hopset=HopsetConfig(eps=0.25, d0=4)), rng=76)
-        res = pipe.solve_app("kmedian", k=2, trees=2)
-        assert res.meta["oracle"] is True
-        assert pipe.stats["oracle_builds"] == 1
-
-    def test_unknown_app_rejected(self):
-        pipe = Pipeline(gen.cycle(8, rng=77))
-        with pytest.raises(ValueError, match="unknown application"):
-            pipe.solve_app("max-flow")
-
-    def test_kmedian_explicit_rng_overrides(self):
-        g = gen.random_graph(24, 60, rng=78)
-        pipe = Pipeline(
-            g, PipelineConfig(embedding=EmbeddingConfig(method="direct")), rng=79
-        )
-        a = pipe.solve_app("kmedian", k=2, trees=2, rng=5)
-        b = kmedian(g, 2, trees=2, rng=5)
-        assert a.cost == b.cost
-        assert np.array_equal(a.facilities, b.facilities)
-
-    def test_buy_at_bulk_reserved_kwargs_rejected(self):
-        g = gen.cycle(10, rng=80)
-        pipe = Pipeline(
-            g, PipelineConfig(embedding=EmbeddingConfig(method="direct")), rng=81
-        )
-        demands = [Demand(0, 4, 1.0)]
-        for key, value in (("rng", 3), ("pipeline", pipe), ("embedding", None)):
-            with pytest.raises(ValueError, match="cannot be overridden"):
-                pipe.solve_app(
-                    "buy-at-bulk", demands=demands, cables=CABLES, **{key: value}
-                )

@@ -27,6 +27,17 @@ class TestDataTypes:
         with pytest.raises(ValueError):
             Demand(0, 1, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        """Regression: CableType(capacity=nan) and Demand(amount=nan) were
+        accepted."""
+        with pytest.raises(ValueError, match="finite and positive"):
+            CableType(bad, 1.0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            CableType(1.0, bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            Demand(0, 1, bad)
+
 
 class TestCableCost:
     def test_zero_flow_free(self):

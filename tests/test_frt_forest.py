@@ -307,6 +307,30 @@ class TestForestStructure:
         with pytest.raises(IndexError):
             self.forest.tree(-1)
 
+    @pytest.mark.parametrize(
+        "us,vs,bad", [([-1], [0], -1), ([0], [-3], -3), ([0, 1], [2, 30], 30)]
+    )
+    def test_vertex_ids_outside_range_rejected(self, us, vs, bad):
+        """Regression: ``distances([-1], [0])`` answered with vertex
+        ``n - 1``'s row (NumPy wraps the index), while ``[0], [n]`` raised
+        ``IndexError``; both are now one ``ValueError``."""
+        for query in (
+            self.forest.lca_levels,
+            self.forest.distances,
+            self.forest.tree(0).distances,
+        ):
+            with pytest.raises(ValueError, match=f"vertex id {bad} is not a vertex"):
+                query(us, vs)
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, 2.0, 0.5])
+    def test_betas_outside_range_rejected(self, beta):
+        """Regression: a NaN beta passed the range check and failed later,
+        converting NaN to an integer."""
+        betas = self.betas.copy()
+        betas[1] = beta
+        with pytest.raises(ValueError, match="every beta must lie in"):
+            build_frt_forest(self.lists, self.ranks, betas, self.wmin)
+
     def test_trees_list(self):
         trees = self.forest.trees()
         assert len(trees) == self.forest.size
@@ -385,6 +409,14 @@ class TestForestStructure:
 
 
 class TestPipelineForest:
+    def test_nan_beta_sample_rejected(self):
+        g = gen.random_graph(20, 50, rng=29)
+        pipe = Pipeline(g, PipelineConfig(embedding=EmbeddingConfig(method="direct")))
+        with pytest.raises(ValueError, match="every beta must lie in"):
+            pipe.sample(beta=float("nan"))
+        # A stage block that raises records nothing.
+        assert pipe.stats["samples"] == 0 and "samples" not in pipe.timings
+
     def test_batched_result_carries_forest(self):
         g = gen.random_graph(48, 130, rng=30)
         cfg = PipelineConfig(embedding=EmbeddingConfig(method="direct"))

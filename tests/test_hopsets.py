@@ -17,6 +17,7 @@ from repro.hopsets import (
     rounded_hopset,
     verify_hopset,
 )
+from repro.hopsets.base import HopSetResult
 from repro.hopsets.rounded import round_up_to_power
 from repro.hopsets.skeleton import default_d0
 
@@ -170,6 +171,11 @@ class TestRoundUpToPower:
         with pytest.raises(ValueError):
             round_up_to_power(np.array([0.0]), 2.0)
 
+    @pytest.mark.parametrize("base", [np.nan, np.inf])
+    def test_base_must_be_finite(self, base):
+        with pytest.raises(ValueError, match="base must be finite"):
+            round_up_to_power(np.array([1.5]), base)
+
 
 class TestRoundedHopset:
     def test_guarantee_holds(self):
@@ -202,6 +208,22 @@ class TestRoundedHopset:
         base = hub_hopset(g, rng=0)
         with pytest.raises(ValueError):
             rounded_hopset(base, g, eps=0.0)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_rejects_non_finite_eps(self, eps):
+        """Regression: NaN and inf returned a hop set with 143 non-finite
+        weights, a graph the Graph constructor would refuse."""
+        g = gen.random_graph(30, 60, rng=1)
+        with pytest.raises(ValueError, match="eps must be finite"):
+            rounded_hopset(hub_hopset(g, rng=2), g, eps)
+
+
+class TestHopSetResult:
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -0.5])
+    def test_eps_finite_and_non_negative(self, eps):
+        g = gen.cycle(6, rng=0)
+        with pytest.raises(ValueError, match="eps must be non-negative and finite"):
+            HopSetResult(graph=g, d=3, eps=eps, extra_edges=0)
 
 
 class TestObservation11:

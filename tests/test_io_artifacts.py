@@ -8,6 +8,7 @@ rejected with an :class:`~repro.io.artifacts.ArtifactError` that says
 why.
 """
 
+import dataclasses
 import json
 import tracemalloc
 import zipfile
@@ -26,6 +27,7 @@ from repro.io import (
     load_result,
     read_artifact_meta,
     save_forest,
+    save_result,
 )
 from tests.frt_reference import assert_forests_equal
 
@@ -175,7 +177,7 @@ def test_result_round_trip(tmp_path, mmap):
     """PipelineResult: stacked arrays, embeddings, ledgers, timings, meta."""
     result = _result(40, 5)
     path = tmp_path / "result.rpz"
-    result.save(path)
+    save_result(path, result)
     loaded = load_result(path, mmap=mmap)
     assert np.array_equal(loaded.ranks, result.ranks)
     assert loaded.le_lists.equals(result.le_lists)
@@ -212,7 +214,7 @@ def test_result_mmap_load_keeps_lists_mapped(tmp_path):
     payload = lists.offsets.nbytes + lists.ids.nbytes + lists.dists.nbytes
     assert payload > 1 << 18, "fixture too small to witness a copy"
     path = tmp_path / "big.rpz"
-    result.save(path)
+    save_result(path, result)
 
     tracemalloc.start()
     before, _ = tracemalloc.get_traced_memory()
@@ -232,7 +234,7 @@ def test_result_mmap_load_keeps_lists_mapped(tmp_path):
 
 def test_result_load_rejects_per_sample_embedding_meta(tmp_path):
     path = tmp_path / "r.rpz"
-    _result(24, 2).save(path)
+    save_result(path, _result(24, 2))
     _rewrite_meta(
         path, lambda m: m["result"]["embedding_meta"][1].update(pipeline="oracle")
     )
@@ -240,14 +242,14 @@ def test_result_load_rejects_per_sample_embedding_meta(tmp_path):
         load_result(path)
 
 
-def test_from_artifacts_round_trip_is_read_only(tmp_path, monkeypatch):
+def test_load_result_round_trip_is_read_only(tmp_path, monkeypatch):
     """A rehydrated result exposes only read-only storage, in freeze mode
     and out of it — loads are frozen unconditionally."""
     monkeypatch.setenv("REPRO_FREEZE", "1")
     pipe = _pipeline(24)
     path = tmp_path / "ens.rpz"
-    pipe.save_artifacts(path, 3, seed=5)
-    loaded = Pipeline.from_artifacts(path)
+    save_result(path, pipe.sample_ensemble(3, seed=5))
+    loaded = load_result(path)
     assert not loaded.forest.level_ids.flags.writeable
     with pytest.raises(ValueError):
         loaded.forest.level_ids[0, 0, 0] = -1
@@ -259,13 +261,14 @@ def test_from_artifacts_round_trip_is_read_only(tmp_path, monkeypatch):
     assert loaded.forest.distances(us, vs).shape == (3, us.size)
 
 
-def test_facade_save_and_from_artifacts(tmp_path):
-    """Pipeline.save_artifacts is the one-call offline build step."""
+def test_offline_build_save_and_load_result(tmp_path):
+    """The offline build step: save_result of a sampled ensemble, read
+    back by load_result."""
     pipe = _pipeline(32)
     path = tmp_path / "ens.rpz"
-    meta = pipe.save_artifacts(path, 4, seed=9)
+    meta = save_result(path, pipe.sample_ensemble(4, seed=9))
     assert meta["kind"] == "result"
-    loaded = Pipeline.from_artifacts(path, mmap=True)
+    loaded = load_result(path, mmap=True)
     assert loaded.size == 4
     assert loaded.fingerprint == meta["fingerprint"]
     reference = _pipeline(32).sample_ensemble(4, seed=9)
@@ -300,7 +303,7 @@ def test_pipeline_fingerprint_depends_on_configs_and_seeds_only():
 def test_artifact_meta_carries_provenance(tmp_path):
     result = _result(28, 3)
     path = tmp_path / "r.rpz"
-    result.save(path)
+    save_result(path, result)
     meta = read_artifact_meta(path)
     assert meta["schema_version"] == SCHEMA_VERSION
     assert meta["fingerprint"] == result.fingerprint
@@ -440,6 +443,17 @@ def test_rejects_compressed_member_in_mmap_mode(tmp_path):
         load_forest(path, mmap=True)
     # ... but the in-memory path still reads deflated members fine.
     _assert_forest_identical(load_forest(path), load_forest(path, mmap=False))
+
+
+def test_rejects_nan_betas(tmp_path):
+    """Regression: a forest whose betas hold NaN saved, loaded, and answered
+    queries; the NaN passed the [1, 2) range check."""
+    forest = _result(24, 2).forest
+    path = tmp_path / "nan.rpz"
+    save_forest(path, dataclasses.replace(forest, betas=np.array([np.nan, 1.5])))
+    for mmap in (False, True):
+        with pytest.raises(ArtifactError, match="betas must lie in"):
+            load_forest(path, mmap=mmap)
 
 
 def test_rejects_inconsistent_forest_header(tmp_path):

@@ -201,6 +201,15 @@ class TestOracleSemantics:
         with pytest.raises(ValueError):
             HOracle(hop, penalty_base=0.9)
 
+    @pytest.mark.parametrize("base", [np.nan, np.inf, -np.inf])
+    def test_penalty_base_must_be_finite(self, base):
+        """Regression: a NaN or infinite base was accepted and failed
+        later, at the H-iteration cap or inside the LE kernel."""
+        g = gen.random_graph(30, 60, rng=1)
+        hop = rounded_hopset(hub_hopset(g, rng=2), g, 0.25)
+        with pytest.raises(ValueError, match="penalty_base must be finite"):
+            HOracle(hop, penalty_base=base)
+
     def test_max_iterations_guard(self):
         g = gen.cycle(8, rng=0)
         hop = identity_hopset(g)

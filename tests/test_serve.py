@@ -13,7 +13,7 @@ import pytest
 from repro.api import EmbeddingConfig, Pipeline, PipelineConfig
 from repro.apps.batched import hst_kmedian_dp_forest
 from repro.graph import generators as gen
-from repro.io import save_forest
+from repro.io import load_result, save_forest, save_result
 from repro.serve import PAIR_KINDS, ForestServer, load_server, unique_pairs
 
 
@@ -221,6 +221,16 @@ def test_kmedian_matches_batched_dp_and_caches(forest):
     assert server.stats()["cache_hits"] == 1
 
 
+def test_kmedian_rejects_nan_weights(forest):
+    """Regression: a NaN client weight was answered with NaN costs and
+    empty facility sets."""
+    server = ForestServer(forest)
+    weights = np.ones(forest.n)
+    weights[0] = np.nan
+    with pytest.raises(ValueError, match="finite, non-negative"):
+        server.kmedian(weights, 2)
+
+
 def test_kmedian_allowed_mask_distinguishes_cache_entries(forest):
     server = ForestServer(forest)
     weights = np.ones(forest.n)
@@ -286,16 +296,16 @@ def test_load_server_serves_from_artifact(tmp_path, forest):
 
 
 def test_facade_end_to_end_offline_build_online_serve(tmp_path):
-    """The full split: save_artifacts -> load_server -> parity."""
+    """The full split: save_result -> load_server -> parity."""
     g = gen.random_graph(32, rng=4)
     pipe = Pipeline(
         g, PipelineConfig(embedding=EmbeddingConfig(method="direct"), seed=1)
     )
     path = tmp_path / "ens.rpz"
-    meta = pipe.save_artifacts(path, 4, seed=2)
+    meta = save_result(path, pipe.sample_ensemble(4, seed=2))
     server = load_server(path)
     assert server.fingerprint == meta["fingerprint"]
-    reference = Pipeline.from_artifacts(path)
+    reference = load_result(path)
     us, vs = _pairs(32, 10, seed=14)
     assert np.array_equal(
         server.distance_upper_bounds(us, vs),
