@@ -80,8 +80,8 @@ def hub_hopset(
     d0 = int(d0)
     if d0 < 1:
         raise ValueError("d0 must be >= 1")
-    if c < 1:
-        raise ValueError("c must be >= 1")
+    if not (math.isfinite(c) and c >= 1):
+        raise ValueError(f"hopset sampling constant c must be finite and >= 1, got {c!r}")
 
     if force_hubs is not None:
         hubs = np.unique(np.asarray(force_hubs, dtype=np.int64))

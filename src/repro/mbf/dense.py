@@ -47,6 +47,16 @@ over contiguous blocks of composite targets, each holding at most
 memory is bounded by that budget plus the state, not by the candidate
 count, and the lists are the same bit for bit.
 
+**Two kernels, one result.**  The LE step runs in C where a compiler
+works: ``_lestep.c`` does propagate, prune, survivor sort and merge in
+one pass per target, writing the next lists straight into state-sized
+buffers (:func:`_le_iteration_native`; built on the first LE step and
+cached, see :mod:`repro.mbf.native`).  Without a working compiler the
+step runs the NumPy kernel above (:func:`_le_iteration_incremental`) and
+warns once.  The two give the same lists, flags and ledger charges bit
+for bit, and the parity tests run on both; :func:`le_kernel` says which
+one runs.
+
 The iteration is also *semi-naive* (Moore's refinement of Bellman-Ford:
 relax only from labels that changed).  Each LE step reports which entries
 it inserted, and the next step propagates only those.  This is exact in
@@ -70,6 +80,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.graph.core import Graph
+from repro.mbf import native
 from repro.mbf.engine import fixpoint_error
 from repro.pram.cost import CostLedger
 
@@ -103,6 +114,7 @@ __all__ = [
     "prepare_batch_run",
     "run_dense_batched",
     "segmented_searchsorted",
+    "le_kernel",
 ]
 
 
@@ -747,6 +759,21 @@ def aggregate_batched(
     return BatchedFlatStates(k, n, offsets, ids_s[keep], dists_s[keep])
 
 
+def _charge_le_step(
+    G: Graph, states: BatchedFlatStates, ledgers: Sequence[CostLedger] | None
+) -> None:
+    """Charge one LE step's model cost, whatever either kernel emits.
+
+    Full emission sends every entry of ``states`` along every out-edge plus
+    its own entries, and sorts them all; this charges that per sample.
+    """
+    if ledgers is None:
+        return
+    out_degree = np.bincount(G.directed_edges()[0], minlength=states.n)
+    emitted = np.diff(states.offsets).reshape(states.k, states.n) @ out_degree
+    charge_emission(ledgers, emitted + states.sample_totals())
+
+
 def _le_iteration_incremental(
     G: Graph,
     states: BatchedFlatStates,
@@ -825,12 +852,8 @@ def _le_iteration_incremental(
     k, n = states.k, states.n
     kn = k * n
     src, dst, w = G.directed_edges()
-    # Model cost: full emission sends every entry of ``states`` along every
-    # out-edge plus its own entries, and sorts them all; charge that per sample.
+    _charge_le_step(G, states, ledgers)
     scounts = np.diff(states.offsets)
-    out_degree = np.bincount(src, minlength=n)
-    emitted = scounts.reshape(k, n) @ out_degree + states.sample_totals()
-    charge_emission(ledgers, emitted)
     if base is not None:
         loops = np.arange(n, dtype=np.int64)
         at = np.searchsorted(dst, loops, side="right")
@@ -1004,6 +1027,95 @@ def _le_iteration_incremental(
     return BatchedFlatStates(k, n, noffsets, ids, dists), changed, inserted
 
 
+def _le_iteration_native(
+    lib,
+    G: Graph,
+    states: BatchedFlatStates,
+    spec: BatchedLEFilter,
+    *,
+    weight_scale: float = 1.0,
+    ledgers: Sequence[CostLedger] | None = None,
+    fresh: np.ndarray | None = None,
+    base: BatchedFlatStates | None = None,
+) -> tuple[BatchedFlatStates, np.ndarray, np.ndarray]:
+    """:func:`_le_iteration_incremental` in one C pass per target (``_lestep.c``).
+
+    Same arguments, results and charges, bit for bit.  The C code walks
+    each target's in-edges (and, with ``base``, the target's own fresh
+    entries at weight 0, so no loop edges are built), prunes each candidate
+    with one bisection in the target's staircase, sorts the few survivors
+    and merges them, writing the next lists straight into buffers sized
+    from the state: no candidate-sized array exists.  The buffers start at
+    the merged-into lists plus the fresh entries; a step that outgrows them
+    doubles them and resumes at the target that did not fit.  ``lib`` is
+    :func:`repro.mbf.native.library`'s result.
+    """
+    k, n = states.k, states.n
+    into = states if base is None else base
+    _charge_le_step(G, states, ledgers)
+    src, dst, w = G.directed_edges()
+    if weight_scale != 1.0:
+        w = w * weight_scale
+    edges = (
+        np.searchsorted(dst, np.arange(n + 1)),
+        np.ascontiguousarray(src, dtype=np.int64),
+        np.ascontiguousarray(w, dtype=np.float64),
+    )
+    lists = _csr_arrays(states)
+    if fresh is None:
+        fresh_lists = (lists[0], None)
+        cap = into.total + states.total
+    else:
+        fresh = np.ascontiguousarray(fresh, dtype=bool)
+        fresh_lists = native.fresh_lists(lib, lists[0], fresh)
+        cap = into.total + fresh_lists[1].size
+    ids, dists, inserted, counts, changed, any_survivor = native.le_step(
+        lib,
+        n,
+        spec._flat,
+        edges,
+        lists,
+        fresh_lists,
+        None if base is None else _csr_arrays(base),
+        cap,
+    )
+    if not any_survivor:
+        return into, changed, np.zeros(into.total, dtype=bool)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    return BatchedFlatStates(k, n, offsets, ids, dists), changed, inserted
+
+
+def _csr_arrays(
+    b: BatchedFlatStates,  # shape: csr(k*n) frozen
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``b``'s offsets, ids and dists as contiguous int64 / int64 / float64 (no copy if so)."""
+    return (
+        np.ascontiguousarray(b.offsets, dtype=np.int64),
+        np.ascontiguousarray(b.ids, dtype=np.int64),
+        np.ascontiguousarray(b.dists, dtype=np.float64),
+    )
+
+
+def le_kernel() -> str:  # shape: -> scalar
+    """Which LE step runs: ``"native"`` (``_lestep.c``) or ``"numpy"``.
+
+    Builds the compiled step if no LE step has yet (see
+    :mod:`repro.mbf.native`); ``"numpy"`` means no compiler works here, and
+    the NumPy kernel computes the same lists bit for bit.
+    """
+    return "numpy" if native.library() is None else "native"
+
+
+def _le_step(
+    G: Graph, states: BatchedFlatStates, spec: BatchedLEFilter, **kwargs
+) -> tuple[BatchedFlatStates, np.ndarray, np.ndarray]:
+    """One LE step on the compiled kernel, or on NumPy without a compiler."""
+    lib = native.library()
+    if lib is None:
+        return _le_iteration_incremental(G, states, spec, **kwargs)
+    return _le_iteration_native(lib, G, states, spec, **kwargs)
+
+
 def _check_batch_filter(spec: FilterSpec, states: BatchedFlatStates) -> bool:
     """Whether ``spec`` takes the incremental LE path (validating shape)."""
     if not isinstance(spec, BatchedLEFilter):
@@ -1076,7 +1188,7 @@ def dense_iteration_batched_ex(
                 f"base batch shape ({base.k}, {base.n}) does not match "
                 f"states ({states.k}, {states.n})"
             )
-        return _le_iteration_incremental(
+        return _le_step(
             G, states, spec, weight_scale=weight_scale, ledgers=ledgers, fresh=fresh, base=base
         )
     if base is not None:

@@ -9,6 +9,7 @@ fixpoint iteration.  Guarded by a size cap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,8 +117,8 @@ class SimulatedGraph:
             Lambda = int(levels.max())
         if penalty_base is None:
             penalty_base = 1.0 + hopset.eps
-        if penalty_base < 1.0:
-            raise ValueError("penalty_base must be >= 1")
+        if not (math.isfinite(penalty_base) and penalty_base >= 1.0):
+            raise ValueError(f"penalty_base must be finite and >= 1, got {penalty_base!r}")
         Dd = hop_limited_distances(hopset.graph, hopset.d)
         lam_e = np.minimum(levels[:, None], levels[None, :])
         W = np.power(penalty_base, (Lambda - lam_e).astype(np.float64)) * Dd

@@ -13,7 +13,14 @@ output and must bound its transient memory.
 """
 
 import dataclasses
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import textwrap
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +30,7 @@ from repro.api import EmbeddingConfig, HopsetConfig, Pipeline, PipelineConfig
 from repro.graph import Graph
 from repro.graph import generators as gen
 from repro.hopsets import hub_hopset, rounded_hopset
+from repro.mbf import native
 from repro.mbf.dense import (
     BatchedFlatStates,
     BatchedLEFilter,
@@ -43,6 +51,16 @@ from repro.oracle import HOracle
 from repro.pram import CostLedger
 from repro.simulated import SimulatedGraph
 from tests.conftest import dense_k1, le_filter
+
+
+def _use_kernel(name, monkeypatch):
+    """Point the LE step's dispatch at one kernel: ``"native"`` (the
+    compiled step; skipped where no compiler works) or ``"numpy"``."""
+    if name == "numpy":
+        monkeypatch.setattr(native, "_library", None)
+    elif native.library() is None:
+        pytest.skip("no working C compiler: the compiled LE step is unavailable")
+    assert dense.le_kernel() == name
 
 
 def _ranks(k, n, seed):
@@ -524,7 +542,13 @@ def _delta_vs_full(g, states, spec, fresh, scale):
 
 
 class TestSemiNaiveDelta:
-    """Propagating only the entries the last step inserted is exact."""
+    """Propagating only the entries the last step inserted is exact.
+
+    On the compiled LE step here, on the NumPy kernel in the subclass."""
+
+    @pytest.fixture(autouse=True)
+    def kernel(self, monkeypatch):
+        _use_kernel("native", monkeypatch)
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("scale", [1.0, 1.5625])
@@ -617,10 +641,23 @@ class TestSemiNaiveDelta:
             dense_iteration_batched_ex(g, b, spec, fresh=np.ones(3, dtype=bool))
 
 
+class TestSemiNaiveDeltaNumPy(TestSemiNaiveDelta):
+    """The same semi-naive checks on the NumPy kernel."""
+
+    @pytest.fixture(autouse=True)
+    def kernel(self, monkeypatch):
+        _use_kernel("numpy", monkeypatch)
+
+
 class TestBaseMerge:
     """``base=``: the fresh entries of ``states``, sent along every edge and
     to themselves, merged into ``base``'s lists — the oracle's warm chain
-    step ``r(base ⊕ F ⊕ A·F)``."""
+    step ``r(base ⊕ F ⊕ A·F)``.  On the compiled LE step here, on the NumPy
+    kernel in the subclass."""
+
+    @pytest.fixture(autouse=True)
+    def kernel(self, monkeypatch):
+        _use_kernel("native", monkeypatch)
 
     @staticmethod
     def _entries(states):
@@ -691,14 +728,27 @@ class TestBaseMerge:
             dense_iteration_batched_ex(g, b, MinFilter(), base=b)
 
 
+class TestBaseMergeNumPy(TestBaseMerge):
+    """The same ``base=`` checks on the NumPy kernel."""
+
+    @pytest.fixture(autouse=True)
+    def kernel(self, monkeypatch):
+        _use_kernel("numpy", monkeypatch)
+
+
 class TestIncrementalMatchesFullSort:
     """The LE kernel's prune, survivor sort and merge against the generic
-    iteration, which sorts every candidate by ``(target, dist, rank)``."""
+    iteration, which sorts every candidate by ``(target, dist, rank)``.
+    The block budget is the NumPy kernel's; the compiled step has none."""
+
+    @pytest.fixture
+    def kernel(self, monkeypatch):
+        _use_kernel("native", monkeypatch)
 
     @pytest.mark.parametrize("budget", [None, 1, 7], ids=["default", "1", "7"])
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("scale", [1.0, 1.25**3])
-    def test_every_step_matches_generic_iteration(self, monkeypatch, k, scale, budget):
+    def test_every_step_matches_generic_iteration(self, kernel, monkeypatch, k, scale, budget):
         """Integer weights make equal-distance candidates of different
         ranks common, so the tie handling is exercised on every step.  The
         start states are partial lists (random vertices' lists emptied,
@@ -726,7 +776,7 @@ class TestIncrementalMatchesFullSort:
             fresh = None
             for _ in range(n + 1):
                 expect = _generic_iteration_batched(g, states, spec, scale, None)
-                nxt, changed, fresh = _le_iteration_incremental(
+                nxt, changed, fresh = dense_iteration_batched_ex(
                     g, states, spec, weight_scale=scale, fresh=fresh
                 )
                 assert nxt.equals(expect)
@@ -741,8 +791,10 @@ class TestIncrementalMatchesFullSort:
 
     @pytest.mark.parametrize("method", ["direct", "oracle"])
     def test_ensemble_independent_of_block_budget(self, monkeypatch, method):
-        """A whole ensemble, one target per block against the default
-        budget: same lists, ranks, iterations, ledgers and forest."""
+        """A whole ensemble on the NumPy kernel, one target per block
+        against the default budget: same lists, ranks, iterations, ledgers
+        and forest."""
+        _use_kernel("numpy", monkeypatch)
         g = gen.random_graph(40, 100, wmin=1.0, wmax=4.0, rng=61)
         cfg = PipelineConfig(
             hopset=HopsetConfig(eps=0.25, d0=4), embedding=EmbeddingConfig(method=method)
@@ -795,6 +847,185 @@ class TestIncrementalMatchesFullSort:
         assert np.array_equal(blocked[1], one[1])
         assert np.array_equal(blocked[2], one[2])
         assert blocked_peak <= one_peak / 2, (blocked_peak, one_peak)
+
+
+class TestIncrementalMatchesFullSortNumPy:
+    """The same steps against the generic iteration on the NumPy kernel."""
+
+    @pytest.fixture
+    def kernel(self, monkeypatch):
+        _use_kernel("numpy", monkeypatch)
+
+    test_every_step_matches_generic_iteration = (
+        TestIncrementalMatchesFullSort.test_every_step_matches_generic_iteration
+    )
+
+
+def _integer_family(name, rng):
+    """A graph of the named family with weights drawn from 1..3, so equal
+    distances of different vertices (rank ties) are common."""
+    shape = {
+        "cycle": lambda: gen.cycle(24),
+        "grid": lambda: gen.grid(5, 5),
+        "path": lambda: gen.path_graph(20),
+        "cycle_with_hub": lambda: gen.cycle_with_hub(24, rng=rng),
+        "random": lambda: gen.random_graph(30, 70, rng=rng),
+    }[name]()
+    return Graph(shape.n, shape.edges, rng.integers(1, 4, size=shape.m).astype(float))
+
+
+def _ensemble_on(kernel, monkeypatch, g, method):
+    """A ``k = 5`` ensemble with the LE step on ``kernel``, and the
+    oracle's inner iteration counts (empty for the direct method)."""
+    with monkeypatch.context() as patch:
+        _use_kernel(kernel, patch)
+        cfg = PipelineConfig(
+            hopset=HopsetConfig(eps=0.25, d0=4), embedding=EmbeddingConfig(method=method)
+        )
+        pipe = Pipeline(g, cfg)
+        result = pipe.sample_ensemble(k=5, seed=80)
+        inner = list(pipe.oracle().inner_iterations_used) if method == "oracle" else []
+    return result, inner
+
+
+class TestNativeKernel:
+    """The compiled LE step (``_lestep.c``): the same bits as the NumPy
+    kernel, the fallback without a compiler, and its build cache."""
+
+    @pytest.mark.parametrize("family", ["cycle", "grid", "path", "cycle_with_hub", "random"])
+    @pytest.mark.parametrize("method", ["direct", "oracle"])
+    def test_ensembles_match_numpy(self, monkeypatch, family, method):
+        g = _integer_family(family, np.random.default_rng(81))
+        want, want_inner = _ensemble_on("numpy", monkeypatch, g, method)
+        got, got_inner = _ensemble_on("native", monkeypatch, g, method)
+        assert got.le_lists.equals(want.le_lists)
+        assert np.array_equal(got.ranks, want.ranks)
+        assert got.iterations == want.iterations
+        assert got_inner == want_inner
+        assert _ledger_totals(got.ledgers) == _ledger_totals(want.ledgers)
+        assert _ledger_totals([got.ledger]) == _ledger_totals([want.ledger])
+        for field in dataclasses.fields(want.forest):
+            x, y = getattr(got.forest, field.name), getattr(want.forest, field.name)
+            assert np.array_equal(x, y) and np.asarray(x).dtype == np.asarray(y).dtype, field.name
+
+    @pytest.mark.parametrize("kernel", ["native", "numpy"])
+    def test_step_without_survivors_returns_its_input(self, monkeypatch, kernel):
+        """``HOracle._le_chain`` tests ``nxt is cur``: a step that inserts
+        nothing hands back the lists it merged into, not a copy."""
+        _use_kernel(kernel, monkeypatch)
+        g = gen.random_graph(20, 45, rng=82)
+        spec = BatchedLEFilter(_ranks(3, g.n, 83))
+        states, _ = run_dense_batched(g, spec, 3)
+        nxt, changed, inserted = dense_iteration_batched_ex(g, states, spec)
+        assert nxt is states and not changed.any() and not inserted.any()
+        base = states.take(np.arange(3))
+        fresh = np.zeros(states.total, dtype=bool)
+        fresh[::4] = True
+        nxt, changed, inserted = dense_iteration_batched_ex(g, states, spec, fresh=fresh, base=base)
+        assert nxt is base and not changed.any() and inserted.shape == (base.total,)
+
+    def test_falls_back_to_numpy_without_a_compiler(self, monkeypatch, tmp_path):
+        g = gen.random_graph(24, 60, rng=84)
+        spec = BatchedLEFilter(_ranks(2, g.n, 85))
+        states = BatchedFlatStates.from_sources(2, g.n)
+        with monkeypatch.context() as patch:
+            _use_kernel("numpy", patch)
+            want = [dense_iteration_batched_ex(g, states, spec)]
+            want.append(dense_iteration_batched_ex(g, want[0][0], spec, fresh=want[0][2]))
+
+        def no_compiler(out):
+            raise OSError("no C compiler (cc) on PATH")
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(native, "_library", native._UNTRIED)
+        monkeypatch.setattr(native, "_compile", no_compiler)
+        with pytest.warns(RuntimeWarning, match="NumPy kernel") as record:
+            got = [dense_iteration_batched_ex(g, states, spec)]
+            got.append(dense_iteration_batched_ex(g, got[0][0], spec, fresh=got[0][2]))
+            assert dense.le_kernel() == "numpy"
+        assert len(record) == 1
+        for (a, ca, ia), (b, cb, ib) in zip(got, want):
+            assert a.equals(b) and np.array_equal(ca, cb) and np.array_equal(ia, ib)
+
+    def test_compiler_on_path_means_native(self):
+        """A compile error must not hide behind the fallback."""
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        assert dense.le_kernel() == "native"
+
+    def test_wrapper_checks_arrays(self):
+        lib = native.library()
+        if lib is None:
+            pytest.skip("no working C compiler")
+        offsets = np.array([0, 2], dtype=np.int64)
+        with pytest.raises(TypeError, match="contiguous int64"):
+            native.fresh_lists(lib, offsets.astype(np.int32), np.ones(2, dtype=bool))
+        with pytest.raises(TypeError, match="contiguous bool"):
+            native.fresh_lists(lib, offsets, np.ones(4, dtype=bool)[::2])
+
+    def test_unwritable_cache_builds_in_a_temporary_directory(self, monkeypatch, tmp_path):
+        """A cache path that cannot be created still yields the compiled
+        step, built in a directory of the process that is removed again."""
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        temp_root = tmp_path / "tmp"
+        temp_root.mkdir()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
+        monkeypatch.setattr(native, "_library", native._UNTRIED)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dense.le_kernel() == "native"
+        assert os.listdir(temp_root) == []
+
+    def test_concurrent_builds_leave_one_library(self, tmp_path):
+        """Two processes started together on an empty cache both load the
+        step, and the cache ends up holding the one library file."""
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        script = "from repro.mbf import dense; print(dense.le_kernel())"
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True
+            )
+            for _ in range(2)
+        ]
+        outs = [p.communicate(timeout=120)[0].split() for p in procs]
+        assert [p.returncode for p in procs] == [0, 0]
+        assert outs == [["native"], ["native"]]
+        files = sorted(os.listdir(tmp_path / "repro-frt-mbf"))
+        assert len(files) == 1 and files[0].startswith("lestep-") and files[0].endswith(".so")
+
+    def test_compiles_only_on_the_first_step(self, tmp_path):
+        """Importing, building a pipeline, its hop set and its oracle start
+        no compiler; the first LE step builds the library once."""
+        script = textwrap.dedent(
+            """
+            import os, sys
+            import repro
+            from repro.api import Pipeline, PipelineConfig
+            from repro.graph import generators as gen
+            from repro.mbf import native
+            pipe = Pipeline(gen.random_graph(30, 70, rng=1), PipelineConfig())
+            pipe.hopset()
+            pipe.oracle()
+            cache = os.path.join(os.environ["XDG_CACHE_HOME"], "repro-frt-mbf")
+            assert native._library is native._UNTRIED and not os.path.exists(cache)
+            pipe.sample_ensemble(2, seed=1)
+            if native._library is not None:
+                assert len(os.listdir(cache)) == 1
+            """
+        )
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 def _rank_ties(g, states, scale):

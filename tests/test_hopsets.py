@@ -143,6 +143,13 @@ class TestHubHopset:
         with pytest.raises(ValueError):
             hub_hopset(g, force_hubs=np.array([99]))
 
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), 0.5])
+    def test_sampling_constant_must_be_finite(self, c):
+        """NaN passes ``c < 1`` and makes every vertex a hub; inf does too."""
+        g = gen.random_graph(30, 60, rng=1)
+        with pytest.raises(ValueError, match="c must be finite and >= 1"):
+            hub_hopset(g, c=c, rng=2)
+
     def test_disconnected_rejected(self):
         from repro.graph.core import Graph
 

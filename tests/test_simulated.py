@@ -1,5 +1,7 @@
 """Tests for level sampling and the materialized simulated graph H (Sec. 4)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -149,10 +151,15 @@ class TestSimulatedGraph:
             SimulatedGraph.build(hop, levels=-np.ones(8, dtype=np.int64))
 
     def test_penalty_base_validated(self):
+        """Refused before any distance is computed: NaN and inf would give
+        non-finite level weights."""
         g = gen.cycle(8, rng=0)
         hop = identity_hopset(g)
-        with pytest.raises(ValueError):
-            SimulatedGraph.build(hop, penalty_base=0.5)
+        for base in (float("nan"), float("inf"), 0.5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="penalty_base must be finite and >= 1"):
+                    SimulatedGraph.build(hop, penalty_base=base)
 
     def test_size_guard(self):
         g = gen.cycle(8, rng=0)
