@@ -31,31 +31,22 @@ the composite segment id ``sample * n + target``; a single run is the
 :class:`BatchedLEFilter` carries one rank permutation per sample (a
 ``(k, n)`` matrix indexed per-entry through the composite segment id).
 For LE lists the iteration uses an *incremental* aggregation — propagated
-entries that are dominated
-by (or duplicates of) the target's current staircase can never survive the
-filter (the self-contribution puts their dominator in every merge), so
-they are pruned before any sort.  The directed edges come grouped by
-target, so the candidates do too, and one vectorized bisection inside
-each candidate's target segment finds the last current entry no farther
-than it: that index decides the prune and, for a survivor, its merge
-position.  Only the small survivor set is sorted — one near-linear
-stable sort of already target-grouped ``(segment, dist)`` keys — and
-staircase-merged into the current lists.  Aggregation is per target and
-the filter is a congruence, so the step runs propagate → prune → merge
-over contiguous blocks of composite targets, each holding at most
-``_LE_BLOCK_ENTRIES`` candidates plus current entries: the transient
-memory is bounded by that budget plus the state, not by the candidate
-count, and the lists are the same bit for bit.
+entries that are dominated by (or duplicates of) the target's current
+staircase can never survive the filter (the self-contribution puts their
+dominator in every merge), so they are pruned before any sort: one
+bisection inside the target's staircase finds the last current entry no
+farther than the candidate, and that index decides the prune and, for a
+survivor, its merge position.  Only the few survivors are sorted and
+staircase-merged into the current lists.
 
-**Two kernels, one result.**  The LE step runs in C where a compiler
-works: ``_lestep.c`` does propagate, prune, survivor sort and merge in
-one pass per target, writing the next lists straight into state-sized
-buffers (:func:`_le_iteration_native`; built on the first LE step and
-cached, see :mod:`repro.mbf.native`).  Without a working compiler the
-step runs the NumPy kernel above (:func:`_le_iteration_incremental`) and
-warns once.  The two give the same lists, flags and ledger charges bit
-for bit, and the parity tests run on both; :func:`le_kernel` says which
-one runs.
+**One LE step, in C.**  ``_lestep.c`` runs propagate, prune, survivor
+sort and merge in one pass per target, writing the next lists straight
+into state-sized buffers (:func:`_le_iteration_native`).  It is built
+with the system C compiler on the first LE step and cached (see
+:mod:`repro.mbf.native`); without a working compiler that step raises
+:class:`~repro.mbf.native.LEStepBuildError`.  The NumPy kernel it
+replaced lives on in ``tests/le_reference.py`` as the reference the
+parity tests compare it with, bit for bit.
 
 The iteration is also *semi-naive* (Moore's refinement of Bellman-Ford:
 relax only from labels that changed).  Each LE step reports which entries
@@ -86,18 +77,6 @@ from repro.pram.cost import CostLedger
 
 INF = math.inf
 
-# Load cap of one target block of the LE step: the block's candidates plus
-# its targets' current entries.  Every candidate-sized array of the step
-# lives for one block, so the step's transient is O(budget) + O(state)
-# instead of O(candidates).  Chosen by a peak-RSS scan over six direct
-# random_graph(4096, 12288), k=16 builds per process (2-core VM, two
-# rounds): 2^14 / 2^15 / 2^16 / 2^17 / 2^18 / 2^19 read 135-136 /
-# 133-135 / 132 / 137 / 138-141 / 153-154 MiB, unblocked 201-205 MiB,
-# at about equal build times.  Smaller blocks put their arrays near
-# glibc's mmap threshold, where freed memory is reused worse, and pay
-# more per-block dispatch; larger ones grow toward the unblocked peak.
-_LE_BLOCK_ENTRIES = 1 << 16
-
 __all__ = [
     "BatchedFlatStates",
     "check_rank",
@@ -114,7 +93,6 @@ __all__ = [
     "prepare_batch_run",
     "run_dense_batched",
     "segmented_searchsorted",
-    "le_kernel",
 ]
 
 
@@ -128,47 +106,12 @@ def _segment_keys(seg: np.ndarray, values: np.ndarray) -> np.ndarray:
     ``values``.  The keys are assembled by field, not arithmetic: ``1j *
     inf`` would produce a NaN real part and break the order.  Segment ids
     must stay below ``2**53`` (exact in float64).  Used by
-    :func:`segmented_searchsorted` and by the LE iteration's survivor
-    sort; the LE prune searches plain distances (:func:`_last_at_most`).
+    :func:`segmented_searchsorted`.
     """
     keys = np.empty(np.shape(values), dtype=np.complex128)
     keys.real = seg
     keys.imag = values
     return keys
-
-
-def _last_at_most(
-    offsets: np.ndarray,  # shape: (s+1,) int64 frozen
-    counts: np.ndarray,  # shape: (s,) int64 frozen
-    dists: np.ndarray,  # shape: (total,) float64 frozen
-    seg: np.ndarray,  # shape: (m,) int64 frozen
-    q: np.ndarray,  # shape: (m,) float64 frozen
-    steps: int,  # shape: scalar
-) -> np.ndarray:  # shape: -> (m,) int64
-    """Per query, the flat index of the last ``dists`` entry ``<= q`` in its segment.
-
-    ``dists[offsets[j] : offsets[j] + counts[j]]`` is segment ``j``,
-    sorted ascending.  Query ``i`` searches segment ``seg[i]`` for
-    ``q[i]`` and gets ``offsets[seg[i]] - 1`` if no entry is ``<= q[i]``
-    (that index belongs to an earlier segment, or wraps to ``-1``).  One
-    vectorized bisection inside each query's own segment: the answer lies
-    in ``[base, base + span)``, each step tests the midpoint and halves
-    ``span``, so ``steps >= max(counts).bit_length()`` steps over plain
-    float64 values settle every query.  A settled query (``span == 1``)
-    re-tests its own ``base`` and keeps it, so extra steps change nothing;
-    the caller computes ``steps`` once for all the searches it makes.
-    """
-    base = offsets[seg] - 1
-    span = counts[seg] + 1
-    idx = np.empty_like(base)
-    at_most = np.empty(base.shape, dtype=bool)
-    for _ in range(steps):
-        np.right_shift(span, 1, out=idx)
-        span -= idx
-        idx += base
-        np.less_equal(dists[idx], q, out=at_most)
-        np.copyto(base, idx, where=at_most)
-    return base
 
 
 def segmented_searchsorted(
@@ -580,9 +523,9 @@ class BatchedLEFilter(FilterSpec):
     later segments get smaller bases (``rank - segment * (n + 1)``), so
     segments occupy disjoint descending value ranges and one global
     ``np.minimum.accumulate`` suffices.  The dense drivers run this
-    filter through the incremental prune/merge step
-    (:func:`_le_iteration_incremental`); ``sort_keys``/``keep_mask`` are
-    its full-sort form, which the generic iteration applies.
+    filter through the compiled prune/merge step
+    (:func:`_le_iteration_native`); ``sort_keys``/``keep_mask`` are its
+    full-sort form, which the generic iteration applies.
     """
 
     def __init__(self, ranks: np.ndarray):
@@ -762,7 +705,7 @@ def aggregate_batched(
 def _charge_le_step(
     G: Graph, states: BatchedFlatStates, ledgers: Sequence[CostLedger] | None
 ) -> None:
-    """Charge one LE step's model cost, whatever either kernel emits.
+    """Charge one LE step's model cost, whatever the step emits.
 
     Full emission sends every entry of ``states`` along every out-edge plus
     its own entries, and sorts them all; this charges that per sample.
@@ -774,7 +717,7 @@ def _charge_le_step(
     charge_emission(ledgers, emitted + states.sample_totals())
 
 
-def _le_iteration_incremental(
+def _le_iteration_native(
     G: Graph,
     states: BatchedFlatStates,
     spec: BatchedLEFilter,
@@ -784,22 +727,18 @@ def _le_iteration_incremental(
     fresh: np.ndarray | None = None,
     base: BatchedFlatStates | None = None,
 ) -> tuple[BatchedFlatStates, np.ndarray, np.ndarray]:
-    """One batched LE iteration: semi-naive emission, prune, staircase merge.
+    """One batched LE iteration in C: semi-naive emission, prune, staircase merge.
 
-    Blocks: the call walks contiguous blocks of composite targets
-    ``s * n + v`` and runs emission, prune, survivor sort and merge on one
-    block at a time.  Aggregation is per target and the filter is a
-    congruence (Corollary 2.17), so any partition of the targets gives the
-    same lists.  A block's load — its candidates plus its targets' current
-    entries — stays at or under ``_LE_BLOCK_ENTRIES``; a target heavier
-    than that forms a block of its own.  The directed edges come grouped by
-    target and the samples' edge copies are stacked in order, so a block's
-    candidates are those of one contiguous edge slice.  Every
-    candidate-sized array lives for one block, which bounds the step's
-    transient memory by the budget plus the state instead of by the
-    candidate count; the budget's value comes from a peak-RSS scan (see
-    its comment).  A call whose whole load fits the budget runs as one
-    block, with no bounds computed and nothing concatenated.
+    ``_lestep.c`` runs one pass per composite target ``s * n + v`` and
+    writes the next lists straight into buffers sized from the state
+    (doubled, and resumed at the target that did not fit, if outgrown):
+    no candidate-sized array exists.  The library is built on the first
+    call (:func:`repro.mbf.native.library`, which raises
+    :class:`~repro.mbf.native.LEStepBuildError` without a working
+    compiler).  An offset range outside its batch or an entry id outside
+    ``[0, n)`` in ``states`` or ``base`` raises :class:`ValueError` where
+    the C code reads it.  ``tests/le_reference.py`` holds the NumPy
+    reference the tests compare it with, bit for bit.
 
     Prune: the self-contribution puts the target's current list in
     every merge, so a propagated entry that some current entry ``(d', r')``
@@ -807,16 +746,13 @@ def _le_iteration_incremental(
     vertex) can never survive the staircase — the dominator precedes it in
     ``(dist, rank)`` order and pins the running minimum below its rank.
     Along a staircase ranks fall as distances rise, so the one entry to
-    test is the last one no farther than the candidate
-    (:func:`_last_at_most`); the same index places a survivor in the merge.
+    test is the last one no farther than the candidate; the same index
+    places a survivor in the merge.
 
-    Survivor order: the candidates come grouped by target (the directed
-    edges are), so one stable sort by ``(target, dist)`` only merges
-    sorted runs.  The full sort would also order by rank; instead each
-    equal-``(target, dist)`` run keeps just its minimum-rank entries, the
-    only ones the staircase can keep, and copies of one vertex are
-    identical.  The merged lists therefore equal the full sort's, bit for
-    bit.
+    Survivor order: a stable sort by distance orders a target's survivors;
+    each equal-distance run keeps just its minimum-rank entries, the only
+    ones the staircase can keep, where the full sort would order the run
+    by rank.  The merged lists therefore equal the full sort's.
 
     Delta: ``fresh`` marks the entries of ``states`` that the previous
     iteration (same graph, filter and ``weight_scale``) inserted; ``None``
@@ -849,207 +785,7 @@ def _le_iteration_incremental(
     reached, without ``base``).  A call without survivors returns the
     current lists' batch itself.
     """
-    k, n = states.k, states.n
-    kn = k * n
-    src, dst, w = G.directed_edges()
-    _charge_le_step(G, states, ledgers)
-    scounts = np.diff(states.offsets)
-    if base is not None:
-        loops = np.arange(n, dtype=np.int64)
-        at = np.searchsorted(dst, loops, side="right")
-        src, dst, w = np.insert(src, at, loops), np.insert(dst, at, loops), np.insert(w, at, 0.0)
-    if weight_scale != 1.0:
-        w = w * weight_scale
-    # Rebuilt per call; measured 2-5% of an iteration, and any cross-call
-    # cache would need invalidation on every active-set compaction.
-    vsrc, vdst, vw = _virtual_edges(k, n, src, dst, w)
-    src_own = np.repeat(np.arange(kn, dtype=np.int64), scounts)
-    src_rank = spec.entry_ranks(src_own, states.ids)
-    ssteps = int(scounts.max()).bit_length() if kn else 0
-    # The lists candidates are merged into: ``states``' own, or ``base``'s.
-    if base is None:
-        into, ccounts, cur_rank, steps = states, scounts, src_rank, ssteps
-    else:
-        into, ccounts = base, np.diff(base.offsets)
-        cur_rank = spec.entry_ranks(np.repeat(np.arange(kn, dtype=np.int64), ccounts), base.ids)
-        steps = int(ccounts.max()).bit_length() if kn else 0
-    if fresh is None:
-        fslots, fcounts, foffsets = None, scounts, states.offsets
-    else:
-        fslots = np.flatnonzero(fresh)
-        fcounts = np.bincount(src_own[fslots], minlength=kn)
-        foffsets = np.concatenate([[0], np.cumsum(fcounts)])
-    del src_own
-    # Edge e emits the candidates [cstart[e], cstart[e + 1]).
-    ecounts = fcounts[vsrc]
-    cstart = np.concatenate([[0], np.cumsum(ecounts)])
-
-    def merge_block(t_lo: int, t_hi: int, e_lo: int, e_hi: int):
-        """Targets ``[t_lo, t_hi)``, fed by edges ``[e_lo, e_hi)``: their
-        kept ids, dists, inserted flags and counts plus the samples that
-        kept an insertion, or ``None`` if no candidate survives the prune."""
-        # -- lazy emission: (source slot, dist, target) per candidate ---------
-        emits = ecounts[e_lo:e_hi]
-        slot = np.repeat(foffsets[vsrc[e_lo:e_hi]] - (cstart[e_lo:e_hi] - cstart[e_lo]), emits)
-        slot += np.arange(slot.size)
-        if fslots is not None:
-            slot = fslots[slot]
-        cd = states.dists[slot] + np.repeat(vw[e_lo:e_hi], emits)
-        # The directed edges are grouped by target, so the candidates are too.
-        ct = np.repeat(vdst[e_lo:e_hi], emits)
-        # -- prune against the current staircases, one in-segment bisection --
-        # The last current entry no farther than a candidate is the lowest-
-        # rank one among those (ranks fall along a staircase); if there is
-        # none, nothing dominates the candidate.  Ranks are gathered only
-        # after the search, which keeps them out of its peak memory.
-        pred = _last_at_most(states.offsets, scounts, states.dists, ct, cd, ssteps)
-        if base is None:
-            surv = np.flatnonzero((pred < states.offsets[ct]) | (src_rank[pred] > src_rank[slot]))
-        else:
-            # A self-candidate finds itself (pred == slot) and must stay, as
-            # ``base`` need not hold it; the few survivors are then tested
-            # against ``base``, the lists merged into.
-            surv = np.flatnonzero(
-                (pred < states.offsets[ct]) | (src_rank[pred] > src_rank[slot]) | (pred == slot)
-            )
-            bp = _last_at_most(into.offsets, ccounts, into.dists, ct[surv], cd[surv], steps)
-            ok = (bp < into.offsets[ct[surv]]) | (cur_rank[bp] > src_rank[slot[surv]])
-            surv = surv[ok]
-            pred[surv] = bp[ok]
-        if surv.size == 0:
-            return None
-        # -- order the (small) survivor set by (segment, dist) ----------------
-        # Survivors keep the candidates' target grouping, so this stable sort
-        # only merges each target's sorted runs (one per in-edge).
-        bkey = _segment_keys(ct[surv], cd[surv])
-        order = np.argsort(bkey, kind="stable")
-        surv, bkey = surv[order], bkey[order]
-        # An equal-(segment, dist) run keeps only its minimum-rank entries,
-        # the only ones the staircase can keep (the full sort's rank key
-        # would put them first).  Exact copies of one vertex stay; the
-        # staircase drops the duplicate.
-        run_start = np.ones(surv.size, dtype=bool)
-        run_start[1:] = bkey[1:] != bkey[:-1]
-        slot = slot[surv]
-        br = src_rank[slot]
-        if not run_start.all():
-            run_min = np.minimum.reduceat(br, np.flatnonzero(run_start))
-            lowest = br == run_min[np.cumsum(run_start) - 1]
-            surv, slot, br = surv[lowest], slot[lowest], br[lowest]
-        bd, bt, bpred = cd[surv], ct[surv], pred[surv]
-        # -- merge into the block's current staircases ------------------------
-        # Survivors precede an equal-dist current entry (their rank is
-        # strictly smaller, or the prune would have caught them), so each
-        # goes after the current entries with a *strictly* smaller dist.  The
-        # prune's index ends the entries <= it; distances strictly increase
-        # along a staircase, so at most that last one ties.
-        blo = into.offsets[bt]
-        # reprolint: disable=float-distance-eq (the tie decides merge order
-        # exactly as the full sort's (dist, rank) key would: bit-identity
-        # needs the exact comparison, both operands are stored float64 sums)
-        tie = (bpred >= blo) & (into.dists[bpred] == bd)
-        loc = bpred + 1 - blo - tie
-        # From here on, targets and offsets are local to the block.
-        bt -= t_lo
-        bcounts = np.bincount(bt, minlength=t_hi - t_lo)
-        boffsets = np.concatenate([[0], np.cumsum(bcounts)])
-        within_b = np.arange(bt.size) - boffsets[bt]
-        mcounts = ccounts[t_lo:t_hi] + bcounts
-        moffsets = np.concatenate([[0], np.cumsum(mcounts)])
-        mtotal = int(moffsets[-1])
-        bpos = moffsets[bt] + loc + within_b
-        m_ids = np.empty(mtotal, dtype=np.int64)
-        m_dists = np.empty(mtotal, dtype=np.float64)
-        m_rank = np.empty(mtotal, dtype=np.int64)
-        is_new = np.zeros(mtotal, dtype=bool)
-        is_new[bpos] = True
-        cpos = np.flatnonzero(~is_new)
-        olo, ohi = into.offsets[t_lo], into.offsets[t_hi]
-        m_ids[bpos], m_dists[bpos], m_rank[bpos] = states.ids[slot], bd, br
-        m_ids[cpos], m_dists[cpos] = into.ids[olo:ohi], into.dists[olo:ohi]
-        m_rank[cpos] = cur_rank[olo:ohi]
-        # -- staircase over the merged lists ----------------------------------
-        # Later segments get smaller bases, so the running minimum never
-        # leaks forward from an earlier segment (see BatchedLEFilter).
-        m_tgt = np.repeat(np.arange(t_hi - t_lo, dtype=np.int64), mcounts)
-        adjusted = m_rank - m_tgt * (n + 1)
-        run_min = np.minimum.accumulate(adjusted)
-        keep = np.ones(mtotal, dtype=bool)
-        keep[1:] = adjusted[1:] < run_min[:-1]
-        kept_tgt = m_tgt[keep]
-        inserted = is_new[keep]
-        # -- per-sample fixpoint detection, for free --------------------------
-        # Current entries are mutually non-dominating, so one only drops
-        # under a kept insertion: a sample changed iff it kept an insertion.
-        changed = np.bincount((kept_tgt[inserted] + t_lo) // n, minlength=k) > 0
-        kept = np.bincount(kept_tgt, minlength=t_hi - t_lo)
-        return m_ids[keep], m_dists[keep], inserted, kept, changed
-
-    if int(cstart[-1]) + into.total <= _LE_BLOCK_ENTRIES:
-        load = None
-    else:
-        # The first edge of each target, and the load before each target.
-        tedge = np.searchsorted(vdst, np.arange(kn + 1))
-        load = cstart[tedge] + into.offsets
-    ids, dists, inserted = [], [], []
-    kept_counts = ccounts.copy()
-    changed = np.zeros(k, dtype=bool)
-    merged = False
-    t_lo = 0
-    while t_lo < kn:
-        if load is None:
-            t_hi, e_lo, e_hi = kn, 0, vdst.size
-        else:
-            t_hi = int(np.searchsorted(load, load[t_lo] + _LE_BLOCK_ENTRIES, side="right"))
-            t_hi = max(t_hi - 1, t_lo + 1)
-            e_lo, e_hi = int(tedge[t_lo]), int(tedge[t_hi])
-        block = merge_block(t_lo, t_hi, e_lo, e_hi)
-        if block is None:
-            olo, ohi = into.offsets[t_lo], into.offsets[t_hi]
-            ids.append(into.ids[olo:ohi])
-            dists.append(into.dists[olo:ohi])
-            inserted.append(np.zeros(ohi - olo, dtype=bool))
-        else:
-            merged = True
-            block_ids, block_dists, block_new, kept_counts[t_lo:t_hi], block_changed = block
-            ids.append(block_ids)
-            dists.append(block_dists)
-            inserted.append(block_new)
-            changed |= block_changed
-        t_lo = t_hi
-    if not merged:
-        return into, changed, np.zeros(into.total, dtype=bool)
-    if len(ids) > 1:
-        ids, dists, inserted = (np.concatenate(p) for p in (ids, dists, inserted))
-    else:
-        ids, dists, inserted = ids[0], dists[0], inserted[0]
-    noffsets = np.concatenate([[0], np.cumsum(kept_counts)])
-    return BatchedFlatStates(k, n, noffsets, ids, dists), changed, inserted
-
-
-def _le_iteration_native(
-    lib,
-    G: Graph,
-    states: BatchedFlatStates,
-    spec: BatchedLEFilter,
-    *,
-    weight_scale: float = 1.0,
-    ledgers: Sequence[CostLedger] | None = None,
-    fresh: np.ndarray | None = None,
-    base: BatchedFlatStates | None = None,
-) -> tuple[BatchedFlatStates, np.ndarray, np.ndarray]:
-    """:func:`_le_iteration_incremental` in one C pass per target (``_lestep.c``).
-
-    Same arguments, results and charges, bit for bit.  The C code walks
-    each target's in-edges (and, with ``base``, the target's own fresh
-    entries at weight 0, so no loop edges are built), prunes each candidate
-    with one bisection in the target's staircase, sorts the few survivors
-    and merges them, writing the next lists straight into buffers sized
-    from the state: no candidate-sized array exists.  The buffers start at
-    the merged-into lists plus the fresh entries; a step that outgrows them
-    doubles them and resumes at the target that did not fit.  ``lib`` is
-    :func:`repro.mbf.native.library`'s result.
-    """
+    lib = native.library()
     k, n = states.k, states.n
     into = states if base is None else base
     _charge_le_step(G, states, ledgers)
@@ -1094,26 +830,6 @@ def _csr_arrays(
         np.ascontiguousarray(b.ids, dtype=np.int64),
         np.ascontiguousarray(b.dists, dtype=np.float64),
     )
-
-
-def le_kernel() -> str:  # shape: -> scalar
-    """Which LE step runs: ``"native"`` (``_lestep.c``) or ``"numpy"``.
-
-    Builds the compiled step if no LE step has yet (see
-    :mod:`repro.mbf.native`); ``"numpy"`` means no compiler works here, and
-    the NumPy kernel computes the same lists bit for bit.
-    """
-    return "numpy" if native.library() is None else "native"
-
-
-def _le_step(
-    G: Graph, states: BatchedFlatStates, spec: BatchedLEFilter, **kwargs
-) -> tuple[BatchedFlatStates, np.ndarray, np.ndarray]:
-    """One LE step on the compiled kernel, or on NumPy without a compiler."""
-    lib = native.library()
-    if lib is None:
-        return _le_iteration_incremental(G, states, spec, **kwargs)
-    return _le_iteration_native(lib, G, states, spec, **kwargs)
 
 
 def _check_batch_filter(spec: FilterSpec, states: BatchedFlatStates) -> bool:
@@ -1168,9 +884,9 @@ def dense_iteration_batched_ex(
     ``states``, on the same graph, filter and ``weight_scale``; ``None``
     means every entry and is always exact.  The LE path then propagates
     only those entries (semi-naive, bit-identical — see
-    :func:`_le_iteration_incremental`) and returns the mask of the entries
-    it inserted; the generic path always propagates everything and
-    returns ``inserted=None``.
+    :func:`_le_iteration_native`, the compiled step it runs) and returns
+    the mask of the entries it inserted; the generic path always
+    propagates everything and returns ``inserted=None``.
 
     ``base`` (LE filters only) is a batch of the same shape whose lists
     the fresh entries are merged into instead of ``states``': the result
@@ -1188,7 +904,7 @@ def dense_iteration_batched_ex(
                 f"base batch shape ({base.k}, {base.n}) does not match "
                 f"states ({states.k}, {states.n})"
             )
-        return _le_step(
+        return _le_iteration_native(
             G, states, spec, weight_scale=weight_scale, ledgers=ledgers, fresh=fresh, base=base
         )
     if base is not None:
@@ -1304,10 +1020,11 @@ def prepare_batch_run(
     The checks :func:`run_dense_batched` and ``HOracle.run_batch`` share:
     a :class:`BatchedLEFilter` of ``k`` orders over ``n`` vertices, a
     non-negative ``h``, one ledger per sample, and an ``x0`` of ``k``
-    samples over ``n`` nodes (default: ``k`` copies of the sources).
-    ``cap`` is the fixpoint-mode iteration cap, ``max_iterations`` or
-    ``n + 1``, and must be >= 1 unless ``h`` is given.  Each driver
-    canonicalizes ``x0`` through its filter itself.
+    samples over ``n`` nodes (default: ``k`` copies of the sources) whose
+    offsets rise from 0 to its entry count and whose ids lie in
+    ``[0, n)``.  ``cap`` is the fixpoint-mode iteration cap,
+    ``max_iterations`` or ``n + 1``, and must be >= 1 unless ``h`` is
+    given.  Each driver canonicalizes ``x0`` through its filter itself.
     """
     if isinstance(spec, BatchedLEFilter) and (spec.k != k or spec.n != n):
         raise ValueError(
@@ -1321,10 +1038,30 @@ def prepare_batch_run(
     states = x0 if x0 is not None else BatchedFlatStates.from_sources(k, n, sources)
     if states.k != k or states.n != n:
         raise ValueError("x0 batch shape mismatch")
+    if x0 is not None:
+        _check_lists(x0)
     cap = (n + 1) if max_iterations is None else max_iterations
     if h is None and cap < 1:
         raise ValueError("max_iterations must be >= 1")
     return states, ledger_list, cap
+
+
+def _check_lists(
+    x0: BatchedFlatStates,  # shape: csr(k*n) frozen
+) -> None:
+    """Raise :class:`ValueError` unless ``x0`` is a well-formed batch.
+
+    One pass per run, in :func:`prepare_batch_run`; the LE step checks
+    only the offsets and ids it reads, so a malformed ``x0`` fails here
+    first, before any work.
+    """
+    offsets, ids = np.asarray(x0.offsets), np.asarray(x0.ids)
+    if offsets.shape != (x0.k * x0.n + 1,) or ids.shape != np.shape(x0.dists):
+        raise ValueError(f"x0's arrays do not fit a ({x0.k}, {x0.n}) batch")
+    if offsets[0] != 0 or offsets[-1] != ids.size or np.any(np.diff(offsets) < 0):
+        raise ValueError("x0's offsets must rise from 0 to its entry count")
+    if ids.size and (ids.min() < 0 or ids.max() >= x0.n):
+        raise ValueError(f"x0 holds an entry id outside [0, {x0.n})")
 
 
 def run_dense_batched(

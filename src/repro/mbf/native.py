@@ -1,15 +1,22 @@
 """The compiled LE step: build ``_lestep.c`` on first use and load it with ctypes.
 
-:func:`library` compiles the C file once per cache, with the system C
-compiler (``cc``), into ``${XDG_CACHE_HOME:-~/.cache}/repro-frt-mbf/``
-under a name that hashes the source and the flags.  The library is written
-under a temporary name and moved into place with :func:`os.replace`, so
-processes that build it at the same time (shard workers) each load a whole
-file.  If that directory cannot be written, the build goes to a temporary
-directory of the process, removed once the library is loaded.  If no
-compiler works, :func:`library` returns ``None`` and warns once; the dense
-engine then runs its NumPy kernel, which computes the same lists bit for
-bit (:func:`repro.mbf.dense.le_kernel` says which one runs).
+Every LE step runs this library; there is no other implementation in the
+library (the tests keep a NumPy reference).  :func:`library` compiles the
+C file once per cache, with the system C compiler (``cc``), into
+``${XDG_CACHE_HOME:-~/.cache}/repro-frt-mbf/`` under a name that hashes the
+source and the flags.  The library is written under a temporary name and
+moved into place with :func:`os.replace`, so processes that build it at
+the same time (shard workers) each load a whole file.  If that directory
+cannot be written, the build goes to a temporary directory of the process,
+removed once the library is loaded.  If no compiler works,
+:func:`library` raises :class:`LEStepBuildError` with the compiler's
+message, and keeps nothing: the next LE step tries again.
+
+Each version of the source leaves its own ``lestep-<hash>.so`` (about
+15 KB) in the cache, and nothing deletes old ones, on purpose: two
+checkouts that share one cache, such as the two trees of an A/B
+benchmark, would otherwise delete each other's library and recompile on
+alternate runs.  Removing the directory is always safe.
 
 The flags keep the arithmetic exact: no ``-ffast-math``, no
 ``-march=native``, and ``-ffp-contract=off``; the C code's only
@@ -25,12 +32,11 @@ import platform
 import shutil
 import subprocess
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["fresh_lists", "library", "le_step"]
+__all__ = ["LEStepBuildError", "fresh_lists", "library", "le_step"]
 
 _SOURCE = Path(__file__).with_name("_lestep.c")
 _FLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
@@ -39,10 +45,25 @@ _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
 _I64P = ctypes.POINTER(ctypes.c_int64)
 # le_step's parameters, in order (see _lestep.c).
-_ARGTYPES = [_I64] * 3 + [_PTR] * 12 + [_I64, _I64P] + [_PTR] * 6 + [_I64P]
+_ARGTYPES = [_I64] * 3 + ([_PTR] * 4 + [_I64]) + ([_PTR] * 3 + [_I64]) + ([_PTR] * 2 + [_I64])
+_ARGTYPES += ([_PTR] * 3 + [_I64]) + [_I64, _I64P] + [_PTR] * 6 + [_I64P]
+# _lestep.c's error codes (NO_MEMORY, BAD_RANGE, BAD_ID): what each raises.
+_ERRORS = {
+    -1: (MemoryError, "the compiled LE step could not allocate its survivor buffer"),
+    -2: (ValueError, "the LE step met an offset range outside its batch (offsets must rise)"),
+    -3: (ValueError, "the LE step met an entry id outside [0, n)"),
+}
 
-_UNTRIED = object()
-_library: object = _UNTRIED
+_library: ctypes.CDLL | None = None
+
+
+class LEStepBuildError(RuntimeError):
+    """The compiled LE step could not be built or loaded.
+
+    Raised by the first LE step of a process without a working C compiler
+    (and by every later one: nothing is cached on failure).  The message
+    holds the compiler's; ``__cause__`` is the :class:`OSError` behind it.
+    """
 
 
 def _cache_dir() -> Path:
@@ -85,8 +106,8 @@ def _build_into(directory: Path, name: str) -> Path:
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.le_step.argtypes = _ARGTYPES
     lib.le_step.restype = _I64
-    lib.fresh_lists.argtypes = [_I64] + [_PTR] * 4
-    lib.fresh_lists.restype = None
+    lib.fresh_lists.argtypes = [_I64, _I64] + [_PTR] * 4
+    lib.fresh_lists.restype = _I64
     return lib
 
 
@@ -106,24 +127,19 @@ def _load() -> ctypes.CDLL:
         shutil.rmtree(own_dir, ignore_errors=True)
 
 
-def library() -> ctypes.CDLL | None:
-    """The compiled LE step, built on the first call; ``None`` if no compiler works.
+def library() -> ctypes.CDLL:
+    """The compiled LE step, built on the first call and kept for the process.
 
-    The first failure issues one :class:`RuntimeWarning`; the result, either
-    way, is kept for the life of the process.
+    Raises :class:`LEStepBuildError` if no compiler works; a failure is not
+    kept, so every call tries again.
     """
     global _library
-    if _library is _UNTRIED:
+    if _library is None:
         try:
             _library = _load()
         except OSError as exc:
-            _library = None
-            warnings.warn(
-                f"compiled LE step unavailable ({exc}); using the NumPy kernel",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return _library  # type: ignore[return-value]
+            raise LEStepBuildError(f"the compiled LE step could not be built: {exc}") from exc
+    return _library
 
 
 def _ptr(a: np.ndarray | None, dtype: type) -> int | None:
@@ -140,19 +156,34 @@ def fresh_lists(
     offsets: np.ndarray,  # shape: (kn+1,) int64 frozen
     fresh: np.ndarray,  # shape: (total,) bool frozen
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(f_off, f_slot)``: segment ``t``'s fresh entries are ``f_slot[f_off[t]:f_off[t+1]]``."""
+    """``(f_off, f_slot)``: segment ``t``'s fresh entries are ``f_slot[f_off[t]:f_off[t+1]]``.
+
+    Raises :class:`ValueError` if a segment of ``offsets`` is not a range
+    of ``fresh``.
+    """
     if fresh.size != offsets[-1]:
         raise ValueError("fresh must mark every entry of the batch")
     f_off = np.empty(offsets.size, dtype=np.int64)
     f_slot = np.empty(int(np.count_nonzero(fresh)) + 1, dtype=np.int64)
-    lib.fresh_lists(
-        offsets.size - 1,
-        _ptr(offsets, np.int64),
-        _ptr(fresh, np.bool_),
-        _ptr(f_off, np.int64),
-        _ptr(f_slot, np.int64),
+    _check(
+        lib.fresh_lists(
+            offsets.size - 1,
+            fresh.size,
+            _ptr(offsets, np.int64),
+            _ptr(fresh, np.bool_),
+            _ptr(f_off, np.int64),
+            _ptr(f_slot, np.int64),
+        )
     )
     return f_off, f_slot[:-1]
+
+
+def _check(code: int) -> int:
+    """``code`` unless it is one of ``_lestep.c``'s error codes, which raise."""
+    if code < 0:
+        error, message = _ERRORS[code]
+        raise error(message)
+    return code
 
 
 def le_step(
@@ -172,7 +203,8 @@ def le_step(
     whether any candidate survived the prune.  The output starts at ``cap``
     entries; when a target does not fit, it grows to twice that (or more)
     and the C code resumes at that target.  Raises :class:`MemoryError` if
-    the C code could not allocate.
+    the C code could not allocate, and :class:`ValueError` if it met an
+    offset range outside its batch or an entry id outside ``[0, n)``.
     """
     in_off, in_src, in_w = edges
     f_off, f_slot = fresh
@@ -190,21 +222,25 @@ def le_step(
     )
     if not sizes_ok:
         raise ValueError("le_step's arrays do not fit one batch")
-    inputs = [
+    args = [
         (ranks, np.int64),
         (in_off, np.int64),
         (in_src, np.int64),
         (in_w, np.float64),
+        in_src.size,
         (states[0], np.int64),
         (states[1], np.int64),
         (states[2], np.float64),
+        states[1].size,
         (f_off, np.int64),
         (f_slot, np.int64),
+        states[1].size if f_slot is None else f_slot.size,
         (b_off, np.int64),
         (b_ids, np.int64),
         (b_dist, np.float64),
+        0 if base is None else b_ids.size,
     ]
-    pointers = [_ptr(a, dtype) for a, dtype in inputs]
+    args = [a if isinstance(a, int) else _ptr(*a) for a in args]
     ids = np.empty(cap, dtype=np.int64)
     dists = np.empty(cap, dtype=np.float64)
     inserted = np.empty(cap, dtype=bool)
@@ -215,21 +251,21 @@ def le_step(
     pos, need = ctypes.c_int64(0), ctypes.c_int64(0)
     t = 0
     while t < kn:
-        t = lib.le_step(
-            n,
-            t,
-            kn,
-            *pointers,
-            ids.size,
-            ctypes.byref(pos),
-            _ptr(ids, np.int64),
-            _ptr(dists, np.float64),
-            _ptr(inserted, np.bool_),
-            *flags,
-            ctypes.byref(need),
+        t = _check(
+            lib.le_step(
+                n,
+                t,
+                kn,
+                *args,
+                ids.size,
+                ctypes.byref(pos),
+                _ptr(ids, np.int64),
+                _ptr(dists, np.float64),
+                _ptr(inserted, np.bool_),
+                *flags,
+                ctypes.byref(need),
+            )
         )
-        if t < 0:
-            raise MemoryError("the compiled LE step could not allocate its survivor buffer")
         if t < kn:
             cap = max(2 * cap, pos.value + need.value)
             ids, dists, inserted = (_grown(a, cap, pos.value) for a in (ids, dists, inserted))

@@ -1,13 +1,36 @@
-"""Shared fixtures and helpers for the test suite."""
+"""Shared fixtures and helpers for the test suite.
+
+``--lestep-cflags="..."`` adds compiler flags to the compiled LE step's
+build (``repro.mbf.native._FLAGS``), e.g. ``-fsanitize=address,undefined``
+for CI's sanitizer job.  The library's cache name hashes the flags, so such
+a build never shares a file with the plain one.
+"""
 
 from __future__ import annotations
+
+import shlex
 
 import numpy as np
 import pytest
 
 from repro.graph import generators
 from repro.graph.core import Graph
+from repro.mbf import native
 from repro.mbf.dense import BatchedLEFilter, run_dense_batched
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--lestep-cflags",
+        default="",
+        help="extra C compiler flags for the compiled LE step (_lestep.c)",
+    )
+
+
+def pytest_configure(config):
+    extra = tuple(shlex.split(config.getoption("--lestep-cflags")))
+    if extra:
+        native._FLAGS = native._FLAGS + extra
 
 
 @pytest.fixture

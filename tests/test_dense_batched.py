@@ -8,19 +8,20 @@ layer (kernels, ``run_dense_batched``, ``HOracle.run_batch``) including
 non-power-of-two k.  The LE kernel's semi-naive delta must match full
 emission at every step, its prune/merge must match the generic full-sort
 iteration, and its segmented searches must match a per-segment
-``np.searchsorted``.  Cutting a step into target blocks must change no
-output and must bound its transient memory.
+``np.searchsorted``.  The compiled LE step must match the NumPy reference
+kernel (``tests/le_reference.py``) bit for bit, raise a typed error
+without a compiler, and reject an offset or id outside its batch.
+Cutting a reference step into target blocks must change no output and
+must bound its transient memory.
 """
 
 import dataclasses
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
 import textwrap
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -37,8 +38,6 @@ from repro.mbf.dense import (
     MinFilter,
     TopKFilter,
     _generic_iteration_batched,
-    _last_at_most,
-    _le_iteration_incremental,
     aggregate_batched,
     dense_iteration_batched_ex,
     propagate_batched,
@@ -50,17 +49,22 @@ from repro.mbf.dense import (
 from repro.oracle import HOracle
 from repro.pram import CostLedger
 from repro.simulated import SimulatedGraph
+from tests import le_reference
 from tests.conftest import dense_k1, le_filter
+from tests.le_reference import _last_at_most, _le_iteration_incremental
+
+_COMPILED_STEP = dense._le_iteration_native
 
 
 def _use_kernel(name, monkeypatch):
-    """Point the LE step's dispatch at one kernel: ``"native"`` (the
-    compiled step; skipped where no compiler works) or ``"numpy"``."""
+    """Run the LE step on one kernel: ``"native"``, the compiled step, or
+    ``"numpy"``, the reference kernel, checked against the compiled step
+    on every call (:func:`tests.le_reference.checked_step`)."""
     if name == "numpy":
-        monkeypatch.setattr(native, "_library", None)
-    elif native.library() is None:
-        pytest.skip("no working C compiler: the compiled LE step is unavailable")
-    assert dense.le_kernel() == name
+        checked = le_reference.checked_step(_COMPILED_STEP)
+        monkeypatch.setattr(dense, "_le_iteration_native", checked)
+    else:
+        assert dense._le_iteration_native is _COMPILED_STEP
 
 
 def _ranks(k, n, seed):
@@ -544,7 +548,8 @@ def _delta_vs_full(g, states, spec, fresh, scale):
 class TestSemiNaiveDelta:
     """Propagating only the entries the last step inserted is exact.
 
-    On the compiled LE step here, on the NumPy kernel in the subclass."""
+    On the compiled LE step here; in the subclass, on the NumPy reference,
+    checked against the compiled step at every step."""
 
     @pytest.fixture(autouse=True)
     def kernel(self, monkeypatch):
@@ -642,7 +647,8 @@ class TestSemiNaiveDelta:
 
 
 class TestSemiNaiveDeltaNumPy(TestSemiNaiveDelta):
-    """The same semi-naive checks on the NumPy kernel."""
+    """The same semi-naive checks on the reference, step for step against
+    the compiled step."""
 
     @pytest.fixture(autouse=True)
     def kernel(self, monkeypatch):
@@ -652,8 +658,8 @@ class TestSemiNaiveDeltaNumPy(TestSemiNaiveDelta):
 class TestBaseMerge:
     """``base=``: the fresh entries of ``states``, sent along every edge and
     to themselves, merged into ``base``'s lists — the oracle's warm chain
-    step ``r(base ⊕ F ⊕ A·F)``.  On the compiled LE step here, on the NumPy
-    kernel in the subclass."""
+    step ``r(base ⊕ F ⊕ A·F)``.  On the compiled LE step here; in the
+    subclass, on the NumPy reference, checked against the compiled step."""
 
     @pytest.fixture(autouse=True)
     def kernel(self, monkeypatch):
@@ -673,7 +679,7 @@ class TestBaseMerge:
         # dominates ``old``, so it holds or dominates every entry of
         # ``new`` outside ``fresh``, as the kernel requires.
         if budget is not None:
-            monkeypatch.setattr(dense, "_LE_BLOCK_ENTRIES", budget)
+            monkeypatch.setattr(le_reference, "_LE_BLOCK_ENTRIES", budget)
         rng = np.random.default_rng(70)
         for n, m in [(12, 24), (30, 80)]:
             shape = gen.random_graph(n, m, rng=rng)
@@ -729,7 +735,7 @@ class TestBaseMerge:
 
 
 class TestBaseMergeNumPy(TestBaseMerge):
-    """The same ``base=`` checks on the NumPy kernel."""
+    """The same ``base=`` checks on the reference, against the compiled step."""
 
     @pytest.fixture(autouse=True)
     def kernel(self, monkeypatch):
@@ -739,7 +745,7 @@ class TestBaseMergeNumPy(TestBaseMerge):
 class TestIncrementalMatchesFullSort:
     """The LE kernel's prune, survivor sort and merge against the generic
     iteration, which sorts every candidate by ``(target, dist, rank)``.
-    The block budget is the NumPy kernel's; the compiled step has none."""
+    The block budget is the reference kernel's; the compiled step has none."""
 
     @pytest.fixture
     def kernel(self, monkeypatch):
@@ -760,7 +766,7 @@ class TestIncrementalMatchesFullSort:
         blocks without survivors sit next to blocks with survivors; at
         budget 7 and k = 3 some blocks straddle a sample boundary."""
         if budget is not None:
-            monkeypatch.setattr(dense, "_LE_BLOCK_ENTRIES", budget)
+            monkeypatch.setattr(le_reference, "_LE_BLOCK_ENTRIES", budget)
         rng = np.random.default_rng(60)
         ties = 0
         for n, m in [(12, 24), (20, 45), (30, 80)]:
@@ -791,7 +797,7 @@ class TestIncrementalMatchesFullSort:
 
     @pytest.mark.parametrize("method", ["direct", "oracle"])
     def test_ensemble_independent_of_block_budget(self, monkeypatch, method):
-        """A whole ensemble on the NumPy kernel, one target per block
+        """A whole ensemble on the reference kernel, one target per block
         against the default budget: same lists, ranks, iterations, ledgers
         and forest."""
         _use_kernel("numpy", monkeypatch)
@@ -800,7 +806,7 @@ class TestIncrementalMatchesFullSort:
             hopset=HopsetConfig(eps=0.25, d0=4), embedding=EmbeddingConfig(method=method)
         )
         want = Pipeline(g, cfg).sample_ensemble(k=5, seed=62)
-        monkeypatch.setattr(dense, "_LE_BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(le_reference, "_LE_BLOCK_ENTRIES", 1)
         got = Pipeline(g, cfg).sample_ensemble(k=5, seed=62)
         assert got.le_lists.equals(want.le_lists)
         assert np.array_equal(got.ranks, want.ranks)
@@ -833,7 +839,7 @@ class TestIncrementalMatchesFullSort:
         _, states, fresh = max(steps, key=lambda step: step[0])
 
         def traced_step(budget):
-            monkeypatch.setattr(dense, "_LE_BLOCK_ENTRIES", budget)
+            monkeypatch.setattr(le_reference, "_LE_BLOCK_ENTRIES", budget)
             tracemalloc.start()
             try:
                 out = _le_iteration_incremental(g, states, spec, fresh=fresh)
@@ -850,7 +856,8 @@ class TestIncrementalMatchesFullSort:
 
 
 class TestIncrementalMatchesFullSortNumPy:
-    """The same steps against the generic iteration on the NumPy kernel."""
+    """The same steps against the generic iteration on the reference,
+    checked against the compiled step."""
 
     @pytest.fixture
     def kernel(self, monkeypatch):
@@ -890,7 +897,7 @@ def _ensemble_on(kernel, monkeypatch, g, method):
 
 class TestNativeKernel:
     """The compiled LE step (``_lestep.c``): the same bits as the NumPy
-    kernel, the fallback without a compiler, and its build cache."""
+    reference, the typed error without a compiler, and its build cache."""
 
     @pytest.mark.parametrize("family", ["cycle", "grid", "path", "cycle_with_hub", "random"])
     @pytest.mark.parametrize("method", ["direct", "oracle"])
@@ -924,68 +931,76 @@ class TestNativeKernel:
         nxt, changed, inserted = dense_iteration_batched_ex(g, states, spec, fresh=fresh, base=base)
         assert nxt is base and not changed.any() and inserted.shape == (base.total,)
 
-    def test_falls_back_to_numpy_without_a_compiler(self, monkeypatch, tmp_path):
+    def test_typed_error_without_a_compiler(self, monkeypatch, tmp_path):
+        """While the build fails, every LE step raises LEStepBuildError with
+        the compiler's message, before charging anything, and nothing is
+        kept: once the compiler works, the next step builds and runs."""
         g = gen.random_graph(24, 60, rng=84)
         spec = BatchedLEFilter(_ranks(2, g.n, 85))
         states = BatchedFlatStates.from_sources(2, g.n)
-        with monkeypatch.context() as patch:
-            _use_kernel("numpy", patch)
-            want = [dense_iteration_batched_ex(g, states, spec)]
-            want.append(dense_iteration_batched_ex(g, want[0][0], spec, fresh=want[0][2]))
+        want = dense_iteration_batched_ex(g, states, spec)
 
         def no_compiler(out):
-            raise OSError("no C compiler (cc) on PATH")
+            raise OSError("cc failed (1): cc: fatal error: no input files")
 
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        monkeypatch.setattr(native, "_library", native._UNTRIED)
-        monkeypatch.setattr(native, "_compile", no_compiler)
-        with pytest.warns(RuntimeWarning, match="NumPy kernel") as record:
-            got = [dense_iteration_batched_ex(g, states, spec)]
-            got.append(dense_iteration_batched_ex(g, got[0][0], spec, fresh=got[0][2]))
-            assert dense.le_kernel() == "numpy"
-        assert len(record) == 1
-        for (a, ca, ia), (b, cb, ib) in zip(got, want):
-            assert a.equals(b) and np.array_equal(ca, cb) and np.array_equal(ia, ib)
+        monkeypatch.setattr(native, "_library", None)
+        with monkeypatch.context() as patch:
+            patch.setattr(native, "_compile", no_compiler)
+            ledgers = [CostLedger(), CostLedger()]
+            for _ in range(2):
+                with pytest.raises(native.LEStepBuildError, match="fatal error: no input") as err:
+                    dense_iteration_batched_ex(g, states, spec, ledgers=ledgers)
+                assert isinstance(err.value, RuntimeError)
+                assert isinstance(err.value.__cause__, OSError)
+                assert native._library is None
+            assert _ledger_totals(ledgers) == [(0, 0), (0, 0)]
+        got = dense_iteration_batched_ex(g, states, spec)
+        le_reference.assert_same_step(got, want, states)
+        assert native._library is not None
 
     def test_compiler_on_path_means_native(self):
-        """A compile error must not hide behind the fallback."""
-        if shutil.which("cc") is None:
-            pytest.skip("no cc on PATH")
-        assert dense.le_kernel() == "native"
+        """With ``cc`` on PATH the library builds and loads: a compile
+        error fails here, not in some later step."""
+        assert isinstance(native.library(), native.ctypes.CDLL)
 
     def test_wrapper_checks_arrays(self):
         lib = native.library()
-        if lib is None:
-            pytest.skip("no working C compiler")
         offsets = np.array([0, 2], dtype=np.int64)
         with pytest.raises(TypeError, match="contiguous int64"):
             native.fresh_lists(lib, offsets.astype(np.int32), np.ones(2, dtype=bool))
         with pytest.raises(TypeError, match="contiguous bool"):
             native.fresh_lists(lib, offsets, np.ones(4, dtype=bool)[::2])
 
+    @pytest.mark.parametrize(
+        "code, error", [(-1, MemoryError), (-2, ValueError), (-3, ValueError), (0, None)]
+    )
+    def test_error_codes(self, code, error):
+        """Each of ``_lestep.c``'s error codes raises; a target index passes."""
+        if error is None:
+            assert native._check(code) == code
+        else:
+            with pytest.raises(error):
+                native._check(code)
+
     def test_unwritable_cache_builds_in_a_temporary_directory(self, monkeypatch, tmp_path):
         """A cache path that cannot be created still yields the compiled
         step, built in a directory of the process that is removed again."""
-        if shutil.which("cc") is None:
-            pytest.skip("no cc on PATH")
         blocker = tmp_path / "not-a-directory"
         blocker.write_text("")
         temp_root = tmp_path / "tmp"
         temp_root.mkdir()
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
         monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
-        monkeypatch.setattr(native, "_library", native._UNTRIED)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert dense.le_kernel() == "native"
+        monkeypatch.setattr(native, "_library", None)
+        lib = native.library()
+        assert lib is native._library and not lib._name.startswith(str(blocker))
         assert os.listdir(temp_root) == []
 
     def test_concurrent_builds_leave_one_library(self, tmp_path):
         """Two processes started together on an empty cache both load the
         step, and the cache ends up holding the one library file."""
-        if shutil.which("cc") is None:
-            pytest.skip("no cc on PATH")
-        script = "from repro.mbf import dense; print(dense.le_kernel())"
+        script = "from repro.mbf import native; print(native.library()._name)"
         env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
         procs = [
@@ -996,9 +1011,9 @@ class TestNativeKernel:
         ]
         outs = [p.communicate(timeout=120)[0].split() for p in procs]
         assert [p.returncode for p in procs] == [0, 0]
-        assert outs == [["native"], ["native"]]
         files = sorted(os.listdir(tmp_path / "repro-frt-mbf"))
         assert len(files) == 1 and files[0].startswith("lestep-") and files[0].endswith(".so")
+        assert outs == [[str(tmp_path / "repro-frt-mbf" / files[0])]] * 2
 
     def test_compiles_only_on_the_first_step(self, tmp_path):
         """Importing, building a pipeline, its hop set and its oracle start
@@ -1014,10 +1029,9 @@ class TestNativeKernel:
             pipe.hopset()
             pipe.oracle()
             cache = os.path.join(os.environ["XDG_CACHE_HOME"], "repro-frt-mbf")
-            assert native._library is native._UNTRIED and not os.path.exists(cache)
+            assert native._library is None and not os.path.exists(cache)
             pipe.sample_ensemble(2, seed=1)
-            if native._library is not None:
-                assert len(os.listdir(cache)) == 1
+            assert native._library is not None and len(os.listdir(cache)) == 1
             """
         )
         env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
@@ -1026,6 +1040,91 @@ class TestNativeKernel:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_no_compiler_on_path(self, tmp_path):
+        """A process with no ``cc`` on PATH and an empty cache imports
+        ``repro`` and builds a pipeline, its hop set and its oracle without
+        starting a compiler; then sampling raises LEStepBuildError, also
+        from the workers of a process pool."""
+        script = textwrap.dedent(
+            """
+            import os
+            from repro.api import ExecutionConfig, Pipeline, PipelineConfig
+            from repro.graph import generators as gen
+            from repro.mbf import native
+            pipe = Pipeline(gen.random_graph(30, 70, rng=1), PipelineConfig())
+            pipe.hopset()
+            pipe.oracle()
+            assert not os.path.exists(os.path.join(os.environ["XDG_CACHE_HOME"], "repro-frt-mbf"))
+            for workers in (1, 2):
+                try:
+                    pipe.sample_ensemble(2, seed=1, execution=ExecutionConfig(workers=workers))
+                except Exception as err:
+                    print(workers, type(err).__qualname__, str(err).replace(chr(10), " "))
+            """
+        )
+        empty = tmp_path / "bin"
+        empty.mkdir()
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"), PATH=str(empty))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line.split()[:2] for line in lines] == [
+            ["1", "LEStepBuildError"],
+            ["2", "LEStepBuildError"],
+        ], proc.stdout
+        assert all("no C compiler (cc) on PATH" in line for line in lines)
+
+
+def _malformed(kind, g, k):
+    """``k`` samples' start lists on ``g`` with one defect: ``kind`` is an
+    entry id (``n``, ``10**8`` or ``-1``) put in a middle entry, or
+    ``"falling"`` for offsets that fall between two segments."""
+    b = BatchedFlatStates.from_sources(k, g.n)
+    ids, offsets = b.ids.copy(), b.offsets.copy()
+    if kind == "falling":
+        offsets[2] = offsets[3] + 1
+    else:
+        ids[ids.size // 2] = {"n": g.n, "huge": 10**8, "negative": -1}[kind]
+    return BatchedFlatStates(k, g.n, offsets, ids, b.dists.copy())
+
+
+_DEFECTS = ["n", "huge", "negative", "falling"]
+
+
+class TestStepChecksIndices:
+    """The compiled step checks every offset range and entry id it follows:
+    a bad one raises ValueError instead of reading out of bounds."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("kind", _DEFECTS)
+    @pytest.mark.parametrize("call", ["plain", "fresh", "base"])
+    def test_step_rejects(self, call, kind, k):
+        g = gen.cycle(6, rng=86)
+        spec = BatchedLEFilter(_ranks(k, g.n, 87))
+        bad = _malformed(kind, g, k)
+        good = BatchedFlatStates.from_sources(k, g.n)
+        with pytest.raises(ValueError, match="outside"):
+            if call == "plain":
+                dense_iteration_batched_ex(g, bad, spec)
+            elif call == "fresh":
+                dense_iteration_batched_ex(g, bad, spec, fresh=np.ones(bad.total, dtype=bool))
+            else:
+                fresh = np.ones(good.total, dtype=bool)
+                dense_iteration_batched_ex(g, good, spec, fresh=fresh, base=bad)
+
+    @pytest.mark.parametrize("kind", _DEFECTS)
+    @pytest.mark.parametrize("driver", ["dense", "oracle"])
+    def test_driver_rejects_x0(self, driver, kind):
+        g = gen.cycle(8, rng=38)
+        run = _driver(driver, g)
+        with pytest.raises(ValueError, match="x0"):
+            run(BatchedLEFilter(_ranks(1, g.n, 39)), 1, x0=_malformed(kind, g, 1))
+        with pytest.raises(ValueError, match="x0"):
+            run(MinFilter(), 2, x0=_malformed(kind, g, 2))
 
 
 def _rank_ties(g, states, scale):

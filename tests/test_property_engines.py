@@ -3,7 +3,8 @@
 Strategy: generate small connected random weighted graphs (integer
 weights so float sums are exact) plus random permutations; assert that the
 dense vectorized engine, the reference engine, and (for distances) SciPy
-agree exactly.
+agree exactly.  The compiled LE step is also run against its NumPy
+reference (``tests/le_reference.py``) on random staircase batches.
 """
 
 import math
@@ -18,9 +19,19 @@ from repro.graph.shortest_paths import dijkstra_distances, shortest_path_diamete
 from repro.mbf import filters as ref_filters
 from repro.mbf import run as ref_run
 from repro.mbf.algorithm import MBFAlgorithm
-from repro.mbf.dense import BatchedFlatStates, MinFilter, TopKFilter
+from repro.mbf.dense import (
+    BatchedFlatStates,
+    BatchedLEFilter,
+    MinFilter,
+    TopKFilter,
+    _generic_iteration_batched,
+    aggregate_batched,
+    dense_iteration_batched_ex,
+)
+from repro.pram.cost import CostLedger
 from tests.conftest import dense_k1, le_filter
 from tests.frt_reference import distance_matrix
+from tests.le_reference import _le_iteration_incremental, assert_same_step
 
 INF = math.inf
 
@@ -148,3 +159,66 @@ class TestFRTreeProperty:
         for v in range(n):
             via = M[:, v][:, None] + M[v, :][None, :]
             assert np.all(M <= via + 1e-9)
+
+
+@st.composite
+def le_step_cases(draw):
+    """One LE step's input: a graph on ``n >= 1`` vertices with integer
+    weights 1..3 (maybe no edges), ``k <= 4`` orders, a ``weight_scale`` of
+    1 or ``1.25**3``, a staircase batch built with ``aggregate_batched``
+    (segments may be empty), a fresh mask (all, none or random) and maybe
+    a staircase ``base``.  Distances are multiples of the scale, so
+    ``d + w`` ties and rank ties are common."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    k = draw(st.integers(min_value=1, max_value=4))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    weights = [draw(st.integers(min_value=1, max_value=3)) for _ in edges]
+    g = Graph(
+        n,
+        np.array(edges, dtype=np.int64).reshape(-1, 2),
+        np.array(weights, dtype=np.float64),
+        validate=False,
+    )
+    ranks = np.array([draw(st.permutations(range(n))) for _ in range(k)], dtype=np.int64)
+    spec = BatchedLEFilter(ranks)
+    scale = draw(st.sampled_from([1.0, 1.25**3]))
+
+    def staircases():
+        entry = st.tuples(st.integers(0, k * n - 1), st.integers(0, n - 1), st.integers(0, 6))
+        rows = np.array(draw(st.lists(entry, max_size=3 * k * n)), dtype=np.int64).reshape(-1, 3)
+        return aggregate_batched(k, n, rows[:, 0], rows[:, 1], rows[:, 2] * scale, spec)
+
+    states = staircases()
+    mask = draw(st.sampled_from(["none", "all", "random"]))
+    if mask == "none":
+        fresh = None
+    elif mask == "all":
+        fresh = np.ones(states.total, dtype=bool)
+    else:
+        fresh = np.array(
+            draw(st.lists(st.booleans(), min_size=states.total, max_size=states.total)),
+            dtype=bool,
+        )
+    base = staircases() if draw(st.booleans()) else None
+    return g, spec, scale, states, fresh, base
+
+
+class TestCompiledLEStepProperty:
+    @given(le_step_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, case):
+        """The compiled step and the NumPy reference agree bit for bit:
+        lists, ``changed``, inserted flags, per-sample ledgers, and whether
+        the result is the merged-into batch itself."""
+        g, spec, scale, states, fresh, base = case
+        ledgers = {name: [CostLedger() for _ in range(states.k)] for name in ("c", "r")}
+        kwargs = dict(weight_scale=scale, fresh=fresh, base=base)
+        got = dense_iteration_batched_ex(g, states, spec, ledgers=ledgers["c"], **kwargs)
+        want = _le_iteration_incremental(g, states, spec, ledgers=ledgers["r"], **kwargs)
+        assert_same_step(got, want, states if base is None else base)
+        assert [led.snapshot() for led in ledgers["c"]] == [led.snapshot() for led in ledgers["r"]]
+        if fresh is None and base is None:
+            full = _generic_iteration_batched(g, states, spec, scale, None)
+            assert got[0].equals(full)
+            assert np.array_equal(got[1], ~states.sample_equal(full))
